@@ -200,9 +200,8 @@ def build_atlas(case: PELCase) -> Atlas:
     if generator.apply_subset(J) != J or generator.apply_subset(K) != K:
         raise ConsistencyError("stabilized types are not fixed by phi^d")  # pragma: no cover
 
-    system = parabolic.CosetSystem(group, J, K)
-    double_reps = system.double_reps
-    left_reps = system.left_reps
+    left_reps = parabolic.min_left_reps(group, J)
+    double_reps = parabolic.min_double_reps(group, J, K)
 
     orbits = galois_orbits(group, double_reps, generator)
     poset = orbit_poset(group, orbits)

@@ -49,9 +49,8 @@ def corpus_preset(name: str) -> dict:
             raise InputError("signature needs r + s >= 2")
         n = r + s - 1  # diagram rank of the unitary case
         pairings = [0] * n
-        pairings[s - 1 if s >= 1 else 0] = 1
-        if s == 0:
-            pairings = [0] * n  # trivial signature: central cocharacter
+        if r and s:  # otherwise the signature is trivial: central cocharacter
+            pairings[s - 1] = 1
         perm = list(range(n))
         if parts[2] == "inert":
             perm = list(reversed(perm))
@@ -120,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-minuscule-check", action="store_true", help="skip the minuscule check"
     )
-    parser.add_argument("--bound", type=int, default=None, help="element bound")
+    parser.add_argument(
+        "--bound", type=int, default=None, help="most group elements to materialize"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     p_atlas = sub.add_parser("atlas", help="build an atlas from a case file")
     p_atlas.add_argument("casefile")

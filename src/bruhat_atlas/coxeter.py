@@ -3,13 +3,21 @@
 Elements are stored by their action on the simple roots: the canonical key of
 ``w`` is the tuple of coordinate vectors ``w(alpha_0), ..., w(alpha_{n-1})``.
 All elements are interned per group, so equality is identity on keys and
-length/descent data is computed once per distinct element.
+length/descent data is computed once per distinct element.  The element bound
+of a group limits how many elements it materializes.
+
+Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
+grows the minimal representatives ^J(W_S) of a parabolic subgroup W_S from the
+identity by ascents.  It yields ^J W for the atlas, ^{J_x}W_K for its fibers,
+and W_S or all of W (``J`` empty) for the brute-force oracle, which alone
+enumerates the whole group.
 """
 
 from __future__ import annotations
 
 from .errors import BoundError, ConsistencyError, InputError
 from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots
+from .rootdata import _positive_root_count, _weyl_order
 
 Key = tuple[tuple[int, ...], ...]
 
@@ -122,8 +130,7 @@ class WeylGroup:
         self._left_mul: dict[tuple[int, int], WeylElement] = {}
         self._right_mul: dict[tuple[int, int], WeylElement] = {}
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
-        self._elements: list[WeylElement] | None = None
-        self._subgroup_cache: dict[frozenset[int], list[WeylElement]] = {}
+        self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self.identity = self._intern(
             tuple(tuple(1 if k == i else 0 for k in range(self.n)) for i in range(self.n))
@@ -135,7 +142,13 @@ class WeylGroup:
     def _intern(self, key: Key) -> WeylElement:
         el = self._registry.get(key)
         if el is None:
-            el = WeylElement(self, key, len(self._registry))
+            count = len(self._registry)
+            if count >= self.element_bound:
+                raise BoundError(
+                    f"element bound {self.element_bound} exceeded: "
+                    f"{count + 1} elements materialized"
+                )
+            el = WeylElement(self, key, count)
             self._registry[key] = el
         return el
 
@@ -211,13 +224,6 @@ class WeylGroup:
                 raise InputError(f"letter {i} outside 0..{self.n - 1}")
             out = self.right_mul(out, i)
         return out
-
-    def descents(self, w: WeylElement, side: str) -> frozenset[int]:
-        if side == "left":
-            return w.left_descents
-        if side == "right":
-            return w.right_descents
-        raise InputError(f"side must be 'left' or 'right', got {side!r}")
 
     # -- parabolic helpers ---------------------------------------------------
 
@@ -300,56 +306,78 @@ class WeylGroup:
 
     # -- enumeration -----------------------------------------------------------
 
-    def elements(self) -> list[WeylElement]:
-        """All elements, breadth-first by length, deterministic within a level."""
-        if self._elements is None:
-            if self.order > self.element_bound:
-                raise BoundError(
-                    f"group order {self.order} exceeds bound {self.element_bound}"
-                )
-            seen = {self.identity}
-            level = [self.identity]
-            out = [self.identity]
-            while level:
-                nxt = set()
-                for w in level:
-                    for i in range(self.n):
-                        if i not in w.right_descents:
-                            ws = self.right_mul(w, i)
-                            if ws not in seen:
-                                seen.add(ws)
-                                nxt.add(ws)
-                level = sorted(nxt, key=lambda u: u.key)
-                out.extend(level)
-            if len(out) != self.order:  # pragma: no cover
-                raise ConsistencyError(
-                    f"enumeration found {len(out)} elements, closed form says {self.order}"
-                )
-            self._elements = out
-        return self._elements
+    def parabolic_order(self, S) -> int:
+        """|W_S| by the closed forms, one factor per connected component of S.
 
-    def subgroup_elements(self, J) -> list[WeylElement]:
-        """All of W_J, breadth-first by length."""
+        A component's type is read off its rank and the number of positive
+        roots supported on it; that pair tells A_k, B_k/C_k and D_k apart,
+        and D_3 = A_3 has the same order either way.
+        """
+        S = self.check_subset(S)
+        supports = [frozenset(k for k, c in enumerate(r) if c) for r in self.pos_roots]
+        # a component's first root by decreasing support is its highest root,
+        # whose support is the whole component
+        counts: dict[frozenset[int], int] = {}
+        for supp in sorted(supports, key=len, reverse=True):
+            if supp <= S:
+                comp = next((c for c in counts if supp <= c), supp)
+                counts[comp] = counts.get(comp, 0) + 1
+        order = 1
+        for comp, roots in counts.items():
+            rank = len(comp)
+            types = [t for t in "ABD" if _positive_root_count(t, rank) == roots]
+            if not types:  # pragma: no cover
+                raise ConsistencyError(f"component {sorted(comp)} is not classical")
+            order *= _weyl_order(types[0], rank)
+        return order
+
+    def ascend(self, gens, J) -> list[WeylElement]:
+        """The elements of W_gens with no left descent in J (J inside gens),
+        breadth-first by length and sorted by key within a length.
+
+        ^J W is closed under prefixes, and for w in ^J W and an ascent s_i of
+        w the product w s_i leaves ^J W exactly when w(alpha_i) = alpha_j for
+        some j in J (Deodhar's lemma).  So each level is grown from the one
+        before, and a rejected candidate is never multiplied or interned.
+        The count is checked against |W_gens| / |W_J|.
+        """
+        gens = self.check_subset(gens)
         J = self.check_subset(J)
-        cached = self._subgroup_cache.get(J)
+        if not J <= gens:
+            raise InputError(f"subset {sorted(J)} is not contained in {sorted(gens)}")
+        cached = self._ascend_cache.get((gens, J))
         if cached is None:
-            gens = sorted(J)
-            seen = {self.identity}
+            blocked = {self.identity.key[j] for j in J}  # the simple roots alpha_j
             level = [self.identity]
-            out = [self.identity]
+            cached = [self.identity]
             while level:
                 nxt = set()
                 for w in level:
                     for i in gens:
-                        if i not in w.right_descents:
-                            ws = self.right_mul(w, i)
-                            if ws not in seen:
-                                seen.add(ws)
-                                nxt.add(ws)
+                        if i not in w.right_descents and w.key[i] not in blocked:
+                            nxt.add(self.right_mul(w, i))
                 level = sorted(nxt, key=lambda u: u.key)
-                out.extend(level)
-            self._subgroup_cache[J] = cached = out
+                cached.extend(level)
+            if len(cached) * self.parabolic_order(J) != self.parabolic_order(gens):
+                raise ConsistencyError(
+                    f"ascent over {sorted(gens)} found {len(cached)} elements with "
+                    f"no left descent in {sorted(J)}; the closed form disagrees"
+                )
+            self._ascend_cache[(gens, J)] = cached
         return cached
+
+    def elements(self) -> list[WeylElement]:
+        """All elements, breadth-first by length, deterministic within a level;
+        refused up front when the closed-form order exceeds the bound."""
+        if self.order > self.element_bound:
+            raise BoundError(
+                f"group order {self.order} exceeds element bound {self.element_bound}"
+            )
+        return self.ascend(range(self.n), ())
+
+    def subgroup_elements(self, J) -> list[WeylElement]:
+        """All of W_J, breadth-first by length."""
+        return self.ascend(J, ())
 
 
 def _unit_index(vec):

@@ -15,7 +15,8 @@ class InputError(AtlasError):
 
 
 class BoundError(AtlasError):
-    """A resource bound was exceeded (group too large to enumerate)."""
+    """The element bound was exceeded: too many elements materialized, or a
+    group too large for the oracle to enumerate."""
 
 
 class ConsistencyError(AtlasError):

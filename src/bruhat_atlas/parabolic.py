@@ -6,57 +6,27 @@ elements with no left descent in J (shortest in their coset W_J w),
 ``induced_subset`` is K intersected with the x-conjugates of J, ``x_lower`` the
 longest element of the corresponding relative coset set inside W_K, and
 ``x_upper = x * x_lower`` realizes the stratum dimension.
+
+The representative sets are grown by ascents (:meth:`WeylGroup.ascend`):
+``left_reps`` is ^J W, ``double_reps`` filters it by right descents, and the
+fibers' ^{J_x}W_K is grown inside W_K.  None of them enumerates W.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .coxeter import WeylElement, WeylGroup
 from .errors import ConsistencyError, InputError
 
 
-class CosetSystem:
-    """Cached minimal-representative lists for a fixed (group, J, K)."""
-
-    def __init__(self, group: WeylGroup, J, K):
-        self.group = group
-        self.J = group.check_subset(J)
-        self.K = group.check_subset(K)
-
-    @cached_property
-    def left_reps(self) -> list[WeylElement]:
-        return min_left_reps(self.group, self.J)
-
-    @cached_property
-    def right_reps(self) -> list[WeylElement]:
-        return min_right_reps(self.group, self.K)
-
-    @cached_property
-    def double_reps(self) -> list[WeylElement]:
-        return min_double_reps(self.group, self.J, self.K)
-
-
 def min_left_reps(group: WeylGroup, J) -> list[WeylElement]:
     """Shortest elements of the cosets W_J w: empty left-J descent set."""
-    J = group.check_subset(J)
-    return [w for w in group.elements() if not (w.left_descents & J)]
-
-
-def min_right_reps(group: WeylGroup, K) -> list[WeylElement]:
-    K = group.check_subset(K)
-    return [w for w in group.elements() if not (w.right_descents & K)]
+    return group.ascend(range(group.n), J)
 
 
 def min_double_reps(group: WeylGroup, J, K) -> list[WeylElement]:
     """Shortest elements of the double cosets W_J w W_K."""
-    J = group.check_subset(J)
     K = group.check_subset(K)
-    return [
-        w
-        for w in group.elements()
-        if not (w.left_descents & J) and not (w.right_descents & K)
-    ]
+    return [w for w in min_left_reps(group, J) if not (w.right_descents & K)]
 
 
 def project_to_double(group: WeylGroup, w: WeylElement, J, K) -> WeylElement:
@@ -135,8 +105,4 @@ def ell_JK(group: WeylGroup, x: WeylElement, J, K) -> int:
 
 def relative_left_reps(group: WeylGroup, Jx, K) -> list[WeylElement]:
     """Elements of W_K with no left descent in Jx (Jx must sit inside K)."""
-    Jx = group.check_subset(Jx)
-    K = group.check_subset(K)
-    if not Jx <= K:
-        raise InputError(f"subset {sorted(Jx)} is not contained in {sorted(K)}")
-    return [y for y in group.subgroup_elements(K) if not (y.left_descents & Jx)]
+    return group.ascend(K, Jx)

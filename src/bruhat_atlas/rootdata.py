@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import factorial
+from math import factorial, lcm
 
 from .errors import BoundError, InputError
 
@@ -97,15 +97,6 @@ class PositiveRootTable:
 
     def __len__(self) -> int:
         return len(self.roots)
-
-    def by_factor(self, spec: DynkinSpec) -> list[list[tuple[int, ...]]]:
-        groups = [[] for _ in spec.factors]
-        for root in self.roots:
-            for fi, rng in enumerate(spec.factor_ranges):
-                if any(root[i] for i in rng):
-                    groups[fi].append(root)
-                    break
-        return groups
 
 
 @dataclass(frozen=True)
@@ -222,14 +213,8 @@ def _perm_order(perm: tuple[int, ...]) -> int:
             seen.add(j)
             if j == start:
                 break
-        order = order * k // _gcd(order, k)
+        order = lcm(order, k)
     return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def validate_automorphism(perm, cartan: CartanMatrix) -> DiagramAutomorphism:

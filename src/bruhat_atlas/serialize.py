@@ -69,7 +69,11 @@ def parse_case(doc: dict) -> PELCase:
 
     options = doc.get("options") or {}
     minuscule_check = bool(options.get("minuscule_check", True))
-    element_bound = int(options.get("element_bound", DEFAULT_BOUND))
+    element_bound = options.get("element_bound", DEFAULT_BOUND)
+    if type(element_bound) is not int or element_bound < 1:
+        raise InputError(
+            f"options.element_bound must be an integer >= 1, got {element_bound!r}"
+        )
     return PELCase(
         spec=spec,
         phi=phi,

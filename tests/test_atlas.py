@@ -13,6 +13,7 @@ from bruhat_atlas.atlas import (
     siegel_dimension,
     siegel_identify,
 )
+from bruhat_atlas.coxeter import DEFAULT_BOUND
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.rootdata import (
     CocharSpec,
@@ -204,6 +205,17 @@ class TestSiegel:
             a.orbit_poset.leq[i][j] for i in range(n) for j in range(n) if i != j
         )
         assert chains == n * (n - 1) // 2  # total order
+
+    def test_genus_8_materializes_only_the_answer(self):
+        # |W(C8)| = 10,321,920 is past the default bound, but building the
+        # atlas never enumerates W
+        ident = siegel_identify(8)
+        group = ident.atlas.group
+        assert [e["dim"] for e in ident.entries] == [
+            (8 * 9 - i * (i + 1)) // 2 for i in range(9)
+        ]
+        assert group.order > DEFAULT_BOUND
+        assert len(group._registry) < 5000
 
     def test_dimension_formula(self):
         assert [siegel_dimension(2, i) for i in range(3)] == [3, 2, 0]

@@ -165,6 +165,30 @@ class TestMain:
         rc = main(["--out", str(tmp_path), "--bound", "10", "corpus", "siegel:3"])
         assert rc == 3
 
+    def test_bound_limits_materialized_elements(self, tmp_path):
+        # |W(C7)| = 645,120: the atlas fits in the bound, the oracle does not
+        args = ["--out", str(tmp_path), "--bound", "10000"]
+        assert main([*args, "corpus", "siegel:7"]) == 0
+        assert main([*args, "--verify", "corpus", "siegel:7"]) == 3
+
+    @pytest.mark.parametrize("bound", ["abc", True, 0])
+    def test_bad_element_bound_exits_2(self, tmp_path, bound):
+        doc = {**corpus_preset("siegel:2"), "options": {"element_bound": bound}}
+        with pytest.raises(InputError, match="element_bound"):
+            parse_case(doc)
+        casefile = tmp_path / "case.json"
+        casefile.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "o"), "atlas", str(casefile)]) == 2
+
+    def test_trivial_signature_either_side(self, tmp_path):
+        texts = []
+        for preset in ("gu:0,3:inert", "gu:3,0:inert"):
+            out = tmp_path / preset.replace(":", "_")
+            assert main(["--out", str(out), "corpus", preset]) == 0
+            texts.append((out / "atlas.json").read_text())
+        assert texts[0] == texts[1]
+        assert len(json.loads(texts[0])["strata"]) == 1
+
     def test_no_minuscule_check_flag(self, tmp_path, capsys):
         casefile = tmp_path / "case.json"
         casefile.write_text(

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhat_atlas.errors import BoundError, InputError
+from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.oracle import brute_bruhat
 from conftest import group_of
 
@@ -60,14 +60,6 @@ class TestLengthAndDescents:
             g = group_of(name)
             w0 = g.longest_element(range(g.n))
             assert w0.left_descents == w0.right_descents == frozenset(range(g.n))
-
-    def test_descents_side_selector(self, a2):
-        s0, s1 = a2.simple
-        w = s0 * s1
-        assert a2.descents(w, "left") == {0}
-        assert a2.descents(w, "right") == {1}
-        with pytest.raises(InputError):
-            a2.descents(w, "up")
 
     def test_generator_multiplication_steps_by_one(self):
         for name in ["A3", "C3", "A1xA1"]:
@@ -248,6 +240,34 @@ class TestEnumeration:
         g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 4),))), element_bound=100)
         with pytest.raises(BoundError, match="120"):
             g.elements()
+
+    def test_bound_counts_materialized_elements(self):
+        from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
+        from bruhat_atlas.coxeter import WeylGroup
+
+        g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))), element_bound=10)
+        with pytest.raises(BoundError, match="bound 10 exceeded: 11 elements"):
+            g.longest_element(range(3))
+
+    def test_count_guard_fires(self, monkeypatch):
+        from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
+        from bruhat_atlas.coxeter import WeylGroup
+
+        g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))))
+        order = WeylGroup.parabolic_order
+        monkeypatch.setattr(
+            WeylGroup, "parabolic_order", lambda self, S: order(self, S) + 1
+        )
+        with pytest.raises(ConsistencyError, match="closed form"):
+            g.ascend(range(3), {0, 1})
+
+    @pytest.mark.parametrize(
+        "name,S,order",
+        [("D4", {0, 1, 2}, 24), ("D4", {0, 1, 2, 3}, 192), ("B3", {1, 2}, 8),
+         ("C3", {0, 2}, 4), ("A1xA2", {0, 1, 2}, 12), ("A3", (), 1)],
+    )
+    def test_parabolic_order(self, name, S, order):
+        assert group_of(name).parabolic_order(S) == order
 
     def test_subgroup_enumeration(self):
         g = group_of("C3")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from bruhat_atlas import parabolic
@@ -44,7 +46,7 @@ class TestDoubleReps:
         g = group_of("C3")
         J, K = frozenset({0, 1}), frozenset({1, 2})
         left = set(parabolic.min_left_reps(g, J))
-        right = set(parabolic.min_right_reps(g, K))
+        right = {w for w in g.elements() if not (w.right_descents & K)}
         assert set(parabolic.min_double_reps(g, J, K)) == left & right
 
     def test_partition_against_closure(self):
@@ -166,7 +168,40 @@ class TestHowlett:
             assert dim == max(w.length for w in fiber)
 
 
-class TestCosetSystem:
-    def test_caches_consistent(self, c2):
-        system = parabolic.CosetSystem(c2, {0}, {0})
-        assert set(system.double_reps) == set(system.left_reps) & set(system.right_reps)
+# every pair of subsets is checked on these
+ASCENT_GROUPS = ["A3", "B3", "C3", "D4", "A1xA2", "B2xA1"]
+
+
+def subsets(nodes):
+    nodes = sorted(nodes)
+    return [frozenset(c) for r in range(len(nodes) + 1) for c in combinations(nodes, r)]
+
+
+class TestAscentGrowth:
+    """Ascent-grown representative sets against descent filters over the
+    whole group, element for element and in the same order."""
+
+    @pytest.mark.parametrize("name", ASCENT_GROUPS)
+    def test_left_and_double_reps(self, name):
+        g = group_of(name)
+        for J in subsets(range(g.n)):
+            left = [w for w in g.elements() if not (w.left_descents & J)]
+            assert parabolic.min_left_reps(g, J) == left
+            for K in subsets(range(g.n)):
+                double = [w for w in left if not (w.right_descents & K)]
+                assert parabolic.min_double_reps(g, J, K) == double
+
+    @pytest.mark.parametrize("name", ASCENT_GROUPS)
+    def test_relative_left_reps(self, name):
+        g = group_of(name)
+        for K in subsets(range(g.n)):
+            # W_K is the set of elements whose reduced words use only K
+            sub = [w for w in g.elements() if set(g.reduced_word(w)) <= K]
+            assert g.subgroup_elements(K) == sub
+            for Jx in subsets(K):
+                expected = [y for y in sub if not (y.left_descents & Jx)]
+                assert parabolic.relative_left_reps(g, Jx, K) == expected
+
+    def test_relative_rejects_outside_subset(self, a2):
+        with pytest.raises(InputError):
+            parabolic.relative_left_reps(a2, {0}, {1})
