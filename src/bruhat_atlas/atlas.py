@@ -22,7 +22,6 @@ from .rootdata import (
     cartan_from_spec,
     identity_automorphism,
     pairing,
-    positive_roots,
     validate_automorphism,
 )
 
@@ -181,16 +180,11 @@ def build_atlas(case: PELCase) -> Atlas:
     group = WeylGroup(cartan, case.element_bound)
 
     if case.mu is not None:
-        if case.minuscule_check:
-            J = derive_J(group, case.mu, minuscule_check=True)
-        else:
-            J = derive_J(group, case.mu, minuscule_check=False)
-            if any(
-                pairing(case.mu, root) not in (0, 1) for root in group.pos_roots
-            ):
-                notes.append(
-                    "cocharacter is not minuscule; atlas computed from J only"
-                )
+        J = derive_J(group, case.mu, case.minuscule_check)
+        if not case.minuscule_check and any(
+            pairing(case.mu, root) not in (0, 1) for root in group.pos_roots
+        ):
+            notes.append("cocharacter is not minuscule; atlas computed from J only")
     else:
         J = group.check_subset(case.J)
 

@@ -3,7 +3,7 @@
 Subcommands: atlas <casefile>, verify <casefile>, corpus <preset>, siegel <g>.
 Presets: siegel:<g>, hilbert:<d>, gu:<r>,<s>:inert|split.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 bound
-exceeded.
+exceeded, 4 internal invariant failed (a bug in the engine).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import atlas as atlas_mod
 from . import oracle, serialize
-from .errors import BoundError, InputError
+from .errors import BoundError, ConsistencyError, InputError
 
 
 def corpus_preset(name: str) -> dict:
@@ -173,6 +173,9 @@ def main(argv=None) -> int:
     except BoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
     return 2  # pragma: no cover
 
 

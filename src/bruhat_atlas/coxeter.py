@@ -1,10 +1,14 @@
-"""Finite Weyl groups acting on the root lattice.
+"""Finite Weyl groups acting on their roots.
 
-Elements are stored by their action on the simple roots: the canonical key of
-``w`` is the tuple of coordinate vectors ``w(alpha_0), ..., w(alpha_{n-1})``.
-All elements are interned per group, so equality is identity on keys and
-length/descent data is computed once per distinct element.  The element bound
-of a group limits how many elements it materializes.
+The 2N roots are indexed once per group: the N positive roots first, with the
+simple root alpha_i at index i, and -beta at (index of beta) + N.  An element
+``w`` is stored as the permutation it induces on them: ``key[r]`` is the index
+of ``w(root r)`` (Casselman, "Machine calculations in Weyl groups", 1994).
+Length is the number of positive roots sent negative, descents are lookups
+and a product composes two tuples.  All elements are interned per group, so
+equality is identity on keys and length/descent data is computed once per
+distinct element.  The element bound of a group limits how many elements it
+materializes.
 
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
 grows the minimal representatives ^J(W_S) of a parabolic subgroup W_S from the
@@ -16,26 +20,32 @@ enumerates the whole group.
 from __future__ import annotations
 
 from .errors import BoundError, ConsistencyError, InputError
-from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots
+from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots, reflect
 from .rootdata import _positive_root_count, _weyl_order
 
-Key = tuple[tuple[int, ...], ...]
+Key = tuple[int, ...]
 
 DEFAULT_BOUND = 10**6
 
 
 class WeylElement:
-    """One group element; create these through a :class:`WeylGroup` only."""
+    """One group element; create these through a :class:`WeylGroup` only.
 
-    __slots__ = ("group", "key", "uid", "_length", "_left_descents", "_right_descents")
+    ``length``, ``left_descents`` ({i : length(s_i w) < length(w)}, the simple
+    roots in w(negative roots)) and ``right_descents`` ({i : w sends alpha_i
+    negative}) are read off the key when the element is interned.
+    """
+
+    __slots__ = ("group", "key", "uid", "length", "left_descents", "right_descents")
 
     def __init__(self, group: "WeylGroup", key: Key, uid: int):
         self.group = group
         self.key = key
         self.uid = uid
-        self._length = None
-        self._left_descents = None
-        self._right_descents = None
+        n, N = group.n, group.N
+        self.length = sum(1 for r in key[:N] if r >= N)
+        self.left_descents = frozenset(r for r in key[N:] if r < n)
+        self.right_descents = frozenset(i for i in range(n) if key[i] >= N)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.key == other.key
@@ -49,93 +59,37 @@ class WeylElement:
     def __repr__(self):
         return f"WeylElement({self.group.reduced_word(self)!r})"
 
-    @property
-    def length(self) -> int:
-        if self._length is None:
-            self._scan_roots()
-        return self._length
-
-    @property
-    def left_descents(self) -> frozenset[int]:
-        """{i : length(s_i * w) < length(w)}."""
-        if self._left_descents is None:
-            self._scan_roots()
-        return self._left_descents
-
-    @property
-    def right_descents(self) -> frozenset[int]:
-        """{i : w sends alpha_i negative}."""
-        if self._right_descents is None:
-            self._right_descents = frozenset(
-                i for i, img in enumerate(self.key) if _is_negative(img)
-            )
-        return self._right_descents
-
-    def _scan_roots(self):
-        # one sweep over the positive roots: inversions give the length, and
-        # a root mapped to -alpha_i certifies i as a left descent
-        group = self.group
-        inversions = 0
-        lefts = []
-        for root in group.pos_roots:
-            img = self._act(root)
-            if _is_negative(img):
-                inversions += 1
-                i = _negated_simple(img)
-                if i is not None:
-                    lefts.append(i)
-        self._length = inversions
-        self._left_descents = frozenset(lefts)
-
-    def _act(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        n = self.group.n
-        out = [0] * n
-        for k, c in enumerate(vec):
-            if c:
-                img = self.key[k]
-                for t in range(n):
-                    out[t] += c * img[t]
-        return tuple(out)
-
-
-def _is_negative(vec) -> bool:
-    # a root vector is entirely >= 0 or entirely <= 0
-    for c in vec:
-        if c:
-            return c < 0
-    return False
-
-
-def _negated_simple(vec):
-    """Index i when vec == -alpha_i, else None."""
-    idx = None
-    for i, c in enumerate(vec):
-        if c == -1 and idx is None:
-            idx = i
-        elif c:
-            return None
-    return idx
-
 
 class WeylGroup:
-    """The Weyl group of a Cartan matrix, with cached combinatorial data."""
+    """The Weyl group of a Cartan matrix, with cached combinatorial data.
+
+    ``roots`` lists the 2N root vectors in key order (see the module
+    docstring); ``N`` is the number of positive roots.
+    """
 
     def __init__(self, cartan: CartanMatrix, element_bound: int = DEFAULT_BOUND):
         self.cartan = cartan
-        self.n = cartan.n
+        self.n = n = cartan.n
         self.element_bound = element_bound
         self.pos_roots = positive_roots(cartan).roots
         self.order = cartan.spec.weyl_order
+        simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+        positive = simples + [r for r in self.pos_roots if sum(r) > 1]
+        self.roots = tuple(positive + [tuple(-c for c in r) for r in positive])
+        self.N = len(positive)
         self._registry: dict[Key, WeylElement] = {}
         self._left_mul: dict[tuple[int, int], WeylElement] = {}
         self._right_mul: dict[tuple[int, int], WeylElement] = {}
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
-        self.identity = self._intern(
-            tuple(tuple(1 if k == i else 0 for k in range(self.n)) for i in range(self.n))
+        self._root_perms: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.identity = self._intern(tuple(range(2 * self.N)))
+        index = {root: r for r, root in enumerate(self.roots)}
+        self.simple = tuple(
+            self._intern(tuple(index[reflect(cartan, i, root)] for root in self.roots))
+            for i in range(n)
         )
-        self.simple = tuple(self._simple_key(i) for i in range(self.n))
 
     # -- element construction ------------------------------------------------
 
@@ -152,43 +106,23 @@ class WeylGroup:
             self._registry[key] = el
         return el
 
-    def _simple_key(self, i: int) -> WeylElement:
-        a = self.cartan.entries
-        key = []
-        for j in range(self.n):
-            vec = [1 if k == j else 0 for k in range(self.n)]
-            vec[i] -= a[i][j]
-            key.append(tuple(vec))
-        return self._intern(tuple(key))
-
     def check_ambient(self, *elements: WeylElement):
         for w in elements:
-            if w.group.cartan.entries != self.cartan.entries:
+            if w.group is not self:
                 raise InputError("element belongs to a different ambient group")
 
     # -- group law -----------------------------------------------------------
 
     def multiply(self, w: WeylElement, v: WeylElement) -> WeylElement:
-        """(w v)(alpha_j) = w(v(alpha_j))."""
+        """(w v)(root r) = w(v(root r))."""
         self.check_ambient(w, v)
-        return self._intern(tuple(w._act(col) for col in v.key))
+        return self._intern(tuple(map(w.key.__getitem__, v.key)))
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
         """s_i * w, cached per (generator, element)."""
         cached = self._left_mul.get((i, w.uid))
         if cached is None:
-            a = self.cartan.entries[i]
-            n = self.n
-            key = []
-            for col in w.key:
-                c = sum(a[k] * col[k] for k in range(n) if col[k])
-                if c:
-                    out = list(col)
-                    out[i] -= c
-                    key.append(tuple(out))
-                else:
-                    key.append(col)
-            cached = self._intern(tuple(key))
+            cached = self._intern(tuple(map(self.simple[i].key.__getitem__, w.key)))
             self._left_mul[(i, w.uid)] = cached
         return cached
 
@@ -257,9 +191,8 @@ class WeylGroup:
         w0 = self.longest_element(range(self.n))
         out = set()
         for i in J:
-            img = tuple(-c for c in w0.key[i])
-            j = _unit_index(img)
-            if j is None:  # pragma: no cover
+            j = w0.key[i] - self.N  # w0(alpha_i) = -alpha_j
+            if not 0 <= j < self.n:  # pragma: no cover
                 raise ConsistencyError("w0 did not negate a simple root")
             out.add(j)
         return frozenset(out)
@@ -267,42 +200,54 @@ class WeylGroup:
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
-        """Lifting-property recursion, memoized on element ids."""
+        """Lifting property: for a left descent s of w, x <= w iff
+        min(x, s x) <= s w.  Walked as a loop, so the depth is not bounded by
+        the recursion limit, and memoized on element ids for every pair
+        visited."""
         self.check_ambient(x, w)
-        if x is w or x.key == w.key:
-            return True
-        if x.length >= w.length:
-            return False
         memo = self._bruhat_memo
-        cached = memo.get((x.uid, w.uid))
-        if cached is not None:
-            return cached
-        s = min(w.left_descents)
-        sw = self.left_mul(s, w)
-        sx = self.left_mul(s, x)
-        if sx.length < x.length:
-            res = self.bruhat_leq(sx, sw)
+        visited = []
+        while x is not w and x.length < w.length:
+            res = memo.get((x.uid, w.uid))
+            if res is not None:
+                break
+            visited.append((x.uid, w.uid))
+            s = min(w.left_descents)
+            if s in x.left_descents:
+                x = self.left_mul(s, x)
+            w = self.left_mul(s, w)
         else:
-            res = self.bruhat_leq(x, sw)
-        memo[(x.uid, w.uid)] = res
+            res = x is w
+        for pair in visited:
+            memo[pair] = res
         return res
 
     # -- automorphisms ---------------------------------------------------------
 
     def apply_automorphism(self, phi: DiagramAutomorphism, w: WeylElement) -> WeylElement:
         """Relabel w through the diagram symmetry; preserves length."""
-        p = phi.perm
-        if len(p) != self.n:
-            raise InputError("automorphism rank mismatch")
-        key = [None] * self.n
-        for j in range(self.n):
-            col = w.key[j]
-            out = [0] * self.n
-            for k, c in enumerate(col):
-                if c:
-                    out[p[k]] = c
-            key[p[j]] = tuple(out)
+        sigma = self._root_perm(phi)
+        key = [0] * len(sigma)
+        for r, img in enumerate(w.key):
+            key[sigma[r]] = sigma[img]
         return self._intern(tuple(key))
+
+    def _root_perm(self, phi: DiagramAutomorphism) -> tuple[int, ...]:
+        """The permutation of root indices induced by the node permutation."""
+        p = phi.perm
+        sigma = self._root_perms.get(p)
+        if sigma is None:
+            if len(p) != self.n:
+                raise InputError("automorphism rank mismatch")
+            index = {root: r for r, root in enumerate(self.roots)}
+            images = []
+            for root in self.roots:
+                img = [0] * self.n
+                for k, c in enumerate(root):
+                    img[p[k]] = c
+                images.append(index[tuple(img)])
+            self._root_perms[p] = sigma = tuple(images)
+        return sigma
 
     # -- enumeration -----------------------------------------------------------
 
@@ -347,14 +292,14 @@ class WeylGroup:
             raise InputError(f"subset {sorted(J)} is not contained in {sorted(gens)}")
         cached = self._ascend_cache.get((gens, J))
         if cached is None:
-            blocked = {self.identity.key[j] for j in J}  # the simple roots alpha_j
             level = [self.identity]
             cached = [self.identity]
             while level:
                 nxt = set()
                 for w in level:
                     for i in gens:
-                        if i not in w.right_descents and w.key[i] not in blocked:
+                        # key[i] == j means w(alpha_i) = alpha_j
+                        if i not in w.right_descents and w.key[i] not in J:
                             nxt.add(self.right_mul(w, i))
                 level = sorted(nxt, key=lambda u: u.key)
                 cached.extend(level)
@@ -379,12 +324,3 @@ class WeylGroup:
         """All of W_J, breadth-first by length."""
         return self.ascend(J, ())
 
-
-def _unit_index(vec):
-    idx = None
-    for i, c in enumerate(vec):
-        if c == 1 and idx is None:
-            idx = i
-        elif c:
-            return None
-    return idx

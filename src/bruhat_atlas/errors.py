@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these to exit codes: InputError -> 2, BoundError -> 3.
-ConsistencyError marks a violated internal identity and must never fire
-on valid inputs; seeing one means a bug in the engine itself.
+The CLI maps these to exit codes: InputError -> 2, BoundError -> 3,
+ConsistencyError -> 4.  ConsistencyError marks a violated internal identity
+and must never fire on valid inputs; seeing one means a bug in the engine
+itself.
 """
 
 

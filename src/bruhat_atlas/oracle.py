@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import parabolic
 from .atlas import Atlas
 from .coxeter import WeylElement, WeylGroup
-from .errors import BoundError, InputError
+from .errors import InputError
 
 
 @dataclass
@@ -68,8 +68,6 @@ def brute_double_cosets(group: WeylGroup, J, K) -> list[list[WeylElement]]:
     J = group.check_subset(J)
     K = group.check_subset(K)
     elements = group.elements()
-    if group.order > group.element_bound:  # pragma: no cover
-        raise BoundError(f"group order {group.order} exceeds the bound")
     assigned: set[WeylElement] = set()
     classes = []
     for w in elements:

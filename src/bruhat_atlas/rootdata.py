@@ -106,9 +106,6 @@ class DiagramAutomorphism:
     perm: tuple[int, ...]
     order: int
 
-    def __call__(self, i: int) -> int:
-        return self.perm[i]
-
     def apply_subset(self, subset: frozenset[int]) -> frozenset[int]:
         return frozenset(self.perm[i] for i in subset)
 

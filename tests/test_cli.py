@@ -165,6 +165,17 @@ class TestMain:
         rc = main(["--out", str(tmp_path), "--bound", "10", "corpus", "siegel:3"])
         assert rc == 3
 
+    def test_internal_invariant_exits_4(self, tmp_path, monkeypatch, capsys):
+        order = WeylGroup.parabolic_order
+        monkeypatch.setattr(
+            WeylGroup, "parabolic_order", lambda self, S: order(self, S) + 1
+        )
+        rc = main(["--out", str(tmp_path), "corpus", "siegel:3"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal invariant failed: ")
+        assert err.count("\n") == 1
+
     def test_bound_limits_materialized_elements(self, tmp_path):
         # |W(C7)| = 645,120: the atlas fits in the bound, the oracle does not
         args = ["--out", str(tmp_path), "--bound", "10000"]

@@ -9,8 +9,10 @@ from conftest import group_of
 
 class TestGroupLaw:
     def test_identity_fixes_roots(self, a2):
-        assert a2.identity.key == ((1, 0), (0, 1))
-        assert a2.identity.length == 0
+        e = a2.identity
+        assert all(a2.roots[e.key[r]] == root for r, root in enumerate(a2.roots))
+        assert e.key == tuple(range(2 * a2.N))
+        assert e.length == 0
 
     def test_identity_idempotent(self, c2):
         e = c2.identity
@@ -29,12 +31,43 @@ class TestGroupLaw:
         w0 = c2.longest_element(range(2))
         assert (s0 * s1) * (s0 * s1) == w0
         assert (s1 * s0) * (s1 * s0) == w0
-        # w0 of C2 acts as -1 on the root lattice
-        assert w0.key == ((-1, 0), (0, -1))
+        # w0 of C2 acts as -1 on the root lattice: every root goes to its negative
+        N = c2.N
+        assert all(w0.key[r] == (r + N) % (2 * N) for r in range(2 * N))
+        assert all(
+            c2.roots[w0.key[r]] == tuple(-c for c in root)
+            for r, root in enumerate(c2.roots)
+        )
 
     def test_ambient_mismatch(self, a2, c2):
         with pytest.raises(InputError):
             a2.multiply(a2.identity, c2.identity)
+
+    @pytest.mark.parametrize("name", ["A3", "C3", "D4"])
+    def test_key_is_the_root_permutation(self, name):
+        g = group_of(name)
+        n, N, roots = g.n, g.N, g.roots
+        assert set(roots[:N]) == set(g.pos_roots)
+        assert all(roots[i] == tuple(int(k == i) for k in range(n)) for i in range(n))
+        neg_simple = {tuple(-int(k == i) for k in range(n)): i for i in range(n)}
+        for w in g.elements():
+            key = w.key
+            assert sorted(key) == list(range(2 * N))
+            assert all(key[r + N] == (key[r] + N) % (2 * N) for r in range(N))
+            # w(beta) by linearity from the images of the simple roots
+            images = []
+            for beta in roots[:N]:
+                vec = [0] * n
+                for k, c in enumerate(beta):
+                    for t, d in enumerate(roots[key[k]]):
+                        vec[t] += c * d
+                images.append(tuple(vec))
+            assert images == [roots[key[r]] for r in range(N)]
+            negative = [img for img in images if min(img) < 0]
+            assert w.length == len(negative)
+            lefts = {neg_simple[v] for v in negative if v in neg_simple}
+            assert w.left_descents == lefts
+            assert w.right_descents == {i for i in range(n) if min(images[i]) < 0}
 
 
 class TestLengthAndDescents:
@@ -174,6 +207,18 @@ class TestBruhat:
                         if g.bruhat_leq(y, z):
                             assert g.bruhat_leq(x, z)
 
+    def test_deep_chain_needs_no_recursion(self):
+        from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
+        from bruhat_atlas.coxeter import WeylGroup
+
+        # the lifting chain from w0 down to the identity is 1035 steps long,
+        # beyond the default recursion limit of 1000
+        g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 45),))))
+        w0 = g.longest_element(range(g.n))
+        assert w0.length == 1035
+        assert g.bruhat_leq(g.identity, w0)
+        assert not g.bruhat_leq(w0, g.identity)
+
     def test_length_monotone(self):
         g = group_of("C3")
         for x in g.elements():
@@ -202,7 +247,7 @@ class TestAutomorphismAction:
         phi = validate_automorphism([1, 0], a2.cartan)
         for w in a2.elements():
             image = a2.apply_automorphism(phi, w)
-            expected = a2.from_word([phi(i) for i in a2.reduced_word(w)])
+            expected = a2.from_word([phi.perm[i] for i in a2.reduced_word(w)])
             assert image == expected
             assert image.length == w.length
 
