@@ -198,7 +198,7 @@ def build_atlas(case: PELCase) -> Atlas:
     double_reps = parabolic.min_double_reps(group, J, K)
 
     orbits = galois_orbits(group, double_reps, generator)
-    poset = orbit_poset(group, orbits)
+    poset = orbit_poset(group, orbits, J)
 
     moduli_dim = moduli_dimension(group, J)
     genus = _siegel_genus(case, J, K)
@@ -220,7 +220,7 @@ def build_atlas(case: PELCase) -> Atlas:
                 "fiber size and conjugation criteria disagree at "
                 f"{group.reduced_word(rep)}"
             )
-        closure = [t for t in range(len(poset)) if poset.leq[t][sid]]
+        closure = poset.ids_below(sid)
         is_max = rep.length == top_length
         siegel_a = None
         if genus is not None:
@@ -236,7 +236,7 @@ def build_atlas(case: PELCase) -> Atlas:
                 codim=moduli_dim - dim,
                 eo_fiber=fiber,
                 single_eo=single_by_size,
-                closure=sorted(closure),
+                closure=closure,
                 is_maximal=is_max,
                 siegel_a=siegel_a,
             )

@@ -134,15 +134,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(doc: dict, args) -> dict:
-    options = dict(doc.get("options") or {})
+def _apply_overrides(doc, args):
+    """Merge the command-line options into the document's options; a
+    document whose shape is wrong is passed on for parse_case to refuse."""
+    overrides = {}
     if args.no_minuscule_check:
-        options["minuscule_check"] = False
+        overrides["minuscule_check"] = False
     if args.bound is not None:
-        options["element_bound"] = args.bound
-    if options:
-        doc = {**doc, "options": options}
-    return doc
+        overrides["element_bound"] = args.bound
+    if not overrides or not isinstance(doc, dict):
+        return doc
+    options = doc.get("options")
+    if options is None:
+        options = {}
+    if not isinstance(options, dict):
+        return doc
+    return {**doc, "options": {**options, **overrides}}
 
 
 def main(argv=None) -> int:

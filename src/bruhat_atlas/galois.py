@@ -3,6 +3,20 @@
 The Galois group fixing a parabolic type J acts through the cyclic group
 generated by phi^d, where d is the smallest power of the Frobenius diagram
 symmetry fixing J.  Only that cyclic action on a finite set is ever needed.
+
+The orbit order comes from one pass of lower sets over ^J W, the elements
+with no left descent in J.  For w in ^J W and a right descent s of w, the
+prefix ws is in ^J W (the set is closed under prefixes), and by the lifting
+property x <= w iff min(x, xs) <= ws (Deodhar's property Z; Bjorner-Brenti,
+"Combinatorics of Coxeter Groups", Prop. 2.2.7 and sections 2.4-2.5).  So
+
+    down(w) = down(ws) | {ys : y in down(ws), s not in D_R(y), ys in ^J W},
+
+where ys stays in ^J W exactly when y(alpha_s) is not a simple root alpha_j
+with j in J, the test :meth:`WeylGroup.ascend` uses to grow ^J W.  Lower sets
+are bitmasks over element uids, memoized along each representative's chain of
+right-descent prefixes; orbit a is below orbit b when a member of a lies in
+down(rep of b).  The covering pairs are reduced once, on bitmasks.
 """
 
 from __future__ import annotations
@@ -56,50 +70,119 @@ def galois_orbits(
 class OrbitPoset:
     """Orbits of double-coset representatives with the induced Bruhat order.
 
-    ``leq[a][b]`` holds when some member of orbit a sits below some member of
-    orbit b.  Orbits are sorted by (common length, representative word) and
-    each representative is the member with the smallest reduced word.
+    Orbit a lies below orbit b when some member of a sits below some member
+    of b.  ``below[b]`` is that relation as a bitmask over orbit ids (bit a
+    set when a <= b, bit b always set), and ``covers`` lists its covering
+    pairs (a, b), sorted.  Orbits are sorted by (common length,
+    representative word) and each representative is the member with the
+    smallest reduced word.
     """
 
     orbits: list[list[WeylElement]]
     reps: list[WeylElement]
-    leq: tuple[tuple[bool, ...], ...]
+    below: tuple[int, ...]
+    covers: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.orbits)
 
+    def leq(self, a: int, b: int) -> bool:
+        return bool(self.below[b] >> a & 1)
+
+    def ids_below(self, b: int) -> list[int]:
+        """The orbits a <= b, in increasing order."""
+        return list(_bits(self.below[b]))
+
     def maximal_ids(self) -> list[int]:
-        n = len(self.orbits)
-        return [
-            b
-            for b in range(n)
-            if not any(self.leq[b][a] and a != b for a in range(n))
-        ]
+        covered = 0
+        for b, mask in enumerate(self.below):
+            covered |= mask & ~(1 << b)
+        return [b for b in range(len(self)) if not covered >> b & 1]
 
 
-def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]]) -> OrbitPoset:
-    """Quotient the Bruhat order by the orbit partition."""
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, increasing."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def lower_sets(group: WeylGroup, tops: list[WeylElement], J) -> dict[int, int]:
+    """For each w in ``tops`` (all in ^J W), the elements of ^J W below w,
+    as a bitmask over element uids; keyed by uid.
+
+    Walks down a chain of right-descent prefixes, which stay in ^J W, and
+    builds each lower set from the one below it by the lifting rule in the
+    module docstring.  Lower sets of prefixes are shared between tops.  Every
+    product formed lies in ^J W, so once ^J W has been grown nothing new is
+    interned.
+    """
+    identity = group.identity
+    down = {identity.uid: 1 << identity.uid}
+    by_uid = {identity.uid: identity}
+    for top in tops:
+        chain = []
+        w = top
+        while w.uid not in down:
+            s = min(w.right_descents)
+            chain.append((w, s))
+            w = group.right_mul(w, s)
+        mask = down[w.uid]
+        for w, s in reversed(chain):
+            grown = mask
+            for uid in _bits(mask):
+                y = by_uid[uid]
+                # y.key[s] == j means y(alpha_s) = alpha_j: ys leaves ^J W
+                if s not in y.right_descents and y.key[s] not in J:
+                    ys = group.right_mul(y, s)
+                    by_uid[ys.uid] = ys
+                    grown |= 1 << ys.uid
+            down[w.uid] = mask = grown
+    return {top.uid: down[top.uid] for top in tops}
+
+
+def _covers(below: list[int]) -> list[tuple[int, int]]:
+    """Covering pairs of a partial order given as down-set bitmasks; raises
+    ConsistencyError unless the relation is antisymmetric."""
+    out = []
+    for b, mask in enumerate(below):
+        strict = mask & ~(1 << b)
+        reach = 0
+        for c in _bits(strict):
+            if below[c] >> b & 1:
+                raise ConsistencyError(
+                    f"orbit order is not antisymmetric between {c} and {b}"
+                )
+            reach |= below[c] & ~(1 << c)
+        out.extend((a, b) for a in _bits(strict & ~reach))
+    out.sort()
+    return out
+
+
+def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPoset:
+    """Quotient the Bruhat order on ^J W by the orbit partition."""
+    J = group.check_subset(J)
     for orbit in orbits:
         if len({w.length for w in orbit}) != 1:  # pragma: no cover
             raise ConsistencyError("orbit members have distinct lengths")
+        for w in orbit:
+            if w.left_descents & J:
+                raise InputError(
+                    f"orbit member {group.reduced_word(w)} has a left descent "
+                    f"in J={sorted(J)}"
+                )
     ordered = []
     for orbit in orbits:
         members = sorted(orbit, key=lambda w: tuple(group.reduced_word(w)))
         ordered.append(members)
     ordered.sort(key=lambda o: (o[0].length, tuple(group.reduced_word(o[0]))))
     reps = [o[0] for o in ordered]
-    n = len(ordered)
-    leq = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            # equivariance of the action lets one side be pinned to the rep
-            row.append(any(group.bruhat_leq(w, reps[b]) for w in ordered[a]))
-        leq.append(tuple(row))
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:  # pragma: no cover
-                raise ConsistencyError(
-                    f"orbit order is not antisymmetric between {a} and {b}"
-                )
-    return OrbitPoset(ordered, reps, tuple(leq))
+    down = lower_sets(group, reps, J)
+    masks = [sum(1 << w.uid for w in orbit) for orbit in ordered]
+    # equivariance of the action lets one side be pinned to the rep
+    below = [
+        sum(1 << a for a, mask in enumerate(masks) if mask & down[rep.uid])
+        for rep in reps
+    ]
+    return OrbitPoset(ordered, reps, tuple(below), tuple(_covers(below)))

@@ -190,19 +190,22 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     report.add("howlett_lengths", scope, howlett_ok, howlett_ce)
 
     # closures from subword-oracle intervals on orbit members
-    closure_ok, closure_ce = True, None
     poset = atlas.orbit_poset
-    for b, rep in enumerate(poset.reps):
+    n = len(poset)
+    brute_leq = []  # brute_leq[b][a]: some member of orbit a is below rep b
+    for rep in poset.reps:
         interval = brute_interval(group, group.reduced_word(rep))
-        for a in range(len(poset)):
-            brute_leq = any(w in interval for w in poset.orbits[a])
-            if brute_leq != poset.leq[a][b]:
-                closure_ok = False
-                closure_ce = f"orbits {a} <= {b}"
-                break
-        if not closure_ok:
-            break
-    report.add("closure_order", scope, closure_ok, closure_ce)
+        brute_leq.append([any(w in interval for w in orbit) for orbit in poset.orbits])
+    closure_ce = next(
+        (
+            f"orbits {a} <= {b}"
+            for b in range(n)
+            for a in range(n)
+            if brute_leq[b][a] != poset.leq(a, b)
+        ),
+        None,
+    )
+    report.add("closure_order", scope, closure_ce is None, closure_ce)
 
     # maximal stratum: unique, singleton orbit, full closure, top dimension
     maxima = [s for s in atlas.strata if s.is_maximal]
@@ -229,14 +232,17 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
             break
     report.add("single_fiber_criterion", scope, single_ok, single_ce)
 
-    # antisymmetry of the orbit order
-    anti_ok = all(
-        not (poset.leq[a][b] and poset.leq[b][a])
-        for a in range(len(poset))
-        for b in range(len(poset))
-        if a != b
+    # antisymmetry of the subword-interval relation between orbits
+    anti_ce = next(
+        (
+            f"orbits {a} and {b}"
+            for b in range(n)
+            for a in range(b)
+            if brute_leq[b][a] and brute_leq[a][b]
+        ),
+        None,
     )
-    report.add("orbit_order_antisymmetry", scope, anti_ok)
+    report.add("orbit_order_antisymmetry", scope, anti_ce is None, anti_ce)
 
     return report
 

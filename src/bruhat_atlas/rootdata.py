@@ -47,7 +47,7 @@ class DynkinSpec:
                 raise InputError(
                     f"factor {pos}: type {letter!r} not supported; only A, B, C, D"
                 )
-            if not isinstance(rank, int) or rank < _MIN_RANK[letter]:
+            if type(rank) is not int or rank < _MIN_RANK[letter]:
                 raise InputError(
                     f"factor {pos}: type {letter} needs rank >= {_MIN_RANK[letter]}, "
                     f"got {rank!r}"

@@ -30,6 +30,13 @@ from .rootdata import (
 from .coxeter import DEFAULT_BOUND
 
 
+def _int_list(value, what: str) -> list[int]:
+    """``value`` when it is a JSON list of integers (booleans refused)."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise InputError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 def parse_case(doc: dict) -> PELCase:
     """Validate a case document and apply defaults."""
     if not isinstance(doc, dict):
@@ -37,6 +44,8 @@ def parse_case(doc: dict) -> PELCase:
     group = doc.get("group")
     if not isinstance(group, dict) or "factors" not in group:
         raise InputError("missing group.factors")
+    if not isinstance(group["factors"], list):
+        raise InputError("group.factors must be a list of {'type', 'rank'} objects")
     factors = []
     for pos, f in enumerate(group["factors"]):
         if not isinstance(f, dict) or "type" not in f or "rank" not in f:
@@ -51,7 +60,8 @@ def parse_case(doc: dict) -> PELCase:
     else:
         if not isinstance(frob, dict) or "permutation" not in frob:
             raise InputError("frobenius needs a 'permutation' list")
-        phi = validate_automorphism(frob["permutation"], cartan)
+        perm = _int_list(frob["permutation"], "frobenius.permutation")
+        phi = validate_automorphism(perm, cartan)
 
     has_mu = "mu" in doc
     has_J = "J" in doc
@@ -63,12 +73,20 @@ def parse_case(doc: dict) -> PELCase:
         mu_doc = doc["mu"]
         if not isinstance(mu_doc, dict) or "pairings" not in mu_doc:
             raise InputError("mu needs a 'pairings' list")
-        mu = CocharSpec(tuple(mu_doc["pairings"]))
+        mu = CocharSpec(tuple(_int_list(mu_doc["pairings"], "mu.pairings")))
     else:
-        J = frozenset(doc["J"])
+        J = frozenset(_int_list(doc["J"], "J"))
 
-    options = doc.get("options") or {}
-    minuscule_check = bool(options.get("minuscule_check", True))
+    options = doc.get("options")
+    if options is None:
+        options = {}
+    elif not isinstance(options, dict):
+        raise InputError(f"options must be a JSON object, got {options!r}")
+    minuscule_check = options.get("minuscule_check", True)
+    if not isinstance(minuscule_check, bool):
+        raise InputError(
+            f"options.minuscule_check must be true or false, got {minuscule_check!r}"
+        )
     element_bound = options.get("element_bound", DEFAULT_BOUND)
     if type(element_bound) is not int or element_bound < 1:
         raise InputError(
@@ -149,20 +167,9 @@ def atlas_json(atlas: Atlas) -> str:
 
 
 def hasse_edges(atlas: Atlas) -> list[list[int]]:
-    """Covering relations of the orbit poset (transitive reduction)."""
-    leq = atlas.orbit_poset.leq
-    n = len(atlas.strata)
-    edges = []
-    for a in range(n):
-        for b in range(n):
-            if a == b or not leq[a][b]:
-                continue
-            if any(
-                leq[a][c] and leq[c][b] and c != a and c != b for c in range(n)
-            ):
-                continue
-            edges.append([a, b])
-    return edges
+    """Covering relations of the orbit poset, sorted; reduced once when the
+    poset was built."""
+    return [list(edge) for edge in atlas.orbit_poset.covers]
 
 
 def emit_dot(atlas: Atlas) -> str:

@@ -202,7 +202,7 @@ class TestSiegel:
         a = siegel_identify(3).atlas
         n = len(a.strata)
         chains = sum(
-            a.orbit_poset.leq[i][j] for i in range(n) for j in range(n) if i != j
+            a.orbit_poset.leq(i, j) for i in range(n) for j in range(n) if i != j
         )
         assert chains == n * (n - 1) // 2  # total order
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bruhat_atlas import cli, galois
 from bruhat_atlas.cli import build_parser, corpus_preset, main
 from bruhat_atlas.atlas import build_atlas, siegel_case
 from bruhat_atlas.coxeter import WeylGroup
@@ -15,6 +16,9 @@ from bruhat_atlas.serialize import (
     hasse_edges,
     parse_case,
 )
+
+
+A2 = {"group": {"factors": [{"type": "A", "rank": 2}]}}
 
 
 class TestPresets:
@@ -190,6 +194,72 @@ class TestMain:
         casefile = tmp_path / "case.json"
         casefile.write_text(json.dumps(doc))
         assert main(["--out", str(tmp_path / "o"), "atlas", str(casefile)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {**A2, "J": 5},
+            {**A2, "mu": {"pairings": 3}},
+            {**A2, "mu": {"pairings": ["x", 1]}},
+            {**A2, "J": [0], "options": [1]},
+            {**A2, "J": [0], "frobenius": {"permutation": 5}},
+            [1, 2],
+            {"group": {"factors": [{"type": "A", "rank": True}]}, "J": []},
+            {"group": {"factors": {"type": "A", "rank": 2}}, "J": []},
+            {**A2, "J": [True]},
+            {**A2, "J": [0], "options": {"minuscule_check": "no"}},
+        ],
+        ids=[
+            "J-int", "pairings-int", "pairings-str", "options-list",
+            "permutation-int", "top-level-list", "rank-bool", "factors-dict",
+            "J-bool", "minuscule-check-str",
+        ],
+    )
+    @pytest.mark.parametrize("bound", [[], ["--bound", "100"]], ids=["plain", "bound"])
+    def test_malformed_document_exits_2(self, tmp_path, capsys, doc, bound):
+        casefile = tmp_path / "case.json"
+        casefile.write_text(json.dumps(doc))
+        rc = main(["--out", str(tmp_path / "o"), *bound, "atlas", str(casefile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_hasse_diagram_reduced_once_per_case(self, tmp_path, monkeypatch):
+        calls = []
+        covers = galois._covers
+        monkeypatch.setattr(galois, "_covers", lambda below: calls.append(1) or covers(below))
+        assert main(["--out", str(tmp_path), "corpus", "gu:4,3:inert"]) == 0
+        assert len(calls) == 1
+        edges = json.loads((tmp_path / "atlas.json").read_text())["poset_edges"]
+        dot = (tmp_path / "hasse.dot").read_text()
+        assert [f"  n{a} -> n{b};" for a, b in edges] == [
+            line for line in dot.splitlines() if "->" in line
+        ]
+
+    def test_broken_closure_order_fails_verification(self, tmp_path, monkeypatch, capsys):
+        # a many-strata shape with one bit of the built order cleared
+        build = cli.atlas_mod.build_atlas
+
+        def build_broken(case):
+            built = build(case)
+            below = list(built.orbit_poset.below)
+            b = len(below) - 1
+            below[b] &= ~(1 << 1)  # orbit 1 no longer below the top
+            built.orbit_poset.below = tuple(below)
+            return built
+
+        monkeypatch.setattr(cli.atlas_mod, "build_atlas", build_broken)
+        doc = {
+            "group": {"factors": [{"type": "B", "rank": 3}, {"type": "A", "rank": 2}]},
+            "frobenius": {"permutation": [0, 1, 2, 4, 3]},
+            "J": [],
+        }
+        assert cli._run_case(doc, tmp_path, verify=True) == 1
+        out = capsys.readouterr().out
+        assert "192 strata" in out
+        assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+            "[FAIL] closure_order (B3 x A2 J=[] K=[]) counterexample: orbits 1 <= 191"
+        ]
 
     def test_trivial_signature_either_side(self, tmp_path):
         texts = []

@@ -1,9 +1,26 @@
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bruhat_atlas import atlas as atlas_mod
 from bruhat_atlas import parabolic
+from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
-from bruhat_atlas.galois import definition_degree, galois_orbits, orbit_poset
-from bruhat_atlas.rootdata import identity_automorphism, validate_automorphism
+from bruhat_atlas.galois import (
+    definition_degree,
+    galois_orbits,
+    lower_sets,
+    orbit_poset,
+)
+from bruhat_atlas.oracle import brute_interval
+from bruhat_atlas.rootdata import (
+    cartan_from_spec,
+    identity_automorphism,
+    validate_automorphism,
+)
+from bruhat_atlas.serialize import parse_case
 from conftest import group_of
 
 
@@ -58,25 +75,25 @@ class TestOrbits:
 class TestOrbitPoset:
     def test_hilbert_chain(self, a1a1):
         swap = validate_automorphism([1, 0], a1a1.cartan)
-        poset = orbit_poset(a1a1, galois_orbits(a1a1, a1a1.elements(), swap))
+        poset = orbit_poset(a1a1, galois_orbits(a1a1, a1a1.elements(), swap), J=())
         assert len(poset) == 3
         assert [o[0].length for o in poset.orbits] == [0, 1, 2]
         for a in range(3):
             for b in range(3):
-                assert poset.leq[a][b] == (a <= b)
+                assert poset.leq(a, b) == (a <= b)
         assert poset.maximal_ids() == [2]
 
     def test_singleton_orbits_restrict_bruhat(self, a2):
         phi = identity_automorphism(a2.cartan)
-        poset = orbit_poset(a2, galois_orbits(a2, a2.elements(), phi))
+        poset = orbit_poset(a2, galois_orbits(a2, a2.elements(), phi), J=())
         for a, x in enumerate(poset.reps):
             for b, y in enumerate(poset.reps):
-                assert poset.leq[a][b] == a2.bruhat_leq(x, y)
+                assert poset.leq(a, b) == a2.bruhat_leq(x, y)
 
     def test_one_orbit_poset(self, a1a1):
         swap = validate_automorphism([1, 0], a1a1.cartan)
-        poset = orbit_poset(a1a1, [[a1a1.simple[0], a1a1.simple[1]]])
-        assert len(poset) == 1 and poset.leq == ((True,),)
+        poset = orbit_poset(a1a1, [[a1a1.simple[0], a1a1.simple[1]]], J=())
+        assert len(poset) == 1 and poset.below == (1,) and poset.covers == ()
 
     def test_quotient_map_monotone(self):
         g = group_of("A2")
@@ -85,17 +102,145 @@ class TestOrbitPoset:
         K = frozenset()
         reps = parabolic.min_double_reps(g, J, K)
         orbits = galois_orbits(g, reps, phi)
-        poset = orbit_poset(g, orbits)
+        poset = orbit_poset(g, orbits, J)
         index = {w: i for i, o in enumerate(poset.orbits) for w in o}
         for x in reps:
             for y in reps:
                 if g.bruhat_leq(x, y):
-                    assert poset.leq[index[x]][index[y]]
+                    assert poset.leq(index[x], index[y])
 
     def test_max_orbit_is_singleton(self):
         g = group_of("A2")
         phi = flip(g)
         reps = parabolic.min_double_reps(g, frozenset(), frozenset())
-        poset = orbit_poset(g, galois_orbits(g, reps, phi))
+        poset = orbit_poset(g, galois_orbits(g, reps, phi), J=())
         (top,) = poset.maximal_ids()
         assert len(poset.orbits[top]) == 1
+
+    def test_member_outside_jw_rejected(self, a2):
+        orbits = [[a2.identity], [a2.simple[0]]]
+        with pytest.raises(InputError, match="left descent"):
+            orbit_poset(a2, orbits, J={0})
+
+    def test_covers_are_the_transitive_reduction(self):
+        g = group_of("A3")
+        poset = orbit_poset(g, galois_orbits(g, g.elements(), flip(g)), J=())
+        n = len(poset)
+        expected = [
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b
+            and poset.leq(a, b)
+            and not any(
+                poset.leq(a, c) and poset.leq(c, b) for c in range(n) if c not in (a, b)
+            )
+        ]
+        assert list(poset.covers) == expected
+
+
+def _subsets(n):
+    return [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+
+
+class TestLowerSets:
+    """The lower-set pass against pairwise lifting and subword intervals."""
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A1xA2", "B2xA1"])
+    def test_every_j_on_all_of_jw(self, name):
+        g = group_of(name)
+        for J in _subsets(g.n):
+            jw = parabolic.min_left_reps(g, J)
+            down = lower_sets(g, jw, J)
+            for w in jw:
+                got = {x.uid for x in jw if down[w.uid] >> x.uid & 1}
+                assert got == {x.uid for x in jw if g.bruhat_leq(x, w)}
+                interval = brute_interval(g, g.reduced_word(w))
+                assert got == {x.uid for x in interval if not x.left_descents & J}
+                # no bit outside ^J W
+                assert down[w.uid].bit_count() == len(got)
+
+
+# small shapes with the diagram symmetries of their factors: factor swaps,
+# A reversals and D4 fork swaps, given on the canonical labelling
+_SHAPES = [
+    ((("A", 2), ("A", 2)), [(0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0)]),
+    ((("A", 3),), [(0, 1, 2), (2, 1, 0)]),
+    ((("D", 4),), [(0, 1, 2, 3), (0, 1, 3, 2), (2, 1, 3, 0)]),
+    ((("A", 1), ("A", 1), ("A", 2)), [(1, 0, 2, 3), (1, 0, 3, 2), (0, 1, 3, 2)]),
+    ((("B", 2), ("B", 2)), [(2, 3, 0, 1)]),
+    ((("A", 1), ("C", 3)), [(0, 1, 2, 3)]),
+]
+
+
+@st.composite
+def _relabelled_cases(draw):
+    """A shape with factors shuffled, a random Frobenius symmetry and J."""
+    factors, perms = draw(st.sampled_from(_SHAPES))
+    perm = draw(st.sampled_from(perms))
+    order = draw(st.permutations(range(len(factors))))
+    starts, pos = [], 0
+    for _, rank in factors:
+        starts.append(pos)
+        pos += rank
+    sigma, new_pos = [0] * pos, 0  # old node -> new node
+    for f in order:
+        for i in range(factors[f][1]):
+            sigma[starts[f] + i] = new_pos + i
+        new_pos += factors[f][1]
+    phi = [0] * pos
+    for old, img in enumerate(perm):
+        phi[sigma[old]] = sigma[img]
+    J = draw(st.sets(st.integers(0, pos - 1)))
+    return {
+        "group": {"factors": [{"type": t, "rank": r} for t, r in (factors[f] for f in order)]},
+        "frobenius": {"permutation": phi},
+        "J": sorted(J),
+    }
+
+
+class TestOrbitPosetAgainstPairwise:
+    @settings(max_examples=40, deadline=None)
+    @given(_relabelled_cases())
+    def test_leq_matches_pairwise_bruhat(self, doc):
+        case = parse_case(doc)
+        g = WeylGroup(cartan_from_spec(case.spec))
+        phi = validate_automorphism(case.phi.perm, g.cartan)
+        generator = phi.power(definition_degree(case.J, phi))
+        reps = parabolic.min_left_reps(g, case.J)
+        poset = orbit_poset(g, galois_orbits(g, reps, generator), case.J)
+        for a, lower in enumerate(poset.orbits):
+            for b, upper in enumerate(poset.orbits):
+                pairwise = any(g.bruhat_leq(x, y) for x in lower for y in upper)
+                assert poset.leq(a, b) == pairwise
+
+
+A4_A2_REVERSED = {
+    "group": {"factors": [{"type": "A", "rank": 4}, {"type": "A", "rank": 2}]},
+    "frobenius": {"permutation": [3, 2, 1, 0, 5, 4]},
+    "J": [],
+}
+
+
+class TestStructuralGuards:
+    """Costs counted rather than timed."""
+
+    def test_build_makes_no_pairwise_bruhat_query(self, monkeypatch):
+        calls = []
+        leq = WeylGroup.bruhat_leq
+        monkeypatch.setattr(
+            WeylGroup, "bruhat_leq", lambda self, x, w: calls.append(1) or leq(self, x, w)
+        )
+        built = atlas_mod.build_atlas(parse_case(A4_A2_REVERSED))
+        assert len(built.strata) == 368
+        assert calls == []
+
+    def test_orbit_poset_materializes_nothing(self):
+        case = parse_case(A4_A2_REVERSED)
+        g = WeylGroup(cartan_from_spec(case.spec))
+        phi = validate_automorphism(case.phi.perm, g.cartan)
+        orbits = galois_orbits(g, parabolic.min_double_reps(g, (), ()), phi)
+        before = len(g._registry)
+        poset = orbit_poset(g, orbits, ())
+        assert len(poset) == 368
+        assert len(g._registry) == before

@@ -129,3 +129,15 @@ class TestVerifyAtlas:
             s.is_maximal = True
         report = verify_atlas(broken)
         assert any(c.name == "maximal_stratum" and not c.passed for c in report.checks)
+
+    def test_orbit_overlapping_an_interval_breaks_antisymmetry(self):
+        atlas = build_atlas(siegel_case(2))
+        broken = copy.copy(atlas)
+        broken.orbit_poset = copy.copy(atlas.orbit_poset)
+        orbits = list(atlas.orbit_poset.orbits)
+        # the identity below every representative now also sits in the top orbit
+        orbits[-1] = orbits[-1] + [atlas.group.identity]
+        broken.orbit_poset.orbits = orbits
+        report = verify_atlas(broken)
+        anti = next(c for c in report.checks if c.name == "orbit_order_antisymmetry")
+        assert not anti.passed and anti.counterexample == "orbits 0 and 2"
