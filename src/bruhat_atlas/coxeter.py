@@ -130,7 +130,7 @@ class WeylGroup:
         """w * s_i, cached per (element, generator)."""
         cached = self._right_mul.get((w.uid, i))
         if cached is None:
-            cached = self.multiply(w, self.simple[i])
+            cached = self._intern(tuple(map(w.key.__getitem__, self.simple[i].key)))
             self._right_mul[(w.uid, i)] = cached
         return cached
 

@@ -1,10 +1,16 @@
 """Brute-force re-derivations of every nontrivial combinatorial claim.
 
 Each oracle here uses a method algorithmically independent of the engine:
-subword dynamic programming instead of the lifting recursion, closure of the
-two-sided multiplication relation instead of descent filtering, and explicit
-coset minima instead of greedy descent stripping.  They are meant for tests
-and for the --verify flag, not for speed.
+subword dynamic programming instead of the lifting recursion, and closure
+classes with explicit minima instead of growing ^J W by ascents.  The double
+cosets W_J w W_K and the cosets W_J w are the classes of W under closure by
+left-J (and right-K) moves by simple reflections, and a coset's minimum or its
+top element is taken explicitly over its class; forming the classes costs
+|W|·(|J| + |K|) memoized single-reflection steps and no general product.  The
+stratum dimensions, Howlett's length formula and the maximal stratum are
+re-derived from these classes and from subword intervals, and the engine's
+values are compared against them.  They are meant for tests and for the
+--verify flag, not for speed.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 from . import parabolic
 from .atlas import Atlas
 from .coxeter import WeylElement, WeylGroup
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 
 
 @dataclass
@@ -63,14 +69,16 @@ def brute_interval(group: WeylGroup, word) -> set[WeylElement]:
     return reachable
 
 
-def brute_double_cosets(group: WeylGroup, J, K) -> list[list[WeylElement]]:
-    """Partition of W by closure under left-J and right-K multiplication."""
+def _closure_classes(group: WeylGroup, J, K, keep) -> list:
+    """``keep(block)`` for each class ``block`` of W under closure by left-J
+    and right-K moves by simple reflections.  Only what ``keep`` returns
+    outlives the pass.  Costs |W|·(|J| + |K|) memoized ``left_mul`` and
+    ``right_mul`` steps and no ``multiply``."""
     J = group.check_subset(J)
     K = group.check_subset(K)
-    elements = group.elements()
     assigned: set[WeylElement] = set()
-    classes = []
-    for w in elements:
+    kept = []
+    for w in group.elements():
         if w in assigned:
             continue
         block = {w}
@@ -90,32 +98,45 @@ def brute_double_cosets(group: WeylGroup, J, K) -> list[list[WeylElement]]:
                         nxt.append(v)
             frontier = nxt
         assigned |= block
-        classes.append(sorted(block, key=lambda u: (u.length, u.key)))
-    return classes
+        kept.append(keep(block))
+    return kept
+
+
+def _unique_by_length(elements, pick) -> WeylElement:
+    """The element that ``pick`` (``min`` or ``max``) selects by length,
+    refused unless no other element has its length."""
+    best = pick(elements, key=lambda v: v.length)
+    if sum(1 for v in elements if v.length == best.length) != 1:  # pragma: no cover
+        raise ConsistencyError(
+            f"{pick.__name__} length {best.length} is attained more than once, "
+            f"at {best.group.reduced_word(best)} and others"
+        )
+    return best
+
+
+def brute_double_cosets(group: WeylGroup, J, K) -> list[list[WeylElement]]:
+    """Partition of W by closure under left-J and right-K multiplication,
+    each class sorted by (length, key)."""
+    return _closure_classes(
+        group, J, K, lambda block: sorted(block, key=lambda u: (u.length, u.key))
+    )
 
 
 def brute_min_left_reps(group: WeylGroup, J) -> set[WeylElement]:
-    """Shortest element of each coset W_J w, by explicit coset minima."""
-    J = group.check_subset(J)
-    subgroup = group.subgroup_elements(J)
-    reps = set()
-    for w in group.elements():
-        coset = [group.multiply(u, w) for u in subgroup]
-        best = min(coset, key=lambda v: v.length)
-        if sum(1 for v in coset if v.length == best.length) != 1:  # pragma: no cover
-            raise InputError("coset minimum is not unique")
-        reps.add(best)
-    return reps
+    """Shortest element of each coset W_J w: the cosets are the closure
+    classes of W under left multiplication by the simple reflections of J,
+    and each minimum is taken explicitly over its class."""
+    return set(
+        _closure_classes(group, J, (), lambda coset: _unique_by_length(coset, min))
+    )
 
 
 def brute_project(group: WeylGroup, w: WeylElement, K) -> WeylElement:
     """Shortest element of w W_K by scanning the whole coset."""
     K = group.check_subset(K)
-    coset = [group.multiply(w, v) for v in group.subgroup_elements(K)]
-    best = min(coset, key=lambda u: u.length)
-    if sum(1 for u in coset if u.length == best.length) != 1:  # pragma: no cover
-        raise InputError("coset minimum is not unique")
-    return best
+    return _unique_by_length(
+        [group.multiply(w, v) for v in group.subgroup_elements(K)], min
+    )
 
 
 def verify_atlas(atlas: Atlas) -> VerificationReport:
@@ -161,29 +182,43 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
             break
     report.add("fiber_partition", scope, fiber_ok, fiber_ce)
 
-    # dimensions: maximal length in the J-minimal part of each double coset
-    dim_ok, dim_ce = True, None
+    # brute top element of each orbit member's class: the longest element of
+    # its J-minimal part
     class_of = {cls[0]: cls for cls in classes}
+    tops: dict[WeylElement, WeylElement | None] = {}
     for s in atlas.strata:
         for x in s.orbit:
             cls = class_of.get(x)
-            if cls is None:
+            tops[x] = (
+                None
+                if cls is None
+                else _unique_by_length([w for w in cls if w in left_reps], max)
+            )
+
+    # dimensions: the length of the brute top element
+    dim_ok, dim_ce = True, None
+    for s in atlas.strata:
+        for x in s.orbit:
+            top = tops[x]
+            if top is None:
                 dim_ok, dim_ce = False, f"missing class for {group.reduced_word(x)}"
                 break
-            brute_dim = max(w.length for w in cls if w in left_reps)
-            if brute_dim != s.dim:
+            if top.length != s.dim:
                 dim_ok = False
-                dim_ce = f"x={group.reduced_word(x)}: {brute_dim} != {s.dim}"
+                dim_ce = f"x={group.reduced_word(x)}: {top.length} != {s.dim}"
                 break
         if not dim_ok:
             break
     report.add("dimensions", scope, dim_ok, dim_ce)
 
-    # Howlett additivity through the independent formula
+    # Howlett additivity: the engine's x_upper and ell_JK against the brute top
     howlett_ok, howlett_ce = True, None
     for s in atlas.strata:
+        top = tops[s.rep]
         xu, dim = parabolic.x_upper(group, s.rep, J, K)
-        if dim != parabolic.ell_JK(group, s.rep, J, K) or dim != s.dim:
+        if xu is not top or not (
+            dim == parabolic.ell_JK(group, s.rep, J, K) == s.dim == top.length
+        ):
             howlett_ok = False
             howlett_ce = f"x={group.reduced_word(s.rep)}"
             break
@@ -207,15 +242,23 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     )
     report.add("closure_order", scope, closure_ce is None, closure_ce)
 
-    # maximal stratum: unique, singleton orbit, full closure, top dimension
-    maxima = [s for s in atlas.strata if s.is_maximal]
-    max_ok = (
-        len(maxima) == 1
-        and len(maxima[0].orbit) == 1
-        and maxima[0].dim == atlas.moduli_dim
-        and sorted(maxima[0].closure) == list(range(len(atlas.strata)))
-    )
-    report.add("maximal_stratum", scope, max_ok)
+    # maximal stratum: the one orbit whose subword interval meets every orbit
+    brute_max = [b for b in range(n) if all(brute_leq[b])]
+    flagged = [sid for sid, s in enumerate(atlas.strata) if s.is_maximal]
+    max_ce = None
+    if len(brute_max) != 1 or flagged != brute_max:
+        max_ce = f"brute maximum {brute_max}, flagged {flagged}"
+    else:
+        top_stratum = atlas.strata[brute_max[0]]
+        top = tops[top_stratum.rep]
+        if not (
+            len(top_stratum.orbit) == 1
+            and top is not None
+            and top.length == atlas.moduli_dim
+            and sorted(top_stratum.closure) == list(range(len(atlas.strata)))
+        ):
+            max_ce = f"x={group.reduced_word(top_stratum.rep)}"
+    report.add("maximal_stratum", scope, max_ce is None, max_ce)
 
     # single-fiber criterion against brute conjugation of J by the inverse
     single_ok, single_ce = True, None

@@ -1,9 +1,11 @@
 import copy
+import itertools
 
 import pytest
 
 from bruhat_atlas import parabolic
 from bruhat_atlas.atlas import build_atlas, siegel_case
+from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import (
     brute_bruhat,
@@ -13,6 +15,7 @@ from bruhat_atlas.oracle import (
     brute_project,
     verify_atlas,
 )
+from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 from bruhat_atlas.serialize import parse_case
 from conftest import group_of
 
@@ -62,12 +65,30 @@ class TestBruteCosets:
                 )
 
     def test_left_reps_match_engine(self):
-        for name in ["A3", "C3"]:
+        for name in ["A3", "B3", "C3", "D4", "A1xA2", "B2xA1"]:
             g = group_of(name)
-            for J in [frozenset({0}), frozenset({0, 2}), frozenset(range(g.n))]:
-                assert brute_min_left_reps(g, J) == set(
-                    parabolic.min_left_reps(g, J)
-                )
+            for r in range(g.n + 1):
+                for J in itertools.combinations(range(g.n), r):
+                    assert brute_min_left_reps(g, J) == set(
+                        parabolic.min_left_reps(g, J)
+                    ), (name, J)
+
+    def test_left_reps_close_cosets_without_products(self, monkeypatch):
+        # the J of gu:4,3:inert, on a group whose memos are all cold
+        g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 6),))))
+        J = {0, 1, 3, 4, 5}
+        multiply, left_mul = WeylGroup.multiply, WeylGroup.left_mul
+        products, steps = [], []
+        monkeypatch.setattr(
+            WeylGroup, "multiply",
+            lambda self, w, v: products.append(1) or multiply(self, w, v),
+        )
+        monkeypatch.setattr(
+            WeylGroup, "left_mul", lambda self, i, w: steps.append(1) or left_mul(self, i, w)
+        )
+        assert len(brute_min_left_reps(g, J)) == 5040 // 144
+        assert products == []
+        assert 0 < len(steps) <= 5040 * len(J)
 
     def test_project_matches_engine(self):
         g = group_of("C3")
@@ -129,6 +150,36 @@ class TestVerifyAtlas:
             s.is_maximal = True
         report = verify_atlas(broken)
         assert any(c.name == "maximal_stratum" and not c.passed for c in report.checks)
+
+    @pytest.mark.parametrize("claimed_length", ["own", "true"])
+    def test_engine_top_element_is_checked_not_trusted(self, monkeypatch, claimed_length):
+        # x_upper claims x itself as the top element of its double coset
+        atlas = build_atlas(siegel_case(2))
+        x_upper = parabolic.x_upper
+
+        def wrong_top(group, x, J, K):
+            length = x.length if claimed_length == "own" else x_upper(group, x, J, K)[1]
+            return x, length
+
+        monkeypatch.setattr(parabolic, "x_upper", wrong_top)
+        report = verify_atlas(atlas)
+        howlett = next(c for c in report.checks if c.name == "howlett_lengths")
+        assert not howlett.passed
+        assert howlett.counterexample.startswith("x=[")
+
+    def test_dropped_fiber_element_is_caught(self):
+        atlas = build_atlas(siegel_case(3))
+        broken = copy.copy(atlas)
+        broken.strata = [copy.copy(s) for s in atlas.strata]
+        victim = next(s for s in broken.strata if len(s.eo_fiber) > 1)
+        victim.eo_fiber = victim.eo_fiber[:-1]
+        failed = [
+            line for line in verify_atlas(broken).render().splitlines()
+            if line.startswith("[FAIL]")
+        ]
+        assert len(failed) == 1
+        assert failed[0].startswith("[FAIL] fiber_partition ")
+        assert "counterexample: x=[" in failed[0]
 
     def test_orbit_overlapping_an_interval_breaks_antisymmetry(self):
         atlas = build_atlas(siegel_case(2))
