@@ -5,10 +5,21 @@ simple root alpha_i at index i, and -beta at (index of beta) + N.  An element
 ``w`` is stored as the permutation it induces on them: ``key[r]`` is the index
 of ``w(root r)`` (Casselman, "Machine calculations in Weyl groups", 1994).
 Length is the number of positive roots sent negative, descents are lookups
-and a product composes two tuples.  All elements are interned per group, so
-equality is identity on keys and length/descent data is computed once per
-distinct element.  The element bound of a group limits how many elements it
-materializes.
+and a product composes two permutations.
+
+A key is a ``bytes`` string whenever 2N <= 256 (every group the oracle can
+enumerate, C_g up to g = 11, A_n up to n = 15).  A product is then one
+``bytes.translate`` of the inner key through the outer key padded to 256
+bytes, and bytes cache their hash.  Wider groups keep a tuple key composed
+entry by entry; the choice is made once per group, in ``_encode``,
+``_table`` and ``_compose``, and nothing else depends on it.  Bytes and tuples of the same
+length order alike, so sorting by key gives the same order either way.
+
+All elements are interned per group and numbered by ``uid`` in order of
+creation, so length/descent data is computed once per distinct element.  The
+group law by a simple reflection is memoized in one list per generator and
+side, indexed by uid.  The element bound of a group limits how many elements
+it materializes.
 
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
 grows the minimal representatives ^J(W_S) of a parabolic subgroup W_S from the
@@ -23,9 +34,17 @@ from .errors import BoundError, ConsistencyError, InputError
 from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots, reflect
 from .rootdata import _positive_root_count, _weyl_order
 
-Key = tuple[int, ...]
+Key = bytes | tuple[int, ...]
 
 DEFAULT_BOUND = 10**6
+
+
+def _inverted(perm) -> list[int]:
+    """The inverse of a permutation of range(len(perm))."""
+    inv = [0] * len(perm)
+    for r, img in enumerate(perm):
+        inv[img] = r
+    return inv
 
 
 class WeylElement:
@@ -33,7 +52,9 @@ class WeylElement:
 
     ``length``, ``left_descents`` ({i : length(s_i w) < length(w)}, the simple
     roots in w(negative roots)) and ``right_descents`` ({i : w sends alpha_i
-    negative}) are read off the key when the element is interned.
+    negative}) are read off the key when the element is interned; equal
+    descent sets are shared across the group's elements.  Elements of two
+    groups are equal when their keys and Cartan matrices are.
     """
 
     __slots__ = ("group", "key", "uid", "length", "left_descents", "right_descents")
@@ -44,11 +65,18 @@ class WeylElement:
         self.uid = uid
         n, N = group.n, group.N
         self.length = sum(1 for r in key[:N] if r >= N)
-        self.left_descents = frozenset(r for r in key[N:] if r < n)
-        self.right_descents = frozenset(i for i in range(n) if key[i] >= N)
+        shared = group._descent_sets
+        left = frozenset(r for r in key[N:] if r < n)
+        right = frozenset(i for i in range(n) if key[i] >= N)
+        self.left_descents = shared.setdefault(left, left)
+        self.right_descents = shared.setdefault(right, right)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.key == other.key
+        return (
+            isinstance(other, WeylElement)
+            and self.key == other.key
+            and (self.group is other.group or self.group.cartan == other.group.cartan)
+        )
 
     def __hash__(self):
         return hash(self.key)
@@ -77,19 +105,34 @@ class WeylGroup:
         positive = simples + [r for r in self.pos_roots if sum(r) > 1]
         self.roots = tuple(positive + [tuple(-c for c in r) for r in positive])
         self.N = len(positive)
+        width = 2 * self.N
+        # the one fork of the representation: how keys are built and composed
+        if width <= 256:
+            pad = bytes(256 - width)
+            self._encode = bytes
+            self._table = lambda key: key + pad
+            self._compose = bytes.translate
+        else:
+            self._encode = tuple
+            self._table = lambda key: key.__getitem__
+            self._compose = lambda key, table: tuple(map(table, key))
         self._registry: dict[Key, WeylElement] = {}
-        self._left_mul: dict[tuple[int, int], WeylElement] = {}
-        self._right_mul: dict[tuple[int, int], WeylElement] = {}
+        self._descent_sets: dict[frozenset[int], frozenset[int]] = {}
+        # _left_mul[i][uid] is s_i w and _right_mul[i][uid] is w s_i, or None
+        self._left_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
+        self._right_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
+        self._capacity = 0
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
-        self._root_perms: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.identity = self._intern(tuple(range(2 * self.N)))
+        self._root_perms: dict[tuple[int, ...], tuple] = {}
+        self.identity = self._intern(self._encode(range(width)))
         index = {root: r for r, root in enumerate(self.roots)}
         self.simple = tuple(
-            self._intern(tuple(index[reflect(cartan, i, root)] for root in self.roots))
+            self._intern(self._encode(index[reflect(cartan, i, r)] for r in self.roots))
             for i in range(n)
         )
+        self._simple_tables = tuple(self._table(s.key) for s in self.simple)
 
     # -- element construction ------------------------------------------------
 
@@ -102,6 +145,12 @@ class WeylGroup:
                     f"element bound {self.element_bound} exceeded: "
                     f"{count + 1} elements materialized"
                 )
+            if count == self._capacity:
+                # grow the memo rows geometrically, never past |W|
+                more = [None] * max(1, min(count, self.order - count))
+                for row in self._left_mul + self._right_mul:
+                    row += more
+                self._capacity += len(more)
             el = WeylElement(self, key, count)
             self._registry[key] = el
         return el
@@ -116,29 +165,29 @@ class WeylGroup:
     def multiply(self, w: WeylElement, v: WeylElement) -> WeylElement:
         """(w v)(root r) = w(v(root r))."""
         self.check_ambient(w, v)
-        return self._intern(tuple(map(w.key.__getitem__, v.key)))
+        return self._intern(self._compose(v.key, self._table(w.key)))
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
         """s_i * w, cached per (generator, element)."""
-        cached = self._left_mul.get((i, w.uid))
+        row = self._left_mul[i]
+        cached = row[w.uid]
         if cached is None:
-            cached = self._intern(tuple(map(self.simple[i].key.__getitem__, w.key)))
-            self._left_mul[(i, w.uid)] = cached
+            cached = self._intern(self._compose(w.key, self._simple_tables[i]))
+            row[w.uid] = cached
         return cached
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
         """w * s_i, cached per (element, generator)."""
-        cached = self._right_mul.get((w.uid, i))
+        row = self._right_mul[i]
+        cached = row[w.uid]
         if cached is None:
-            cached = self._intern(tuple(map(w.key.__getitem__, self.simple[i].key)))
-            self._right_mul[(w.uid, i)] = cached
+            cached = self._intern(self._compose(self.simple[i].key, self._table(w.key)))
+            row[w.uid] = cached
         return cached
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        out = self.identity
-        for i in reversed(self.reduced_word(w)):
-            out = self.right_mul(out, i)
-        return out
+        """w^-1, by inverting the root permutation."""
+        return self._intern(self._encode(_inverted(w.key)))
 
     # -- words and descents --------------------------------------------------
 
@@ -226,17 +275,18 @@ class WeylGroup:
 
     def apply_automorphism(self, phi: DiagramAutomorphism, w: WeylElement) -> WeylElement:
         """Relabel w through the diagram symmetry; preserves length."""
-        sigma = self._root_perm(phi)
-        key = [0] * len(sigma)
-        for r, img in enumerate(w.key):
-            key[sigma[r]] = sigma[img]
-        return self._intern(tuple(key))
+        sigma_inv, sigma_table = self._root_perm(phi)
+        # sigma w sigma^-1 on root indices
+        return self._intern(
+            self._compose(self._compose(sigma_inv, self._table(w.key)), sigma_table)
+        )
 
-    def _root_perm(self, phi: DiagramAutomorphism) -> tuple[int, ...]:
-        """The permutation of root indices induced by the node permutation."""
+    def _root_perm(self, phi: DiagramAutomorphism) -> tuple:
+        """The permutation sigma of root indices induced by the node
+        permutation, as the key of sigma^-1 and the table of sigma."""
         p = phi.perm
-        sigma = self._root_perms.get(p)
-        if sigma is None:
+        cached = self._root_perms.get(p)
+        if cached is None:
             if len(p) != self.n:
                 raise InputError("automorphism rank mismatch")
             index = {root: r for r, root in enumerate(self.roots)}
@@ -246,8 +296,10 @@ class WeylGroup:
                 for k, c in enumerate(root):
                     img[p[k]] = c
                 images.append(index[tuple(img)])
-            self._root_perms[p] = sigma = tuple(images)
-        return sigma
+            sigma = self._encode(images)
+            cached = (self._encode(_inverted(sigma)), self._table(sigma))
+            self._root_perms[p] = cached
+        return cached
 
     # -- enumeration -----------------------------------------------------------
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.oracle import brute_bruhat
 from conftest import group_of
@@ -11,7 +14,7 @@ class TestGroupLaw:
     def test_identity_fixes_roots(self, a2):
         e = a2.identity
         assert all(a2.roots[e.key[r]] == root for r, root in enumerate(a2.roots))
-        assert e.key == tuple(range(2 * a2.N))
+        assert list(e.key) == list(range(2 * a2.N))
         assert e.length == 0
 
     def test_identity_idempotent(self, c2):
@@ -43,14 +46,25 @@ class TestGroupLaw:
         with pytest.raises(InputError):
             a2.multiply(a2.identity, c2.identity)
 
-    @pytest.mark.parametrize("name", ["A3", "C3", "D4"])
+    @pytest.mark.parametrize("name", ["A3", "C3", "D4", "A16"])
     def test_key_is_the_root_permutation(self, name):
         g = group_of(name)
         n, N, roots = g.n, g.N, g.roots
         assert set(roots[:N]) == set(g.pos_roots)
         assert all(roots[i] == tuple(int(k == i) for k in range(n)) for i in range(n))
         neg_simple = {tuple(-int(k == i) for k in range(n)): i for i in range(n)}
-        for w in g.elements():
+        if name == "A16":
+            # 2N = 272 roots, past the bytes encoding: seeded random words
+            assert 2 * N > 256 and isinstance(g.identity.key, tuple)
+            rng = random.Random(16)
+            sample = [
+                g.from_word(rng.randrange(n) for _ in range(rng.randrange(60)))
+                for _ in range(200)
+            ]
+        else:
+            assert isinstance(g.identity.key, bytes)
+            sample = g.elements()
+        for w in sample:
             key = w.key
             assert sorted(key) == list(range(2 * N))
             assert all(key[r + N] == (key[r] + N) % (2 * N) for r in range(N))
@@ -68,6 +82,33 @@ class TestGroupLaw:
             lefts = {neg_simple[v] for v in negative if v in neg_simple}
             assert w.left_descents == lefts
             assert w.right_descents == {i for i in range(n) if min(images[i]) < 0}
+            assert g.multiply(w, g.inverse(w)) is g.identity
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4"])
+    def test_inverse_inverts_the_key(self, name):
+        g = group_of(name)
+        for w in g.elements():
+            word = g.reduced_word(w)
+            by_word = g.from_word(reversed(word))
+            assert g.inverse(w) is by_word
+            # on a group that has interned only w's prefixes, inverse(w)
+            # interns w^-1 and nothing on the way
+            fresh = WeylGroup(g.cartan)
+            v = fresh.from_word(word)
+            before = len(fresh._registry)
+            inv = fresh.inverse(v)
+            assert len(fresh._registry) <= before + 1
+            assert inv == by_word and inv.group is fresh
+
+    def test_equality_needs_the_same_cartan_matrix(self):
+        a2, a111 = group_of("A2"), group_of("A1xA1xA1")
+        # both have 3 positive roots, so their identity keys coincide
+        assert a2.identity.key == a111.identity.key
+        assert a2.identity != a111.identity
+        assert len({a2.identity, a111.identity}) == 2
+        twin = WeylGroup(a2.cartan)
+        assert twin.identity == a2.identity and twin.simple == a2.simple
+        assert len({twin.simple[0], a2.simple[0]}) == 1
 
 
 class TestLengthAndDescents:

@@ -90,6 +90,22 @@ class TestBruteCosets:
         assert products == []
         assert 0 < len(steps) <= 5040 * len(J)
 
+    def test_second_pass_is_all_table_hits(self, monkeypatch):
+        g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 5),))))
+        J, K = {0, 2, 3}, {1, 3, 4}
+        first = brute_double_cosets(g, J, K)
+        assert len(g._registry) == g.order
+        compose, intern = g._compose, g._intern
+        composed, interned = [], []
+        monkeypatch.setattr(
+            g, "_compose", lambda key, table: composed.append(1) or compose(key, table)
+        )
+        monkeypatch.setattr(g, "_intern", lambda key: interned.append(1) or intern(key))
+        # every left-J and right-K step of the second pass is a memo table hit
+        assert brute_double_cosets(g, J, K) == first
+        assert composed == [] and interned == []
+        assert len(g._registry) == g.order
+
     def test_project_matches_engine(self):
         g = group_of("C3")
         J, K = frozenset({0, 1}), frozenset({0, 1})
