@@ -5,7 +5,6 @@ from .atlas import (
     PELCase,
     StratumRecord,
     build_atlas,
-    closure_set,
     siegel_case,
     siegel_identify,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "WeylGroup",
     "build_atlas",
     "cartan_from_spec",
-    "closure_set",
     "identity_automorphism",
     "positive_roots",
     "siegel_case",

@@ -40,6 +40,11 @@ class PELCase:
     def __post_init__(self):
         if (self.mu is None) == (self.J is None):
             raise InputError("exactly one of mu and J must be given")
+        if self.element_bound < 1:
+            raise InputError(
+                "options.element_bound must be an integer >= 1, "
+                f"got {self.element_bound!r}"
+            )
 
 
 @dataclass
@@ -281,18 +286,10 @@ def _assert_atlas_invariants(group, strata, double_reps, left_reps, moduli_dim):
             raise ConsistencyError("fiber maximum length differs from the dimension")
 
 
-def closure_set(atlas: Atlas, stratum_id: int) -> list[int]:
-    """Ids of all strata contained in the closure of ``stratum_id``."""
-    if not 0 <= stratum_id < len(atlas.strata):
-        raise InputError(f"unknown stratum id {stratum_id}")
-    return atlas.strata[stratum_id].closure
-
-
 @dataclass
 class SiegelIdentification:
     g: int
     entries: list[dict]  # each: a-number, dim, representative word
-    total_order: bool
     atlas: Atlas
 
 
@@ -310,11 +307,11 @@ def siegel_case(g: int, **options) -> PELCase:
     return PELCase(spec=spec, phi=identity_automorphism(cartan), mu=mu, **options)
 
 
-def siegel_identify(g: int) -> SiegelIdentification:
+def siegel_identify(g: int, **options) -> SiegelIdentification:
     """Match strata to a-numbers via the closed dimension formula and check
-    that the closure order reverses the a-number order."""
-    atlas = build_atlas(siegel_case(g))
-    group = atlas.group
+    that the closure order reverses the a-number order.  ``options`` go to
+    :func:`siegel_case`."""
+    atlas = build_atlas(siegel_case(g, **options))
     if len(atlas.strata) != g + 1:
         raise ConsistencyError(
             f"expected {g + 1} strata for genus {g}, found {len(atlas.strata)}"
@@ -323,22 +320,20 @@ def siegel_identify(g: int) -> SiegelIdentification:
     got = sorted(s.dim for s in atlas.strata)
     if got != expected:
         raise ConsistencyError(f"dimension multiset {got} != {expected}")
-    if len(set(got)) != g + 1:  # pragma: no cover
-        raise ConsistencyError("dimension values are not distinct")
-    entries = []
-    for s in atlas.strata:
-        a = next(i for i in range(g + 1) if siegel_dimension(g, i) == s.dim)
-        if s.siegel_a != a:  # pragma: no cover
-            raise ConsistencyError("a-number annotation disagrees")
-        entries.append({"a": a, "dim": s.dim, "rep": group.reduced_word(s.rep)})
-    entries.sort(key=lambda e: e["a"])
+    entries = sorted(
+        (
+            {"a": s.siegel_a, "dim": s.dim, "rep": atlas.group.reduced_word(s.rep)}
+            for s in atlas.strata
+        ),
+        key=lambda e: e["a"],
+    )
     # order reversal: x below x' exactly when the a-number is at least as big
-    total = True
-    for s in atlas.strata:
-        for t in atlas.strata:
-            leq = group.bruhat_leq(s.rep, t.rep)
-            if leq != (s.siegel_a >= t.siegel_a):
-                total = False
-    if not total:
-        raise ConsistencyError("closure order does not reverse the a-number order")
-    return SiegelIdentification(g=g, entries=entries, total_order=total, atlas=atlas)
+    leq = atlas.orbit_poset.leq
+    for a, s in enumerate(atlas.strata):
+        for b, t in enumerate(atlas.strata):
+            if leq(a, b) != (s.siegel_a >= t.siegel_a):
+                raise ConsistencyError(
+                    "closure order does not reverse the a-number order at "
+                    f"strata {a} and {b}"
+                )
+    return SiegelIdentification(g=g, entries=entries, atlas=atlas)

@@ -88,12 +88,14 @@ def _run_case(doc: dict, out_dir: Path, verify: bool) -> int:
         f"moduli dim {built.moduli_dim}, "
         f"mu-ordinary {built.mu_ordinary.verdict}, degree {built.degree}"
     )
-    if verify:
-        report = oracle.verify_atlas(built)
-        print(report.render())
-        if not report.passed:
-            return 1
-    return 0
+    return _verify(built) if verify else 0
+
+
+def _verify(built) -> int:
+    """Print the oracle's report on ``built``; exit code 1 when a check fails."""
+    report = oracle.verify_atlas(built)
+    print(report.render())
+    return 0 if report.passed else 1
 
 
 def _load_doc(path: str) -> dict:
@@ -134,14 +136,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(doc, args):
-    """Merge the command-line options into the document's options; a
-    document whose shape is wrong is passed on for parse_case to refuse."""
+def _overrides(args) -> dict:
+    """The case options set on the command line."""
     overrides = {}
     if args.no_minuscule_check:
         overrides["minuscule_check"] = False
     if args.bound is not None:
         overrides["element_bound"] = args.bound
+    return overrides
+
+
+def _apply_overrides(doc, args):
+    """Merge the command-line options into the document's options; a
+    document whose shape is wrong is passed on for parse_case to refuse."""
+    overrides = _overrides(args)
     if not overrides or not isinstance(doc, dict):
         return doc
     options = doc.get("options")
@@ -166,14 +174,15 @@ def main(argv=None) -> int:
         if args.command == "siegel":
             if args.genus < 1:
                 raise InputError("genus must be >= 1")
-            ident = atlas_mod.siegel_identify(args.genus)
+            ident = atlas_mod.siegel_identify(args.genus, **_overrides(args))
             print(f"genus {ident.g}: {len(ident.entries)} strata")
             print(f"{'a':>3}  {'dim':>4}  rep")
             for e in ident.entries:
                 rep = "".join(str(i) for i in e["rep"]) or "e"
                 print(f"{e['a']:>3}  {e['dim']:>4}  {rep}")
-            print(f"total order reversed by a-number: {ident.total_order}")
-            return 0
+            # siegel_identify raises unless the order is reversed
+            print("total order reversed by a-number: True")
+            return _verify(ident.atlas) if args.verify else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

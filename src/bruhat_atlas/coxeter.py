@@ -24,8 +24,9 @@ it materializes.
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
 grows the minimal representatives ^J(W_S) of a parabolic subgroup W_S from the
 identity by ascents.  It yields ^J W for the atlas, ^{J_x}W_K for its fibers,
-and W_S or all of W (``J`` empty) for the brute-force oracle, which alone
-enumerates the whole group.
+and all of W (``J`` empty) for the brute-force oracle, which alone enumerates
+the whole group.  The atlas's Bruhat order is not computed here: it comes
+from the lower sets of :func:`galois.lower_sets`.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ class WeylGroup:
         self._left_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
         self._right_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
         self._capacity = 0
-        self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._root_perms: dict[tuple[int, ...], tuple] = {}
@@ -250,26 +250,15 @@ class WeylGroup:
 
     def bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
         """Lifting property: for a left descent s of w, x <= w iff
-        min(x, s x) <= s w.  Walked as a loop, so the depth is not bounded by
-        the recursion limit, and memoized on element ids for every pair
-        visited."""
+        min(x, s x) <= s w, walked as a loop.  No build or --verify run calls
+        this; it goes when ``perfbench/tracer.py`` stops tracing it."""
         self.check_ambient(x, w)
-        memo = self._bruhat_memo
-        visited = []
         while x is not w and x.length < w.length:
-            res = memo.get((x.uid, w.uid))
-            if res is not None:
-                break
-            visited.append((x.uid, w.uid))
             s = min(w.left_descents)
             if s in x.left_descents:
                 x = self.left_mul(s, x)
             w = self.left_mul(s, w)
-        else:
-            res = x is w
-        for pair in visited:
-            memo[pair] = res
-        return res
+        return x is w
 
     # -- automorphisms ---------------------------------------------------------
 
@@ -373,6 +362,6 @@ class WeylGroup:
         return self.ascend(range(self.n), ())
 
     def subgroup_elements(self, J) -> list[WeylElement]:
-        """All of W_J, breadth-first by length."""
+        """All of W_J, breadth-first by length; ``ascend(J, ())`` under the
+        name ``perfbench/tracer.py`` traces."""
         return self.ascend(J, ())
-

@@ -93,12 +93,6 @@ class OrbitPoset:
         """The orbits a <= b, in increasing order."""
         return list(_bits(self.below[b]))
 
-    def maximal_ids(self) -> list[int]:
-        covered = 0
-        for b, mask in enumerate(self.below):
-            covered |= mask & ~(1 << b)
-        return [b for b in range(len(self)) if not covered >> b & 1]
-
 
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, increasing."""

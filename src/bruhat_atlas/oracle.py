@@ -7,10 +7,13 @@ cosets W_J w W_K and the cosets W_J w are the classes of W under closure by
 left-J (and right-K) moves by simple reflections, and a coset's minimum or its
 top element is taken explicitly over its class; forming the classes costs
 |W|·(|J| + |K|) memoized single-reflection steps and no general product.  The
-stratum dimensions, Howlett's length formula and the maximal stratum are
-re-derived from these classes and from subword intervals, and the engine's
-values are compared against them.  They are meant for tests and for the
---verify flag, not for speed.
+fiber of a stratum is the set of J-minimal members of its double-coset class,
+since for w in ^J W the minimum of w W_K is the minimum of W_J w W_K
+(Bjorner-Brenti, "Combinatorics of Coxeter Groups", section 2.4).  The stratum
+dimensions, Howlett's length formula and the maximal stratum are re-derived
+from these classes and from subword intervals, and the engine's values are
+compared against them.  They are meant for tests and for the --verify flag,
+not for speed.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import parabolic
-from .atlas import Atlas
+from .atlas import Atlas, eo_fiber
 from .coxeter import WeylElement, WeylGroup
 from .errors import ConsistencyError, InputError
 
@@ -132,7 +135,9 @@ def brute_min_left_reps(group: WeylGroup, J) -> set[WeylElement]:
 
 
 def brute_project(group: WeylGroup, w: WeylElement, K) -> WeylElement:
-    """Shortest element of w W_K by scanning the whole coset."""
+    """Shortest element of w W_K by scanning the whole coset.  Not used by
+    :func:`verify_atlas`; it goes when ``perfbench/tracer.py`` stops tracing
+    it."""
     K = group.check_subset(K)
     return _unique_by_length(
         [group.multiply(w, v) for v in group.subgroup_elements(K)], min
@@ -159,20 +164,19 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
         else f"symmetric difference {len(brute_reps ^ atlas_reps)} elements",
     )
 
-    # fibers: group the finer index set by the brute projection
+    # the fiber of each class minimum is the class's J-minimal part, and its
+    # top element is the longest member of that part
     left_reps = brute_min_left_reps(group, J)
-    fibers: dict[WeylElement, set[WeylElement]] = {}
-    for w in left_reps:
-        fibers.setdefault(brute_project(group, w, K), set()).add(w)
+    fibers = {cls[0]: [w for w in cls if w in left_reps] for cls in classes}
     fiber_ok = True
     fiber_ce = None
     for s in atlas.strata:
         for x in s.orbit:
-            expected = fibers.get(x, set())
+            expected = set(fibers.get(x, ()))
             got = (
                 {el for el, _ in s.eo_fiber}
                 if x == s.rep
-                else {el for el, _ in _fiber_of(atlas, x)}
+                else {el for el, _ in eo_fiber(group, x, J, K)}
             )
             if got != expected:
                 fiber_ok = False
@@ -182,18 +186,11 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
             break
     report.add("fiber_partition", scope, fiber_ok, fiber_ce)
 
-    # brute top element of each orbit member's class: the longest element of
-    # its J-minimal part
-    class_of = {cls[0]: cls for cls in classes}
-    tops: dict[WeylElement, WeylElement | None] = {}
-    for s in atlas.strata:
-        for x in s.orbit:
-            cls = class_of.get(x)
-            tops[x] = (
-                None
-                if cls is None
-                else _unique_by_length([w for w in cls if w in left_reps], max)
-            )
+    tops = {
+        x: _unique_by_length(fibers[x], max) if x in fibers else None
+        for s in atlas.strata
+        for x in s.orbit
+    }
 
     # dimensions: the length of the brute top element
     dim_ok, dim_ce = True, None
@@ -288,9 +285,3 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     report.add("orbit_order_antisymmetry", scope, anti_ce is None, anti_ce)
 
     return report
-
-
-def _fiber_of(atlas: Atlas, x: WeylElement):
-    from .atlas import eo_fiber
-
-    return eo_fiber(atlas.group, x, atlas.J, atlas.K)

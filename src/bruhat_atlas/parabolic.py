@@ -29,21 +29,6 @@ def min_double_reps(group: WeylGroup, J, K) -> list[WeylElement]:
     return [w for w in min_left_reps(group, J) if not (w.right_descents & K)]
 
 
-def project_to_double(group: WeylGroup, w: WeylElement, J, K) -> WeylElement:
-    """The shortest element of w W_K, for w already shortest in W_J w."""
-    J = group.check_subset(J)
-    K = group.check_subset(K)
-    if w.left_descents & J:
-        raise InputError(
-            f"element {group.reduced_word(w)} has left descents in J={sorted(J)}"
-        )
-    while True:
-        down = w.right_descents & K
-        if not down:
-            return w
-        w = group.right_mul(w, min(down))
-
-
 def _check_double_rep(group: WeylGroup, x: WeylElement, J, K):
     if (x.left_descents & J) or (x.right_descents & K):
         raise InputError(

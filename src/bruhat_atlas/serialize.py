@@ -88,7 +88,7 @@ def parse_case(doc: dict) -> PELCase:
             f"options.minuscule_check must be true or false, got {minuscule_check!r}"
         )
     element_bound = options.get("element_bound", DEFAULT_BOUND)
-    if type(element_bound) is not int or element_bound < 1:
+    if type(element_bound) is not int:  # the range is PELCase's to check
         raise InputError(
             f"options.element_bound must be an integer >= 1, got {element_bound!r}"
         )

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from bruhat_atlas.coxeter import WeylGroup
+from bruhat_atlas.galois import lower_sets
 from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 
 
@@ -16,6 +17,13 @@ def group_of(name: str) -> WeylGroup:
         assert m, f"bad group name {name}"
         factors.append((m.group(1), int(m.group(2))))
     return WeylGroup(cartan_from_spec(DynkinSpec(tuple(factors))))
+
+
+def engine_leq(group: WeylGroup):
+    """The engine's Bruhat order on all of W: with J empty, ^J W is W and
+    the lower sets of ``lower_sets`` are the Bruhat intervals."""
+    down = lower_sets(group, group.elements(), frozenset())
+    return lambda x, w: bool(down[w.uid] >> x.uid & 1)
 
 
 # groups small enough for exhaustive all-pairs / all-subsets checks

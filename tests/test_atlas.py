@@ -1,9 +1,9 @@
 import pytest
 
+from bruhat_atlas import atlas as atlas_mod
 from bruhat_atlas.atlas import (
     PELCase,
     build_atlas,
-    closure_set,
     derive_J,
     derive_K,
     eo_fiber,
@@ -14,7 +14,7 @@ from bruhat_atlas.atlas import (
     siegel_identify,
 )
 from bruhat_atlas.coxeter import DEFAULT_BOUND
-from bruhat_atlas.errors import InputError
+from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.rootdata import (
     CocharSpec,
     DynkinSpec,
@@ -173,11 +173,9 @@ class TestBuildAtlas:
 
     def test_closure_set(self):
         a = build_atlas(siegel_case(2))
-        assert closure_set(a, 0) == [0]
+        assert a.strata[0].closure == [0]
         top = next(i for i, s in enumerate(a.strata) if s.is_maximal)
-        assert closure_set(a, top) == [0, 1, 2]
-        with pytest.raises(InputError):
-            closure_set(a, 99)
+        assert a.strata[top].closure == [0, 1, 2]
 
     def test_d4_triality_case(self):
         # the triality cycle moves node 0, so J takes three steps to return
@@ -196,7 +194,25 @@ class TestSiegel:
         assert [e["dim"] for e in ident.entries] == [
             siegel_dimension(g, i) for i in range(g + 1)
         ]
-        assert ident.total_order
+
+    def test_order_not_reversed_is_refused(self, monkeypatch):
+        build = atlas_mod.build_atlas
+
+        def build_broken(case):
+            built = build(case)
+            below = list(built.orbit_poset.below)
+            below[-1] &= ~(1 << 1)  # the a = 1 stratum no longer below the top
+            built.orbit_poset.below = tuple(below)
+            return built
+
+        monkeypatch.setattr(atlas_mod, "build_atlas", build_broken)
+        with pytest.raises(ConsistencyError, match="at strata 1 and 2"):
+            siegel_identify(2)
+
+    def test_options_reach_the_case(self):
+        with pytest.raises(BoundError, match="bound 5 exceeded: 6 elements"):
+            siegel_identify(4, element_bound=5)
+        assert siegel_identify(2, minuscule_check=False).atlas.case.minuscule_check is False
 
     def test_g3_chain(self):
         a = siegel_identify(3).atlas

@@ -294,6 +294,52 @@ class TestMain:
         assert "genus 2: 3 strata" in out
         assert "total order reversed by a-number: True" in out
 
+    def test_siegel_honors_bound(self, capsys):
+        assert main(["--bound", "5", "siegel", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: element bound 5 exceeded: 6 elements materialized\n"
+
+    @pytest.mark.parametrize("command", [["corpus", "siegel:2"], ["siegel", "2"]])
+    def test_nonpositive_bound_exits_2(self, tmp_path, capsys, command):
+        assert main(["--out", str(tmp_path), "--bound", "0", *command]) == 2
+        assert capsys.readouterr().err == (
+            "error: options.element_bound must be an integer >= 1, got 0\n"
+        )
+
+    def test_siegel_verify_passes(self, capsys):
+        assert main(["--verify", "siegel", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:7] == [
+            "genus 3: 4 strata",
+            "  a   dim  rep",
+            "  0     6  210212",
+            "  1     5  212",
+            "  2     3  2",
+            "  3     0  e",
+            "total order reversed by a-number: True",
+        ]
+        assert len(lines) == 15
+        assert all(line.startswith("[PASS] ") for line in lines[7:])
+
+    def test_siegel_verify_catches_broken_closure_order(self, monkeypatch, capsys):
+        # the order is broken after the identification has accepted it
+        identify = cli.atlas_mod.siegel_identify
+
+        def identify_broken(g, **options):
+            ident = identify(g, **options)
+            below = list(ident.atlas.orbit_poset.below)
+            below[-1] &= ~(1 << 1)  # orbit 1 no longer below the top
+            ident.atlas.orbit_poset.below = tuple(below)
+            return ident
+
+        monkeypatch.setattr(cli.atlas_mod, "siegel_identify", identify_broken)
+        assert main(["--verify", "siegel", "3"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+            "[FAIL] closure_order (C3 J=[0, 1] K=[0, 1]) counterexample: orbits 1 <= 3"
+        ]
+
     def test_siegel_bad_genus(self, capsys):
         assert main(["siegel", "0"]) == 2
 

@@ -81,14 +81,15 @@ class TestOrbitPoset:
         for a in range(3):
             for b in range(3):
                 assert poset.leq(a, b) == (a <= b)
-        assert poset.maximal_ids() == [2]
+        assert poset.ids_below(2) == [0, 1, 2]
 
     def test_singleton_orbits_restrict_bruhat(self, a2):
         phi = identity_automorphism(a2.cartan)
         poset = orbit_poset(a2, galois_orbits(a2, a2.elements(), phi), J=())
-        for a, x in enumerate(poset.reps):
-            for b, y in enumerate(poset.reps):
-                assert poset.leq(a, b) == a2.bruhat_leq(x, y)
+        for b, y in enumerate(poset.reps):
+            interval = brute_interval(a2, a2.reduced_word(y))
+            for a, x in enumerate(poset.reps):
+                assert poset.leq(a, b) == (x in interval)
 
     def test_one_orbit_poset(self, a1a1):
         swap = validate_automorphism([1, 0], a1a1.cartan)
@@ -104,9 +105,10 @@ class TestOrbitPoset:
         orbits = galois_orbits(g, reps, phi)
         poset = orbit_poset(g, orbits, J)
         index = {w: i for i, o in enumerate(poset.orbits) for w in o}
-        for x in reps:
-            for y in reps:
-                if g.bruhat_leq(x, y):
+        for y in reps:
+            interval = brute_interval(g, g.reduced_word(y))
+            for x in reps:
+                if x in interval:
                     assert poset.leq(index[x], index[y])
 
     def test_max_orbit_is_singleton(self):
@@ -114,7 +116,10 @@ class TestOrbitPoset:
         phi = flip(g)
         reps = parabolic.min_double_reps(g, frozenset(), frozenset())
         poset = orbit_poset(g, galois_orbits(g, reps, phi), J=())
-        (top,) = poset.maximal_ids()
+        n = len(poset)
+        (top,) = [
+            b for b in range(n) if not any(poset.leq(b, c) for c in range(n) if c != b)
+        ]
         assert len(poset.orbits[top]) == 1
 
     def test_member_outside_jw_rejected(self, a2):
@@ -144,7 +149,7 @@ def _subsets(n):
 
 
 class TestLowerSets:
-    """The lower-set pass against pairwise lifting and subword intervals."""
+    """The lower-set pass against subword intervals."""
 
     @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A1xA2", "B2xA1"])
     def test_every_j_on_all_of_jw(self, name):
@@ -154,7 +159,6 @@ class TestLowerSets:
             down = lower_sets(g, jw, J)
             for w in jw:
                 got = {x.uid for x in jw if down[w.uid] >> x.uid & 1}
-                assert got == {x.uid for x in jw if g.bruhat_leq(x, w)}
                 interval = brute_interval(g, g.reduced_word(w))
                 assert got == {x.uid for x in interval if not x.left_descents & J}
                 # no bit outside ^J W
@@ -209,9 +213,12 @@ class TestOrbitPosetAgainstPairwise:
         generator = phi.power(definition_degree(case.J, phi))
         reps = parabolic.min_left_reps(g, case.J)
         poset = orbit_poset(g, galois_orbits(g, reps, generator), case.J)
+        intervals = [
+            [brute_interval(g, g.reduced_word(y)) for y in upper] for upper in poset.orbits
+        ]
         for a, lower in enumerate(poset.orbits):
-            for b, upper in enumerate(poset.orbits):
-                pairwise = any(g.bruhat_leq(x, y) for x in lower for y in upper)
+            for b in range(len(poset)):
+                pairwise = any(x in iv for x in lower for iv in intervals[b])
                 assert poset.leq(a, b) == pairwise
 
 

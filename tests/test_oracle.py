@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from bruhat_atlas import parabolic
-from bruhat_atlas.atlas import build_atlas, siegel_case
+from bruhat_atlas.atlas import build_atlas, eo_fiber, siegel_case
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import (
@@ -17,7 +17,7 @@ from bruhat_atlas.oracle import (
 )
 from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 from bruhat_atlas.serialize import parse_case
-from conftest import group_of
+from conftest import engine_leq, group_of
 
 
 class TestBruteBruhat:
@@ -39,11 +39,12 @@ class TestBruteBruhat:
     @pytest.mark.parametrize("name", ["A2", "C2", "A1xA1", "A3"])
     def test_agrees_with_engine_all_pairs(self, name):
         g = group_of(name)
+        leq = engine_leq(g)
         for w in g.elements():
             word = g.reduced_word(w)
             interval = brute_interval(g, word)
             for x in g.elements():
-                assert (x in interval) == g.bruhat_leq(x, w)
+                assert (x in interval) == leq(x, w)
 
 
 class TestBruteCosets:
@@ -109,8 +110,12 @@ class TestBruteCosets:
     def test_project_matches_engine(self):
         g = group_of("C3")
         J, K = frozenset({0, 1}), frozenset({0, 1})
-        for w in parabolic.min_left_reps(g, J):
-            assert brute_project(g, w, K) == parabolic.project_to_double(g, w, J, K)
+        seen = 0
+        for x in parabolic.min_double_reps(g, J, K):
+            for w, _ in eo_fiber(g, x, J, K):
+                assert brute_project(g, w, K) == x
+                seen += 1
+        assert seen == len(parabolic.min_left_reps(g, J))
 
 
 def _corpus_atlases():
