@@ -53,7 +53,7 @@ class StratumRecord:
     orbit: list[WeylElement]
     dim: int
     codim: int
-    eo_fiber: list[tuple[WeylElement, int]]
+    eo_fiber: list[WeylElement]
     single_eo: bool
     closure: list[int]
     is_maximal: bool
@@ -105,19 +105,21 @@ def derive_K(group: WeylGroup, J, phi: DiagramAutomorphism):
     return K
 
 
-def eo_fiber(group: WeylGroup, x: WeylElement, J, K) -> list[tuple[WeylElement, int]]:
+def eo_fiber(group: WeylGroup, x: WeylElement, J, K) -> list[WeylElement]:
     """The finer strata inside the stratum of x: products x*y over the
-    minimal representatives y of the induced subset inside W_K."""
+    minimal representatives y of the induced subset inside W_K, sorted by
+    length and reduced word."""
+    J = group.check_subset(J)
     Jx = parabolic.induced_subset(group, x, J, K)
     out = []
     for y in parabolic.relative_left_reps(group, Jx, K):
         xy = group.multiply(x, y)
         if xy.length != x.length + y.length:  # pragma: no cover
             raise ConsistencyError("fiber product length is not additive")
-        if xy.left_descents & group.check_subset(J):  # pragma: no cover
+        if xy.left_descents & J:  # pragma: no cover
             raise ConsistencyError("fiber product left the J-minimal set")
-        out.append((xy, xy.length))
-    out.sort(key=lambda t: (t[1], tuple(group.reduced_word(t[0]))))
+        out.append(xy)
+    out.sort(key=lambda w: (w.length, group.reduced_word(w)))
     return out
 
 
@@ -131,21 +133,14 @@ def moduli_dimension(group: WeylGroup, J) -> int:
 
 def conjugate_type(group: WeylGroup, x: WeylElement, J):
     """The set {k : s_k = x^-1 s_j x for some j in J}, or None when some
-    conjugate is not a simple reflection."""
+    conjugate is not a simple reflection.  As x s_k x^-1 = s_{x(alpha_k)}
+    (Humphreys, "Reflection Groups and Coxeter Groups", section 1.2), k is in
+    the set when x(alpha_k) = +-alpha_j for some j in J, and each j is matched
+    by at most one k."""
     J = group.check_subset(J)
-    xinv = group.inverse(x)
-    out = set()
-    for j in J:
-        conj = group.multiply(xinv, group.left_mul(j, x))
-        found = None
-        for k in range(group.n):
-            if conj is group.simple[k]:
-                found = k
-                break
-        if found is None:
-            return None
-        out.add(found)
-    return frozenset(out)
+    N = group.N
+    out = frozenset(k for k in range(group.n) if x.key[k] % N in J)
+    return out if len(out) == len(J) else None
 
 
 def mu_ordinary_report(J, phi: DiagramAutomorphism) -> MuOrdinaryReport:
@@ -282,7 +277,7 @@ def _assert_atlas_invariants(group, strata, double_reps, left_reps, moduli_dim):
     for s in strata:
         if not (0 <= s.dim <= moduli_dim):  # pragma: no cover
             raise ConsistencyError("stratum dimension out of range")
-        if max(length for _, length in s.eo_fiber) != s.dim:  # pragma: no cover
+        if max(w.length for w in s.eo_fiber) != s.dim:  # pragma: no cover
             raise ConsistencyError("fiber maximum length differs from the dimension")
 
 

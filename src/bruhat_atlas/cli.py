@@ -172,8 +172,6 @@ def main(argv=None) -> int:
             doc = _apply_overrides(corpus_preset(args.preset), args)
             return _run_case(doc, out_dir, args.verify)
         if args.command == "siegel":
-            if args.genus < 1:
-                raise InputError("genus must be >= 1")
             ident = atlas_mod.siegel_identify(args.genus, **_overrides(args))
             print(f"genus {ident.g}: {len(ident.entries)} strata")
             print(f"{'a':>3}  {'dim':>4}  rep")

@@ -100,7 +100,7 @@ class WeylGroup:
         self.cartan = cartan
         self.n = n = cartan.n
         self.element_bound = element_bound
-        self.pos_roots = positive_roots(cartan).roots
+        self.pos_roots = positive_roots(cartan)
         self.order = cartan.spec.weyl_order
         simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
         positive = simples + [r for r in self.pos_roots if sum(r) > 1]
@@ -184,10 +184,6 @@ class WeylGroup:
             cached = self._intern(self._compose(self.simple[i].key, self._table(w.key)))
             row[w.uid] = cached
         return cached
-
-    def inverse(self, w: WeylElement) -> WeylElement:
-        """w^-1, by inverting the root permutation."""
-        return self._intern(self._encode(_inverted(w.key)))
 
     # -- words and descents --------------------------------------------------
 

@@ -12,8 +12,11 @@ since for w in ^J W the minimum of w W_K is the minimum of W_J w W_K
 (Bjorner-Brenti, "Combinatorics of Coxeter Groups", section 2.4).  The stratum
 dimensions, Howlett's length formula and the maximal stratum are re-derived
 from these classes and from subword intervals, and the engine's values are
-compared against them.  They are meant for tests and for the --verify flag,
-not for speed.
+compared against them.  The single-fiber criterion x^-1 {s_j : j in J} x =
+{s_k : k in K} is checked as {s_j x : j in J} == {x s_k : k in K}, two sets of
+single-reflection steps, where the engine reads conjugation off the root
+permutation of x.  They are meant for tests and for the --verify flag, not for
+speed.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def _closure_classes(group: WeylGroup, J, K, keep) -> list:
     """``keep(block)`` for each class ``block`` of W under closure by left-J
     and right-K moves by simple reflections.  Only what ``keep`` returns
     outlives the pass.  Costs |W|·(|J| + |K|) memoized ``left_mul`` and
-    ``right_mul`` steps and no ``multiply``."""
+    ``right_mul`` steps and no general product."""
     J = group.check_subset(J)
     K = group.check_subset(K)
     assigned: set[WeylElement] = set()
@@ -173,11 +176,7 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     for s in atlas.strata:
         for x in s.orbit:
             expected = set(fibers.get(x, ()))
-            got = (
-                {el for el, _ in s.eo_fiber}
-                if x == s.rep
-                else {el for el, _ in eo_fiber(group, x, J, K)}
-            )
+            got = set(s.eo_fiber if x == s.rep else eo_fiber(group, x, J, K))
             if got != expected:
                 fiber_ok = False
                 fiber_ce = f"x={group.reduced_word(x)}"
@@ -257,15 +256,14 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
             max_ce = f"x={group.reduced_word(top_stratum.rep)}"
     report.add("maximal_stratum", scope, max_ce is None, max_ce)
 
-    # single-fiber criterion against brute conjugation of J by the inverse
+    # single-fiber criterion: x^-1 s_j x = s_k exactly when s_j x = x s_k, so
+    # the conjugates of J are the reflections of K iff the two step sets agree
     single_ok, single_ce = True, None
     for s in atlas.strata:
         x = s.rep
-        xinv = group.inverse(x)
-        conj = {
-            group.multiply(group.multiply(xinv, group.simple[j]), x) for j in J
+        brute_single = {group.left_mul(j, x) for j in J} == {
+            group.right_mul(x, k) for k in K
         }
-        brute_single = conj == {group.simple[k] for k in K}
         if brute_single != s.single_eo:
             single_ok = False
             single_ce = f"x={group.reduced_word(x)}"

@@ -7,6 +7,11 @@ elements with no left descent in J (shortest in their coset W_J w),
 longest element of the corresponding relative coset set inside W_K, and
 ``x_upper = x * x_lower`` realizes the stratum dimension.
 
+Conjugation by x is read off its root permutation: x s_k x^-1 = s_{x(alpha_k)}
+(Humphreys, "Reflection Groups and Coxeter Groups", section 1.2), so
+x s_k x^-1 is the simple reflection s_j exactly when x(alpha_k) = +-alpha_j,
+and no group product is formed.
+
 The representative sets are grown by ascents (:meth:`WeylGroup.ascend`):
 ``left_reps`` is ^J W, ``double_reps`` filters it by right descents, and the
 fibers' ^{J_x}W_K is grown inside W_K.  None of them enumerates W.
@@ -38,18 +43,13 @@ def _check_double_rep(group: WeylGroup, x: WeylElement, J, K):
 
 
 def induced_subset(group: WeylGroup, x: WeylElement, J, K) -> frozenset[int]:
-    """{k in K : x s_k x^-1 is a simple reflection from J}."""
+    """{k in K : x s_k x^-1 is a simple reflection from J}.  Since x has no
+    right descent in K, it sends each alpha_k (k in K) to a positive root, so
+    this is {k in K : x(alpha_k) = alpha_j for some j in J}."""
     J = group.check_subset(J)
     K = group.check_subset(K)
     _check_double_rep(group, x, J, K)
-    out = set()
-    for k in K:
-        xk = group.right_mul(x, k)
-        for j in J:
-            if group.left_mul(j, x) is xk:
-                out.add(k)
-                break
-    return frozenset(out)
+    return frozenset(k for k in K if x.key[k] in J)
 
 
 def x_lower(group: WeylGroup, x: WeylElement, J, K) -> WeylElement:

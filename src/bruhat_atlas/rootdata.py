@@ -90,16 +90,6 @@ class CartanMatrix:
 
 
 @dataclass(frozen=True)
-class PositiveRootTable:
-    """All positive roots in simple-root coordinates."""
-
-    roots: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-
-@dataclass(frozen=True)
 class DiagramAutomorphism:
     """A node permutation preserving the Cartan matrix, with its order."""
 
@@ -168,8 +158,9 @@ def reflect(cartan: CartanMatrix, i: int, vec: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
-def positive_roots(cartan: CartanMatrix) -> PositiveRootTable:
-    """Enumerate the positive roots by reflection closure from the simples."""
+def positive_roots(cartan: CartanMatrix) -> tuple[tuple[int, ...], ...]:
+    """The positive roots in simple-root coordinates, by reflection closure
+    from the simples, sorted by height and then coordinates."""
     n = cartan.n
     expected = cartan.spec.positive_root_count
     simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
@@ -193,8 +184,7 @@ def positive_roots(cartan: CartanMatrix) -> PositiveRootTable:
         raise BoundError(
             f"root closure produced {len(found)} roots, expected {expected}"
         )
-    roots = sorted(found, key=lambda r: (sum(r), r))
-    return PositiveRootTable(tuple(roots))
+    return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
 
 def _perm_order(perm: tuple[int, ...]) -> int:

@@ -132,9 +132,7 @@ def atlas_to_dict(atlas: Atlas) -> dict:
                 "orbit": [word(w) for w in s.orbit],
                 "dim": s.dim,
                 "codim": s.codim,
-                "eo_fiber": [
-                    {"word": word(w), "length": length} for w, length in s.eo_fiber
-                ],
+                "eo_fiber": [{"word": word(w), "length": w.length} for w in s.eo_fiber],
                 "single_eo": s.single_eo,
                 "closure": s.closure,
                 "is_maximal": s.is_maximal,

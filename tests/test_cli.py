@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -101,9 +103,9 @@ class TestSerialization:
         group = WeylGroup(cartan_from_spec(atlas.case.spec))
         for s_doc, s in zip(doc["strata"], atlas.strata):
             assert group.from_word(s_doc["rep"]) == s.rep
-            for f_doc, (w, length) in zip(s_doc["eo_fiber"], s.eo_fiber):
+            for f_doc, w in zip(s_doc["eo_fiber"], s.eo_fiber):
                 assert group.from_word(f_doc["word"]) == w
-                assert f_doc["length"] == length
+                assert f_doc["length"] == w.length
 
     def test_dot_is_transitive_reduction(self):
         atlas = build_atlas(siegel_case(3))
@@ -342,7 +344,21 @@ class TestMain:
 
     def test_siegel_bad_genus(self, capsys):
         assert main(["siegel", "0"]) == 2
+        assert capsys.readouterr().err == "error: genus must be >= 1, got 0\n"
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+# the recorded output digests of the benchmark; opened read-only
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("preset", sorted(p for p in DIGESTS if not p.startswith("doc:")))
+def test_ladder_outputs_match_recorded_digests(preset, tmp_path):
+    assert main(["--out", str(tmp_path), "corpus", preset]) == 0
+    for name, digest in DIGESTS[preset].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -82,23 +82,7 @@ class TestGroupLaw:
             lefts = {neg_simple[v] for v in negative if v in neg_simple}
             assert w.left_descents == lefts
             assert w.right_descents == {i for i in range(n) if min(images[i]) < 0}
-            assert g.multiply(w, g.inverse(w)) is g.identity
-
-    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4"])
-    def test_inverse_inverts_the_key(self, name):
-        g = group_of(name)
-        for w in g.elements():
-            word = g.reduced_word(w)
-            by_word = g.from_word(reversed(word))
-            assert g.inverse(w) is by_word
-            # on a group that has interned only w's prefixes, inverse(w)
-            # interns w^-1 and nothing on the way
-            fresh = WeylGroup(g.cartan)
-            v = fresh.from_word(word)
-            before = len(fresh._registry)
-            inv = fresh.inverse(v)
-            assert len(fresh._registry) <= before + 1
-            assert inv == by_word and inv.group is fresh
+            assert g.multiply(w, g.from_word(reversed(g.reduced_word(w)))) is g.identity
 
     def test_equality_needs_the_same_cartan_matrix(self):
         a2, a111 = group_of("A2"), group_of("A1xA1xA1")
@@ -174,12 +158,6 @@ class TestWords:
         w = g.from_word(word)
         assert w.length <= len(word)
         assert g.from_word(g.reduced_word(w)) == w
-
-    def test_inverse(self):
-        g = group_of("C3")
-        for w in g.elements():
-            assert g.multiply(w, g.inverse(w)) == g.identity
-            assert g.inverse(w).length == w.length
 
 
 class TestLongestAndOpposition:

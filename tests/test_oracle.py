@@ -112,7 +112,7 @@ class TestBruteCosets:
         J, K = frozenset({0, 1}), frozenset({0, 1})
         seen = 0
         for x in parabolic.min_double_reps(g, J, K):
-            for w, _ in eo_fiber(g, x, J, K):
+            for w in eo_fiber(g, x, J, K):
                 assert brute_project(g, w, K) == x
                 seen += 1
         assert seen == len(parabolic.min_left_reps(g, J))
@@ -151,17 +151,25 @@ class TestVerifyAtlas:
         assert any(c.name == "dimensions" for c in failed)
         assert any(c.counterexample for c in failed)
 
-    def test_corrupted_single_eo_is_caught(self):
+    @pytest.mark.parametrize("claimed", [True, False])
+    def test_corrupted_single_eo_is_caught(self, claimed):
+        # flip a stratum with several fibers to True, or the singleton top
+        # stratum to False
         atlas = build_atlas(siegel_case(2))
         broken = copy.copy(atlas)
         broken.strata = [copy.copy(s) for s in atlas.strata]
-        victim = next(s for s in broken.strata if not s.single_eo)
-        victim.single_eo = True
-        report = verify_atlas(broken)
-        assert not report.passed
-        assert any(
-            c.name == "single_fiber_criterion" and not c.passed for c in report.checks
+        victim = next(
+            s for s in broken.strata if s.single_eo is not claimed and s.is_maximal is not claimed
         )
+        victim.single_eo = claimed
+        failed = [
+            line for line in verify_atlas(broken).render().splitlines()
+            if line.startswith("[FAIL]")
+        ]
+        word = atlas.group.reduced_word(victim.rep)
+        assert len(failed) == 1
+        assert failed[0].startswith("[FAIL] single_fiber_criterion ")
+        assert failed[0].endswith(f"counterexample: x={word}")
 
     def test_corrupted_maximal_flag_is_caught(self):
         atlas = build_atlas(siegel_case(2))

@@ -3,8 +3,11 @@ from itertools import combinations
 import pytest
 
 from bruhat_atlas import parabolic
+from bruhat_atlas.atlas import conjugate_type
+from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import brute_double_cosets, brute_interval, brute_min_left_reps
+from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 from conftest import group_of
 
 
@@ -211,3 +214,59 @@ class TestAscentGrowth:
     def test_relative_rejects_outside_subset(self, a2):
         with pytest.raises(InputError):
             parabolic.relative_left_reps(a2, {0}, {1})
+
+
+class TestConjugationByKey:
+    """``induced_subset`` and ``conjugate_type`` read x s_k x^-1 = s_{x(alpha_k)}
+    off the key of x; the references here form the conjugates by products."""
+
+    def test_no_group_products(self, monkeypatch):
+        c4 = WeylGroup(cartan_from_spec(DynkinSpec((("C", 4),))))
+        a3 = WeylGroup(cartan_from_spec(DynkinSpec((("A", 3),))))
+        J = K = frozenset({0, 1, 2})
+        doubles = parabolic.min_double_reps(c4, J, K)
+        a3_elements = a3.elements()
+        before = (len(c4._registry), len(a3._registry))
+        calls = []
+        for name in ("multiply", "left_mul", "right_mul"):
+            law = getattr(WeylGroup, name)
+            monkeypatch.setattr(
+                WeylGroup,
+                name,
+                lambda self, *args, _name=name, _law=law: calls.append(_name)
+                or _law(self, *args),
+            )
+        for x in doubles:
+            parabolic.induced_subset(c4, x, J, K)
+        for x in a3_elements:
+            for Js in subsets(range(a3.n)):
+                conjugate_type(a3, x, Js)
+        assert calls == []
+        assert (len(c4._registry), len(a3._registry)) == before
+
+    @pytest.mark.parametrize("name", ASCENT_GROUPS)
+    def test_against_products(self, name):
+        g = group_of(name)
+
+        def conjugates(x, J):
+            # x^-1 s_j x for j in J, or None once one is not simple
+            x_inv = g.from_word(reversed(g.reduced_word(x)))
+            out = set()
+            for j in J:
+                conj = g.multiply(g.multiply(x_inv, g.simple[j]), x)
+                if conj not in g.simple:
+                    return None
+                out.add(g.simple.index(conj))
+            return frozenset(out)
+
+        everything = subsets(range(g.n))
+        for J in everything:
+            for x in g.elements():
+                assert conjugate_type(g, x, J) == conjugates(x, J), (g.reduced_word(x), J)
+            for K in everything:
+                for x in parabolic.min_double_reps(g, J, K):
+                    expected = {
+                        k for k in K
+                        if any(g.left_mul(j, x) is g.right_mul(x, k) for j in J)
+                    }
+                    assert parabolic.induced_subset(g, x, J, K) == expected

@@ -69,11 +69,11 @@ class TestCartanMatrix:
 
 class TestPositiveRoots:
     def test_a2(self):
-        roots = positive_roots(cartan_from_spec(spec(("A", 2)))).roots
+        roots = positive_roots(cartan_from_spec(spec(("A", 2))))
         assert set(roots) == {(1, 0), (0, 1), (1, 1)}
 
     def test_c2_highest_root(self):
-        roots = positive_roots(cartan_from_spec(spec(("C", 2)))).roots
+        roots = positive_roots(cartan_from_spec(spec(("C", 2))))
         assert len(roots) == 4
         assert (2, 1) in roots
 
@@ -92,7 +92,7 @@ class TestPositiveRoots:
 
     def test_simple_units_present_once(self):
         cartan = cartan_from_spec(spec(("C", 3)))
-        roots = positive_roots(cartan).roots
+        roots = positive_roots(cartan)
         units = [r for r in roots if sum(r) == 1]
         assert len(units) == 3
         assert all(all(c >= 0 for c in r) for r in roots)
@@ -101,7 +101,7 @@ class TestPositiveRoots:
         # s_i negates alpha_i and permutes the remaining positive roots
         for name in [("A", 3), ("C", 3), ("D", 4)]:
             cartan = cartan_from_spec(spec(name))
-            roots = set(positive_roots(cartan).roots)
+            roots = set(positive_roots(cartan))
             for i in range(cartan.n):
                 alpha_i = tuple(1 if k == i else 0 for k in range(cartan.n))
                 images = {reflect(cartan, i, r) for r in roots - {alpha_i}}
@@ -153,7 +153,7 @@ class TestPairing:
 
     def test_zero_cocharacter(self):
         mu = CocharSpec((0, 0))
-        for root in positive_roots(cartan_from_spec(spec(("A", 2)))).roots:
+        for root in positive_roots(cartan_from_spec(spec(("A", 2)))):
             assert pairing(mu, root) == 0
 
     def test_c2_siegel_highest_root(self):
