@@ -204,18 +204,20 @@ def build_atlas(case: PELCase) -> Atlas:
     genus = _siegel_genus(case, J, K)
 
     top_length = max(w.length for w in double_reps)
-    if sum(1 for w in double_reps if w.length == top_length) != 1:  # pragma: no cover
-        raise ConsistencyError("maximal double representative is not unique")
 
     strata: list[StratumRecord] = []
     for sid, (orbit, rep) in enumerate(zip(poset.orbits, poset.reps)):
-        _, dim = parabolic.x_upper(group, rep, J, K)
-        if dim != parabolic.ell_JK(group, rep, J, K):  # pragma: no cover
-            raise ConsistencyError("the two dimension formulas disagree")
+        top, dim = parabolic.x_upper(group, rep, J, K)
         fiber = eo_fiber(group, rep, J, K)
+        # the fiber is sorted by length and has one longest element
+        if top is not fiber[-1] or dim != parabolic.ell_JK(group, rep, J, K):
+            raise ConsistencyError(
+                "top element, fiber and dimension formulas disagree at "
+                f"{group.reduced_word(rep)}"
+            )
         single_by_size = len(fiber) == 1
         single_by_conj = conjugate_type(group, rep, J) == K
-        if single_by_size != single_by_conj:  # pragma: no cover
+        if single_by_size != single_by_conj:
             raise ConsistencyError(
                 "fiber size and conjugation criteria disagree at "
                 f"{group.reduced_word(rep)}"
@@ -242,7 +244,7 @@ def build_atlas(case: PELCase) -> Atlas:
             )
         )
 
-    _assert_atlas_invariants(group, strata, double_reps, left_reps, moduli_dim)
+    _assert_atlas_invariants(strata, double_reps, left_reps, moduli_dim)
 
     return Atlas(
         case=case,
@@ -258,11 +260,11 @@ def build_atlas(case: PELCase) -> Atlas:
     )
 
 
-def _assert_atlas_invariants(group, strata, double_reps, left_reps, moduli_dim):
+def _assert_atlas_invariants(strata, double_reps, left_reps, moduli_dim):
     if sum(len(s.orbit) for s in strata) != len(double_reps):  # pragma: no cover
         raise ConsistencyError("orbits do not partition the double representatives")
     weighted = sum(len(s.orbit) * len(s.eo_fiber) for s in strata)
-    if weighted != len(left_reps):  # pragma: no cover
+    if weighted != len(left_reps):
         raise ConsistencyError("fiber sizes do not add up to the finer index set")
     maximal = [s for s in strata if s.is_maximal]
     if len(maximal) != 1:  # pragma: no cover
@@ -277,8 +279,6 @@ def _assert_atlas_invariants(group, strata, double_reps, left_reps, moduli_dim):
     for s in strata:
         if not (0 <= s.dim <= moduli_dim):  # pragma: no cover
             raise ConsistencyError("stratum dimension out of range")
-        if max(w.length for w in s.eo_fiber) != s.dim:  # pragma: no cover
-            raise ConsistencyError("fiber maximum length differs from the dimension")
 
 
 @dataclass

@@ -176,8 +176,7 @@ def main(argv=None) -> int:
             print(f"genus {ident.g}: {len(ident.entries)} strata")
             print(f"{'a':>3}  {'dim':>4}  rep")
             for e in ident.entries:
-                rep = "".join(str(i) for i in e["rep"]) or "e"
-                print(f"{e['a']:>3}  {e['dim']:>4}  {rep}")
+                print(f"{e['a']:>3}  {e['dim']:>4}  {serialize.word_label(e['rep'])}")
             # siegel_identify raises unless the order is reversed
             print("total order reversed by a-number: True")
             return _verify(ident.atlas) if args.verify else 0

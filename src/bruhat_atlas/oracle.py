@@ -16,7 +16,7 @@ compared against them.  The single-fiber criterion x^-1 {s_j : j in J} x =
 {s_k : k in K} is checked as {s_j x : j in J} == {x s_k : k in K}, two sets of
 single-reflection steps, where the engine reads conjugation off the root
 permutation of x.  They are meant for tests and for the --verify flag, not for
-speed.
+speed.  Each check reports its first counterexample, or passes without one.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def add(self, name: str, scope: str, passed: bool, counterexample=None):
-        self.checks.append(CheckResult(name, scope, passed, counterexample))
 
     def render(self) -> str:
         lines = []
@@ -151,135 +148,123 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     """Re-derive the atlas content by brute force and diff every claim."""
     report = VerificationReport()
     group = atlas.group
+    word = group.reduced_word
     J, K = atlas.J, atlas.K
     scope = f"{atlas.case.spec.describe()} J={sorted(J)} K={sorted(K)}"
 
+    def check(name: str, counterexamples):
+        ce = next(iter(counterexamples), None)
+        report.checks.append(CheckResult(name, scope, ce is None, ce))
+
     # double-coset representatives from the closure partition
     classes = brute_double_cosets(group, J, K)
-    brute_reps = {cls[0] for cls in classes}
-    atlas_reps = {w for s in atlas.strata for w in s.orbit}
-    report.add(
+    differ = {cls[0] for cls in classes} ^ {w for s in atlas.strata for w in s.orbit}
+    check(
         "double_representatives",
-        scope,
-        brute_reps == atlas_reps,
-        None
-        if brute_reps == atlas_reps
-        else f"symmetric difference {len(brute_reps ^ atlas_reps)} elements",
+        [f"symmetric difference {len(differ)} elements"] if differ else [],
     )
 
     # the fiber of each class minimum is the class's J-minimal part, and its
     # top element is the longest member of that part
     left_reps = brute_min_left_reps(group, J)
     fibers = {cls[0]: [w for w in cls if w in left_reps] for cls in classes}
-    fiber_ok = True
-    fiber_ce = None
-    for s in atlas.strata:
-        for x in s.orbit:
-            expected = set(fibers.get(x, ()))
-            got = set(s.eo_fiber if x == s.rep else eo_fiber(group, x, J, K))
-            if got != expected:
-                fiber_ok = False
-                fiber_ce = f"x={group.reduced_word(x)}"
-                break
-        if not fiber_ok:
-            break
-    report.add("fiber_partition", scope, fiber_ok, fiber_ce)
+    check(
+        "fiber_partition",
+        (
+            f"x={word(x)}"
+            for s in atlas.strata
+            for x in s.orbit
+            if set(s.eo_fiber if x == s.rep else eo_fiber(group, x, J, K))
+            != set(fibers.get(x, ()))
+        ),
+    )
 
-    tops = {
-        x: _unique_by_length(fibers[x], max) if x in fibers else None
-        for s in atlas.strata
-        for x in s.orbit
-    }
+    tops = {x: _unique_by_length(fiber, max) for x, fiber in fibers.items()}
 
     # dimensions: the length of the brute top element
-    dim_ok, dim_ce = True, None
-    for s in atlas.strata:
-        for x in s.orbit:
-            top = tops[x]
-            if top is None:
-                dim_ok, dim_ce = False, f"missing class for {group.reduced_word(x)}"
-                break
-            if top.length != s.dim:
-                dim_ok = False
-                dim_ce = f"x={group.reduced_word(x)}: {top.length} != {s.dim}"
-                break
-        if not dim_ok:
-            break
-    report.add("dimensions", scope, dim_ok, dim_ce)
+    check(
+        "dimensions",
+        (
+            f"missing class for {word(x)}"
+            if x not in tops
+            else f"x={word(x)}: {tops[x].length} != {s.dim}"
+            for s in atlas.strata
+            for x in s.orbit
+            if x not in tops or tops[x].length != s.dim
+        ),
+    )
 
     # Howlett additivity: the engine's x_upper and ell_JK against the brute top
-    howlett_ok, howlett_ce = True, None
-    for s in atlas.strata:
-        top = tops[s.rep]
+    def howlett_holds(s) -> bool:
         xu, dim = parabolic.x_upper(group, s.rep, J, K)
-        if xu is not top or not (
-            dim == parabolic.ell_JK(group, s.rep, J, K) == s.dim == top.length
-        ):
-            howlett_ok = False
-            howlett_ce = f"x={group.reduced_word(s.rep)}"
-            break
-    report.add("howlett_lengths", scope, howlett_ok, howlett_ce)
+        ell = parabolic.ell_JK(group, s.rep, J, K)
+        return xu is tops.get(s.rep) and dim == ell == s.dim == xu.length
+
+    check(
+        "howlett_lengths",
+        (f"x={word(s.rep)}" for s in atlas.strata if not howlett_holds(s)),
+    )
 
     # closures from subword-oracle intervals on orbit members
     poset = atlas.orbit_poset
     n = len(poset)
     brute_leq = []  # brute_leq[b][a]: some member of orbit a is below rep b
     for rep in poset.reps:
-        interval = brute_interval(group, group.reduced_word(rep))
+        interval = brute_interval(group, word(rep))
         brute_leq.append([any(w in interval for w in orbit) for orbit in poset.orbits])
-    closure_ce = next(
+    check(
+        "closure_order",
         (
             f"orbits {a} <= {b}"
             for b in range(n)
             for a in range(n)
             if brute_leq[b][a] != poset.leq(a, b)
         ),
-        None,
     )
-    report.add("closure_order", scope, closure_ce is None, closure_ce)
 
     # maximal stratum: the one orbit whose subword interval meets every orbit
     brute_max = [b for b in range(n) if all(brute_leq[b])]
     flagged = [sid for sid, s in enumerate(atlas.strata) if s.is_maximal]
-    max_ce = None
-    if len(brute_max) != 1 or flagged != brute_max:
-        max_ce = f"brute maximum {brute_max}, flagged {flagged}"
-    else:
-        top_stratum = atlas.strata[brute_max[0]]
-        top = tops[top_stratum.rep]
+
+    def maximal_stratum():
+        if len(brute_max) != 1 or flagged != brute_max:
+            yield f"brute maximum {brute_max}, flagged {flagged}"
+            return
+        s = atlas.strata[brute_max[0]]
+        top = tops.get(s.rep)
         if not (
-            len(top_stratum.orbit) == 1
+            len(s.orbit) == 1
             and top is not None
             and top.length == atlas.moduli_dim
-            and sorted(top_stratum.closure) == list(range(len(atlas.strata)))
+            and sorted(s.closure) == list(range(len(atlas.strata)))
         ):
-            max_ce = f"x={group.reduced_word(top_stratum.rep)}"
-    report.add("maximal_stratum", scope, max_ce is None, max_ce)
+            yield f"x={word(s.rep)}"
+
+    check("maximal_stratum", maximal_stratum())
 
     # single-fiber criterion: x^-1 s_j x = s_k exactly when s_j x = x s_k, so
     # the conjugates of J are the reflections of K iff the two step sets agree
-    single_ok, single_ce = True, None
-    for s in atlas.strata:
-        x = s.rep
-        brute_single = {group.left_mul(j, x) for j in J} == {
-            group.right_mul(x, k) for k in K
-        }
-        if brute_single != s.single_eo:
-            single_ok = False
-            single_ce = f"x={group.reduced_word(x)}"
-            break
-    report.add("single_fiber_criterion", scope, single_ok, single_ce)
+    def single_by_steps(x) -> bool:
+        return {group.left_mul(j, x) for j in J} == {group.right_mul(x, k) for k in K}
+
+    check(
+        "single_fiber_criterion",
+        (
+            f"x={word(s.rep)}"
+            for s in atlas.strata
+            if single_by_steps(s.rep) != s.single_eo
+        ),
+    )
 
     # antisymmetry of the subword-interval relation between orbits
-    anti_ce = next(
+    check(
+        "orbit_order_antisymmetry",
         (
             f"orbits {a} and {b}"
             for b in range(n)
             for a in range(b)
             if brute_leq[b][a] and brute_leq[a][b]
         ),
-        None,
     )
-    report.add("orbit_order_antisymmetry", scope, anti_ce is None, anti_ce)
 
     return report

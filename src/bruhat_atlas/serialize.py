@@ -170,16 +170,18 @@ def hasse_edges(atlas: Atlas) -> list[list[int]]:
     return [list(edge) for edge in atlas.orbit_poset.covers]
 
 
+def word_label(word) -> str:
+    """A reduced word as its letters run together, "e" for the empty word."""
+    return "".join(str(i) for i in word) or "e"
+
+
 def emit_dot(atlas: Atlas) -> str:
     """Hasse diagram of the closure order, one node per stratum."""
     group = atlas.group
     lines = ["digraph closure {", "  rankdir=BT;"]
     for sid, s in enumerate(atlas.strata):
-        label = "{} / dim {} / #EO {}".format(
-            "".join(str(i) for i in group.reduced_word(s.rep)) or "e",
-            s.dim,
-            len(s.eo_fiber),
-        )
+        rep = word_label(group.reduced_word(s.rep))
+        label = f"{rep} / dim {s.dim} / #EO {len(s.eo_fiber)}"
         lines.append(f'  n{sid} [label="{label}"];')
     for a, b in hasse_edges(atlas):
         lines.append(f"  n{a} -> n{b};")
@@ -192,11 +194,10 @@ def emit_table(atlas: Atlas) -> str:
     group = atlas.group
     rows = []
     for sid, s in enumerate(atlas.strata):
-        rep = "".join(str(i) for i in group.reduced_word(s.rep)) or "e"
         rows.append(
             (
                 str(sid),
-                rep,
+                word_label(group.reduced_word(s.rep)),
                 str(s.dim),
                 str(s.codim),
                 str(len(s.eo_fiber)),

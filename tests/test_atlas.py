@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from bruhat_atlas import atlas as atlas_mod
+from bruhat_atlas import atlas as atlas_mod, parabolic
 from bruhat_atlas.atlas import (
     PELCase,
     build_atlas,
@@ -88,8 +90,6 @@ class TestFiberAndDimension:
         assert [w.length for w in fiber] == [0, 1]
 
     def test_fibers_partition_left_reps(self):
-        from bruhat_atlas import parabolic
-
         for name, J, K in [("C3", {0, 1}, {0, 1}), ("A3", {0}, {2}), ("D4", {1}, {1})]:
             g = group_of(name)
             left = set(parabolic.min_left_reps(g, J))
@@ -148,8 +148,6 @@ class TestBuildAtlas:
         assert [w.length for w in top.eo_fiber] == [1, 2]
 
     def test_atlas_counting_invariants(self):
-        from bruhat_atlas import parabolic
-
         for a in [build_atlas(siegel_case(3)), hilbert_atlas(), gu21_inert_atlas()]:
             doubles = parabolic.min_double_reps(a.group, a.J, a.K)
             left = parabolic.min_left_reps(a.group, a.J)
@@ -184,6 +182,47 @@ class TestBuildAtlas:
         assert a.mu_ordinary.verdict is False
         top = next(s for s in a.strata if s.is_maximal)
         assert len(top.orbit) == 1 and top.dim == a.moduli_dim
+
+
+class TestBuildGuards:
+    """Faults injected into the engine trip the build's invariant guards,
+    which name the representative as a reduced word."""
+
+    @pytest.mark.parametrize(
+        "fault, word",
+        [("ell_JK_off_by_one", "[]"), ("x_upper_claims_x", "[2]")],
+    )
+    def test_top_element_and_dimension_guard(self, monkeypatch, fault, word):
+        ell_JK, x_upper = parabolic.ell_JK, parabolic.x_upper
+        if fault == "ell_JK_off_by_one":
+            monkeypatch.setattr(
+                parabolic, "ell_JK", lambda group, x, J, K: ell_JK(group, x, J, K) + 1
+            )
+        else:  # x itself as the top element, with the true length
+            monkeypatch.setattr(
+                parabolic, "x_upper", lambda group, x, J, K: (x, x_upper(group, x, J, K)[1])
+            )
+        with pytest.raises(ConsistencyError, match=f"dimension formulas disagree at {re.escape(word)}$"):
+            build_atlas(siegel_case(3))
+
+    def test_fiber_sizes_guard(self, monkeypatch):
+        fiber_of = atlas_mod.eo_fiber
+
+        def drop_first(group, x, J, K):
+            fiber = fiber_of(group, x, J, K)
+            return fiber[1:] if len(fiber) > 1 else fiber
+
+        monkeypatch.setattr(atlas_mod, "eo_fiber", drop_first)
+        with pytest.raises(ConsistencyError, match="fiber sizes do not add up"):
+            build_atlas(siegel_case(3))
+
+    def test_single_fiber_guard(self, monkeypatch):
+        monkeypatch.setattr(atlas_mod, "conjugate_type", lambda group, x, J: frozenset())
+        with pytest.raises(
+            ConsistencyError,
+            match=r"fiber size and conjugation criteria disagree at \[\]$",
+        ):
+            build_atlas(siegel_case(3))
 
 
 class TestSiegel:

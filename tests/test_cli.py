@@ -362,3 +362,36 @@ def test_ladder_outputs_match_recorded_digests(preset, tmp_path):
     assert main(["--out", str(tmp_path), "corpus", preset]) == 0
     for name, digest in DIGESTS[preset].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# the whole stdout of --verify, summary line and every check line in order
+VERIFY_STDOUT = {
+    "gu:3,3:inert": """\
+A5: 4 strata, moduli dim 9, mu-ordinary True, degree 1
+[PASS] double_representatives (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] fiber_partition (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] dimensions (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] howlett_lengths (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] closure_order (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] maximal_stratum (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] single_fiber_criterion (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] orbit_order_antisymmetry (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+""",
+    "siegel:3": """\
+C3: 4 strata, moduli dim 6, mu-ordinary True, degree 1
+[PASS] double_representatives (C3 J=[0, 1] K=[0, 1])
+[PASS] fiber_partition (C3 J=[0, 1] K=[0, 1])
+[PASS] dimensions (C3 J=[0, 1] K=[0, 1])
+[PASS] howlett_lengths (C3 J=[0, 1] K=[0, 1])
+[PASS] closure_order (C3 J=[0, 1] K=[0, 1])
+[PASS] maximal_stratum (C3 J=[0, 1] K=[0, 1])
+[PASS] single_fiber_criterion (C3 J=[0, 1] K=[0, 1])
+[PASS] orbit_order_antisymmetry (C3 J=[0, 1] K=[0, 1])
+""",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(VERIFY_STDOUT))
+def test_verify_stdout_is_pinned(preset, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "--verify", "corpus", preset]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT[preset]
