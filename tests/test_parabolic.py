@@ -124,18 +124,30 @@ class TestInducedSubset:
 
 
 class TestHowlett:
-    def test_c2_siegel_x_upper(self, a2, c2):
+    # x_upper(x) = x * w0(J_x) * w0(K); these pin the W_K factor w0(J_x) * w0(K)
+    def test_x_lower_trivial_when_saturated(self, c2):
+        # J_e = K, so the fiber of e is e alone
+        xu, dim = parabolic.x_upper(c2, c2.identity, {0}, {0})
+        assert xu is c2.identity and dim == 0
+
+    def test_a2_x_lower(self, a2):
+        # J_e is empty inside K = {1}, so the fiber of e is W_K = {e, s1}
+        xu, dim = parabolic.x_upper(a2, a2.identity, {0}, {1})
+        assert xu is a2.simple[1] and dim == 1
+
+    def test_c2_siegel_x_lower(self, c2):
+        s0, s1 = c2.simple
+        xu, _ = parabolic.x_upper(c2, s1, {0}, {0})
+        assert xu is s1 * s0
+
+    def test_c2_siegel_x_upper(self, c2):
         s0, s1 = c2.simple
         xu, dim = parabolic.x_upper(c2, s1 * s0 * s1, {0}, {0})
         assert xu == s1 * s0 * s1 and dim == 3
         xu, dim = parabolic.x_upper(c2, s1, {0}, {0})
         assert xu == s1 * s0 and dim == 2
-        # J_e = K, so the fiber of e is e alone
-        xu, dim = parabolic.x_upper(c2, c2.identity, {0}, {0})
-        assert xu is c2.identity and dim == 0
-        # J_e is empty inside K = {1}, so the fiber of e is W_K = {e, s1}
-        xu, dim = parabolic.x_upper(a2, a2.identity, {0}, {1})
-        assert xu is a2.simple[1] and dim == 1
+        _, dim = parabolic.x_upper(c2, c2.identity, {0}, {0})
+        assert dim == 0
 
     def test_ell_jk_examples(self, a2, c2):
         assert parabolic.ell_JK(c2, c2.simple[1], {0}, {0}) == 2
