@@ -18,7 +18,8 @@ length order alike, so sorting by key gives the same order either way.
 All elements are interned per group and numbered by ``uid`` in order of
 creation, so length/descent data is computed once per distinct element.  The
 group law by a simple reflection is memoized in one list per generator and
-side, indexed by uid.  The element bound of a group limits how many elements
+side, indexed by uid, and the canonical reduced word of each element asked
+for is kept by uid.  The element bound of a group limits how many elements
 it materializes.
 
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
@@ -126,6 +127,7 @@ class WeylGroup:
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._root_perms: dict[tuple[int, ...], tuple] = {}
+        self._words: dict[int, tuple[int, ...]] = {}
         self.identity = self._intern(self._encode(range(width)))
         index = {root: r for r, root in enumerate(self.roots)}
         self.simple = tuple(
@@ -188,13 +190,23 @@ class WeylGroup:
     # -- words and descents --------------------------------------------------
 
     def reduced_word(self, w: WeylElement) -> list[int]:
-        """Deterministic reduced word: peel the smallest left descent."""
-        word = []
-        while w.left_descents:
-            i = min(w.left_descents)
-            word.append(i)
-            w = self.left_mul(i, w)
-        return word
+        """Deterministic reduced word: peel the smallest left descent.
+
+        The word of each element asked for is kept, as a tuple keyed by uid,
+        and a peel stops at the first element on its chain whose word is
+        kept; the elements passed on the way are not stored.  Every call
+        returns a new list."""
+        words = self._words
+        word = words.get(w.uid)
+        if word is None:
+            peeled = []
+            v = w
+            while v.left_descents and v.uid not in words:
+                i = min(v.left_descents)
+                peeled.append(i)
+                v = self.left_mul(i, v)
+            word = words[w.uid] = (*peeled, *words.get(v.uid, ()))
+        return list(word)
 
     def from_word(self, word) -> WeylElement:
         out = self.identity

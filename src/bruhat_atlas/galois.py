@@ -16,12 +16,14 @@ where ys stays in ^J W exactly when y(alpha_s) is not a simple root alpha_j
 with j in J, the test :meth:`WeylGroup.ascend` uses to grow ^J W.  Lower sets
 are bitmasks over element uids, memoized along each representative's chain of
 right-descent prefixes; orbit a is below orbit b when a member of a lies in
-down(rep of b).  The covering pairs are reduced once, on bitmasks.
+down(rep of b), read off the set bits of down(rep of b) through a table from
+member uid to orbit.  The covering pairs are reduced once, on bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .coxeter import WeylElement, WeylGroup
 from .errors import ConsistencyError, InputError
@@ -91,15 +93,18 @@ class OrbitPoset:
 
     def ids_below(self, b: int) -> list[int]:
         """The orbits a <= b, in increasing order."""
-        return list(_bits(self.below[b]))
+        return _bits(self.below[b])
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, increasing."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# binary digits "0"/"1" as bytes 0/1, so that compress can select by them
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, increasing: one C-level scan of
+    its binary digits, least significant first."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+    return list(compress(range(len(digits)), digits))
 
 
 def lower_sets(group: WeylGroup, tops: list[WeylElement], J) -> dict[int, int]:
@@ -166,17 +171,17 @@ def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPo
                     f"orbit member {group.reduced_word(w)} has a left descent "
                     f"in J={sorted(J)}"
                 )
-    ordered = []
-    for orbit in orbits:
-        members = sorted(orbit, key=lambda w: tuple(group.reduced_word(w)))
-        ordered.append(members)
-    ordered.sort(key=lambda o: (o[0].length, tuple(group.reduced_word(o[0]))))
+    ordered = [sorted(orbit, key=group.reduced_word) for orbit in orbits]
+    ordered.sort(key=lambda o: (o[0].length, group.reduced_word(o[0])))
     reps = [o[0] for o in ordered]
     down = lower_sets(group, reps, J)
-    masks = [sum(1 << w.uid for w in orbit) for orbit in ordered]
+    orbit_of = {w.uid: a for a, orbit in enumerate(ordered) for w in orbit}
+    members = sum(1 << uid for uid in orbit_of)
     # equivariance of the action lets one side be pinned to the rep
-    below = [
-        sum(1 << a for a, mask in enumerate(masks) if mask & down[rep.uid])
-        for rep in reps
-    ]
+    below = []
+    for rep in reps:
+        mask = 0
+        for uid in _bits(down[rep.uid] & members):
+            mask |= 1 << orbit_of[uid]
+        below.append(mask)
     return OrbitPoset(ordered, reps, tuple(below), tuple(_covers(below)))

@@ -11,12 +11,15 @@ Case files are JSON documents:
     }
 
 Elements are serialized as their deterministic reduced words, so every
-document re-parses to the same canonical elements.
+document re-parses to the same canonical elements.  ``atlas.json`` is exactly
+what ``json.dumps(atlas_to_dict(atlas), indent=2)`` returns, plus a final
+newline; :func:`atlas_json` writes it without the pure-Python encoder that
+``json.dumps`` runs when it indents.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .atlas import Atlas, PELCase
 from .errors import InputError
@@ -161,7 +164,56 @@ def atlas_to_dict(atlas: Atlas) -> dict:
 
 
 def atlas_json(atlas: Atlas) -> str:
-    return json.dumps(atlas_to_dict(atlas), indent=2) + "\n"
+    out: list[str] = []
+    _write_json(atlas_to_dict(atlas), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` writes
+    it, with ``newline`` (a line break and the current indentation) before
+    each line that it starts.  Takes dicts with str keys, lists, str, int,
+    bool and None; anything else raises TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in value):
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def hasse_edges(atlas: Atlas) -> list[list[int]]:
@@ -202,7 +254,7 @@ def emit_table(atlas: Atlas) -> str:
                 str(s.codim),
                 str(len(s.eo_fiber)),
                 "yes" if s.single_eo else "no",
-                ",".join(str(c) for c in s.closure),
+                ",".join(map(str, s.closure)),
             )
         )
     header = ("id", "rep", "dim", "codim", "#EO", "single-EO", "closure")

@@ -15,6 +15,7 @@ from bruhat_atlas.atlas import (
     siegel_dimension,
     siegel_identify,
 )
+from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.coxeter import DEFAULT_BOUND
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.rootdata import (
@@ -24,6 +25,7 @@ from bruhat_atlas.rootdata import (
     identity_automorphism,
     validate_automorphism,
 )
+from bruhat_atlas.serialize import atlas_json, emit_dot, emit_table, parse_case
 from conftest import group_of
 
 
@@ -279,3 +281,15 @@ class TestSiegel:
     def test_bad_genus(self):
         with pytest.raises(InputError):
             siegel_case(0)
+
+
+def test_build_and_outputs_intern_a_pinned_number_of_elements():
+    # |W| = 362,880 and |^J W| = 126 here; the count covers ^J W, the fibers
+    # and the words peeled for sorting and output, so a word routine that
+    # walks further outside ^J W changes it
+    atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
+    registry = atlas.group._registry
+    assert len(registry) == 942
+    for emit in (atlas_json, emit_dot, emit_table):
+        emit(atlas)
+    assert len(registry) == 942

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -362,6 +363,34 @@ def test_ladder_outputs_match_recorded_digests(preset, tmp_path):
     assert main(["--out", str(tmp_path), "corpus", preset]) == 0
     for name, digest in DIGESTS[preset].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _benchmark_workloads():
+    """The benchmark's case generator, imported read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_many_strata_outputs_match_recorded_digests(tmp_path):
+    # one seed's twelve documents, each recorded under the hash of its bytes
+    workloads = _benchmark_workloads()
+    docs = workloads.many_strata_docs(611)
+    assert len(docs) == 12
+    for name, doc in docs:
+        data = workloads.doc_bytes(doc)
+        expected = DIGESTS["doc:" + hashlib.sha256(data).hexdigest()]
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        out = tmp_path / name
+        assert main(["--out", str(out), "atlas", str(path)]) == 0, name
+        for file, digest in expected.items():
+            assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, (
+                name,
+                file,
+            )
 
 
 # the whole stdout of --verify, summary line and every check line in order

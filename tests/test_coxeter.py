@@ -128,6 +128,21 @@ class TestLengthAndDescents:
                     assert abs(g.left_mul(i, w).length - w.length) == 1
 
 
+def fresh_group(name: str) -> WeylGroup:
+    """A group with nothing memoized yet, unlike the shared ``group_of``."""
+    return WeylGroup(group_of(name).cartan)
+
+
+def plain_peel(g: WeylGroup, w) -> list[int]:
+    """The canonical word without the memo: peel the smallest left descent."""
+    word = []
+    while w.left_descents:
+        i = min(w.left_descents)
+        word.append(i)
+        w = g.left_mul(i, w)
+    return word
+
+
 class TestWords:
     def test_identity_word_empty(self, a2):
         assert a2.reduced_word(a2.identity) == []
@@ -150,6 +165,27 @@ class TestWords:
     def test_bad_letter(self, a2):
         with pytest.raises(InputError):
             a2.from_word([5])
+
+    def test_mutating_a_word_leaves_the_memo_alone(self):
+        g = fresh_group("B3")
+        w = g.longest_element(range(3))
+        word = g.reduced_word(w)
+        word.append(0)
+        word[0] = 2
+        assert g.reduced_word(w) == plain_peel(g, w)
+        assert g.reduced_word(w) is not g.reduced_word(w)
+
+    @pytest.mark.parametrize("name", ["B3", "A3xA1"])
+    @pytest.mark.parametrize("order", ["longest first", "shortest first"])
+    def test_memoized_words_are_the_peeled_words(self, name, order):
+        # each order meets the memo at a different point of the peel chain
+        g = fresh_group(name)
+        elements = g.elements()
+        for w in reversed(elements) if order == "longest first" else elements:
+            word = g.reduced_word(w)
+            assert word == plain_peel(g, w)
+            assert len(word) == w.length
+            assert g.from_word(word) is w
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 2), max_size=12))
