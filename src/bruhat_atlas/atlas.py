@@ -106,21 +106,11 @@ def derive_K(group: WeylGroup, J, phi: DiagramAutomorphism):
 
 
 def eo_fiber(group: WeylGroup, x: WeylElement, J, K) -> list[WeylElement]:
-    """The finer strata inside the stratum of x: products x*y over the
-    minimal representatives y of the induced subset inside W_K, sorted by
-    length and reduced word."""
-    J = group.check_subset(J)
-    Jx = parabolic.induced_subset(group, x, J, K)
-    out = []
-    for y in parabolic.relative_left_reps(group, Jx, K):
-        xy = group.multiply(x, y)
-        if xy.length != x.length + y.length:  # pragma: no cover
-            raise ConsistencyError("fiber product length is not additive")
-        if xy.left_descents & J:  # pragma: no cover
-            raise ConsistencyError("fiber product left the J-minimal set")
-        out.append(xy)
-    out.sort(key=lambda w: (w.length, group.reduced_word(w)))
-    return out
+    """The finer strata inside the stratum of x: the J-minimal elements of
+    x W_K, i.e. x*y over the minimal representatives y of the induced subset
+    inside W_K, grown from x by ascents and sorted by length and reduced word."""
+    fiber = group.ascend(K, J, x)
+    return sorted(fiber, key=lambda w: (w.length, group.reduced_word(w)))
 
 
 def moduli_dimension(group: WeylGroup, J) -> int:

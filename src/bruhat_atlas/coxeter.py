@@ -23,11 +23,10 @@ for is kept by uid.  The element bound of a group limits how many elements
 it materializes.
 
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
-grows the minimal representatives ^J(W_S) of a parabolic subgroup W_S from the
-identity by ascents.  It yields ^J W for the atlas, ^{J_x}W_K for its fibers,
-and all of W (``J`` empty) for the brute-force oracle, which alone enumerates
-the whole group.  The atlas's Bruhat order is not computed here: it comes
-from the lower sets of :func:`galois.lower_sets`.
+grows the J-minimal elements of a coset x W_S by ascents from x: ^J W and, for
+the brute-force oracle alone, all of W (``J`` empty) from the identity, and
+each fiber x W_K meet ^J W from its representative x.  The atlas's Bruhat
+order is not computed here: it comes from :func:`galois.lower_sets`.
 """
 
 from __future__ import annotations
@@ -102,6 +101,8 @@ class WeylGroup:
         self.n = n = cartan.n
         self.element_bound = element_bound
         self.pos_roots = positive_roots(cartan)
+        supports = (frozenset(k for k, c in enumerate(r) if c) for r in self.pos_roots)
+        self._supports = sorted(supports, key=len, reverse=True)
         self.order = cartan.spec.weyl_order
         simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
         positive = simples + [r for r in self.pos_roots if sum(r) > 1]
@@ -124,7 +125,7 @@ class WeylGroup:
         self._left_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
         self._right_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
         self._capacity = 0
-        self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
+        self._ascend_cache: dict[tuple[frozenset[int], frozenset[int], int], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._root_perms: dict[tuple[int, ...], tuple] = {}
         self._words: dict[int, tuple[int, ...]] = {}
@@ -308,11 +309,10 @@ class WeylGroup:
         and D_3 = A_3 has the same order either way.
         """
         S = self.check_subset(S)
-        supports = [frozenset(k for k, c in enumerate(r) if c) for r in self.pos_roots]
         # a component's first root by decreasing support is its highest root,
         # whose support is the whole component
         counts: dict[frozenset[int], int] = {}
-        for supp in sorted(supports, key=len, reverse=True):
+        for supp in self._supports:
             if supp <= S:
                 comp = next((c for c in counts if supp <= c), supp)
                 counts[comp] = counts.get(comp, 0) + 1
@@ -325,24 +325,32 @@ class WeylGroup:
             order *= _weyl_order(types[0], rank)
         return order
 
-    def ascend(self, gens, J) -> list[WeylElement]:
-        """The elements of W_gens with no left descent in J (J inside gens),
-        breadth-first by length and sorted by key within a length.
+    def ascend(self, gens, J, start: WeylElement | None = None) -> list[WeylElement]:
+        """The elements of start * W_gens with no left descent in J, grown from
+        ``start`` (the identity by default), breadth-first by length and
+        sorted by key within a length.
 
         ^J W is closed under prefixes, and for w in ^J W and an ascent s_i of
         w the product w s_i leaves ^J W exactly when w(alpha_i) = alpha_j for
         some j in J (Deodhar's lemma).  So each level is grown from the one
         before, and a rejected candidate is never multiplied or interned.
-        The count is checked against |W_gens| / |W_J|.
+        ``start`` must lie in ^J W^gens; the result is start * ^{J_s}(W_gens),
+        J_s = {k in gens : start(alpha_k) = alpha_j, j in J} (Bjorner-Brenti,
+        section 2.4), so the count is checked against |W_gens| / |W_{J_s}|.
         """
         gens = self.check_subset(gens)
         J = self.check_subset(J)
-        if not J <= gens:
-            raise InputError(f"subset {sorted(J)} is not contained in {sorted(gens)}")
-        cached = self._ascend_cache.get((gens, J))
+        start = self.identity if start is None else start
+        self.check_ambient(start)
+        if (start.left_descents & J) or (start.right_descents & gens):
+            raise InputError(
+                f"element {self.reduced_word(start)} has a left descent in "
+                f"{sorted(J)} or a right descent in {sorted(gens)}"
+            )
+        cached = self._ascend_cache.get((gens, J, start.uid))
         if cached is None:
-            level = [self.identity]
-            cached = [self.identity]
+            level = [start]
+            cached = [start]
             while level:
                 nxt = set()
                 for w in level:
@@ -352,12 +360,14 @@ class WeylGroup:
                             nxt.add(self.right_mul(w, i))
                 level = sorted(nxt, key=lambda u: u.key)
                 cached.extend(level)
-            if len(cached) * self.parabolic_order(J) != self.parabolic_order(gens):
+            J_s = frozenset(k for k in gens if start.key[k] in J)
+            if len(cached) * self.parabolic_order(J_s) != self.parabolic_order(gens):
                 raise ConsistencyError(
-                    f"ascent over {sorted(gens)} found {len(cached)} elements with "
-                    f"no left descent in {sorted(J)}; the closed form disagrees"
+                    f"ascent over {sorted(gens)} from {self.reduced_word(start)} found "
+                    f"{len(cached)} elements with no left descent in {sorted(J)}; "
+                    "the closed form disagrees"
                 )
-            self._ascend_cache[(gens, J)] = cached
+            self._ascend_cache[(gens, J, start.uid)] = cached
         return cached
 
     def elements(self) -> list[WeylElement]:

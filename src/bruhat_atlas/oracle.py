@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from . import parabolic
 from .atlas import Atlas, eo_fiber
 from .coxeter import WeylElement, WeylGroup
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError
 
 
 @dataclass
@@ -56,14 +56,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def brute_bruhat(group: WeylGroup, x: WeylElement, w: WeylElement, word) -> bool:
-    """Subword test: x is below w iff some subword of a reduced word of w
-    multiplies to x."""
-    if len(word) != w.length or group.from_word(word) != w:
-        raise InputError("word is not a reduced word of w")
-    return x in brute_interval(group, word)
-
-
 def brute_interval(group: WeylGroup, word) -> set[WeylElement]:
     """All subword products of ``word`` (the lower Bruhat interval)."""
     reachable = {group.identity}
@@ -73,35 +65,37 @@ def brute_interval(group: WeylGroup, word) -> set[WeylElement]:
 
 
 def _closure_classes(group: WeylGroup, J, K, keep) -> list:
-    """``keep(block)`` for each class ``block`` of W under closure by left-J
-    and right-K moves by simple reflections.  Only what ``keep`` returns
+    """``keep(members)`` for the members of each class of W under closure by
+    left-J and right-K moves by simple reflections.  Only what ``keep`` returns
     outlives the pass.  Costs |W|·(|J| + |K|) memoized ``left_mul`` and
     ``right_mul`` steps and no general product."""
     J = group.check_subset(J)
     K = group.check_subset(K)
-    assigned: set[WeylElement] = set()
+    # uids run below |W|; keying by uid keeps membership tests in C
+    assigned = bytearray(group.order)
     kept = []
     for w in group.elements():
-        if w in assigned:
+        if assigned[w.uid]:
             continue
-        block = {w}
+        block = {w.uid: w}
         frontier = [w]
         while frontier:
             nxt = []
             for u in frontier:
                 for j in J:
                     v = group.left_mul(j, u)
-                    if v not in block:
-                        block.add(v)
+                    if v.uid not in block:
+                        block[v.uid] = v
                         nxt.append(v)
                 for k in K:
                     v = group.right_mul(u, k)
-                    if v not in block:
-                        block.add(v)
+                    if v.uid not in block:
+                        block[v.uid] = v
                         nxt.append(v)
             frontier = nxt
-        assigned |= block
-        kept.append(keep(block))
+        for uid in block:
+            assigned[uid] = 1
+        kept.append(keep(block.values()))
     return kept
 
 

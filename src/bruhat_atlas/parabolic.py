@@ -13,8 +13,8 @@ x s_k x^-1 is the simple reflection s_j exactly when x(alpha_k) = +-alpha_j,
 and no group product is formed.
 
 The representative sets are grown by ascents (:meth:`WeylGroup.ascend`):
-``left_reps`` is ^J W, ``double_reps`` filters it by right descents, and the
-fibers' ^{J_x}W_K is grown inside W_K.  None of them enumerates W.
+``left_reps`` is ^J W, ``double_reps`` filters it by right descents, and a
+fiber x * ^{J_x}W_K is grown from x inside ^J W.  None of them enumerates W.
 """
 
 from __future__ import annotations
@@ -62,5 +62,8 @@ def ell_JK(group: WeylGroup, x: WeylElement, J, K) -> int:
 
 
 def relative_left_reps(group: WeylGroup, Jx, K) -> list[WeylElement]:
-    """Elements of W_K with no left descent in Jx (Jx must sit inside K)."""
+    """Elements of W_K with no left descent in Jx (Jx must sit inside K).  No
+    build calls this; it goes when ``perfbench/tracer.py`` stops tracing it."""
+    if not group.check_subset(Jx) <= group.check_subset(K):
+        raise InputError(f"subset {sorted(Jx)} is not contained in {sorted(K)}")
     return group.ascend(K, Jx)

@@ -16,7 +16,7 @@ from bruhat_atlas.atlas import (
     siegel_identify,
 )
 from bruhat_atlas.cli import corpus_preset
-from bruhat_atlas.coxeter import DEFAULT_BOUND
+from bruhat_atlas.coxeter import DEFAULT_BOUND, WeylGroup
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.rootdata import (
     CocharSpec,
@@ -102,6 +102,30 @@ class TestFiberAndDimension:
                 assert not (fiber & seen)
                 seen |= fiber
             assert seen == left
+
+    @pytest.mark.parametrize(
+        "factors,J,K",
+        [((("C", 4),), {0, 1, 2}, {0, 1, 2}), ((("A", 4),), {0, 2}, {1, 3}),
+         ((("D", 4),), {1}, {0, 3}), ((("A", 1), ("A", 2)), {1}, {0, 2})],
+    )
+    def test_fiber_growth_stays_inside_left_reps(self, monkeypatch, factors, J, K):
+        g = WeylGroup(cartan_from_spec(DynkinSpec(factors)))
+        left = parabolic.min_left_reps(g, J)
+        doubles = parabolic.min_double_reps(g, J, K)
+        interned = len(g._registry)
+        multiply, products = g.multiply, []
+        monkeypatch.setattr(
+            g, "multiply", lambda w, v: products.append(1) or multiply(w, v)
+        )
+        fibers = [g.ascend(K, J, x) for x in doubles]
+        assert len(g._registry) == interned and products == []
+        assert sum(map(len, fibers)) == len(left)
+
+    def test_fiber_of_a_non_representative_is_refused(self, a2, c2):
+        with pytest.raises(InputError, match="left descent"):
+            eo_fiber(c2, c2.simple[0], {0}, {0})  # s_0 has left descent 0 in J
+        with pytest.raises(InputError, match="right descent"):
+            eo_fiber(a2, a2.simple[1], {0}, {1})  # s_1 has right descent 1 in K
 
     def test_moduli_dimension(self, c2, a2):
         assert moduli_dimension(c2, {0, 1}) == 0
@@ -284,12 +308,12 @@ class TestSiegel:
 
 
 def test_build_and_outputs_intern_a_pinned_number_of_elements():
-    # |W| = 362,880 and |^J W| = 126 here; the count covers ^J W, the fibers
-    # and the words peeled for sorting and output, so a word routine that
-    # walks further outside ^J W changes it
+    # |W| = 362,880 and |^J W| = 126 here; the fibers are grown inside ^J W,
+    # so the count covers ^J W and the words peeled for sorting and output,
+    # and a routine that walks further outside ^J W changes it
     atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
     registry = atlas.group._registry
-    assert len(registry) == 942
+    assert len(registry) == 853
     for emit in (atlas_json, emit_dot, emit_table):
         emit(atlas)
-    assert len(registry) == 942
+    assert len(registry) == 853

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
-from bruhat_atlas.oracle import brute_bruhat
+from bruhat_atlas.oracle import brute_interval
 from conftest import engine_leq, group_of
 
 
@@ -245,9 +245,9 @@ class TestBruhat:
     def test_full_a2_table_against_subword_oracle(self, a2):
         leq = engine_leq(a2)
         for w in a2.elements():
-            word = a2.reduced_word(w)
+            interval = brute_interval(a2, a2.reduced_word(w))
             for x in a2.elements():
-                assert leq(x, w) == brute_bruhat(a2, x, w, word)
+                assert leq(x, w) == (x in interval)
 
     def test_partial_order_axioms(self):
         for name in ["A3", "C2", "A1xA1"]:
@@ -376,6 +376,9 @@ class TestEnumeration:
         )
         with pytest.raises(ConsistencyError, match="closed form"):
             g.ascend(range(3), {0, 1})
+        # a fiber start: s_2 is a double representative for J = K = {0, 1}
+        with pytest.raises(ConsistencyError, match=r"from \[2\] .* closed form"):
+            g.ascend({0, 1}, {0, 1}, g.simple[2])
 
     @pytest.mark.parametrize(
         "name,S,order",

@@ -6,9 +6,7 @@ import pytest
 from bruhat_atlas import parabolic
 from bruhat_atlas.atlas import build_atlas, eo_fiber, siegel_case
 from bruhat_atlas.coxeter import WeylGroup
-from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import (
-    brute_bruhat,
     brute_double_cosets,
     brute_interval,
     brute_min_left_reps,
@@ -21,14 +19,6 @@ from conftest import engine_leq, group_of
 
 
 class TestBruteBruhat:
-    def test_rejects_non_reduced_word(self, a2):
-        with pytest.raises(InputError):
-            brute_bruhat(a2, a2.identity, a2.simple[0], [0, 0])
-
-    def test_rejects_wrong_word(self, a2):
-        with pytest.raises(InputError):
-            brute_bruhat(a2, a2.identity, a2.simple[0], [1])
-
     def test_interval_of_identity(self, a2):
         assert brute_interval(a2, []) == {a2.identity}
 

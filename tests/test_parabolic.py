@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from bruhat_atlas import parabolic
-from bruhat_atlas.atlas import conjugate_type
+from bruhat_atlas.atlas import conjugate_type, eo_fiber
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import brute_double_cosets, brute_interval, brute_min_left_reps
@@ -216,6 +216,22 @@ class TestAscentGrowth:
             for Jx in subsets(K):
                 expected = [y for y in sub if not (y.left_descents & Jx)]
                 assert parabolic.relative_left_reps(g, Jx, K) == expected
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A1xA2"])
+    def test_fibers_are_the_papers_products(self, name):
+        # the paper's fiber: x*y over the minimal representatives y of the
+        # induced subset inside W_K, formed with general products
+        g = group_of(name)
+        for J in subsets(range(g.n)):
+            for K in subsets(range(g.n)):
+                for x in parabolic.min_double_reps(g, J, K):
+                    Jx = parabolic.induced_subset(g, x, J, K)
+                    reps = parabolic.relative_left_reps(g, Jx, K)
+                    products = sorted(
+                        (g.multiply(x, y) for y in reps),
+                        key=lambda w: (w.length, g.reduced_word(w)),
+                    )
+                    assert eo_fiber(g, x, J, K) == products
 
     def test_relative_rejects_outside_subset(self, a2):
         with pytest.raises(InputError):
