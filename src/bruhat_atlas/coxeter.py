@@ -325,6 +325,21 @@ class WeylGroup:
             order *= _weyl_order(types[0], rank)
         return order
 
+    def induced_subset(self, x: WeylElement, J, K) -> frozenset[int]:
+        """{k in K : x s_k x^-1 is a simple reflection from J}, for x in ^J W^K
+        (refused otherwise).  Such an x sends each alpha_k (k in K) to a
+        positive root, so this is {k in K : x(alpha_k) = alpha_j, j in J}."""
+        J = self.check_subset(J)
+        K = self.check_subset(K)
+        left, right = x.left_descents & J, x.right_descents & K
+        if left or right:
+            raise InputError(
+                f"element {self.reduced_word(x)} is not a minimal double "
+                f"representative for J={sorted(J)}, K={sorted(K)}: left descents "
+                f"{sorted(left)} in J, right descents {sorted(right)} in K"
+            )
+        return frozenset(k for k in K if x.key[k] in J)
+
     def ascend(self, gens, J, start: WeylElement | None = None) -> list[WeylElement]:
         """The elements of start * W_gens with no left descent in J, grown from
         ``start`` (the identity by default), breadth-first by length and
@@ -335,18 +350,14 @@ class WeylGroup:
         some j in J (Deodhar's lemma).  So each level is grown from the one
         before, and a rejected candidate is never multiplied or interned.
         ``start`` must lie in ^J W^gens; the result is start * ^{J_s}(W_gens),
-        J_s = {k in gens : start(alpha_k) = alpha_j, j in J} (Bjorner-Brenti,
-        section 2.4), so the count is checked against |W_gens| / |W_{J_s}|.
+        J_s = ``induced_subset(start, J, gens)`` (Bjorner-Brenti, section
+        2.4), so the count is checked against |W_gens| / |W_{J_s}|.
         """
         gens = self.check_subset(gens)
         J = self.check_subset(J)
         start = self.identity if start is None else start
         self.check_ambient(start)
-        if (start.left_descents & J) or (start.right_descents & gens):
-            raise InputError(
-                f"element {self.reduced_word(start)} has a left descent in "
-                f"{sorted(J)} or a right descent in {sorted(gens)}"
-            )
+        J_s = self.induced_subset(start, J, gens)
         cached = self._ascend_cache.get((gens, J, start.uid))
         if cached is None:
             level = [start]
@@ -360,7 +371,6 @@ class WeylGroup:
                             nxt.add(self.right_mul(w, i))
                 level = sorted(nxt, key=lambda u: u.key)
                 cached.extend(level)
-            J_s = frozenset(k for k in gens if start.key[k] in J)
             if len(cached) * self.parabolic_order(J_s) != self.parabolic_order(gens):
                 raise ConsistencyError(
                     f"ascent over {sorted(gens)} from {self.reduced_word(start)} found "

@@ -71,10 +71,12 @@ def _closure_classes(group: WeylGroup, J, K, keep) -> list:
     ``right_mul`` steps and no general product."""
     J = group.check_subset(J)
     K = group.check_subset(K)
-    # uids run below |W|; keying by uid keeps membership tests in C
-    assigned = bytearray(group.order)
+    # enumerate first: elements() refuses a group past the bound before
+    # |W| bytes are allocated; uids run below |W|, so membership stays in C
+    elements = group.elements()
+    assigned = bytearray(len(elements))
     kept = []
-    for w in group.elements():
+    for w in elements:
         if assigned[w.uid]:
             continue
         block = {w.uid: w}

@@ -3,8 +3,8 @@
 Notation: for subsets J, K of the node set, ``left_reps`` is the set of
 elements with no left descent in J (shortest in their coset W_J w),
 ``double_reps`` the set shortest in W_J w W_K.  For a double representative x,
-``induced_subset`` is K intersected with the x-conjugates of J, and
-``x_upper = x * w0(J_x) * w0(K)`` is the longest element of the fiber
+:meth:`WeylGroup.induced_subset` is K intersected with the x-conjugates of J,
+and ``x_upper = x * w0(J_x) * w0(K)`` is the longest element of the fiber
 x * ^{J_x}W_K, which :func:`atlas.build_atlas` checks against ``fiber[-1]``.
 
 Conjugation by x is read off its root permutation: x s_k x^-1 = s_{x(alpha_k)}
@@ -34,30 +34,16 @@ def min_double_reps(group: WeylGroup, J, K) -> list[WeylElement]:
     return [w for w in min_left_reps(group, J) if not (w.right_descents & K)]
 
 
-def induced_subset(group: WeylGroup, x: WeylElement, J, K) -> frozenset[int]:
-    """{k in K : x s_k x^-1 is a simple reflection from J}.  Since x has no
-    right descent in K, it sends each alpha_k (k in K) to a positive root, so
-    this is {k in K : x(alpha_k) = alpha_j for some j in J}."""
-    J = group.check_subset(J)
-    K = group.check_subset(K)
-    if (x.left_descents & J) or (x.right_descents & K):
-        raise InputError(
-            f"element {group.reduced_word(x)} is not a minimal double "
-            f"representative for J={sorted(J)}, K={sorted(K)}"
-        )
-    return frozenset(k for k in K if x.key[k] in J)
-
-
 def x_upper(group: WeylGroup, x: WeylElement, J, K) -> tuple[WeylElement, int]:
     """x * w0(J_x) * w0(K), the longest element of x's fiber, with its length."""
     w0 = group.longest_element
-    xu = group.multiply(x, group.multiply(w0(induced_subset(group, x, J, K)), w0(K)))
+    xu = group.multiply(x, group.multiply(w0(group.induced_subset(x, J, K)), w0(K)))
     return xu, xu.length
 
 
 def ell_JK(group: WeylGroup, x: WeylElement, J, K) -> int:
     """length(x) + length(w0 of K) - length(w0 of the induced subset)."""
-    Jx = induced_subset(group, x, J, K)
+    Jx = group.induced_subset(x, J, K)
     return x.length + group.longest_element(K).length - group.longest_element(Jx).length
 
 

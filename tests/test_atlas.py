@@ -122,10 +122,11 @@ class TestFiberAndDimension:
         assert sum(map(len, fibers)) == len(left)
 
     def test_fiber_of_a_non_representative_is_refused(self, a2, c2):
-        with pytest.raises(InputError, match="left descent"):
-            eo_fiber(c2, c2.simple[0], {0}, {0})  # s_0 has left descent 0 in J
-        with pytest.raises(InputError, match="right descent"):
-            eo_fiber(a2, a2.simple[1], {0}, {1})  # s_1 has right descent 1 in K
+        # each start trips one half of the guard only
+        with pytest.raises(InputError, match=r"left descents \[0\] in J"):
+            eo_fiber(c2, c2.simple[0], {0}, {1})  # left descent 0 in J, none in K
+        with pytest.raises(InputError, match=r"right descents \[1\] in K"):
+            eo_fiber(a2, a2.simple[1], {0}, {1})  # right descent 1 in K, none in J
 
     def test_moduli_dimension(self, c2, a2):
         assert moduli_dimension(c2, {0, 1}) == 0

@@ -189,6 +189,12 @@ class TestMain:
         assert main([*args, "corpus", "siegel:7"]) == 0
         assert main([*args, "--verify", "corpus", "siegel:7"]) == 3
 
+    def test_verify_refuses_a_group_past_the_bound_before_sizing_it(self, tmp_path):
+        # |W(A20)| = 21! > sys.maxsize, while the atlas interns 21 elements:
+        # the oracle must refuse it by its order, not try to index all of it
+        args = ["--out", str(tmp_path), "--verify", "corpus", "gu:20,1:inert"]
+        assert main(args) == 3
+
     @pytest.mark.parametrize("bound", ["abc", True, 0])
     def test_bad_element_bound_exits_2(self, tmp_path, bound):
         doc = {**corpus_preset("siegel:2"), "options": {"element_bound": bound}}
