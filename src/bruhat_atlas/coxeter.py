@@ -11,16 +11,18 @@ A key is a ``bytes`` string whenever 2N <= 256 (every group the oracle can
 enumerate, C_g up to g = 11, A_n up to n = 15).  A product is then one
 ``bytes.translate`` of the inner key through the outer key padded to 256
 bytes, and bytes cache their hash.  Wider groups keep a tuple key composed
-entry by entry; the choice is made once per group, in ``_encode``,
-``_table`` and ``_compose``, and nothing else depends on it.  Bytes and tuples of the same
-length order alike, so sorting by key gives the same order either way.
+by one ``itemgetter`` gather; the choice is made once per group, in
+``_encode``, ``_table`` and ``_compose``, and nothing else depends on it.
+Bytes and tuples of the same length order alike, so sorting by key gives
+the same order either way.
 
-All elements are interned per group and numbered by ``uid`` in order of
-creation, so length/descent data is computed once per distinct element.  The
-group law by a simple reflection is memoized in one list per generator and
-side, indexed by uid, and the canonical reduced word of each element asked
-for is kept by uid.  The element bound of a group limits how many elements
-it materializes.
+An element is its interned key: elements are interned per group, so equal
+means identical, and numbered by ``uid`` in order of creation, so
+length/descent data is computed once per distinct element.  The group law by
+a simple reflection is memoized in one list per generator and side, indexed
+by uid; canonical reduced words are peeled on keys, interning nothing, and
+kept by uid.  The element bound of a group limits how many elements it
+materializes.
 
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
 grows the J-minimal elements of a coset x W_S by ascents from x: ^J W and, for
@@ -30,6 +32,8 @@ order is not computed here: it comes from :func:`galois.lower_sets`.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import BoundError, ConsistencyError, InputError
 from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots, reflect
@@ -54,8 +58,8 @@ class WeylElement:
     ``length``, ``left_descents`` ({i : length(s_i w) < length(w)}, the simple
     roots in w(negative roots)) and ``right_descents`` ({i : w sends alpha_i
     negative}) are read off the key when the element is interned; equal
-    descent sets are shared across the group's elements.  Elements of two
-    groups are equal when their keys and Cartan matrices are.
+    descent sets are shared across the group's elements.  Equality is
+    identity: a group interns one element per key.
     """
 
     __slots__ = ("group", "key", "uid", "length", "left_descents", "right_descents")
@@ -71,16 +75,6 @@ class WeylElement:
         right = frozenset(i for i in range(n) if key[i] >= N)
         self.left_descents = shared.setdefault(left, left)
         self.right_descents = shared.setdefault(right, right)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.key == other.key
-            and (self.group is other.group or self.group.cartan == other.group.cartan)
-        )
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.group.multiply(self, other)
@@ -117,15 +111,15 @@ class WeylGroup:
             self._compose = bytes.translate
         else:
             self._encode = tuple
-            self._table = lambda key: key.__getitem__
-            self._compose = lambda key, table: tuple(map(table, key))
+            self._table = lambda key: key
+            self._compose = lambda key, table: itemgetter(*key)(table)
         self._registry: dict[Key, WeylElement] = {}
         self._descent_sets: dict[frozenset[int], frozenset[int]] = {}
         # _left_mul[i][uid] is s_i w and _right_mul[i][uid] is w s_i, or None
         self._left_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
         self._right_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
         self._capacity = 0
-        self._ascend_cache: dict[tuple[frozenset[int], frozenset[int], int], list] = {}
+        self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._root_perms: dict[tuple[int, ...], tuple] = {}
         self._words: dict[int, tuple[int, ...]] = {}
@@ -191,22 +185,23 @@ class WeylGroup:
     # -- words and descents --------------------------------------------------
 
     def reduced_word(self, w: WeylElement) -> list[int]:
-        """Deterministic reduced word: peel the smallest left descent.
+        """Deterministic reduced word: peel the smallest left descent, on keys
+        (the left descents are the simple-root indices in ``key[N:]``).
 
-        The word of each element asked for is kept, as a tuple keyed by uid,
-        and a peel stops at the first element on its chain whose word is
-        kept; the elements passed on the way are not stored.  Every call
-        returns a new list."""
+        No element is interned.  The word of each element asked for is kept
+        by uid, and a peel stops at the first interned key on its chain with
+        a kept word.  Every call returns a new list."""
         words = self._words
         word = words.get(w.uid)
         if word is None:
-            peeled = []
-            v = w
-            while v.left_descents and v.uid not in words:
-                i = min(v.left_descents)
+            peeled, key, rest = [], w.key, ()
+            while (i := min(key[self.N:])) < self.n:
                 peeled.append(i)
-                v = self.left_mul(i, v)
-            word = words[w.uid] = (*peeled, *words.get(v.uid, ()))
+                key = self._compose(key, self._simple_tables[i])
+                if (v := self._registry.get(key)) is not None and v.uid in words:
+                    rest = words[v.uid]
+                    break
+            word = words[w.uid] = (*peeled, *rest)
         return list(word)
 
     def from_word(self, word) -> WeylElement:
@@ -355,10 +350,12 @@ class WeylGroup:
         """
         gens = self.check_subset(gens)
         J = self.check_subset(J)
+        # only start-less calls are kept: a fiber is asked for once, by its caller
+        cache = self._ascend_cache if start is None else {}
         start = self.identity if start is None else start
         self.check_ambient(start)
         J_s = self.induced_subset(start, J, gens)
-        cached = self._ascend_cache.get((gens, J, start.uid))
+        cached = cache.get((gens, J))
         if cached is None:
             level = [start]
             cached = [start]
@@ -377,7 +374,7 @@ class WeylGroup:
                     f"{len(cached)} elements with no left descent in {sorted(J)}; "
                     "the closed form disagrees"
                 )
-            self._ascend_cache[(gens, J, start.uid)] = cached
+            cache[(gens, J)] = cached
         return cached
 
     def elements(self) -> list[WeylElement]:

@@ -18,6 +18,7 @@ from bruhat_atlas.atlas import (
 from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.coxeter import DEFAULT_BOUND, WeylGroup
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
+from bruhat_atlas.oracle import verify_atlas
 from bruhat_atlas.rootdata import (
     CocharSpec,
     DynkinSpec,
@@ -308,13 +309,53 @@ class TestSiegel:
             siegel_case(0)
 
 
-def test_build_and_outputs_intern_a_pinned_number_of_elements():
-    # |W| = 362,880 and |^J W| = 126 here; the fibers are grown inside ^J W,
-    # so the count covers ^J W and the words peeled for sorting and output,
-    # and a routine that walks further outside ^J W changes it
-    atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
+def _interned_by_build_and_outputs(preset: str) -> int:
+    atlas = build_atlas(parse_case(corpus_preset(preset)))
     registry = atlas.group._registry
-    assert len(registry) == 853
+    interned = len(registry)
     for emit in (atlas_json, emit_dot, emit_table):
         emit(atlas)
-    assert len(registry) == 853
+    assert len(registry) == interned
+    return interned
+
+
+def test_build_and_outputs_intern_a_pinned_number_of_elements():
+    # |W| = 362,880 and |^J W| = 126 here.  Words are peeled on keys and
+    # intern nothing, so the count is ^J W (fibers included) plus the
+    # longest-element chains and x_upper products; a routine that walks
+    # outside ^J W changes it
+    assert _interned_by_build_and_outputs("gu:5,4:split") == 210
+
+
+def test_wide_key_build_and_outputs_intern_a_pinned_number_of_elements():
+    # A16: 2N = 272, so tuple keys; |^J W| = 17, and the rest are the
+    # longest-element chains and x_upper products
+    assert _interned_by_build_and_outputs("gu:16,1:inert") == 390
+
+
+def test_outputs_peel_words_without_interning(monkeypatch):
+    atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
+    g = atlas.group
+    g._words.clear()
+    calls = {"_intern": 0, "left_mul": 0}
+    for name in calls:
+        method = getattr(g, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(g, name, counted)
+    for emit in (atlas_json, emit_dot, emit_table):
+        emit(atlas)
+    assert g._words and calls == {"_intern": 0, "left_mul": 0}
+
+
+def test_fibers_are_not_cached_and_start_less_ascents_are():
+    atlas = build_atlas(parse_case(corpus_preset("gu:4,3:inert")))
+    g = atlas.group
+    assert verify_atlas(atlas).passed
+    # only ^J W and, for the oracle, W itself: no fiber
+    full = frozenset(range(g.n))
+    assert set(g._ascend_cache) == {(full, atlas.J), (full, frozenset())}
+    assert parabolic.min_left_reps(g, atlas.J) is parabolic.min_left_reps(g, atlas.J)

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruhat_atlas.atlas import build_atlas
+from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.oracle import brute_interval
+from bruhat_atlas.parabolic import min_left_reps
+from bruhat_atlas.serialize import parse_case
 from conftest import engine_leq, group_of
 
 
@@ -85,14 +89,18 @@ class TestGroupLaw:
             assert g.multiply(w, g.from_word(reversed(g.reduced_word(w)))) is g.identity
 
     def test_equality_needs_the_same_cartan_matrix(self):
+        # elements are interned per group, so equality is identity
         a2, a111 = group_of("A2"), group_of("A1xA1xA1")
         # both have 3 positive roots, so their identity keys coincide
         assert a2.identity.key == a111.identity.key
         assert a2.identity != a111.identity
         assert len({a2.identity, a111.identity}) == 2
         twin = WeylGroup(a2.cartan)
-        assert twin.identity == a2.identity and twin.simple == a2.simple
-        assert len({twin.simple[0], a2.simple[0]}) == 1
+        assert twin.identity.key == a2.identity.key and twin.identity is not a2.identity
+        assert [s.key for s in twin.simple] == [s.key for s in a2.simple]
+        assert len({twin.simple[0], a2.simple[0]}) == 2
+        for w in a2.elements():
+            assert a2.from_word(a2.reduced_word(w)) is w
 
 
 class TestLengthAndDescents:
@@ -194,6 +202,28 @@ class TestWords:
         w = g.from_word(word)
         assert w.length <= len(word)
         assert g.from_word(g.reduced_word(w)) == w
+
+    @pytest.mark.parametrize("order", ["longest first", "shortest first"])
+    def test_wide_key_words_are_the_peeled_words(self, order):
+        # A16: 2N = 272, so tuple keys; ^J W, then each fiber, memo cleared
+        atlas = build_atlas(parse_case(corpus_preset("gu:16,1:inert")))
+        g = atlas.group
+        assert isinstance(g.identity.key, tuple)
+        fibers = [s.eo_fiber for s in atlas.strata]
+        for elements in [min_left_reps(g, atlas.J), *fibers]:
+            g._words.clear()
+            for w in reversed(elements) if order == "longest first" else elements:
+                word = g.reduced_word(w)
+                assert word == plain_peel(g, w)
+                assert g.from_word(word) is w
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=40))
+    def test_random_wide_words_reduce(self, word):
+        g = group_of("A16")
+        w = g.from_word(word)
+        assert g.reduced_word(w) == plain_peel(g, w)
+        assert g.from_word(g.reduced_word(w)) is w
 
 
 class TestLongestAndOpposition:
