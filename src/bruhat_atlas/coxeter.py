@@ -17,12 +17,13 @@ Bytes and tuples of the same length order alike, so sorting by key gives
 the same order either way.
 
 An element is its interned key: elements are interned per group, so equal
-means identical, and numbered by ``uid`` in order of creation, so
-length/descent data is computed once per distinct element.  The group law by
-a simple reflection is memoized in one list per generator and side, indexed
-by uid; canonical reduced words are peeled on keys, interning nothing, and
-kept by uid.  The element bound of a group limits how many elements it
-materializes.
+means identical, and numbered by ``uid`` in order of creation.  Only the
+length is computed once per element; descents are read off the key when
+asked for.  The group law by a simple reflection is memoized on the element
+itself, in its ``steps`` list; canonical reduced words are peeled on keys,
+interning nothing, and kept by uid.  The element bound of a group limits how
+many elements it materializes, and an enumeration whose closed-form count
+exceeds it is refused before it grows.
 
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
 grows the J-minimal elements of a coset x W_S by ascents from x: ^J W and, for
@@ -55,26 +56,33 @@ def _inverted(perm) -> list[int]:
 class WeylElement:
     """One group element; create these through a :class:`WeylGroup` only.
 
-    ``length``, ``left_descents`` ({i : length(s_i w) < length(w)}, the simple
-    roots in w(negative roots)) and ``right_descents`` ({i : w sends alpha_i
-    negative}) are read off the key when the element is interned; equal
-    descent sets are shared across the group's elements.  Equality is
-    identity: a group interns one element per key.
+    ``length`` is read off the key when the element is interned, and the
+    descent sets whenever they are asked for.  ``steps[i]`` is w s_i and
+    ``steps[n + i]`` is s_i w, or None until formed.  Equality is identity: a
+    group interns one element per key.
     """
 
-    __slots__ = ("group", "key", "uid", "length", "left_descents", "right_descents")
+    __slots__ = ("group", "key", "uid", "length", "steps")
 
     def __init__(self, group: "WeylGroup", key: Key, uid: int):
         self.group = group
         self.key = key
         self.uid = uid
-        n, N = group.n, group.N
+        N = group.N
         self.length = sum(1 for r in key[:N] if r >= N)
-        shared = group._descent_sets
-        left = frozenset(r for r in key[N:] if r < n)
-        right = frozenset(i for i in range(n) if key[i] >= N)
-        self.left_descents = shared.setdefault(left, left)
-        self.right_descents = shared.setdefault(right, right)
+        self.steps: list[WeylElement | None] = [None] * (2 * group.n)
+
+    @property
+    def left_descents(self) -> frozenset[int]:
+        """{i : length(s_i w) < length(w)}: the simple roots in w(negative roots)."""
+        n = self.group.n
+        return frozenset(r for r in self.key[self.group.N:] if r < n)
+
+    @property
+    def right_descents(self) -> frozenset[int]:
+        """{i : w sends alpha_i negative}."""
+        N = self.group.N
+        return frozenset(i for i, r in enumerate(self.key[: self.group.n]) if r >= N)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.group.multiply(self, other)
@@ -114,11 +122,6 @@ class WeylGroup:
             self._table = lambda key: key
             self._compose = lambda key, table: itemgetter(*key)(table)
         self._registry: dict[Key, WeylElement] = {}
-        self._descent_sets: dict[frozenset[int], frozenset[int]] = {}
-        # _left_mul[i][uid] is s_i w and _right_mul[i][uid] is w s_i, or None
-        self._left_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
-        self._right_mul: list[list[WeylElement | None]] = [[] for _ in range(n)]
-        self._capacity = 0
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._root_perms: dict[tuple[int, ...], tuple] = {}
@@ -142,12 +145,6 @@ class WeylGroup:
                     f"element bound {self.element_bound} exceeded: "
                     f"{count + 1} elements materialized"
                 )
-            if count == self._capacity:
-                # grow the memo rows geometrically, never past |W|
-                more = [None] * max(1, min(count, self.order - count))
-                for row in self._left_mul + self._right_mul:
-                    row += more
-                self._capacity += len(more)
             el = WeylElement(self, key, count)
             self._registry[key] = el
         return el
@@ -165,21 +162,19 @@ class WeylGroup:
         return self._intern(self._compose(v.key, self._table(w.key)))
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
-        """s_i * w, cached per (generator, element)."""
-        row = self._left_mul[i]
-        cached = row[w.uid]
+        """s_i * w, kept in ``w.steps[n + i]``."""
+        cached = w.steps[self.n + i]
         if cached is None:
             cached = self._intern(self._compose(w.key, self._simple_tables[i]))
-            row[w.uid] = cached
+            w.steps[self.n + i] = cached
         return cached
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
-        """w * s_i, cached per (element, generator)."""
-        row = self._right_mul[i]
-        cached = row[w.uid]
+        """w * s_i, kept in ``w.steps[i]``."""
+        cached = w.steps[i]
         if cached is None:
             cached = self._intern(self._compose(self.simple[i].key, self._table(w.key)))
-            row[w.uid] = cached
+            w.steps[i] = cached
         return cached
 
     # -- words and descents --------------------------------------------------
@@ -231,7 +226,7 @@ class WeylGroup:
             while ascent:
                 ascent = False
                 for j in sorted(J):
-                    if j not in w.right_descents:
+                    if w.key[j] < self.N:  # w(alpha_j) positive: an ascent
                         w = self.right_mul(w, j)
                         ascent = True
                         break
@@ -257,9 +252,10 @@ class WeylGroup:
         min(x, s x) <= s w, walked as a loop.  No build or --verify run calls
         this; it goes when ``perfbench/tracer.py`` stops tracing it."""
         self.check_ambient(x, w)
+        N = self.N
         while x is not w and x.length < w.length:
-            s = min(w.left_descents)
-            if s in x.left_descents:
+            s = min(w.key[N:])  # the smallest left descent of w
+            if s in x.key[N:]:
                 x = self.left_mul(s, x)
             w = self.left_mul(s, w)
         return x is w
@@ -335,18 +331,25 @@ class WeylGroup:
             )
         return frozenset(k for k in K if x.key[k] in J)
 
+    def ascent_stops(self, J) -> frozenset[int]:
+        """The root indices r such that, when w(alpha_i) is root r, w s_i is
+        shorter than w or leaves ^J W: the negative roots, and alpha_j for j
+        in J (Deodhar's lemma).  So for w in ^J W, w s_i is an ascent inside
+        ^J W exactly when ``w.key[i] not in ascent_stops(J)``."""
+        return frozenset(range(self.N, 2 * self.N)).union(self.check_subset(J))
+
     def ascend(self, gens, J, start: WeylElement | None = None) -> list[WeylElement]:
         """The elements of start * W_gens with no left descent in J, grown from
         ``start`` (the identity by default), breadth-first by length and
         sorted by key within a length.
 
-        ^J W is closed under prefixes, and for w in ^J W and an ascent s_i of
-        w the product w s_i leaves ^J W exactly when w(alpha_i) = alpha_j for
-        some j in J (Deodhar's lemma).  So each level is grown from the one
-        before, and a rejected candidate is never multiplied or interned.
-        ``start`` must lie in ^J W^gens; the result is start * ^{J_s}(W_gens),
-        J_s = ``induced_subset(start, J, gens)`` (Bjorner-Brenti, section
-        2.4), so the count is checked against |W_gens| / |W_{J_s}|.
+        ^J W is closed under prefixes, so each level is grown from the one
+        before by the ascents that :meth:`ascent_stops` lets through, and a
+        rejected candidate is never multiplied or interned.  ``start`` must
+        lie in ^J W^gens; the result is start * ^{J_s}(W_gens), J_s =
+        ``induced_subset(start, J, gens)`` (Bjorner-Brenti, section 2.4), so
+        its count is |W_gens| / |W_{J_s}|: refused up front past the element
+        bound, and checked once grown.
         """
         gens = self.check_subset(gens)
         J = self.check_subset(J)
@@ -357,18 +360,24 @@ class WeylGroup:
         J_s = self.induced_subset(start, J, gens)
         cached = cache.get((gens, J))
         if cached is None:
+            whole, part = self.parabolic_order(gens), self.parabolic_order(J_s)
+            if whole > self.element_bound * part:
+                raise BoundError(
+                    f"enumeration of {whole // part} elements exceeds element "
+                    f"bound {self.element_bound}"
+                )
+            stops = self.ascent_stops(J)
             level = [start]
             cached = [start]
             while level:
                 nxt = set()
                 for w in level:
                     for i in gens:
-                        # key[i] == j means w(alpha_i) = alpha_j
-                        if i not in w.right_descents and w.key[i] not in J:
+                        if w.key[i] not in stops:
                             nxt.add(self.right_mul(w, i))
                 level = sorted(nxt, key=lambda u: u.key)
                 cached.extend(level)
-            if len(cached) * self.parabolic_order(J_s) != self.parabolic_order(gens):
+            if len(cached) * part != whole:
                 raise ConsistencyError(
                     f"ascent over {sorted(gens)} from {self.reduced_word(start)} found "
                     f"{len(cached)} elements with no left descent in {sorted(J)}; "
@@ -378,12 +387,7 @@ class WeylGroup:
         return cached
 
     def elements(self) -> list[WeylElement]:
-        """All elements, breadth-first by length, deterministic within a level;
-        refused up front when the closed-form order exceeds the bound."""
-        if self.order > self.element_bound:
-            raise BoundError(
-                f"group order {self.order} exceeds element bound {self.element_bound}"
-            )
+        """All elements, breadth-first by length, deterministic within a level."""
         return self.ascend(range(self.n), ())
 
     def subgroup_elements(self, J) -> list[WeylElement]:

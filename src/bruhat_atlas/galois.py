@@ -12,8 +12,8 @@ property x <= w iff min(x, xs) <= ws (Deodhar's property Z; Bjorner-Brenti,
 
     down(w) = down(ws) | {ys : y in down(ws), s not in D_R(y), ys in ^J W},
 
-where ys stays in ^J W exactly when y(alpha_s) is not a simple root alpha_j
-with j in J, the test :meth:`WeylGroup.ascend` uses to grow ^J W.  Lower sets
+where s is an ascent of y with ys in ^J W exactly when y(alpha_s) is not
+among :meth:`WeylGroup.ascent_stops`, the test that grows ^J W.  Lower sets
 are bitmasks over element uids, memoized along each representative's chain of
 right-descent prefixes; orbit a is below orbit b when a member of a lies in
 down(rep of b), read off the set bits of down(rep of b) through a table from
@@ -117,6 +117,7 @@ def lower_sets(group: WeylGroup, tops: list[WeylElement], J) -> dict[int, int]:
     product formed lies in ^J W, so once ^J W has been grown nothing new is
     interned.
     """
+    stops = group.ascent_stops(J)
     identity = group.identity
     down = {identity.uid: 1 << identity.uid}
     by_uid = {identity.uid: identity}
@@ -132,8 +133,7 @@ def lower_sets(group: WeylGroup, tops: list[WeylElement], J) -> dict[int, int]:
             grown = mask
             for uid in _bits(mask):
                 y = by_uid[uid]
-                # y.key[s] == j means y(alpha_s) = alpha_j: ys leaves ^J W
-                if s not in y.right_descents and y.key[s] not in J:
+                if y.key[s] not in stops:
                     ys = group.right_mul(y, s)
                     by_uid[ys.uid] = ys
                     grown |= 1 << ys.uid

@@ -189,6 +189,13 @@ class TestMain:
         assert main([*args, "corpus", "siegel:7"]) == 0
         assert main([*args, "--verify", "corpus", "siegel:7"]) == 3
 
+    def test_enumeration_past_the_bound_is_refused_before_it_grows(self, tmp_path, capsys):
+        # |^J W| = 2^30 for hilbert:30: refused by its closed-form count
+        args = ["--out", str(tmp_path), "--bound", "1000", "corpus", "hilbert:30"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1073741824" in err
+
     def test_verify_refuses_a_group_past_the_bound_before_sizing_it(self, tmp_path):
         # |W(A20)| = 21! > sys.maxsize, while the atlas interns 21 elements:
         # the oracle must refuse it by its order, not try to index all of it

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.oracle import brute_interval
 from bruhat_atlas.parabolic import min_left_reps
 from bruhat_atlas.serialize import parse_case
-from conftest import engine_leq, group_of
+from conftest import SMALL_GROUPS, engine_leq, group_of
 
 
 class TestGroupLaw:
@@ -394,6 +395,31 @@ class TestEnumeration:
         g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))), element_bound=10)
         with pytest.raises(BoundError, match="bound 10 exceeded: 11 elements"):
             g.longest_element(range(3))
+
+    def test_bound_refuses_an_enumeration_before_growing_it(self):
+        # C12: 2N = 288, so tuple keys; ^J W for J = {0..10} has 2^12 elements
+        g = WeylGroup(group_of("C12").cartan, element_bound=1000)
+        assert isinstance(g.identity.key, tuple)
+        with pytest.raises(BoundError, match=r"\b4096 elements exceeds element bound 1000$"):
+            g.ascend(range(12), range(11))
+        # only what the group interns on construction: the identity and s_i
+        assert len(g._registry) == 1 + g.n
+
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_ascent_stops_match_the_definition(self, name):
+        # every J, since every rank here is at most 4; the definition side
+        # reads lengths only: w s_i is longer than w, with no left descent in J
+        g = group_of(name)
+        for r in range(g.n + 1):
+            for J in itertools.combinations(range(g.n), r):
+                stops = g.ascent_stops(J)
+                for w in g.ascend(range(g.n), J):
+                    for i in range(g.n):
+                        v = g.right_mul(w, i)
+                        inside = v.length > w.length and all(
+                            g.left_mul(j, v).length > v.length for j in J
+                        )
+                        assert (w.key[i] not in stops) == inside, (J, i)
 
     def test_count_guard_fires(self, monkeypatch):
         from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
