@@ -73,7 +73,6 @@ def _positive_int(text: str, what: str) -> int:
 
 
 def _write_outputs(built, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "atlas.json").write_text(serialize.atlas_json(built))
     (out_dir / "hasse.dot").write_text(serialize.emit_dot(built))
     (out_dir / "table.txt").write_text(serialize.emit_table(built))
@@ -81,6 +80,10 @@ def _write_outputs(built, out_dir: Path):
 
 def _run_case(doc: dict, out_dir: Path, verify: bool) -> int:
     case = serialize.parse_case(doc)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write to {out_dir}: {exc}") from exc
     built = atlas_mod.build_atlas(case)
     _write_outputs(built, out_dir)
     print(

@@ -28,8 +28,10 @@ exceeds it is refused before it grows.
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
 grows the J-minimal elements of a coset x W_S by ascents from x: ^J W and, for
 the brute-force oracle alone, all of W (``J`` empty) from the identity, and
-each fiber x W_K meet ^J W from its representative x.  The atlas's Bruhat
-order is not computed here: it comes from :func:`galois.lower_sets`.
+each fiber x W_K meet ^J W from its representative x, its size known before
+it grows from root heights (:meth:`WeylGroup.parabolic_order`).  A symmetry
+of the diagram acts on reduced words.  The Bruhat order comes from
+:func:`galois.lower_sets`.
 """
 
 from __future__ import annotations
@@ -38,19 +40,10 @@ from operator import itemgetter
 
 from .errors import BoundError, ConsistencyError, InputError
 from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots, reflect
-from .rootdata import _positive_root_count, _weyl_order
 
 Key = bytes | tuple[int, ...]
 
 DEFAULT_BOUND = 10**6
-
-
-def _inverted(perm) -> list[int]:
-    """The inverse of a permutation of range(len(perm))."""
-    inv = [0] * len(perm)
-    for r, img in enumerate(perm):
-        inv[img] = r
-    return inv
 
 
 class WeylElement:
@@ -104,8 +97,8 @@ class WeylGroup:
         self.element_bound = element_bound
         self.pos_roots = positive_roots(cartan)
         supports = (frozenset(k for k, c in enumerate(r) if c) for r in self.pos_roots)
-        self._supports = sorted(supports, key=len, reverse=True)
-        self.order = cartan.spec.weyl_order
+        self._heights = list(zip(supports, map(sum, self.pos_roots)))
+        self.order = self.parabolic_order(range(n))
         simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
         positive = simples + [r for r in self.pos_roots if sum(r) > 1]
         self.roots = tuple(positive + [tuple(-c for c in r) for r in positive])
@@ -124,7 +117,6 @@ class WeylGroup:
         self._registry: dict[Key, WeylElement] = {}
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
-        self._root_perms: dict[tuple[int, ...], tuple] = {}
         self._words: dict[int, tuple[int, ...]] = {}
         self.identity = self._intern(self._encode(range(width)))
         index = {root: r for r, root in enumerate(self.roots)}
@@ -263,58 +255,27 @@ class WeylGroup:
     # -- automorphisms ---------------------------------------------------------
 
     def apply_automorphism(self, phi: DiagramAutomorphism, w: WeylElement) -> WeylElement:
-        """Relabel w through the diagram symmetry; preserves length."""
-        sigma_inv, sigma_table = self._root_perm(phi)
-        # sigma w sigma^-1 on root indices
-        return self._intern(
-            self._compose(self._compose(sigma_inv, self._table(w.key)), sigma_table)
-        )
-
-    def _root_perm(self, phi: DiagramAutomorphism) -> tuple:
-        """The permutation sigma of root indices induced by the node
-        permutation, as the key of sigma^-1 and the table of sigma."""
+        """phi(s_i1 ... s_ik) = s_phi(i1) ... s_phi(ik) on w's reduced word.  For
+        w in ^J W with phi(J) = J every prefix lies in ^J W, so once ^J W is
+        grown this follows memoized steps and interns nothing."""
         p = phi.perm
-        cached = self._root_perms.get(p)
-        if cached is None:
-            if len(p) != self.n:
-                raise InputError("automorphism rank mismatch")
-            index = {root: r for r, root in enumerate(self.roots)}
-            images = []
-            for root in self.roots:
-                img = [0] * self.n
-                for k, c in enumerate(root):
-                    img[p[k]] = c
-                images.append(index[tuple(img)])
-            sigma = self._encode(images)
-            cached = (self._encode(_inverted(sigma)), self._table(sigma))
-            self._root_perms[p] = cached
-        return cached
+        if len(p) != self.n:
+            raise InputError("automorphism rank mismatch")
+        return self.from_word(p[i] for i in self.reduced_word(w))
 
     # -- enumeration -----------------------------------------------------------
 
     def parabolic_order(self, S) -> int:
-        """|W_S| by the closed forms, one factor per connected component of S.
-
-        A component's type is read off its rank and the number of positive
-        roots supported on it; that pair tells A_k, B_k/C_k and D_k apart,
-        and D_3 = A_3 has the same order either way.
-        """
+        """|W_S| = prod (ht a + 1) / ht a over the positive roots a supported
+        in S: Macdonald's formula for the Poincare polynomial at q = 1 ("The
+        Poincare series of a Coxeter group", Math. Ann. 199, 1972)."""
         S = self.check_subset(S)
-        # a component's first root by decreasing support is its highest root,
-        # whose support is the whole component
-        counts: dict[frozenset[int], int] = {}
-        for supp in self._supports:
-            if supp <= S:
-                comp = next((c for c in counts if supp <= c), supp)
-                counts[comp] = counts.get(comp, 0) + 1
-        order = 1
-        for comp, roots in counts.items():
-            rank = len(comp)
-            types = [t for t in "ABD" if _positive_root_count(t, rank) == roots]
-            if not types:  # pragma: no cover
-                raise ConsistencyError(f"component {sorted(comp)} is not classical")
-            order *= _weyl_order(types[0], rank)
-        return order
+        num = den = 1
+        for support, height in self._heights:
+            if support <= S:
+                num *= height + 1
+                den *= height
+        return num // den
 
     def induced_subset(self, x: WeylElement, J, K) -> frozenset[int]:
         """{k in K : x s_k x^-1 is a simple reflection from J}, for x in ^J W^K

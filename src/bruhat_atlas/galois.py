@@ -118,6 +118,7 @@ def lower_sets(group: WeylGroup, tops: list[WeylElement], J) -> dict[int, int]:
     interned.
     """
     stops = group.ascent_stops(J)
+    N = group.N
     identity = group.identity
     down = {identity.uid: 1 << identity.uid}
     by_uid = {identity.uid: identity}
@@ -125,7 +126,7 @@ def lower_sets(group: WeylGroup, tops: list[WeylElement], J) -> dict[int, int]:
         chain = []
         w = top
         while w.uid not in down:
-            s = min(w.right_descents)
+            s = next(i for i, r in enumerate(w.key) if r >= N)  # smallest right descent
             chain.append((w, s))
             w = group.right_mul(w, s)
         mask = down[w.uid]

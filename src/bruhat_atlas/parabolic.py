@@ -30,8 +30,9 @@ def min_left_reps(group: WeylGroup, J) -> list[WeylElement]:
 
 def min_double_reps(group: WeylGroup, J, K) -> list[WeylElement]:
     """Shortest elements of the double cosets W_J w W_K."""
-    K = group.check_subset(K)
-    return [w for w in min_left_reps(group, J) if not (w.right_descents & K)]
+    K, N = group.check_subset(K), group.N
+    # k is a right descent of w exactly when w(alpha_k) is negative
+    return [w for w in min_left_reps(group, J) if all(w.key[k] < N for k in K)]
 
 
 def x_upper(group: WeylGroup, x: WeylElement, J, K) -> tuple[WeylElement, int]:

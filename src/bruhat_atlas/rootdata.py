@@ -9,8 +9,7 @@ factor; for a type-C factor the last node carries the long root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import factorial, lcm
+from math import lcm
 
 from .errors import BoundError, InputError
 
@@ -23,14 +22,6 @@ def _positive_root_count(letter: str, rank: int) -> int:
     if letter in ("B", "C"):
         return rank * rank
     return rank * (rank - 1)  # D
-
-
-def _weyl_order(letter: str, rank: int) -> int:
-    if letter == "A":
-        return factorial(rank + 1)
-    if letter in ("B", "C"):
-        return 2**rank * factorial(rank)
-    return 2 ** (rank - 1) * factorial(rank)  # D
 
 
 @dataclass(frozen=True)
@@ -64,10 +55,6 @@ class DynkinSpec:
             out.append(range(start, start + r))
             start += r
         return tuple(out)
-
-    @property
-    def weyl_order(self) -> int:
-        return reduce(lambda a, b: a * b, (_weyl_order(t, r) for t, r in self.factors))
 
     @property
     def positive_root_count(self) -> int:

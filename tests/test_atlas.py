@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from bruhat_atlas import atlas as atlas_mod, parabolic
+from bruhat_atlas import atlas as atlas_mod, galois, parabolic
 from bruhat_atlas.atlas import (
     PELCase,
     build_atlas,
@@ -349,6 +349,26 @@ def test_outputs_peel_words_without_interning(monkeypatch):
     for emit in (atlas_json, emit_dot, emit_table):
         emit(atlas)
     assert g._words and calls == {"_intern": 0, "left_mul": 0}
+
+
+@pytest.mark.parametrize("preset", ["gu:4,3:inert", "hilbert:6"])
+def test_orbits_relabel_words_without_interning_or_composing(preset, monkeypatch):
+    # the word image of a member of ^J W^K walks prefixes in ^J W, all grown
+    # and stepped by the build; hilbert:6 has a Frobenius of order 6
+    atlas = build_atlas(parse_case(corpus_preset(preset)))
+    g = atlas.group
+    generator = atlas.case.phi.power(atlas.degree)
+    interned = len(g._registry)
+    composed = []
+    compose = g._compose
+    monkeypatch.setattr(
+        g, "_compose", lambda key, table: composed.append(1) or compose(key, table)
+    )
+    reps = parabolic.min_double_reps(g, atlas.J, atlas.K)
+    orbits = galois.galois_orbits(g, reps, generator)
+    assert composed == [] and len(g._registry) == interned
+    uids = {frozenset(w.uid for w in orbit) for orbit in orbits}
+    assert uids == {frozenset(w.uid for w in s.orbit) for s in atlas.strata}
 
 
 def test_fibers_are_not_cached_and_start_less_ascents_are():

@@ -168,6 +168,21 @@ class TestMain:
         bad.write_text("{not json")
         assert main(["--out", str(tmp_path), "atlas", str(bad)]) == 2
 
+    def test_out_naming_a_file_exits_2_before_the_build(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "taken"
+        target.write_text("")
+        monkeypatch.setattr(cli.atlas_mod, "build_atlas", lambda case: pytest.fail("built"))
+        assert main(["--out", str(target), "corpus", "siegel:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {target}: ") and err.count("\n") == 1
+
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        out_dir = tmp_path / "taken" / "sub"
+        assert main(["--out", str(out_dir), "corpus", "siegel:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {out_dir}: ") and err.count("\n") == 1
+
     def test_bound_exceeded_exits_3(self, tmp_path):
         rc = main(["--out", str(tmp_path), "--bound", "10", "corpus", "siegel:3"])
         assert rc == 3

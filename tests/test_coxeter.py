@@ -329,6 +329,29 @@ class TestBruhat:
                     assert x.length <= w.length
 
 
+def _check_conjugation_on_roots(g, phi, elements):
+    """phi(w) against sigma w sigma^-1 on root indices, where sigma is the
+    permutation of roots that the node permutation induces, and phi against
+    the homomorphism rule phi(w s_i) = phi(w) s_phi(i)."""
+    index = {root: r for r, root in enumerate(g.roots)}
+    sigma = []
+    for root in g.roots:
+        image = [0] * g.n
+        for k, c in enumerate(root):
+            image[phi.perm[k]] = c
+        sigma.append(index[tuple(image)])
+    sigma_inv = [0] * len(sigma)
+    for r, image in enumerate(sigma):
+        sigma_inv[image] = r
+    for w in elements:
+        image = g.apply_automorphism(phi, w)
+        assert list(image.key) == [sigma[w.key[sigma_inv[r]]] for r in range(len(sigma))]
+        assert image.length == w.length
+        for i in range(g.n):
+            step = g.apply_automorphism(phi, g.right_mul(w, i))
+            assert step is g.right_mul(image, phi.perm[i])
+
+
 class TestAutomorphismAction:
     def test_identity_automorphism(self, a2):
         from bruhat_atlas.rootdata import identity_automorphism
@@ -347,11 +370,25 @@ class TestAutomorphismAction:
         from bruhat_atlas.rootdata import validate_automorphism
 
         phi = validate_automorphism([1, 0], a2.cartan)
-        for w in a2.elements():
-            image = a2.apply_automorphism(phi, w)
-            expected = a2.from_word([phi.perm[i] for i in a2.reduced_word(w)])
-            assert image == expected
-            assert image.length == w.length
+        _check_conjugation_on_roots(a2, phi, a2.elements())
+
+    @pytest.mark.parametrize(
+        "name,perm",
+        [("D4", [2, 1, 3, 0]), ("A16", list(range(15, -1, -1)))],
+        ids=["D4-triality", "A16-reversal"],
+    )
+    def test_automorphism_is_conjugation_on_root_indices(self, name, perm):
+        from bruhat_atlas.rootdata import validate_automorphism
+
+        g = group_of(name)
+        phi = validate_automorphism(perm, g.cartan)
+        if g.n <= 4:
+            elements = g.elements()
+        else:  # A16: 2N = 272, so tuple keys; random words, not all 17!
+            assert isinstance(g.identity.key, tuple)
+            rng = random.Random(16)
+            elements = [g.from_word(rng.choices(range(g.n), k=40)) for _ in range(60)]
+        _check_conjugation_on_roots(g, phi, elements)
 
     def test_triality_preserves_length(self):
         from bruhat_atlas.rootdata import validate_automorphism
@@ -443,6 +480,27 @@ class TestEnumeration:
     )
     def test_parabolic_order(self, name, S, order):
         assert group_of(name).parabolic_order(S) == order
+
+    @pytest.mark.parametrize("name", SMALL_GROUPS + ["B3", "B4", "D5", "A1xB3"])
+    def test_parabolic_order_counts_the_subgroup(self, name):
+        g = group_of(name)
+        for r in range(g.n + 1):
+            for S in itertools.combinations(range(g.n), r):
+                assert g.parabolic_order(S) == len(g.ascend(S, ())), S
+
+    @pytest.mark.parametrize(
+        "name,order",
+        [
+            ("C12", 2**12 * 479_001_600),  # 2^12 12!
+            ("B12", 2**12 * 479_001_600),
+            ("D13", 2**12 * 6_227_020_800),  # 2^12 13!
+            ("A16", 355_687_428_096_000),  # 17!
+        ],
+    )
+    def test_order_of_a_wide_group(self, name, order):
+        g = group_of(name)
+        assert isinstance(g.identity.key, tuple)
+        assert g.order == order
 
     def test_subgroup_enumeration(self):
         g = group_of("C3")

@@ -1,5 +1,6 @@
 import pytest
 
+from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.rootdata import (
     CocharSpec,
@@ -21,7 +22,7 @@ class TestDynkinSpec:
     def test_rank_and_order(self):
         s = spec(("A", 2), ("C", 3))
         assert s.rank == 5
-        assert s.weyl_order == 6 * 48
+        assert WeylGroup(cartan_from_spec(s)).order == 6 * 48
         assert s.describe() == "A2 x C3"
 
     @pytest.mark.parametrize(
