@@ -9,8 +9,6 @@ relation, together with the ordinarity verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import parabolic
 from .coxeter import WeylElement, WeylGroup, DEFAULT_BOUND
 from .errors import ConsistencyError, InputError
@@ -19,6 +17,7 @@ from .rootdata import (
     CocharSpec,
     DiagramAutomorphism,
     DynkinSpec,
+    Value,
     cartan_from_spec,
     identity_automorphism,
     pairing,
@@ -26,58 +25,111 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class PELCase:
+class PELCase(Value):
     """A full input: diagram, Frobenius symmetry, and mu-pairings or J."""
 
-    spec: DynkinSpec
-    phi: DiagramAutomorphism
-    mu: CocharSpec | None = None
-    J: frozenset[int] | None = None
-    minuscule_check: bool = True
-    element_bound: int = DEFAULT_BOUND
+    __slots__ = ("spec", "phi", "mu", "J", "minuscule_check", "element_bound")
 
-    def __post_init__(self):
-        if (self.mu is None) == (self.J is None):
+    def __init__(
+        self,
+        spec: DynkinSpec,
+        phi: DiagramAutomorphism,
+        mu: CocharSpec | None = None,
+        J: frozenset[int] | None = None,
+        minuscule_check: bool = True,
+        element_bound: int = DEFAULT_BOUND,
+    ):
+        self._freeze(spec, phi, mu, J, minuscule_check, element_bound)
+        if (mu is None) == (J is None):
             raise InputError("exactly one of mu and J must be given")
-        if self.element_bound < 1:
+        if element_bound < 1:
             raise InputError(
                 "options.element_bound must be an integer >= 1, "
-                f"got {self.element_bound!r}"
+                f"got {element_bound!r}"
             )
 
 
-@dataclass
 class StratumRecord:
-    rep: WeylElement
-    orbit: list[WeylElement]
-    dim: int
-    codim: int
-    eo_fiber: list[WeylElement]
-    single_eo: bool
-    closure: list[int]
-    is_maximal: bool
-    siegel_a: int | None = None
+    __slots__ = (
+        "rep",
+        "orbit",
+        "dim",
+        "codim",
+        "eo_fiber",
+        "single_eo",
+        "closure",
+        "is_maximal",
+        "siegel_a",
+    )
+
+    def __init__(
+        self,
+        rep: WeylElement,
+        orbit: list[WeylElement],
+        dim: int,
+        codim: int,
+        eo_fiber: list[WeylElement],
+        single_eo: bool,
+        closure: list[int],
+        is_maximal: bool,
+        siegel_a: int | None = None,
+    ):
+        self.rep = rep
+        self.orbit = orbit
+        self.dim = dim
+        self.codim = codim
+        self.eo_fiber = eo_fiber
+        self.single_eo = single_eo
+        self.closure = closure
+        self.is_maximal = is_maximal
+        self.siegel_a = siegel_a
 
 
-@dataclass
 class MuOrdinaryReport:
-    verdict: bool
-    flags: dict[str, bool]
+    __slots__ = ("verdict", "flags")
+
+    def __init__(self, verdict: bool, flags: dict[str, bool]):
+        self.verdict = verdict
+        self.flags = flags
 
 
-@dataclass
 class Atlas:
-    case: PELCase
-    J: frozenset[int]
-    K: frozenset[int]
-    degree: int
-    moduli_dim: int
-    strata: list[StratumRecord]
-    orbit_poset: OrbitPoset
-    mu_ordinary: MuOrdinaryReport
-    group: WeylGroup
-    notes: list[str] = field(default_factory=list)
+    __slots__ = (
+        "case",
+        "J",
+        "K",
+        "degree",
+        "moduli_dim",
+        "strata",
+        "orbit_poset",
+        "mu_ordinary",
+        "group",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        case: PELCase,
+        J: frozenset[int],
+        K: frozenset[int],
+        degree: int,
+        moduli_dim: int,
+        strata: list[StratumRecord],
+        orbit_poset: OrbitPoset,
+        mu_ordinary: MuOrdinaryReport,
+        group: WeylGroup,
+        notes: list[str] | None = None,
+    ):
+        self.case = case
+        self.J = J
+        self.K = K
+        self.degree = degree
+        self.moduli_dim = moduli_dim
+        self.strata = strata
+        self.orbit_poset = orbit_poset
+        self.mu_ordinary = mu_ordinary
+        self.group = group
+        self.notes = [] if notes is None else notes
 
 
 def derive_J(group: WeylGroup, mu: CocharSpec, minuscule_check: bool = True):
@@ -271,11 +323,13 @@ def _assert_atlas_invariants(strata, double_reps, left_reps, moduli_dim):
             raise ConsistencyError("stratum dimension out of range")
 
 
-@dataclass
 class SiegelIdentification:
-    g: int
-    entries: list[dict]  # each: a-number, dim, representative word
-    atlas: Atlas
+    __slots__ = ("g", "entries", "atlas")
+
+    def __init__(self, g: int, entries: list[dict], atlas: Atlas):
+        self.g = g
+        self.entries = entries  # each: a-number, dim, representative word
+        self.atlas = atlas
 
 
 def siegel_case(g: int, **options) -> PELCase:

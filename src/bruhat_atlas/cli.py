@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import atlas as atlas_mod
-from . import oracle, serialize
+from . import serialize
 from .errors import BoundError, ConsistencyError, InputError
 
 
@@ -95,20 +95,26 @@ def _run_case(doc: dict, out_dir: Path, verify: bool) -> int:
 
 
 def _verify(built) -> int:
-    """Print the oracle's report on ``built``; exit code 1 when a check fails."""
+    """Print the oracle's report on ``built``; exit code 1 when a check fails.
+    The oracle is imported here, so a run without --verify never loads it."""
+    from . import oracle
+
     report = oracle.verify_atlas(built)
     print(report.render())
     return 0 if report.passed else 1
 
 
 def _load_doc(path: str) -> dict:
+    """The JSON document in ``path``, read as bytes so that json detects
+    UTF-8, UTF-16 or UTF-32.  ValueError covers undecodable bytes, malformed
+    JSON and integers past the digit limit; RecursionError, deep nesting."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -22,7 +22,6 @@ member uid to orbit.  The covering pairs are reduced once, on bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .coxeter import WeylElement, WeylGroup
@@ -68,7 +67,6 @@ def galois_orbits(
     return orbits
 
 
-@dataclass
 class OrbitPoset:
     """Orbits of double-coset representatives with the induced Bruhat order.
 
@@ -80,10 +78,19 @@ class OrbitPoset:
     smallest reduced word.
     """
 
-    orbits: list[list[WeylElement]]
-    reps: list[WeylElement]
-    below: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
+    __slots__ = ("orbits", "reps", "below", "covers")
+
+    def __init__(
+        self,
+        orbits: list[list[WeylElement]],
+        reps: list[WeylElement],
+        below: tuple[int, ...],
+        covers: tuple[tuple[int, int], ...],
+    ):
+        self.orbits = orbits
+        self.reps = reps
+        self.below = below
+        self.covers = covers
 
     def __len__(self) -> int:
         return len(self.orbits)

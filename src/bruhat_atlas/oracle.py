@@ -21,25 +21,29 @@ speed.  Each check reports its first counterexample, or passes without one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import parabolic
 from .atlas import Atlas, eo_fiber
 from .coxeter import WeylElement, WeylGroup
 from .errors import ConsistencyError
 
 
-@dataclass
 class CheckResult:
-    name: str
-    scope: str
-    passed: bool
-    counterexample: str | None = None
+    __slots__ = ("name", "scope", "passed", "counterexample")
+
+    def __init__(
+        self, name: str, scope: str, passed: bool, counterexample: str | None = None
+    ):
+        self.name = name
+        self.scope = scope
+        self.passed = passed
+        self.counterexample = counterexample
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -8,7 +8,6 @@ factor; for a type-C factor the last node carries the long root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import BoundError, InputError
@@ -24,16 +23,54 @@ def _positive_root_count(letter: str, rank: int) -> int:
     return rank * (rank - 1)  # D
 
 
-@dataclass(frozen=True)
-class DynkinSpec:
+class Value:
+    """An immutable value: equal and hashed by its slots, in slot order.
+
+    Subclasses list their fields in ``__slots__`` and set them once, in
+    ``__init__``, through :meth:`_freeze`; any later assignment is refused.
+    """
+
+    __slots__ = ()
+
+    def _freeze(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle go through __init__ and its checks
+        return type(self), self._fields()
+
+
+class DynkinSpec(Value):
     """An ordered product of classical factors, e.g. C2 or A1 x A1."""
 
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[tuple[str, int], ...]):
+        self._freeze(factors)
+        if not factors:
             raise InputError("at least one factor required")
-        for pos, (letter, rank) in enumerate(self.factors):
+        for pos, (letter, rank) in enumerate(factors):
             if letter not in _MIN_RANK:
                 raise InputError(
                     f"factor {pos}: type {letter!r} not supported; only A, B, C, D"
@@ -64,24 +101,26 @@ class DynkinSpec:
         return " x ".join(f"{t}{r}" for t, r in self.factors)
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(Value):
     """Integer Cartan matrix, block-diagonal across the factors of ``spec``."""
 
-    spec: DynkinSpec
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("spec", "entries")
+
+    def __init__(self, spec: DynkinSpec, entries: tuple[tuple[int, ...], ...]):
+        self._freeze(spec, entries)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(Value):
     """A node permutation preserving the Cartan matrix, with its order."""
 
-    perm: tuple[int, ...]
-    order: int
+    __slots__ = ("perm", "order")
+
+    def __init__(self, perm: tuple[int, ...], order: int):
+        self._freeze(perm, order)
 
     def apply_subset(self, subset: frozenset[int]) -> frozenset[int]:
         return frozenset(self.perm[i] for i in subset)
@@ -98,15 +137,15 @@ class DiagramAutomorphism:
         return all(self.perm[i] == i for i in range(len(self.perm)))
 
 
-@dataclass(frozen=True)
-class CocharSpec:
+class CocharSpec(Value):
     """A cocharacter given through its pairings with the simple roots."""
 
-    pairings: tuple[int, ...]
+    __slots__ = ("pairings",)
 
-    def __post_init__(self):
-        if any(m < 0 for m in self.pairings):
-            raise InputError(f"pairings must be >= 0 (dominance), got {self.pairings}")
+    def __init__(self, pairings: tuple[int, ...]):
+        self._freeze(pairings)
+        if any(m < 0 for m in pairings):
+            raise InputError(f"pairings must be >= 0 (dominance), got {pairings}")
 
 
 def cartan_from_spec(spec: DynkinSpec) -> CartanMatrix:

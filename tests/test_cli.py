@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,6 +169,30 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["--out", str(tmp_path), "atlas", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\xfe{",  # a UTF-16 byte-order mark and an odd byte count
+            b"[" * 100_000,  # nesting past the recursion limit
+            b'{"J": [' + b"9" * 5000 + b"]}",  # past the integer digit limit
+        ],
+        ids=["undecodable", "deeply-nested", "long-integer"],
+    )
+    def test_unreadable_json_exits_2_with_one_line(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert main(["--out", str(tmp_path / "o"), "atlas", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+    def test_case_file_in_utf16_or_utf32(self, tmp_path, capsys, encoding):
+        casefile = tmp_path / "case.json"
+        casefile.write_bytes(json.dumps(corpus_preset("siegel:2")).encode(encoding))
+        assert main(["--out", str(tmp_path / "o"), "atlas", str(casefile)]) == 0
+        assert "3 strata" in capsys.readouterr().out
 
     def test_out_naming_a_file_exits_2_before_the_build(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "taken"
@@ -452,3 +478,38 @@ C3: 4 strata, moduli dim 6, mu-ordinary True, degree 1
 def test_verify_stdout_is_pinned(preset, tmp_path, capsys):
     assert main(["--out", str(tmp_path), "--verify", "corpus", preset]) == 0
     assert capsys.readouterr().out == VERIFY_STDOUT[preset]
+
+
+# modules whose import a build-only process must not pay for
+_HEAVY_IMPORTS = ("dataclasses", "inspect", "bruhat_atlas.oracle")
+
+
+def _loaded_after_main(out, *args) -> dict:
+    """Which of ``_HEAVY_IMPORTS`` a fresh ``python -S`` process holds in
+    ``sys.modules`` after running ``main`` on ``args``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]);"
+        "from bruhat_atlas.cli import main;"
+        "code = main(sys.argv[2:]);"
+        f"print(json.dumps({{m: m in sys.modules for m in {_HEAVY_IMPORTS!r}}}));"
+        "raise SystemExit(code)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, src, "--out", str(out), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_build_only_process_imports_neither_dataclasses_nor_the_oracle(tmp_path):
+    loaded = _loaded_after_main(tmp_path, "corpus", "siegel:2")
+    assert loaded == dict.fromkeys(_HEAVY_IMPORTS, False)
+
+
+def test_verify_loads_the_oracle(tmp_path):
+    loaded = _loaded_after_main(tmp_path, "--verify", "corpus", "siegel:2")
+    assert loaded["bruhat_atlas.oracle"]

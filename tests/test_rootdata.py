@@ -1,9 +1,15 @@
+import copy
+import pickle
+
 import pytest
 
+from bruhat_atlas.atlas import PELCase
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.rootdata import (
+    CartanMatrix,
     CocharSpec,
+    DiagramAutomorphism,
     DynkinSpec,
     cartan_from_spec,
     identity_automorphism,
@@ -167,3 +173,111 @@ class TestPairing:
     def test_dominance_enforced(self):
         with pytest.raises(InputError):
             CocharSpec((0, -1))
+
+
+def _c2_case(**fields):
+    c2 = spec(("C", 2))
+    return PELCase(c2, identity_automorphism(cartan_from_spec(c2)), **fields)
+
+
+# per value type: its fields, a maker of fresh instances from equal fields,
+# and an instance that differs from them in one field
+VALUES = {
+    "DynkinSpec": (
+        ("factors",),
+        lambda: spec(("A", 2), ("C", 3)),
+        spec(("A", 2), ("C", 4)),
+    ),
+    "CartanMatrix": (
+        ("spec", "entries"),
+        lambda: cartan_from_spec(spec(("B", 3))),
+        cartan_from_spec(spec(("C", 3))),
+    ),
+    "DiagramAutomorphism": (
+        ("perm", "order"),
+        lambda: DiagramAutomorphism((1, 0), 2),
+        DiagramAutomorphism((0, 1), 1),
+    ),
+    "CocharSpec": (("pairings",), lambda: CocharSpec((0, 1)), CocharSpec((1, 0))),
+    "PELCase": (
+        ("spec", "phi", "mu", "J", "minuscule_check", "element_bound"),
+        lambda: _c2_case(mu=CocharSpec((0, 1))),
+        _c2_case(mu=CocharSpec((0, 1)), element_bound=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+class TestValueTypes:
+    def test_equal_fields_give_equal_values(self, name):
+        fields, make, other = VALUES[name]
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other and other == other
+        assert a != tuple(getattr(a, f) for f in fields)
+
+    def test_attribute_assignment_is_refused(self, name):
+        fields, make, _ = VALUES[name]
+        value = make()
+        for field in fields:
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_repr_names_every_field_in_order(self, name):
+        fields, make, _ = VALUES[name]
+        value = make()
+        inner = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
+        assert repr(value) == f"{name}({inner})"
+
+    def test_copy_and_pickle_keep_the_value(self, name):
+        value = VALUES[name][1]()
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: DynkinSpec(()), "at least one factor required"),
+        (
+            lambda: spec(("A", 2), ("E", 6)),
+            "factor 1: type 'E' not supported; only A, B, C, D",
+        ),
+        (lambda: spec(("D", 2)), "factor 0: type D needs rank >= 3, got 2"),
+        (lambda: spec(("C", True)), "factor 0: type C needs rank >= 2, got True"),
+        (
+            lambda: CocharSpec((0, -1)),
+            "pairings must be >= 0 (dominance), got (0, -1)",
+        ),
+        (
+            lambda: _c2_case(mu=CocharSpec((0, 1)), J=frozenset({0})),
+            "exactly one of mu and J must be given",
+        ),
+        (lambda: _c2_case(), "exactly one of mu and J must be given"),
+        (
+            lambda: _c2_case(J=frozenset(), element_bound=0),
+            "options.element_bound must be an integer >= 1, got 0",
+        ),
+    ],
+    ids=[
+        "no-factors",
+        "bad-type",
+        "low-rank",
+        "bool-rank",
+        "negative-pairing",
+        "mu-and-J",
+        "neither-mu-nor-J",
+        "bound-below-1",
+    ],
+)
+def test_constructor_checks_fire_with_their_message(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
