@@ -31,7 +31,8 @@ the brute-force oracle alone, all of W (``J`` empty) from the identity, and
 each fiber x W_K meet ^J W from its representative x, its size known before
 it grows from root heights (:meth:`WeylGroup.parabolic_order`).  A symmetry
 of the diagram acts on reduced words.  The Bruhat order comes from
-:func:`galois.lower_sets`.
+:func:`galois.lower_sets`, one forward pass over ^J W along the steps that
+``ascend`` memoized while growing it, so it composes no key.
 """
 
 from __future__ import annotations

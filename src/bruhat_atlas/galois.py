@@ -4,20 +4,22 @@ The Galois group fixing a parabolic type J acts through the cyclic group
 generated by phi^d, where d is the smallest power of the Frobenius diagram
 symmetry fixing J.  Only that cyclic action on a finite set is ever needed.
 
-The orbit order comes from one pass of lower sets over ^J W, the elements
-with no left descent in J.  For w in ^J W and a right descent s of w, the
-prefix ws is in ^J W (the set is closed under prefixes), and by the lifting
-property x <= w iff min(x, xs) <= ws (Deodhar's property Z; Bjorner-Brenti,
-"Combinatorics of Coxeter Groups", Prop. 2.2.7 and sections 2.4-2.5).  So
+The orbit order comes from one forward pass over ^J W, the elements with no
+left descent in J, in the length order :meth:`WeylGroup.ascend` grows it in.
+Let w be reached first as w = us, an ascent of u inside ^J W (u(alpha_s) not
+among :meth:`WeylGroup.ascent_stops`).  Every element of ^J W below w lies
+below some member of the generating set
 
-    down(w) = down(ws) | {ys : y in down(ws), s not in D_R(y), ys in ^J W},
+    gens(w) = {u} | {ys : y in gens(u), ys an ascent of y inside ^J W},
 
-where s is an ascent of y with ys in ^J W exactly when y(alpha_s) is not
-among :meth:`WeylGroup.ascent_stops`, the test that grows ^J W.  Lower sets
-are bitmasks over element uids, memoized along each representative's chain of
-right-descent prefixes; orbit a is below orbit b when a member of a lies in
-down(rep of b), read off the set bits of down(rep of b) through a table from
-member uid to orbit.  The covering pairs are reduced once, on bitmasks.
+with gens(e) empty.  Indeed, take x in ^J W with x < w and x not <= u.  By
+the lifting property (Bjorner-Brenti, "Combinatorics of Coxeter Groups",
+Prop. 2.2.7) xs < x and xs < u, so xs <= y for some y in gens(u); then
+x <= max(y, ys), and x <= ys with ys in ^J W, since otherwise the projection
+onto ^J W, which preserves the order (section 2.5), gives x <= y < u.  So
+down(w) = bits(w) | the union of down(y) over y in gens(w).  Each bit is a
+caller's label: an orbit id for the closure order, a uid for element-wide
+intervals.  The covering pairs are reduced once, on bitmasks.
 """
 
 from __future__ import annotations
@@ -114,55 +116,52 @@ def _bits(mask: int) -> list[int]:
     return list(compress(range(len(digits)), digits))
 
 
-def lower_sets(group: WeylGroup, tops: list[WeylElement], J) -> dict[int, int]:
-    """For each w in ``tops`` (all in ^J W), the elements of ^J W below w,
-    as a bitmask over element uids; keyed by uid.
+def lower_sets(
+    group: WeylGroup, J, bits: dict[WeylElement, int]
+) -> dict[WeylElement, int]:
+    """down(w) for every w in ^J W: the OR of ``bits.get(x, 0)`` over the x in
+    ^J W with x <= w, keyed by element.
 
-    Walks down a chain of right-descent prefixes, which stay in ^J W, and
-    builds each lower set from the one below it by the lifting rule in the
-    module docstring.  Lower sets of prefixes are shared between tops.  Every
-    product formed lies in ^J W, so once ^J W has been grown nothing new is
-    interned.
+    One pass over ^J W in length order carries each element's generating set
+    (module docstring), at most length(w) elements, and drops it once
+    down(w) is formed.  It steps only by the ascents that grew ^J W, so once
+    ^J W has been grown it composes and interns nothing.
     """
     stops = group.ascent_stops(J)
-    N = group.N
-    identity = group.identity
-    down = {identity.uid: 1 << identity.uid}
-    by_uid = {identity.uid: identity}
-    for top in tops:
-        chain = []
-        w = top
-        while w.uid not in down:
-            s = next(i for i, r in enumerate(w.key) if r >= N)  # smallest right descent
-            chain.append((w, s))
-            w = group.right_mul(w, s)
-        mask = down[w.uid]
-        for w, s in reversed(chain):
-            grown = mask
-            for uid in _bits(mask):
-                y = by_uid[uid]
-                if y.key[s] not in stops:
-                    ys = group.right_mul(y, s)
-                    by_uid[ys.uid] = ys
-                    grown |= 1 << ys.uid
-            down[w.uid] = mask = grown
-    return {top.uid: down[top.uid] for top in tops}
+    nodes = range(group.n)
+    gens = {group.identity: ()}
+    down = {}
+    for u in group.ascend(nodes, J):
+        lower = gens.pop(u)
+        mask = bits.get(u, 0)
+        for y in lower:
+            mask |= down[y]
+        down[u] = mask
+        key, steps = u.key, u.steps
+        for s in nodes:
+            # the first u to reach w = us fixes gens(w)
+            if key[s] not in stops and (w := steps[s]) not in gens:
+                gens[w] = (u, *[y.steps[s] for y in lower if y.key[s] not in stops])
+    return down
 
 
 def _covers(below: list[int]) -> list[tuple[int, int]]:
-    """Covering pairs of a partial order given as down-set bitmasks; raises
-    ConsistencyError unless the relation is antisymmetric."""
+    """Covering pairs of a partial order given as down-set bitmasks over ids
+    sorted by length; raises ConsistencyError when a mask has a bit above its
+    own id or lacks its own bit.  Each strict down-set is walked from its
+    highest id down, and each cover found removes the mask below it."""
     out = []
     for b, mask in enumerate(below):
-        strict = mask & ~(1 << b)
-        reach = 0
-        for c in _bits(strict):
-            if below[c] >> b & 1:
-                raise ConsistencyError(
-                    f"orbit order is not antisymmetric between {c} and {b}"
-                )
-            reach |= below[c] & ~(1 << c)
-        out.extend((a, b) for a in _bits(strict & ~reach))
+        if mask >> b != 1:
+            raise ConsistencyError(
+                f"orbit {mask.bit_length() - 1} is below orbit {b} in the "
+                "closure order, which is not length-graded"
+            )
+        rest = mask ^ (1 << b)
+        while rest:
+            c = rest.bit_length() - 1
+            out.append((c, b))
+            rest &= ~below[c]
     out.sort()
     return out
 
@@ -182,14 +181,7 @@ def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPo
     ordered = [sorted(orbit, key=group.reduced_word) for orbit in orbits]
     ordered.sort(key=lambda o: (o[0].length, group.reduced_word(o[0])))
     reps = [o[0] for o in ordered]
-    down = lower_sets(group, reps, J)
-    orbit_of = {w.uid: a for a, orbit in enumerate(ordered) for w in orbit}
-    members = sum(1 << uid for uid in orbit_of)
     # equivariance of the action lets one side be pinned to the rep
-    below = []
-    for rep in reps:
-        mask = 0
-        for uid in _bits(down[rep.uid] & members):
-            mask |= 1 << orbit_of[uid]
-        below.append(mask)
+    down = lower_sets(group, J, {w: 1 << a for a, o in enumerate(ordered) for w in o})
+    below = [down[rep] for rep in reps]
     return OrbitPoset(ordered, reps, tuple(below), tuple(_covers(below)))

@@ -20,10 +20,11 @@ def group_of(name: str) -> WeylGroup:
 
 
 def engine_leq(group: WeylGroup):
-    """The engine's Bruhat order on all of W: with J empty, ^J W is W and
-    the lower sets of ``lower_sets`` are the Bruhat intervals."""
-    down = lower_sets(group, group.elements(), frozenset())
-    return lambda x, w: bool(down[w.uid] >> x.uid & 1)
+    """The engine's Bruhat order on all of W: with J empty, ^J W is W, and
+    with each element's uid as its bit the lower sets of ``lower_sets`` are
+    the Bruhat intervals."""
+    down = lower_sets(group, frozenset(), {w: 1 << w.uid for w in group.elements()})
+    return lambda x, w: bool(down[w] >> x.uid & 1)
 
 
 # groups small enough for exhaustive all-pairs / all-subsets checks

@@ -212,13 +212,13 @@ def test_criterion_9_poset_sanity(corpus_atlases):
         group = group_of(name)
         phi = validate_automorphism(perm, group.cartan)
         image = {w: group.apply_automorphism(phi, w) for w in group.elements()}
-        down = lower_sets(group, group.elements(), frozenset())
+        down = lower_sets(group, frozenset(), {w: 1 << w.uid for w in group.elements()})
         for w in group.elements():
             # phi maps down(w) onto down(phi w)
             mapped = sum(
-                1 << image[x].uid for x in group.elements() if down[w.uid] >> x.uid & 1
+                1 << image[x].uid for x in group.elements() if down[w] >> x.uid & 1
             )
-            ok &= mapped == down[image[w].uid]
+            ok &= mapped == down[image[w]]
     for atlas in corpus_atlases.values():
         leq = atlas.orbit_poset.leq
         n = len(atlas.strata)

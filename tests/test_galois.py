@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from bruhat_atlas import atlas as atlas_mod
 from bruhat_atlas import parabolic
 from bruhat_atlas.coxeter import WeylGroup
-from bruhat_atlas.errors import InputError
+from bruhat_atlas.cli import corpus_preset
+from bruhat_atlas.errors import ConsistencyError, InputError
 from bruhat_atlas.galois import (
+    _covers,
     definition_degree,
     galois_orbits,
     lower_sets,
@@ -21,7 +23,7 @@ from bruhat_atlas.rootdata import (
     validate_automorphism,
 )
 from bruhat_atlas.serialize import parse_case
-from conftest import group_of
+from conftest import SMALL_GROUPS, group_of
 
 
 def flip(group):
@@ -143,6 +145,10 @@ class TestOrbitPoset:
         ]
         assert list(poset.covers) == expected
 
+    def test_covers_refuse_a_mask_above_its_own_id(self):
+        with pytest.raises(ConsistencyError, match=r"orbit 1 is below orbit 0"):
+            _covers([0b11, 0b11])
+
 
 def _subsets(n):
     return [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
@@ -151,18 +157,19 @@ def _subsets(n):
 class TestLowerSets:
     """The lower-set pass against subword intervals."""
 
-    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A1xA2", "B2xA1"])
+    @pytest.mark.parametrize("name", SMALL_GROUPS + ["B3", "A1xA2", "B2xA1"])
     def test_every_j_on_all_of_jw(self, name):
         g = group_of(name)
         for J in _subsets(g.n):
             jw = parabolic.min_left_reps(g, J)
-            down = lower_sets(g, jw, J)
+            down = lower_sets(g, J, {w: 1 << w.uid for w in jw})
+            assert set(down) == set(jw)
             for w in jw:
-                got = {x.uid for x in jw if down[w.uid] >> x.uid & 1}
+                got = {x.uid for x in jw if down[w] >> x.uid & 1}
                 interval = brute_interval(g, g.reduced_word(w))
                 assert got == {x.uid for x in interval if not x.left_descents & J}
                 # no bit outside ^J W
-                assert down[w.uid].bit_count() == len(got)
+                assert down[w].bit_count() == len(got)
 
 
 # small shapes with the diagram symmetries of their factors: factor swaps,
@@ -251,3 +258,21 @@ class TestStructuralGuards:
         poset = orbit_poset(g, orbits, ())
         assert len(poset) == 368
         assert len(g._registry) == before
+
+    @pytest.mark.parametrize(
+        "doc", [A4_A2_REVERSED, corpus_preset("gu:16,1:inert")], ids=["A4xA2", "gu:16,1"]
+    )
+    def test_lower_sets_step_without_composing_or_interning(self, doc, monkeypatch):
+        # gu:16,1:inert is A16, 2N = 272: tuple keys
+        atlas = atlas_mod.build_atlas(parse_case(doc))
+        g = atlas.group
+        jw = parabolic.min_left_reps(g, atlas.J)
+        interned = len(g._registry)
+        composed = []
+        compose = g._compose
+        monkeypatch.setattr(
+            g, "_compose", lambda key, table: composed.append(1) or compose(key, table)
+        )
+        down = lower_sets(g, atlas.J, {w: 1 << w.uid for w in jw})
+        assert composed == [] and len(g._registry) == interned
+        assert set(down) == set(jw) and down[jw[-1]].bit_count() == len(jw)
