@@ -249,10 +249,11 @@ def build_atlas(case: PELCase) -> Atlas:
 
     strata: list[StratumRecord] = []
     for sid, (orbit, rep) in enumerate(zip(poset.orbits, poset.reps)):
-        top, dim = parabolic.x_upper(group, rep, J, K)
+        Jx = group.induced_subset(rep, J, K)
+        top, dim = parabolic.x_upper(group, rep, Jx, K)
         fiber = eo_fiber(group, rep, J, K)
         # the fiber is sorted by length and has one longest element
-        if top is not fiber[-1] or dim != parabolic.ell_JK(group, rep, J, K):
+        if top is not fiber[-1] or dim != parabolic.ell_JK(group, rep, Jx, K):
             raise ConsistencyError(
                 "top element, fiber and dimension formulas disagree at "
                 f"{group.reduced_word(rep)}"

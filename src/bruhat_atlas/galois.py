@@ -168,12 +168,13 @@ def _covers(below: list[int]) -> list[tuple[int, int]]:
 
 def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPoset:
     """Quotient the Bruhat order on ^J W by the orbit partition."""
-    J = group.check_subset(J)
+    J, N = group.check_subset(J), group.N
     for orbit in orbits:
         if len({w.length for w in orbit}) != 1:  # pragma: no cover
             raise ConsistencyError("orbit members have distinct lengths")
         for w in orbit:
-            if w.left_descents & J:
+            # a left descent in J is alpha_j (j in J) among w's negative-root images
+            if not J.isdisjoint(w.key[N:]):
                 raise InputError(
                     f"orbit member {group.reduced_word(w)} has a left descent "
                     f"in J={sorted(J)}"

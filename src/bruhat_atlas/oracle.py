@@ -196,8 +196,9 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
 
     # Howlett additivity: the engine's x_upper and ell_JK against the brute top
     def howlett_holds(s) -> bool:
-        xu, dim = parabolic.x_upper(group, s.rep, J, K)
-        ell = parabolic.ell_JK(group, s.rep, J, K)
+        Jx = group.induced_subset(s.rep, J, K)
+        xu, dim = parabolic.x_upper(group, s.rep, Jx, K)
+        ell = parabolic.ell_JK(group, s.rep, Jx, K)
         return xu is tops.get(s.rep) and dim == ell == s.dim == xu.length
 
     check(

@@ -6,6 +6,7 @@ elements with no left descent in J (shortest in their coset W_J w),
 :meth:`WeylGroup.induced_subset` is K intersected with the x-conjugates of J,
 and ``x_upper = x * w0(J_x) * w0(K)`` is the longest element of the fiber
 x * ^{J_x}W_K, which :func:`atlas.build_atlas` checks against ``fiber[-1]``.
+``x_upper`` and ``ell_JK`` take J_x as computed once by the caller.
 
 Conjugation by x is read off its root permutation: x s_k x^-1 = s_{x(alpha_k)}
 (Humphreys, "Reflection Groups and Coxeter Groups", section 1.2), so
@@ -35,16 +36,17 @@ def min_double_reps(group: WeylGroup, J, K) -> list[WeylElement]:
     return [w for w in min_left_reps(group, J) if all(w.key[k] < N for k in K)]
 
 
-def x_upper(group: WeylGroup, x: WeylElement, J, K) -> tuple[WeylElement, int]:
-    """x * w0(J_x) * w0(K), the longest element of x's fiber, with its length."""
+def x_upper(group: WeylGroup, x: WeylElement, Jx, K) -> tuple[WeylElement, int]:
+    """x * w0(J_x) * w0(K), the longest element of x's fiber, with its length;
+    ``Jx`` is ``group.induced_subset(x, J, K)``."""
     w0 = group.longest_element
-    xu = group.multiply(x, group.multiply(w0(group.induced_subset(x, J, K)), w0(K)))
+    xu = group.multiply(x, group.multiply(w0(Jx), w0(K)))
     return xu, xu.length
 
 
-def ell_JK(group: WeylGroup, x: WeylElement, J, K) -> int:
-    """length(x) + length(w0 of K) - length(w0 of the induced subset)."""
-    Jx = group.induced_subset(x, J, K)
+def ell_JK(group: WeylGroup, x: WeylElement, Jx, K) -> int:
+    """length(x) + length(w0 of K) - length(w0 of J_x), for
+    ``Jx = group.induced_subset(x, J, K)``."""
     return x.length + group.longest_element(K).length - group.longest_element(Jx).length
 
 

@@ -13,13 +13,15 @@ Case files are JSON documents:
 Elements are serialized as their deterministic reduced words, so every
 document re-parses to the same canonical elements.  ``atlas.json`` is exactly
 what ``json.dumps(atlas_to_dict(atlas), indent=2)`` returns, plus a final
-newline; :func:`atlas_json` writes it without the pure-Python encoder that
-``json.dumps`` runs when it indents.
+newline.  :func:`atlas_json` writes it from that fixed schema: the header
+values and notes go through ``json.dumps`` (so escaping is json's own), each
+stratum is one f-string, and every integer list (reduced words, closures,
+poset edges) is one ``join`` over decimal labels built once per atlas.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+import json
 
 from .atlas import Atlas, PELCase
 from .errors import InputError
@@ -123,9 +125,30 @@ def case_to_dict(case: PELCase) -> dict:
     return doc
 
 
+def _header(atlas: Atlas) -> dict:
+    """The entries of atlas.json before ``strata``."""
+    return {
+        "case": case_to_dict(atlas.case),
+        "group": {
+            "name": atlas.case.spec.describe(),
+            "rank": atlas.group.n,
+            "order": atlas.group.order,
+        },
+        "J": sorted(atlas.J),
+        "K": sorted(atlas.K),
+        "degree": atlas.degree,
+        "moduli_dim": atlas.moduli_dim,
+        "mu_ordinary": {
+            "verdict": atlas.mu_ordinary.verdict,
+            **atlas.mu_ordinary.flags,
+        },
+    }
+
+
 def atlas_to_dict(atlas: Atlas) -> dict:
-    group = atlas.group
-    word = group.reduced_word
+    """The atlas.json document as a dict: the schema that :func:`atlas_json`
+    writes."""
+    word = atlas.group.reduced_word
     strata = []
     for sid, s in enumerate(atlas.strata):
         strata.append(
@@ -143,77 +166,97 @@ def atlas_to_dict(atlas: Atlas) -> dict:
             }
         )
     return {
-        "case": case_to_dict(atlas.case),
-        "group": {
-            "name": atlas.case.spec.describe(),
-            "rank": group.n,
-            "order": group.order,
-        },
-        "J": sorted(atlas.J),
-        "K": sorted(atlas.K),
-        "degree": atlas.degree,
-        "moduli_dim": atlas.moduli_dim,
-        "mu_ordinary": {
-            "verdict": atlas.mu_ordinary.verdict,
-            **atlas.mu_ordinary.flags,
-        },
+        **_header(atlas),
         "strata": strata,
         "poset_edges": hasse_edges(atlas),
         "notes": atlas.notes,
     }
 
 
+# a line break followed by the indentation of each depth of atlas.json, and
+# the opening, separator and closing of a non-empty list that starts there
+_LINES = tuple("\n" + "  " * depth for depth in range(6))
+_LISTS = tuple((f"[{nl}  ", f",{nl}  ", f"{nl}]") for nl in _LINES)
+
+
+def _labels(atlas: Atlas) -> list[str]:
+    """The decimal labels of every stratum id and every letter of a word."""
+    return [str(i) for i in range(max(len(atlas.strata), atlas.group.n))]
+
+
+def _dumps(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as it is written at ``depth`` inside
+    another value; json writes no raw line break inside a string, so each
+    one that it writes starts a line."""
+    return json.dumps(value, indent=2).replace("\n", _LINES[depth])
+
+
+def _list(items, depth: int) -> str:
+    """A non-empty list written at ``depth``, from its items already written
+    one level deeper."""
+    start, sep, end = _LISTS[depth]
+    return f"{start}{sep.join(items)}{end}"
+
+
+def _ints(labels: list[str], values, depth: int) -> str:
+    """``_dumps(values, depth)`` for a list of ints below ``len(labels)``."""
+    return _list(map(labels.__getitem__, values), depth) if values else "[]"
+
+
+def _stratum(labels: list[str], word, sid: int, s) -> str:
+    """One entry of the atlas.json ``strata`` list, from its line break on."""
+    _, _, nl2, nl3, nl4, nl5 = _LINES
+    # an orbit holds its representative, and a fiber its representative
+    orbit = _list((_ints(labels, word(w), 4) for w in s.orbit), 3)
+    fiber = _list(
+        (
+            f'{{{nl5}"word": {_ints(labels, word(w), 5)},{nl5}"length": {w.length}{nl4}}}'
+            for w in s.eo_fiber
+        ),
+        3,
+    )
+    single = "true" if s.single_eo else "false"
+    maximal = "true" if s.is_maximal else "false"
+    siegel_a = "null" if s.siegel_a is None else s.siegel_a
+    return (
+        f'{nl2}{{{nl3}"id": {labels[sid]},'
+        f'{nl3}"rep": {_ints(labels, word(s.rep), 3)},'
+        f'{nl3}"orbit": {orbit},'
+        f'{nl3}"dim": {s.dim},'
+        f'{nl3}"codim": {s.codim},'
+        f'{nl3}"eo_fiber": {fiber},'
+        f'{nl3}"single_eo": {single},'
+        f'{nl3}"closure": {_ints(labels, s.closure, 3)},'
+        f'{nl3}"is_maximal": {maximal},'
+        f'{nl3}"siegel_a": {siegel_a}{nl2}}}'
+    )
+
+
 def atlas_json(atlas: Atlas) -> str:
-    out: list[str] = []
-    _write_json(atlas_to_dict(atlas), "\n", out)
-    out.append("\n")
+    """``json.dumps(atlas_to_dict(atlas), indent=2)`` plus a final newline,
+    written from the schema: one f-string per stratum, one ``join`` per
+    list, and one ``join`` of all the pieces."""
+    _, nl1, nl2, nl3, _, _ = _LINES
+    labels = _labels(atlas)
+    word = atlas.group.reduced_word
+    out = ["{"]
+    for key, value in _header(atlas).items():
+        out.append(f'{nl1}"{key}": {_dumps(value, 1)},')
+    out.append(f'{nl1}"strata": [')
+    # an atlas has at least one stratum, the one of the identity
+    for sid, s in enumerate(atlas.strata):
+        if sid:
+            out.append(",")
+        out.append(_stratum(labels, word, sid, s))
+    out.append(f'{nl1}],{nl1}"poset_edges": ')
+    covers = atlas.orbit_poset.covers  # the pairs that hasse_edges lists
+    out.append(
+        _list((f"[{nl3}{labels[a]},{nl3}{labels[b]}{nl2}]" for a, b in covers), 1)
+        if covers
+        else "[]"
+    )
+    out.append(f',{nl1}"notes": {_dumps(atlas.notes, 1)}\n}}\n')
     return "".join(out)
-
-
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` writes
-    it, with ``newline`` (a line break and the current indentation) before
-    each line that it starts.  Takes dicts with str keys, lists, str, int,
-    bool and None; anything else raises TypeError."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if all(type(v) is int for v in value):
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def hasse_edges(atlas: Atlas) -> list[list[int]]:
@@ -224,7 +267,7 @@ def hasse_edges(atlas: Atlas) -> list[list[int]]:
 
 def word_label(word) -> str:
     """A reduced word as its letters run together, "e" for the empty word."""
-    return "".join(str(i) for i in word) or "e"
+    return "".join(map(str, word)) or "e"
 
 
 def emit_dot(atlas: Atlas) -> str:
@@ -242,26 +285,24 @@ def emit_dot(atlas: Atlas) -> str:
 
 
 def emit_table(atlas: Atlas) -> str:
-    """Fixed-width text table of the strata."""
-    group = atlas.group
-    rows = []
+    """Fixed-width text table of the strata; the last column (closure) is
+    never empty and is not padded."""
+    labels = _labels(atlas)
+    word = atlas.group.reduced_word
+    rows = [("id", "rep", "dim", "codim", "#EO", "single-EO", "closure")]
     for sid, s in enumerate(atlas.strata):
         rows.append(
             (
-                str(sid),
-                word_label(group.reduced_word(s.rep)),
+                labels[sid],
+                word_label(word(s.rep)),
                 str(s.dim),
                 str(s.codim),
                 str(len(s.eo_fiber)),
                 "yes" if s.single_eo else "no",
-                ",".join(map(str, s.closure)),
+                ",".join(map(labels.__getitem__, s.closure)),
             )
         )
-    header = ("id", "rep", "dim", "codim", "#EO", "single-EO", "closure")
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))
-    ]
-    out = []
-    for row in (header, *rows):
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    widths = [max(len(row[c]) for row in rows) for c in range(6)]
+    return "".join(
+        "  ".join([*map(str.ljust, row[:6], widths), row[6]]) + "\n" for row in rows
+    )

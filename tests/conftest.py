@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import re
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,23 @@ def engine_leq(group: WeylGroup):
     the Bruhat intervals."""
     down = lower_sets(group, frozenset(), {w: 1 << w.uid for w in group.elements()})
     return lambda x, w: bool(down[w] >> x.uid & 1)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# the benchmark's recorded output digests, keyed by ladder preset or by
+# "doc:" + the sha256 of a many-strata document; opened read-only
+DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
+LADDER = sorted(p for p in DIGESTS if not p.startswith("doc:"))
+
+
+def benchmark_workloads():
+    """The benchmark's case generator, imported read-only from its file."""
+    path = PERFBENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # groups small enough for exhaustive all-pairs / all-subsets checks

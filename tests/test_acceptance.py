@@ -108,9 +108,10 @@ def test_criterion_2_length_formulas():
     for group, pairs in _matrix_pairs():
         for J, K in pairs:
             for x in parabolic.min_double_reps(group, J, K):
-                xu, dim = parabolic.x_upper(group, x, J, K)
+                Jx = group.induced_subset(x, J, K)
+                xu, dim = parabolic.x_upper(group, x, Jx, K)
                 ok &= dim == xu.length
-                ok &= dim == parabolic.ell_JK(group, x, J, K)
+                ok &= dim == parabolic.ell_JK(group, x, Jx, K)
     _report(2, "maximal-element length formulas agree over the test matrix", ok)
 
 

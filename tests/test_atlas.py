@@ -224,11 +224,11 @@ class TestBuildGuards:
         ell_JK, x_upper = parabolic.ell_JK, parabolic.x_upper
         if fault == "ell_JK_off_by_one":
             monkeypatch.setattr(
-                parabolic, "ell_JK", lambda group, x, J, K: ell_JK(group, x, J, K) + 1
+                parabolic, "ell_JK", lambda group, x, Jx, K: ell_JK(group, x, Jx, K) + 1
             )
         else:  # x itself as the top element, with the true length
             monkeypatch.setattr(
-                parabolic, "x_upper", lambda group, x, J, K: (x, x_upper(group, x, J, K)[1])
+                parabolic, "x_upper", lambda group, x, Jx, K: (x, x_upper(group, x, Jx, K)[1])
             )
         with pytest.raises(ConsistencyError, match=f"dimension formulas disagree at {re.escape(word)}$"):
             build_atlas(siegel_case(3))

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from bruhat_atlas.serialize import (
     hasse_edges,
     parse_case,
 )
+from conftest import DIGESTS, LADDER, benchmark_workloads
 
 
 A2 = {"group": {"factors": [{"type": "A", "rank": 2}]}}
@@ -406,31 +406,16 @@ class TestMain:
             build_parser().parse_args([])
 
 
-# the recorded output digests of the benchmark; opened read-only
-DIGESTS = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
-)
-
-
-@pytest.mark.parametrize("preset", sorted(p for p in DIGESTS if not p.startswith("doc:")))
+@pytest.mark.parametrize("preset", LADDER)
 def test_ladder_outputs_match_recorded_digests(preset, tmp_path):
     assert main(["--out", str(tmp_path), "corpus", preset]) == 0
     for name, digest in DIGESTS[preset].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-def _benchmark_workloads():
-    """The benchmark's case generator, imported read-only from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_many_strata_outputs_match_recorded_digests(tmp_path):
     # one seed's twelve documents, each recorded under the hash of its bytes
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     docs = workloads.many_strata_docs(611)
     assert len(docs) == 12
     for name, doc in docs:

@@ -176,8 +176,8 @@ class TestVerifyAtlas:
         atlas = build_atlas(siegel_case(2))
         x_upper = parabolic.x_upper
 
-        def wrong_top(group, x, J, K):
-            length = x.length if claimed_length == "own" else x_upper(group, x, J, K)[1]
+        def wrong_top(group, x, Jx, K):
+            length = x.length if claimed_length == "own" else x_upper(group, x, Jx, K)[1]
             return x, length
 
         monkeypatch.setattr(parabolic, "x_upper", wrong_top)

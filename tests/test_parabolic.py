@@ -127,33 +127,39 @@ class TestHowlett:
     # x_upper(x) = x * w0(J_x) * w0(K); these pin the W_K factor w0(J_x) * w0(K)
     def test_x_lower_trivial_when_saturated(self, c2):
         # J_e = K, so the fiber of e is e alone
+        assert c2.induced_subset(c2.identity, {0}, {0}) == {0}
         xu, dim = parabolic.x_upper(c2, c2.identity, {0}, {0})
         assert xu is c2.identity and dim == 0
 
     def test_a2_x_lower(self, a2):
         # J_e is empty inside K = {1}, so the fiber of e is W_K = {e, s1}
-        xu, dim = parabolic.x_upper(a2, a2.identity, {0}, {1})
+        assert a2.induced_subset(a2.identity, {0}, {1}) == set()
+        xu, dim = parabolic.x_upper(a2, a2.identity, set(), {1})
         assert xu is a2.simple[1] and dim == 1
 
     def test_c2_siegel_x_lower(self, c2):
         s0, s1 = c2.simple
-        xu, _ = parabolic.x_upper(c2, s1, {0}, {0})
+        # s1(alpha_0) is not simple, so J_x is empty and the fiber is s1 * W_K
+        assert c2.induced_subset(s1, {0}, {0}) == set()
+        xu, _ = parabolic.x_upper(c2, s1, set(), {0})
         assert xu is s1 * s0
 
     def test_c2_siegel_x_upper(self, c2):
         s0, s1 = c2.simple
-        xu, dim = parabolic.x_upper(c2, s1 * s0 * s1, {0}, {0})
-        assert xu == s1 * s0 * s1 and dim == 3
-        xu, dim = parabolic.x_upper(c2, s1, {0}, {0})
-        assert xu == s1 * s0 and dim == 2
-        _, dim = parabolic.x_upper(c2, c2.identity, {0}, {0})
-        assert dim == 0
+        for x, Jx, top, length in [
+            (s1 * s0 * s1, {0}, s1 * s0 * s1, 3),
+            (s1, set(), s1 * s0, 2),
+            (c2.identity, {0}, c2.identity, 0),
+        ]:
+            assert c2.induced_subset(x, {0}, {0}) == Jx
+            assert parabolic.x_upper(c2, x, Jx, {0}) == (top, length)
 
     def test_ell_jk_examples(self, a2, c2):
-        assert parabolic.ell_JK(c2, c2.simple[1], {0}, {0}) == 2
+        # ell_JK takes J_x: empty for s1 in C2, K itself for e, {1} for s1 s0 in A2
+        assert parabolic.ell_JK(c2, c2.simple[1], set(), {0}) == 2
         assert parabolic.ell_JK(c2, c2.identity, {0}, {0}) == 0
         s0, s1 = a2.simple
-        assert parabolic.ell_JK(a2, s1 * s0, {0}, {1}) == 2
+        assert parabolic.ell_JK(a2, s1 * s0, {1}, {1}) == 2
 
     def test_formulas_agree_all_subsets(self):
         import itertools
@@ -166,8 +172,9 @@ class TestHowlett:
                 for kbits in itertools.product([0, 1], repeat=g.n):
                     K = frozenset(i for i in nodes if kbits[i])
                     for x in parabolic.min_double_reps(g, J, K):
-                        _, dim = parabolic.x_upper(g, x, J, K)
-                        assert dim == parabolic.ell_JK(g, x, J, K)
+                        Jx = g.induced_subset(x, J, K)
+                        _, dim = parabolic.x_upper(g, x, Jx, K)
+                        assert dim == parabolic.ell_JK(g, x, Jx, K)
 
     def test_x_upper_is_bruhat_maximal_in_fiber(self):
         g = group_of("C3")
@@ -175,7 +182,7 @@ class TestHowlett:
         left = brute_min_left_reps(g, J)
         classes = {cls[0]: cls for cls in brute_double_cosets(g, J, K)}
         for x in parabolic.min_double_reps(g, J, K):
-            xu, dim = parabolic.x_upper(g, x, J, K)
+            xu, dim = parabolic.x_upper(g, x, g.induced_subset(x, J, K), K)
             fiber = [w for w in classes[x] if w in left]
             assert xu in fiber
             interval = brute_interval(g, g.reduced_word(xu))

@@ -1,73 +1,114 @@
+import hashlib
 import json
-from pathlib import Path
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bruhat_atlas.atlas import build_atlas
 from bruhat_atlas.cli import corpus_preset
-from bruhat_atlas.serialize import _write_json, atlas_json, atlas_to_dict, parse_case
+from bruhat_atlas.serialize import (
+    atlas_json,
+    atlas_to_dict,
+    emit_dot,
+    emit_table,
+    parse_case,
+    word_label,
+)
+from conftest import DIGESTS, LADDER, benchmark_workloads
 
-# the ladder presets whose outputs the benchmark records; opened read-only
-LADDER = sorted(
-    p
-    for p in json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+
+WORKLOADS = benchmark_workloads()
+
+
+def _many_strata(seed: int) -> dict[str, dict]:
+    """The twelve many-strata documents of a seed, named by seed and shape."""
+    return {f"{seed}-{name}": doc for name, doc in WORKLOADS.many_strata_docs(seed)}
+
+
+SEED_0 = _many_strata(0)
+# every case document, by name: the ladder presets (their Siegel strata carry
+# a-numbers), the many-strata documents of seeds 0 and 1, a case with a note
+# and a case with one stratum and no poset edges
+CASES = {
+    **{p: corpus_preset(p) for p in LADDER},
+    **SEED_0,
+    **_many_strata(1),
+    "note": {
+        "group": {"factors": [{"type": "C", "rank": 2}]},
+        "mu": {"pairings": [1, 0]},
+        "options": {"minuscule_check": False},
+    },
+    "one-stratum": {"group": {"factors": [{"type": "C", "rank": 2}]}, "J": [0, 1]},
+}
+
+
+def digest_key(name: str) -> str:
+    """A case's key in the recorded digests."""
+    if name in LADDER:
+        return name
+    return "doc:" + hashlib.sha256(WORKLOADS.doc_bytes(CASES[name])).hexdigest()
+
+
+@lru_cache(maxsize=None)
+def atlas_of(name: str):
+    return build_atlas(parse_case(CASES[name]))
+
+
+def padded_table(atlas) -> str:
+    """The table as every column padded to its width, each line then
+    right-stripped."""
+    rows = [("id", "rep", "dim", "codim", "#EO", "single-EO", "closure")]
+    for sid, s in enumerate(atlas.strata):
+        rows.append(
+            (
+                str(sid),
+                word_label(atlas.group.reduced_word(s.rep)),
+                str(s.dim),
+                str(s.codim),
+                str(len(s.eo_fiber)),
+                "yes" if s.single_eo else "no",
+                ",".join(map(str, s.closure)),
+            )
+        )
+    widths = [max(len(row[c]) for row in rows) for c in range(7)]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+        for row in rows
     )
-    if not p.startswith("doc:")
-)
 
 
-def written(value) -> str:
-    out = []
-    _write_json(value, "\n", out)
-    return "".join(out)
-
-
-# every code point class json escapes: quotes, backslashes, control
-# characters, non-ASCII and astral characters (written as surrogate pairs)
-TEXT = st.text(
-    st.one_of(
-        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€𝄞'),
-        st.characters(codec="utf-8"),
-    ),
-    max_size=8,
-)
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-(10**30), 10**30), TEXT
-)
-VALUES = st.recursive(
-    SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(st.integers(-5, 5), max_size=4),
-        st.dictionaries(TEXT, inner, max_size=4),
-    ),
-    max_leaves=24,
-)
+def test_cases_reach_every_kind_of_value():
+    atlases = [atlas_of(name) for name in CASES]
+    assert len(CASES) == len(LADDER) + 12 + 12 + 2
+    assert any(a.notes for a in atlases)
+    assert any(s.siegel_a is not None for a in atlases for s in a.strata)
+    assert any(not a.orbit_poset.covers for a in atlases)
+    assert any(len(s.orbit) > 1 for a in atlases for s in a.strata)
 
 
 class TestWriter:
-    @settings(max_examples=150, deadline=None)
-    @given(VALUES)
-    def test_matches_json_dumps_indent_2(self, value):
-        assert written(value) == json.dumps(value, indent=2)
+    """atlas.json is json.dumps of the schema dict, the table is the padded
+    table, and the ladder presets and seed-0 documents give the recorded
+    bytes."""
 
-    @pytest.mark.parametrize(
-        "value", [[], {}, [[]], {"a": {}}, [{}, []], [True, 1, 0, False], [-1, 2], 0, ""]
-    )
-    def test_edge_cases(self, value):
-        assert written(value) == json.dumps(value, indent=2)
-
-    @pytest.mark.parametrize(
-        "value", [1.5, {1, 2}, [0.0], {"a": {"b": {3}}}, {1: "int key"}, (1, 2)]
-    )
-    def test_unsupported_type_raises(self, value):
-        with pytest.raises(TypeError):
-            written(value)
-
-    @pytest.mark.parametrize("preset", LADDER)
-    def test_atlas_json_is_json_dumps(self, preset):
-        atlas = build_atlas(parse_case(corpus_preset(preset)))
+    @pytest.mark.parametrize("name", CASES)
+    def test_atlas_json_is_json_dumps(self, name):
+        atlas = atlas_of(name)
         assert atlas_json(atlas) == json.dumps(atlas_to_dict(atlas), indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_emit_table_is_the_padded_table(self, name):
+        atlas = atlas_of(name)
+        assert emit_table(atlas) == padded_table(atlas)
+
+    @pytest.mark.parametrize("name", LADDER + list(SEED_0))
+    def test_outputs_match_recorded_digests(self, name):
+        atlas = atlas_of(name)
+        outputs = {
+            "atlas.json": atlas_json(atlas),
+            "hasse.dot": emit_dot(atlas),
+            "table.txt": emit_table(atlas),
+        }
+        assert {
+            file: hashlib.sha256(text.encode()).hexdigest() for file, text in outputs.items()
+        } == DIGESTS[digest_key(name)]
