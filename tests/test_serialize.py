@@ -3,10 +3,13 @@ import json
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhat_atlas.atlas import build_atlas
 from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.serialize import (
+    _dumps,
     atlas_json,
     atlas_to_dict,
     emit_dot,
@@ -77,6 +80,46 @@ def padded_table(atlas) -> str:
     )
 
 
+def written(value, depth: int) -> str:
+    """``value`` written by ``_dumps`` at ``depth``, inside ``depth`` objects
+    of one key each."""
+    opening = "".join("{\n" + "  " * (d + 1) + '"k": ' for d in range(depth))
+    closing = "".join("\n" + "  " * d + "}" for d in reversed(range(depth)))
+    return opening + _dumps(value, depth) + closing
+
+
+def nested(value, depth: int):
+    """``value`` inside ``depth`` objects of one key each."""
+    for _ in range(depth):
+        value = {"k": value}
+    return value
+
+
+# every code point class json escapes: quotes, backslashes, control
+# characters, non-ASCII and astral characters (written as surrogate pairs)
+TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€𝄞'),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=8,
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**30), 10**30), TEXT
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.integers(-5, 5), max_size=4),
+        st.dictionaries(TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+# the depths that atlas.json has lines at
+DEPTHS = st.integers(0, 5)
+
+
 def test_cases_reach_every_kind_of_value():
     atlases = [atlas_of(name) for name in CASES]
     assert len(CASES) == len(LADDER) + 12 + 12 + 2
@@ -90,6 +133,18 @@ class TestWriter:
     """atlas.json is json.dumps of the schema dict, the table is the padded
     table, and the ladder presets and seed-0 documents give the recorded
     bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(VALUES, DEPTHS)
+    def test_matches_json_dumps_indent_2(self, value, depth):
+        assert written(value, depth) == json.dumps(nested(value, depth), indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [[], {}, [[]], {"a": {}}, [{}, []], [True, 1, 0, False], [-1, 2], 0, ""]
+    )
+    def test_edge_cases(self, value):
+        for depth in range(6):
+            assert written(value, depth) == json.dumps(nested(value, depth), indent=2)
 
     @pytest.mark.parametrize("name", CASES)
     def test_atlas_json_is_json_dumps(self, name):
