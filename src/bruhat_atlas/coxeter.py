@@ -18,12 +18,18 @@ the same order either way.
 
 An element is its interned key: elements are interned per group, so equal
 means identical, and numbered by ``uid`` in order of creation.  Only the
-length is computed once per element; descents are read off the key when
-asked for.  The group law by a simple reflection is memoized on the element
-itself, in its ``steps`` list; canonical reduced words are peeled on keys,
-interning nothing, and kept by uid.  The element bound of a group limits how
-many elements it materializes, and an enumeration whose closed-form count
-exceeds it is refused before it grows.
+length is kept on the element; descents are read off the key when asked for.
+The group law by a simple reflection is memoized on the element itself, in
+its ``steps`` list, in both directions: s_i s_i = e, so forming v = w s_i
+also records w = v s_i.  A step carries its length, l(w s_i) = l(w) + 1
+exactly when w(alpha_i) is positive (Humphreys, "Reflection Groups and
+Coxeter Groups", 1.6-1.7), so only a general product and the generators
+count negative images.  Canonical reduced words are peeled on keys,
+interning nothing, and kept by uid.  Validated subsets of the nodes, their
+parabolic orders and their ascent stops are memoized per group, one
+frozenset per subset.  The element bound of a group limits how many
+elements it materializes, and an enumeration whose closed-form count exceeds
+it is refused before it grows.
 
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
 grows the J-minimal elements of a coset x W_S by ascents from x: ^J W and, for
@@ -50,20 +56,21 @@ DEFAULT_BOUND = 10**6
 class WeylElement:
     """One group element; create these through a :class:`WeylGroup` only.
 
-    ``length`` is read off the key when the element is interned, and the
-    descent sets whenever they are asked for.  ``steps[i]`` is w s_i and
-    ``steps[n + i]`` is s_i w, or None until formed.  Equality is identity: a
-    group interns one element per key.
+    ``length`` is handed on by the step or product that first forms the
+    element, and the descent sets are read off the key whenever they are
+    asked for.  ``steps[i]`` is w s_i and ``steps[n + i]`` is s_i w, or None
+    until formed; a step is kept in both directions, so forming v = w s_i
+    sets ``v.steps[i]`` to w.  Equality is identity: a group interns one
+    element per key.
     """
 
     __slots__ = ("group", "key", "uid", "length", "steps")
 
-    def __init__(self, group: "WeylGroup", key: Key, uid: int):
+    def __init__(self, group: "WeylGroup", key: Key, uid: int, length: int):
         self.group = group
         self.key = key
         self.uid = uid
-        N = group.N
-        self.length = sum(1 for r in key[:N] if r >= N)
+        self.length = length
         self.steps: list[WeylElement | None] = [None] * (2 * group.n)
 
     @property
@@ -99,7 +106,6 @@ class WeylGroup:
         self.pos_roots = positive_roots(cartan)
         supports = (frozenset(k for k, c in enumerate(r) if c) for r in self.pos_roots)
         self._heights = list(zip(supports, map(sum, self.pos_roots)))
-        self.order = self.parabolic_order(range(n))
         simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
         positive = simples + [r for r in self.pos_roots if sum(r) > 1]
         self.roots = tuple(positive + [tuple(-c for c in r) for r in positive])
@@ -116,20 +122,32 @@ class WeylGroup:
             self._table = lambda key: key
             self._compose = lambda key, table: itemgetter(*key)(table)
         self._registry: dict[Key, WeylElement] = {}
+        self._subsets: dict[frozenset[int], frozenset[int]] = {}
+        self._orders: dict[frozenset[int], int] = {}
+        self._stops: dict[frozenset[int], frozenset[int]] = {}
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._words: dict[int, tuple[int, ...]] = {}
-        self.identity = self._intern(self._encode(range(width)))
+        self.order = self.parabolic_order(range(n))
         index = {root: r for r, root in enumerate(self.roots)}
-        self.simple = tuple(
-            self._intern(self._encode(index[reflect(cartan, i, r)] for r in self.roots))
-            for i in range(n)
-        )
+        keys = [self._encode(range(width))] + [
+            self._encode(index[reflect(cartan, i, r)] for r in self.roots) for i in range(n)
+        ]
+        self.identity, *simple = [self._intern(key, self._length(key)) for key in keys]
+        self.simple = tuple(simple)
         self._simple_tables = tuple(self._table(s.key) for s in self.simple)
 
     # -- element construction ------------------------------------------------
 
-    def _intern(self, key: Key) -> WeylElement:
+    def _length(self, key: Key) -> int:
+        """The number of positive roots that ``key`` sends negative."""
+        N = self.N
+        return sum(1 for r in key[:N] if r >= N)
+
+    def _intern(self, key: Key, length: int) -> WeylElement:
+        """The element of ``key``; ``length`` is its length, known to the
+        caller, and used only when the key is new.  A step looks the key up
+        in ``_registry`` itself and calls this only for a new one."""
         el = self._registry.get(key)
         if el is None:
             count = len(self._registry)
@@ -138,7 +156,7 @@ class WeylGroup:
                     f"element bound {self.element_bound} exceeded: "
                     f"{count + 1} elements materialized"
                 )
-            el = WeylElement(self, key, count)
+            el = WeylElement(self, key, count, length)
             self._registry[key] = el
         return el
 
@@ -152,22 +170,35 @@ class WeylGroup:
     def multiply(self, w: WeylElement, v: WeylElement) -> WeylElement:
         """(w v)(root r) = w(v(root r))."""
         self.check_ambient(w, v)
-        return self._intern(self._compose(v.key, self._table(w.key)))
+        key = self._compose(v.key, self._table(w.key))
+        return self._intern(key, self._length(key))
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
-        """s_i * w, kept in ``w.steps[n + i]``."""
-        cached = w.steps[self.n + i]
+        """s_i * w, kept in ``w.steps[n + i]`` and, since s_i s_i = e, w in
+        ``(s_i w).steps[n + i]``.  It is shorter than w exactly when i is a left
+        descent of w, i.e. alpha_i lies in w(negative roots)."""
+        ni = self.n + i
+        cached = w.steps[ni]
         if cached is None:
-            cached = self._intern(self._compose(w.key, self._simple_tables[i]))
-            w.steps[self.n + i] = cached
+            key = self._compose(w.key, self._simple_tables[i])
+            cached = self._registry.get(key) or self._intern(
+                key, w.length - 1 if w.key.index(i) >= self.N else w.length + 1
+            )
+            w.steps[ni] = cached
+            cached.steps[ni] = w
         return cached
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
-        """w * s_i, kept in ``w.steps[i]``."""
+        """w * s_i, kept in ``w.steps[i]`` and w in ``(w s_i).steps[i]``.  It
+        is longer than w exactly when w(alpha_i) is positive."""
         cached = w.steps[i]
         if cached is None:
-            cached = self._intern(self._compose(self.simple[i].key, self._table(w.key)))
+            key = self._compose(self.simple[i].key, self._table(w.key))
+            cached = self._registry.get(key) or self._intern(
+                key, w.length + 1 if w.key[i] < self.N else w.length - 1
+            )
             w.steps[i] = cached
+            cached.steps[i] = w
         return cached
 
     # -- words and descents --------------------------------------------------
@@ -197,17 +228,29 @@ class WeylGroup:
         for i in word:
             if not 0 <= i < self.n:
                 raise InputError(f"letter {i} outside 0..{self.n - 1}")
-            out = self.right_mul(out, i)
+            out = out.steps[i] or self.right_mul(out, i)
         return out
 
     # -- parabolic helpers ---------------------------------------------------
 
     def check_subset(self, J) -> frozenset[int]:
+        """J as a frozenset of node ids of this group, refused otherwise.
+
+        The group keeps one validated frozenset per subset and returns it, so
+        a caller that passes it on is answered at once.  The hit is by
+        identity: an equal set need not hold int ids (frozenset({1.0}) ==
+        frozenset({1})), so any other object is checked in full."""
+        if type(J) is frozenset and self._subsets.get(J) is J:
+            return J
         J = frozenset(J)
         bad = [i for i in J if not (isinstance(i, int) and 0 <= i < self.n)]
         if bad:
             raise InputError(f"invalid node ids {sorted(bad)} for rank {self.n}")
-        return J
+        return self._kept(J)
+
+    def _kept(self, S: frozenset[int]) -> frozenset[int]:
+        """The group's one copy of S, a subset of its node ids."""
+        return self._subsets.setdefault(S, S)
 
     def longest_element(self, J) -> WeylElement:
         """The maximal-length element of the parabolic subgroup W_J."""
@@ -236,7 +279,7 @@ class WeylGroup:
             if not 0 <= j < self.n:  # pragma: no cover
                 raise ConsistencyError("w0 did not negate a simple root")
             out.add(j)
-        return frozenset(out)
+        return self._kept(frozenset(out))
 
     # -- Bruhat order ----------------------------------------------------------
 
@@ -269,14 +312,18 @@ class WeylGroup:
     def parabolic_order(self, S) -> int:
         """|W_S| = prod (ht a + 1) / ht a over the positive roots a supported
         in S: Macdonald's formula for the Poincare polynomial at q = 1 ("The
-        Poincare series of a Coxeter group", Math. Ann. 199, 1972)."""
+        Poincare series of a Coxeter group", Math. Ann. 199, 1972).  Kept
+        by subset."""
         S = self.check_subset(S)
-        num = den = 1
-        for support, height in self._heights:
-            if support <= S:
-                num *= height + 1
-                den *= height
-        return num // den
+        order = self._orders.get(S)
+        if order is None:
+            num = den = 1
+            for support, height in self._heights:
+                if support <= S:
+                    num *= height + 1
+                    den *= height
+            order = self._orders[S] = num // den
+        return order
 
     def induced_subset(self, x: WeylElement, J, K) -> frozenset[int]:
         """{k in K : x s_k x^-1 is a simple reflection from J}, for x in ^J W^K
@@ -284,21 +331,27 @@ class WeylGroup:
         positive root, so this is {k in K : x(alpha_k) = alpha_j, j in J}."""
         J = self.check_subset(J)
         K = self.check_subset(K)
-        left, right = x.left_descents & J, x.right_descents & K
+        key, N = x.key, self.N
+        left = J.intersection(key[N:])  # J meet the left descents
+        right = [k for k in K if key[k] >= N]  # K meet the right descents
         if left or right:
             raise InputError(
                 f"element {self.reduced_word(x)} is not a minimal double "
                 f"representative for J={sorted(J)}, K={sorted(K)}: left descents "
                 f"{sorted(left)} in J, right descents {sorted(right)} in K"
             )
-        return frozenset(k for k in K if x.key[k] in J)
+        return self._kept(frozenset(k for k in K if x.key[k] in J))
 
     def ascent_stops(self, J) -> frozenset[int]:
         """The root indices r such that, when w(alpha_i) is root r, w s_i is
         shorter than w or leaves ^J W: the negative roots, and alpha_j for j
         in J (Deodhar's lemma).  So for w in ^J W, w s_i is an ascent inside
-        ^J W exactly when ``w.key[i] not in ascent_stops(J)``."""
-        return frozenset(range(self.N, 2 * self.N)).union(self.check_subset(J))
+        ^J W exactly when ``w.key[i] not in ascent_stops(J)``.  Kept by subset."""
+        J = self.check_subset(J)
+        stops = self._stops.get(J)
+        if stops is None:
+            stops = self._stops[J] = frozenset(range(self.N, 2 * self.N)).union(J)
+        return stops
 
     def ascend(self, gens, J, start: WeylElement | None = None) -> list[WeylElement]:
         """The elements of start * W_gens with no left descent in J, grown from

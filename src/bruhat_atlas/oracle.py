@@ -72,36 +72,37 @@ def _closure_classes(group: WeylGroup, J, K, keep) -> list:
     """``keep(members)`` for the members of each class of W under closure by
     left-J and right-K moves by simple reflections.  Only what ``keep`` returns
     outlives the pass.  Costs |W|·(|J| + |K|) memoized ``left_mul`` and
-    ``right_mul`` steps and no general product."""
+    ``right_mul`` steps and no general product; ``elements()`` has formed
+    every right step already, in both directions."""
     J = group.check_subset(J)
     K = group.check_subset(K)
     # enumerate first: elements() refuses a group past the bound before
     # |W| bytes are allocated; uids run below |W|, so membership stays in C
     elements = group.elements()
     assigned = bytearray(len(elements))
+    left = [group.n + j for j in J]
     kept = []
     for w in elements:
         if assigned[w.uid]:
             continue
-        block = {w.uid: w}
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for j in J:
-                    v = group.left_mul(j, u)
-                    if v.uid not in block:
-                        block[v.uid] = v
-                        nxt.append(v)
-                for k in K:
-                    v = group.right_mul(u, k)
-                    if v.uid not in block:
-                        block[v.uid] = v
-                        nxt.append(v)
-            frontier = nxt
-        for uid in block:
-            assigned[uid] = 1
-        kept.append(keep(block.values()))
+        # s s = e makes every move reversible, so nothing reachable from an
+        # unassigned w is assigned yet except by this block; the loop visits
+        # what it appends, breadth-first
+        assigned[w.uid] = 1
+        block = [w]
+        for u in block:
+            steps = u.steps  # memo hits are read inline; a miss forms the step
+            for j, nj in zip(J, left):
+                v = steps[nj] or group.left_mul(j, u)
+                if not assigned[v.uid]:
+                    assigned[v.uid] = 1
+                    block.append(v)
+            for k in K:
+                v = steps[k] or group.right_mul(u, k)
+                if not assigned[v.uid]:
+                    assigned[v.uid] = 1
+                    block.append(v)
+        kept.append(keep(block))
     return kept
 
 

@@ -508,3 +508,129 @@ class TestEnumeration:
         assert len(g.ascend({1, 2}, ())) == 8  # C2 parabolic
         assert g.ascend((), ()) == [g.identity]
         assert g.subgroup_elements({1, 2}) == g.ascend({1, 2}, ())
+
+
+def negative_images(g: WeylGroup, key) -> int:
+    """Length read off a key: the positive roots it sends negative."""
+    return sum(1 for r in key[: g.N] if r >= g.N)
+
+
+def count_composes(g: WeylGroup, monkeypatch) -> list:
+    composed = []
+    compose = g._compose
+    monkeypatch.setattr(
+        g, "_compose", lambda key, table: composed.append(1) or compose(key, table)
+    )
+    return composed
+
+
+class TestStepMemo:
+    """A simple step is memoized in both directions, and the step's caller
+    hands ``_intern`` the length of the element it forms."""
+
+    @staticmethod
+    def steps(g: WeylGroup):
+        return {
+            "right": lambda w, i: g.right_mul(w, i),
+            "left": lambda w, i: g.left_mul(i, w),
+        }
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_each_step_hands_on_its_length(self, name, side, monkeypatch):
+        # W grown on one side from the identity forms each new element by an
+        # ascent (the +1 branch), and grown from the longest element, by a
+        # descent (the -1 branch): a level's other neighbours exist already
+        w0_key = group_of(name).longest_element(range(group_of(name).n)).key
+        for top in (False, True):
+            g = WeylGroup(group_of(name).cartan)
+            start = g._intern(w0_key, negative_images(g, w0_key)) if top else g.identity
+            before = len(g._registry)
+            intern, handed = g._intern, []
+            monkeypatch.setattr(
+                g, "_intern",
+                lambda key, length: handed.append(length == negative_images(g, key))
+                or intern(key, length),
+            )
+            step = self.steps(g)[side]
+            grown, frontier = {start}, [start]
+            while frontier:
+                nxt = []
+                for w in frontier:
+                    for i in range(g.n):
+                        v = step(w, i)
+                        if v not in grown:
+                            grown.add(v)
+                            nxt.append(v)
+                frontier = nxt
+            assert len(grown) == len(g._registry) == g.order
+            assert handed == [True] * (g.order - before), top
+            assert all(w.length == negative_images(g, w.key) for w in grown)
+
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_a_step_taken_twice_composes_nothing(self, name, monkeypatch):
+        g = WeylGroup(group_of(name).cartan)
+        elements = g.elements()
+        # every pair {w, w s_i} was formed once, as an ascent, in both directions
+        assert all(w.steps[i] is not None for w in elements for i in range(g.n))
+        composed = count_composes(g, monkeypatch)
+        for side, step in self.steps(g).items():
+            for w in elements:
+                for i in range(g.n):
+                    v = step(w, i)
+                    formed = len(composed)
+                    assert step(v, i) is w, (side, i)
+                    assert len(composed) == formed, (side, i)
+        assert len(composed) == g.order * g.n // 2  # the left steps, once a pair
+
+    def test_wide_keys_over_min_left_reps(self, monkeypatch):
+        # C12: 2N = 288, so tuple keys; ^J W for J = {2..11} has 528 elements
+        g = WeylGroup(group_of("C12").cartan)
+        assert isinstance(g.identity.key, tuple)
+        jw = min_left_reps(g, range(2, 12))
+        assert len(jw) == 528
+        composed = count_composes(g, monkeypatch)
+        for step in self.steps(g).values():
+            for w in jw:
+                for i in range(g.n):
+                    v = step(w, i)
+                    assert v.length == negative_images(g, v.key)
+                    formed = len(composed)
+                    assert step(v, i) is w and len(composed) == formed
+        assert all(w.length == negative_images(g, w.key) for w in g._registry.values())
+
+
+class TestSubsetMemos:
+    """check_subset, parabolic_order and ascent_stops are memoized per group;
+    a memo hit never admits a subset the group would refuse."""
+
+    def test_a_valid_call_does_not_admit_a_bad_subset(self):
+        g = WeylGroup(group_of("C3").cartan)
+        ok = frozenset({0, 2})
+        assert g.check_subset(ok) is ok and g.check_subset(ok) is ok
+        # an equal set or sequence is checked, then answered with the group's copy
+        assert g.check_subset(frozenset([2, 0])) is ok and g.check_subset([2, 0]) is ok
+        with pytest.raises(InputError, match=r"invalid node ids \[3\] for rank 3"):
+            g.check_subset(frozenset({0, g.n}))
+        # equal to a validated set, but not its ids: 1.0 == 1 and hashes alike
+        assert g.check_subset(frozenset({1})) == {1}
+        with pytest.raises(InputError):
+            g.check_subset(frozenset({1.0}))
+
+    def test_a_subset_one_group_validated_is_refused_by_another(self):
+        S = frozenset({0, 4})
+        a5 = WeylGroup(group_of("A5").cartan)
+        assert a5.check_subset(S) is S and a5.check_subset(S) is S
+        with pytest.raises(InputError, match=r"invalid node ids \[4\] for rank 2"):
+            group_of("A2").check_subset(S)
+
+    @pytest.mark.parametrize("name", ["B3", "D4", "A1xA2"])
+    def test_memo_hits_agree_with_a_fresh_group(self, name):
+        g = group_of(name)
+        for r in range(g.n + 1):
+            for S in itertools.combinations(range(g.n), r):
+                fresh = WeylGroup(g.cartan)
+                first = g.parabolic_order(S), g.ascent_stops(S)
+                assert (g.parabolic_order(S), g.ascent_stops(S)) == first, S
+                assert g.ascent_stops(S) is first[1]
+                assert (fresh.parabolic_order(S), fresh.ascent_stops(S)) == first, S
