@@ -10,16 +10,16 @@ relation, together with the ordinarity verdict.
 from __future__ import annotations
 
 from . import parabolic
-from .coxeter import WeylElement, WeylGroup, DEFAULT_BOUND
+from .coxeter import WeylElement, WeylGroup, DEFAULT_BOUND, check_bound
 from .errors import ConsistencyError, InputError
-from .galois import OrbitPoset, definition_degree, galois_orbits, orbit_poset
+from .galois import definition_degree, galois_orbits, orbit_poset
 from .rootdata import (
     CocharSpec,
     DiagramAutomorphism,
     DynkinSpec,
+    Record,
     Value,
     cartan_from_spec,
-    identity_automorphism,
     pairing,
     validate_automorphism,
 )
@@ -39,17 +39,13 @@ class PELCase(Value):
         minuscule_check: bool = True,
         element_bound: int = DEFAULT_BOUND,
     ):
-        self._freeze(spec, phi, mu, J, minuscule_check, element_bound)
+        super().__init__(spec, phi, mu, J, minuscule_check, element_bound)
         if (mu is None) == (J is None):
             raise InputError("exactly one of mu and J must be given")
-        if element_bound < 1:
-            raise InputError(
-                "options.element_bound must be an integer >= 1, "
-                f"got {element_bound!r}"
-            )
+        check_bound(element_bound, spec.rank)
 
 
-class StratumRecord:
+class StratumRecord(Record):
     __slots__ = (
         "rep",
         "orbit",
@@ -62,38 +58,12 @@ class StratumRecord:
         "siegel_a",
     )
 
-    def __init__(
-        self,
-        rep: WeylElement,
-        orbit: list[WeylElement],
-        dim: int,
-        codim: int,
-        eo_fiber: list[WeylElement],
-        single_eo: bool,
-        closure: list[int],
-        is_maximal: bool,
-        siegel_a: int | None = None,
-    ):
-        self.rep = rep
-        self.orbit = orbit
-        self.dim = dim
-        self.codim = codim
-        self.eo_fiber = eo_fiber
-        self.single_eo = single_eo
-        self.closure = closure
-        self.is_maximal = is_maximal
-        self.siegel_a = siegel_a
 
-
-class MuOrdinaryReport:
+class MuOrdinaryReport(Record):
     __slots__ = ("verdict", "flags")
 
-    def __init__(self, verdict: bool, flags: dict[str, bool]):
-        self.verdict = verdict
-        self.flags = flags
 
-
-class Atlas:
+class Atlas(Record):
     __slots__ = (
         "case",
         "J",
@@ -106,30 +76,6 @@ class Atlas:
         "group",
         "notes",
     )
-
-    def __init__(
-        self,
-        case: PELCase,
-        J: frozenset[int],
-        K: frozenset[int],
-        degree: int,
-        moduli_dim: int,
-        strata: list[StratumRecord],
-        orbit_poset: OrbitPoset,
-        mu_ordinary: MuOrdinaryReport,
-        group: WeylGroup,
-        notes: list[str] | None = None,
-    ):
-        self.case = case
-        self.J = J
-        self.K = K
-        self.degree = degree
-        self.moduli_dim = moduli_dim
-        self.strata = strata
-        self.orbit_poset = orbit_poset
-        self.mu_ordinary = mu_ordinary
-        self.group = group
-        self.notes = [] if notes is None else notes
 
 
 def derive_J(group: WeylGroup, mu: CocharSpec, minuscule_check: bool = True):
@@ -324,27 +270,19 @@ def _assert_atlas_invariants(strata, double_reps, left_reps, moduli_dim):
             raise ConsistencyError("stratum dimension out of range")
 
 
-class SiegelIdentification:
-    __slots__ = ("g", "entries", "atlas")
-
-    def __init__(self, g: int, entries: list[dict], atlas: Atlas):
-        self.g = g
-        self.entries = entries  # each: a-number, dim, representative word
-        self.atlas = atlas
+class SiegelIdentification(Record):
+    __slots__ = ("g", "entries", "atlas")  # entries: a-number, dim, rep word
 
 
 def siegel_case(g: int, **options) -> PELCase:
     """The principally polarized preset of genus g."""
     if g < 1:
         raise InputError(f"genus must be >= 1, got {g}")
-    if g == 1:
-        spec = DynkinSpec((("A", 1),))
-        mu = CocharSpec((1,))
-    else:
-        spec = DynkinSpec((("C", g),))
-        mu = CocharSpec(tuple([0] * (g - 1) + [1]))
-    cartan = cartan_from_spec(spec)
-    return PELCase(spec=spec, phi=identity_automorphism(cartan), mu=mu, **options)
+    check_bound(options.get("element_bound", DEFAULT_BOUND), g)
+    spec = DynkinSpec((("A", 1),) if g == 1 else (("C", g),))
+    mu = CocharSpec(tuple([0] * (g - 1) + [1]))
+    phi = DiagramAutomorphism(tuple(range(g)), 1)
+    return PELCase(spec=spec, phi=phi, mu=mu, **options)
 
 
 def siegel_identify(g: int, **options) -> SiegelIdentification:

@@ -15,23 +15,26 @@ from pathlib import Path
 
 from . import atlas as atlas_mod
 from . import serialize
+from .coxeter import DEFAULT_BOUND, check_bound
 from .errors import BoundError, ConsistencyError, InputError
 
 
-def corpus_preset(name: str) -> dict:
-    """Expand a named preset into a case document."""
+def corpus_preset(name: str, element_bound: int = DEFAULT_BOUND) -> dict:
+    """Expand a named preset into a case document; a rank past
+    ``element_bound`` is refused before any list of that size is built."""
     parts = name.split(":")
     kind = parts[0]
     if kind == "siegel":
         if len(parts) != 2:
             raise InputError("expected siegel:<g>")
         g = _positive_int(parts[1], "genus")
-        case = atlas_mod.siegel_case(g)
+        case = atlas_mod.siegel_case(g, element_bound=element_bound)
         return serialize.case_to_dict(case)
     if kind == "hilbert":
         if len(parts) != 2:
             raise InputError("expected hilbert:<d>")
         d = _positive_int(parts[1], "degree")
+        check_bound(element_bound, d)
         perm = list(range(1, d)) + [0]  # cyclic Frobenius over the factors
         return {
             "group": {"factors": [{"type": "A", "rank": 1} for _ in range(d)]},
@@ -48,6 +51,7 @@ def corpus_preset(name: str) -> dict:
         if r < 0 or s < 0 or r + s < 2:
             raise InputError("signature needs r + s >= 2")
         n = r + s - 1  # diagram rank of the unitary case
+        check_bound(element_bound, n)
         pairings = [0] * n
         if r and s:  # otherwise the signature is trivial: central cocharacter
             pairings[s - 1] = 1
@@ -78,8 +82,8 @@ def _write_outputs(built, out_dir: Path):
     (out_dir / "table.txt").write_text(serialize.emit_table(built))
 
 
-def _run_case(doc: dict, out_dir: Path, verify: bool) -> int:
-    case = serialize.parse_case(doc)
+def _run_case(doc: dict, out_dir: Path, verify: bool, **overrides) -> int:
+    case = serialize.parse_case(doc, **overrides)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -155,33 +159,21 @@ def _overrides(args) -> dict:
     return overrides
 
 
-def _apply_overrides(doc, args):
-    """Merge the command-line options into the document's options; a
-    document whose shape is wrong is passed on for parse_case to refuse."""
-    overrides = _overrides(args)
-    if not overrides or not isinstance(doc, dict):
-        return doc
-    options = doc.get("options")
-    if options is None:
-        options = {}
-    if not isinstance(options, dict):
-        return doc
-    return {**doc, "options": {**options, **overrides}}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
+    overrides = _overrides(args)
     try:
         if args.command in ("atlas", "verify"):
-            doc = _apply_overrides(_load_doc(args.casefile), args)
+            doc = _load_doc(args.casefile)
             verify = args.verify or args.command == "verify"
-            return _run_case(doc, out_dir, verify)
+            return _run_case(doc, out_dir, verify, **overrides)
         if args.command == "corpus":
-            doc = _apply_overrides(corpus_preset(args.preset), args)
-            return _run_case(doc, out_dir, args.verify)
+            bound = overrides.get("element_bound", DEFAULT_BOUND)
+            doc = corpus_preset(args.preset, bound)
+            return _run_case(doc, out_dir, args.verify, **overrides)
         if args.command == "siegel":
-            ident = atlas_mod.siegel_identify(args.genus, **_overrides(args))
+            ident = atlas_mod.siegel_identify(args.genus, **overrides)
             print(f"genus {ident.g}: {len(ident.entries)} strata")
             print(f"{'a':>3}  {'dim':>4}  rep")
             for e in ident.entries:

@@ -53,6 +53,21 @@ Key = bytes | tuple[int, ...]
 DEFAULT_BOUND = 10**6
 
 
+def check_bound(element_bound, rank: int):
+    """Refuse an element bound that is not an integer >= 1, then a rank whose
+    identity and simple reflections, which every group interns, already
+    exceed it; both before anything of size ``rank`` is built."""
+    if type(element_bound) is not int or element_bound < 1:
+        raise InputError(
+            f"options.element_bound must be an integer >= 1, got {element_bound!r}"
+        )
+    if rank >= element_bound:
+        raise BoundError(
+            f"rank {rank} is past element bound {element_bound}: a group "
+            "interns its identity and one reflection per node"
+        )
+
+
 class WeylElement:
     """One group element; create these through a :class:`WeylGroup` only.
 

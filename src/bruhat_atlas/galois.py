@@ -28,7 +28,7 @@ from itertools import compress
 
 from .coxeter import WeylElement, WeylGroup
 from .errors import ConsistencyError, InputError
-from .rootdata import DiagramAutomorphism
+from .rootdata import DiagramAutomorphism, Record
 
 
 def definition_degree(J, phi: DiagramAutomorphism) -> int:
@@ -69,7 +69,7 @@ def galois_orbits(
     return orbits
 
 
-class OrbitPoset:
+class OrbitPoset(Record):
     """Orbits of double-coset representatives with the induced Bruhat order.
 
     Orbit a lies below orbit b when some member of a sits below some member
@@ -81,18 +81,6 @@ class OrbitPoset:
     """
 
     __slots__ = ("orbits", "reps", "below", "covers")
-
-    def __init__(
-        self,
-        orbits: list[list[WeylElement]],
-        reps: list[WeylElement],
-        below: tuple[int, ...],
-        covers: tuple[tuple[int, int], ...],
-    ):
-        self.orbits = orbits
-        self.reps = reps
-        self.below = below
-        self.covers = covers
 
     def __len__(self) -> int:
         return len(self.orbits)

@@ -25,25 +25,15 @@ from . import parabolic
 from .atlas import Atlas, eo_fiber
 from .coxeter import WeylElement, WeylGroup
 from .errors import ConsistencyError
+from .rootdata import Record
 
 
-class CheckResult:
+class CheckResult(Record):
     __slots__ = ("name", "scope", "passed", "counterexample")
 
-    def __init__(
-        self, name: str, scope: str, passed: bool, counterexample: str | None = None
-    ):
-        self.name = name
-        self.scope = scope
-        self.passed = passed
-        self.counterexample = counterexample
 
-
-class VerificationReport:
+class VerificationReport(Record):
     __slots__ = ("checks",)
-
-    def __init__(self, checks: list[CheckResult] | None = None):
-        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -147,7 +137,7 @@ def brute_project(group: WeylGroup, w: WeylElement, K) -> WeylElement:
 
 def verify_atlas(atlas: Atlas) -> VerificationReport:
     """Re-derive the atlas content by brute force and diff every claim."""
-    report = VerificationReport()
+    report = VerificationReport([])
     group = atlas.group
     word = group.reduced_word
     J, K = atlas.J, atlas.K

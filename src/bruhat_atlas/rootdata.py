@@ -23,18 +23,36 @@ def _positive_root_count(letter: str, rank: int) -> int:
     return rank * (rank - 1)  # D
 
 
-class Value:
-    """An immutable value: equal and hashed by its slots, in slot order.
+class Record:
+    """A record whose fields are its ``__slots__``.
 
-    Subclasses list their fields in ``__slots__`` and set them once, in
-    ``__init__``, through :meth:`_freeze`; any later assignment is refused.
+    The constructor sets every field once, by position in slot order or by
+    name; a missing field, an extra value or an unknown name is a TypeError.
     """
 
     __slots__ = ()
 
-    def _freeze(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if len(values) > len(slots):
+            raise TypeError(
+                f"{type(self).__name__} has {len(slots)} fields, got {len(values)} values"
+            )
+        for field, value in zip(slots, values):
+            object.__setattr__(self, field, value)
+        for field in slots[len(values):]:
+            if field not in named:
+                raise TypeError(f"{type(self).__name__} is missing field {field!r}")
+            object.__setattr__(self, field, named.pop(field))
+        if named:
+            raise TypeError(f"{type(self).__name__} got unexpected fields {sorted(named)}")
+
+
+class Value(Record):
+    """An immutable record: equal and hashed by its slots, in slot order; any
+    assignment after the constructor is refused."""
+
+    __slots__ = ()
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -67,7 +85,7 @@ class DynkinSpec(Value):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[str, int], ...]):
-        self._freeze(factors)
+        super().__init__(factors)
         if not factors:
             raise InputError("at least one factor required")
         for pos, (letter, rank) in enumerate(factors):
@@ -106,9 +124,6 @@ class CartanMatrix(Value):
 
     __slots__ = ("spec", "entries")
 
-    def __init__(self, spec: DynkinSpec, entries: tuple[tuple[int, ...], ...]):
-        self._freeze(spec, entries)
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -118,9 +133,6 @@ class DiagramAutomorphism(Value):
     """A node permutation preserving the Cartan matrix, with its order."""
 
     __slots__ = ("perm", "order")
-
-    def __init__(self, perm: tuple[int, ...], order: int):
-        self._freeze(perm, order)
 
     def apply_subset(self, subset: frozenset[int]) -> frozenset[int]:
         return frozenset(self.perm[i] for i in subset)
@@ -143,7 +155,7 @@ class CocharSpec(Value):
     __slots__ = ("pairings",)
 
     def __init__(self, pairings: tuple[int, ...]):
-        self._freeze(pairings)
+        super().__init__(pairings)
         if any(m < 0 for m in pairings):
             raise InputError(f"pairings must be >= 0 (dominance), got {pairings}")
 

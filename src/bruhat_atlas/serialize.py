@@ -32,7 +32,7 @@ from .rootdata import (
     identity_automorphism,
     validate_automorphism,
 )
-from .coxeter import DEFAULT_BOUND
+from .coxeter import DEFAULT_BOUND, check_bound
 
 
 def _int_list(value, what: str) -> list[int]:
@@ -42,8 +42,9 @@ def _int_list(value, what: str) -> list[int]:
     return value
 
 
-def parse_case(doc: dict) -> PELCase:
-    """Validate a case document and apply defaults."""
+def parse_case(doc: dict, **overrides) -> PELCase:
+    """Validate a case document and apply defaults; ``overrides`` replace
+    entries of its options."""
     if not isinstance(doc, dict):
         raise InputError("case document must be a JSON object")
     group = doc.get("group")
@@ -57,6 +58,20 @@ def parse_case(doc: dict) -> PELCase:
             raise InputError(f"group.factors[{pos}] needs 'type' and 'rank'")
         factors.append((str(f["type"]), f["rank"]))
     spec = DynkinSpec(tuple(factors))
+
+    options = doc.get("options")
+    if options is None:
+        options = {}
+    elif not isinstance(options, dict):
+        raise InputError(f"options must be a JSON object, got {options!r}")
+    options = {**options, **overrides}
+    minuscule_check = options.get("minuscule_check", True)
+    if not isinstance(minuscule_check, bool):
+        raise InputError(
+            f"options.minuscule_check must be true or false, got {minuscule_check!r}"
+        )
+    element_bound = options.get("element_bound", DEFAULT_BOUND)
+    check_bound(element_bound, spec.rank)  # before the rank x rank matrix
     cartan = cartan_from_spec(spec)
 
     frob = doc.get("frobenius")
@@ -82,21 +97,6 @@ def parse_case(doc: dict) -> PELCase:
     else:
         J = frozenset(_int_list(doc["J"], "J"))
 
-    options = doc.get("options")
-    if options is None:
-        options = {}
-    elif not isinstance(options, dict):
-        raise InputError(f"options must be a JSON object, got {options!r}")
-    minuscule_check = options.get("minuscule_check", True)
-    if not isinstance(minuscule_check, bool):
-        raise InputError(
-            f"options.minuscule_check must be true or false, got {minuscule_check!r}"
-        )
-    element_bound = options.get("element_bound", DEFAULT_BOUND)
-    if type(element_bound) is not int:  # the range is PELCase's to check
-        raise InputError(
-            f"options.element_bound must be an integer >= 1, got {element_bound!r}"
-        )
     return PELCase(
         spec=spec,
         phi=phi,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -356,6 +357,36 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: element bound 5 exceeded: 6 elements materialized\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["atlas", "case.json"],
+            ["corpus", "siegel:9999999999999999999999"],
+            ["siegel", "9999999999999999999999"],
+            ["corpus", "hilbert:99999999999999999999"],
+            ["corpus", "gu:99999999999999999999,1:inert"],
+        ],
+        ids=["case-file", "siegel-preset", "siegel", "hilbert-preset", "gu-preset"],
+    )
+    def test_rank_past_the_bound_is_refused_before_it_is_built(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # the identity and the simple reflections alone exceed the bound, and
+        # a list of the rank's size would overflow; a bad bound is still exit 2
+        monkeypatch.chdir(tmp_path)
+        huge = {"type": "A", "rank": 99999999999999999999}
+        Path("case.json").write_text(json.dumps({"group": {"factors": [huge]}, "J": []}))
+        start = time.perf_counter()
+        assert main(["--out", "o", *command]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rank ") and err.count("\n") == 1
+        assert "past element bound 1000000" in err
+        assert main(["--out", "o", "--bound", "0", *command]) == 2
+        assert capsys.readouterr().err == (
+            "error: options.element_bound must be an integer >= 1, got 0\n"
+        )
 
     @pytest.mark.parametrize("command", [["corpus", "siegel:2"], ["siegel", "2"]])
     def test_nonpositive_bound_exits_2(self, tmp_path, capsys, command):

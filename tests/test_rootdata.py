@@ -3,9 +3,17 @@ import pickle
 
 import pytest
 
-from bruhat_atlas.atlas import PELCase
+from bruhat_atlas.atlas import (
+    Atlas,
+    MuOrdinaryReport,
+    PELCase,
+    SiegelIdentification,
+    StratumRecord,
+)
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
+from bruhat_atlas.galois import OrbitPoset
+from bruhat_atlas.oracle import CheckResult, VerificationReport
 from bruhat_atlas.rootdata import (
     CartanMatrix,
     CocharSpec,
@@ -240,6 +248,39 @@ class TestValueTypes:
         assert copy.copy(value) == value
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Atlas,
+        CheckResult,
+        MuOrdinaryReport,
+        OrbitPoset,
+        SiegelIdentification,
+        StratumRecord,
+        VerificationReport,
+    ],
+    ids=lambda record: record.__name__,
+)
+def test_record_sets_its_slots_by_position_or_by_name(record):
+    fields = record.__slots__
+    values = [object() for _ in fields]
+    by_position = record(*values)
+    by_name = record(**dict(zip(fields, reversed(values))))
+    assert [getattr(by_position, f) for f in fields] == values
+    assert [getattr(by_name, f) for f in fields] == values[::-1]
+    copied = copy.copy(by_position)
+    assert copied is not by_position
+    assert [getattr(copied, f) for f in fields] == values
+    with pytest.raises(TypeError, match=f"missing field {fields[-1]!r}"):
+        record(*values[:-1])
+    with pytest.raises(TypeError, match=f"has {len(fields)} fields"):
+        record(*values, None)
+    with pytest.raises(TypeError, match="unexpected fields"):
+        record(*values, extra=None)
+    with pytest.raises(TypeError, match="unexpected fields"):
+        record(*values, **{fields[0]: None})
 
 
 @pytest.mark.parametrize(
