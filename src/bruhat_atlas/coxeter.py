@@ -19,9 +19,10 @@ the same order either way.
 An element is its interned key: elements are interned per group, so equal
 means identical, and numbered by ``uid`` in order of creation.  Only the
 length is kept on the element; descents are read off the key when asked for.
-The group law by a simple reflection is memoized on the element itself, in
-its ``steps`` list, in both directions: s_i s_i = e, so forming v = w s_i
-also records w = v s_i.  A step carries its length, l(w s_i) = l(w) + 1
+The group law by a simple reflection on the right is memoized on the element
+itself, in its ``steps`` list, in both directions: s_i s_i = e, so forming
+v = w s_i also records w = v s_i.  A step on the left, which no build takes,
+is formed anew on each call.  A step carries its length, l(w s_i) = l(w) + 1
 exactly when w(alpha_i) is positive (Humphreys, "Reflection Groups and
 Coxeter Groups", 1.6-1.7), so only a general product and the generators
 count negative images.  Canonical reduced words are peeled on keys,
@@ -31,9 +32,9 @@ frozenset per subset.  The element bound of a group limits how many
 elements it materializes, and an enumeration whose closed-form count exceeds
 it is refused before it grows.
 
-Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
-grows the J-minimal elements of a coset x W_S by ascents from x: ^J W and, for
-the brute-force oracle alone, all of W (``J`` empty) from the identity, and
+Every enumeration of the engine comes from one routine,
+:meth:`WeylGroup.ascend`, which grows the J-minimal elements of a coset x W_S
+by ascents from x: ^J W and all of W (``J`` empty) from the identity, and
 each fiber x W_K meet ^J W from its representative x, its size known before
 it grows from root heights (:meth:`WeylGroup.parabolic_order`).  A symmetry
 of the diagram acts on reduced words.  The Bruhat order comes from
@@ -73,10 +74,9 @@ class WeylElement:
 
     ``length`` is handed on by the step or product that first forms the
     element, and the descent sets are read off the key whenever they are
-    asked for.  ``steps[i]`` is w s_i and ``steps[n + i]`` is s_i w, or None
-    until formed; a step is kept in both directions, so forming v = w s_i
-    sets ``v.steps[i]`` to w.  Equality is identity: a group interns one
-    element per key.
+    asked for.  ``steps[i]`` is w s_i, or None until formed; a step is kept
+    in both directions, so forming v = w s_i sets ``v.steps[i]`` to w.
+    Equality is identity: a group interns one element per key.
     """
 
     __slots__ = ("group", "key", "uid", "length", "steps")
@@ -86,7 +86,7 @@ class WeylElement:
         self.key = key
         self.uid = uid
         self.length = length
-        self.steps: list[WeylElement | None] = [None] * (2 * group.n)
+        self.steps: list[WeylElement | None] = [None] * group.n
 
     @property
     def left_descents(self) -> frozenset[int]:
@@ -189,19 +189,13 @@ class WeylGroup:
         return self._intern(key, self._length(key))
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
-        """s_i * w, kept in ``w.steps[n + i]`` and, since s_i s_i = e, w in
-        ``(s_i w).steps[n + i]``.  It is shorter than w exactly when i is a left
-        descent of w, i.e. alpha_i lies in w(negative roots)."""
-        ni = self.n + i
-        cached = w.steps[ni]
-        if cached is None:
-            key = self._compose(w.key, self._simple_tables[i])
-            cached = self._registry.get(key) or self._intern(
-                key, w.length - 1 if w.key.index(i) >= self.N else w.length + 1
-            )
-            w.steps[ni] = cached
-            cached.steps[ni] = w
-        return cached
+        """s_i * w, formed on each call: one compose and a registry lookup.
+        It is shorter than w exactly when i is a left descent of w, i.e.
+        alpha_i lies in w(negative roots)."""
+        key = self._compose(w.key, self._simple_tables[i])
+        return self._registry.get(key) or self._intern(
+            key, w.length - 1 if w.key.index(i) >= self.N else w.length + 1
+        )
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
         """w * s_i, kept in ``w.steps[i]`` and w in ``(w s_i).steps[i]``.  It

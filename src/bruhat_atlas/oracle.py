@@ -2,29 +2,30 @@
 
 Each oracle here uses a method algorithmically independent of the engine:
 subword dynamic programming instead of the lifting recursion, and closure
-classes with explicit minima instead of growing ^J W by ascents.  The double
-cosets W_J w W_K and the cosets W_J w are the classes of W under closure by
-left-J (and right-K) moves by simple reflections, and a coset's minimum or its
-top element is taken explicitly over its class; forming the classes costs
-|W|·(|J| + |K|) memoized single-reflection steps and no general product.  The
-fiber of a stratum is the set of J-minimal members of its double-coset class,
+classes with explicit minima instead of growing ^J W by ascents.  It works on
+root-permutation keys and interns nothing.  Past the claims under test it
+calls no group law or enumeration of the engine, and shares with it only the
+indexing of the roots and the keys of the simple reflections, composed
+through the group's one key fork.  One breadth-first pass by right simple
+steps lists W with its lengths, the cosets W_J w are the classes of W under
+left-J steps and the double cosets W_J w W_K their unions along right-K
+steps: |W|·(n + |J|) steps and |K| per coset, each one ``bytes.translate``
+of a key.  The fiber of a stratum is the J-minimal part of its double coset,
 since for w in ^J W the minimum of w W_K is the minimum of W_J w W_K
-(Bjorner-Brenti, "Combinatorics of Coxeter Groups", section 2.4).  The stratum
-dimensions, Howlett's length formula and the maximal stratum are re-derived
-from these classes and from subword intervals, and the engine's values are
-compared against them.  The single-fiber criterion x^-1 {s_j : j in J} x =
-{s_k : k in K} is checked as {s_j x : j in J} == {x s_k : k in K}, two sets of
-single-reflection steps, where the engine reads conjugation off the root
-permutation of x.  They are meant for tests and for the --verify flag, not for
-speed.  Each check reports its first counterexample, or passes without one.
+(Bjorner-Brenti, "Combinatorics of Coxeter Groups", section 2.4).  The
+single-fiber criterion x^-1 {s_j : j in J} x = {s_k : k in K} is checked as
+{s_j x : j in J} == {x s_k : k in K}, where the engine reads conjugation off
+the root permutation of x.  They are meant for tests and for the --verify
+flag, not for speed.  Each check reports its first counterexample, or passes
+without one.
 """
 
 from __future__ import annotations
 
 from . import parabolic
 from .atlas import Atlas, eo_fiber
-from .coxeter import WeylElement, WeylGroup
-from .errors import ConsistencyError
+from .coxeter import Key, WeylElement, WeylGroup
+from .errors import BoundError, ConsistencyError
 from .rootdata import Record
 
 
@@ -50,79 +51,118 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-def brute_interval(group: WeylGroup, word) -> set[WeylElement]:
-    """All subword products of ``word`` (the lower Bruhat interval)."""
-    reachable = {group.identity}
-    for i in word:
-        reachable |= {group.right_mul(u, i) for u in reachable}
-    return reachable
+def _word(group: WeylGroup, key: Key) -> list[int]:
+    """The reduced word of ``key`` that peels its smallest left descent (a
+    simple-root index in ``key[N:]``) first."""
+    word = []
+    while (i := min(key[group.N:])) < group.n:
+        word.append(i)
+        key = group._compose(key, group._table(group.simple[i].key))
+    return word
 
 
-def _closure_classes(group: WeylGroup, J, K, keep) -> list:
-    """``keep(members)`` for the members of each class of W under closure by
-    left-J and right-K moves by simple reflections.  Only what ``keep`` returns
-    outlives the pass.  Costs |W|·(|J| + |K|) memoized ``left_mul`` and
-    ``right_mul`` steps and no general product; ``elements()`` has formed
-    every right step already, in both directions."""
-    J = group.check_subset(J)
-    K = group.check_subset(K)
-    # enumerate first: elements() refuses a group past the bound before
-    # |W| bytes are allocated; uids run below |W|, so membership stays in C
-    elements = group.elements()
-    assigned = bytearray(len(elements))
-    left = [group.n + j for j in J]
-    kept = []
-    for w in elements:
-        if assigned[w.uid]:
-            continue
-        # s s = e makes every move reversible, so nothing reachable from an
-        # unassigned w is assigned yet except by this block; the loop visits
-        # what it appends, breadth-first
-        assigned[w.uid] = 1
-        block = [w]
-        for u in block:
-            steps = u.steps  # memo hits are read inline; a miss forms the step
-            for j, nj in zip(J, left):
-                v = steps[nj] or group.left_mul(j, u)
-                if not assigned[v.uid]:
-                    assigned[v.uid] = 1
-                    block.append(v)
-            for k in K:
-                v = steps[k] or group.right_mul(u, k)
-                if not assigned[v.uid]:
-                    assigned[v.uid] = 1
-                    block.append(v)
-        kept.append(keep(block))
-    return kept
-
-
-def _unique_by_length(elements, pick) -> WeylElement:
-    """The element that ``pick`` (``min`` or ``max``) selects by length,
-    refused unless no other element has its length."""
-    best = pick(elements, key=lambda v: v.length)
-    if sum(1 for v in elements if v.length == best.length) != 1:  # pragma: no cover
+def _lengths(group: WeylGroup) -> dict[Key, int]:
+    """Every key of W with its length, breadth-first from the identity by
+    right simple steps: refused past the element bound before it starts, and
+    checked against |W| once grown."""
+    order, compose, table = group.order, group._compose, group._table
+    if order > group.element_bound:
+        raise BoundError(
+            f"the oracle enumerates all {order} elements of W, past element "
+            f"bound {group.element_bound}"
+        )
+    simple = [s.key for s in group.simple]
+    level = [group.identity.key]
+    lengths = {level[0]: 0}
+    while level and len(lengths) <= order:
+        ell, nxt = lengths[level[0]] + 1, []
+        for w in level:
+            t = table(w)
+            for s in simple:
+                if (v := compose(s, t)) not in lengths:  # w s_i, first met
+                    lengths[v] = ell
+                    nxt.append(v)
+        level = nxt
+    if len(lengths) != order:
         raise ConsistencyError(
-            f"{pick.__name__} length {best.length} is attained more than once, "
-            f"at {best.group.reduced_word(best)} and others"
+            f"the oracle's pass over W found {len(lengths)} elements, but |W| is {order}"
+        )
+    return lengths
+
+
+def _unique_by_length(group: WeylGroup, lengths: dict[Key, int], keys, pick) -> Key:
+    """The key that ``pick`` (``min`` or ``max``) selects by length, refused
+    unless no other key has its length."""
+    best = pick(keys, key=lengths.__getitem__)
+    if sum(1 for v in keys if lengths[v] == lengths[best]) != 1:
+        raise ConsistencyError(
+            f"{pick.__name__} length {lengths[best]} is attained more than once, "
+            f"at {_word(group, best)} and others"
         )
     return best
 
 
-def brute_double_cosets(group: WeylGroup, J, K) -> list[list[WeylElement]]:
-    """Partition of W by closure under left-J and right-K multiplication,
-    each class sorted by (length, key)."""
-    return _closure_classes(
-        group, J, K, lambda block: sorted(block, key=lambda u: (u.length, u.key))
-    )
+def _cosets(group: WeylGroup, J, K) -> tuple[dict, dict, list, list]:
+    """The length and the coset W_J w of each key, each coset's minimum, and
+    each double coset W_J w W_K as the list of the cosets it unites.  A right
+    step maps the coset W_J u to W_J u s_k whichever u it is taken at, so the
+    double cosets are the classes of cosets under right-K steps from their
+    minima."""
+    lengths = _lengths(group)
+    compose, table = group._compose, group._table
+    left = [table(group.simple[j].key) for j in group.check_subset(J)]
+    right = [group.simple[k].key for k in group.check_subset(K)]
+    coset, minima = dict.fromkeys(lengths), []
+    for w in lengths:
+        if coset[w] is None:
+            coset[w], block = len(minima), [w]
+            for u in block:
+                for t in left:
+                    if coset[v := compose(u, t)] is None:  # s_j u
+                        coset[v] = coset[w]
+                        block.append(v)
+            minima.append(_unique_by_length(group, lengths, block, min))
+    placed, classes = bytearray(len(minima)), []
+    for c in range(len(minima)):
+        if not placed[c]:
+            placed[c], cls = 1, [c]
+            for d in cls:
+                t = table(minima[d])
+                for s in right:
+                    if not placed[e := coset[compose(s, t)]]:  # W_J m s_k
+                        placed[e] = 1
+                        cls.append(e)
+            classes.append(cls)
+    return lengths, coset, minima, classes
 
 
-def brute_min_left_reps(group: WeylGroup, J) -> set[WeylElement]:
-    """Shortest element of each coset W_J w: the cosets are the closure
-    classes of W under left multiplication by the simple reflections of J,
-    and each minimum is taken explicitly over its class."""
-    return set(
-        _closure_classes(group, J, (), lambda coset: _unique_by_length(coset, min))
-    )
+def brute_interval(group: WeylGroup, word) -> set[Key]:
+    """The keys of all subword products of ``word`` (the lower Bruhat
+    interval), its letters taken from the right by left simple steps."""
+    reachable = {group.identity.key}
+    for i in reversed(word):
+        t = group._table(group.simple[i].key)
+        reachable |= {group._compose(u, t) for u in reachable}
+    return reachable
+
+
+def brute_double_cosets(group: WeylGroup, J, K) -> list[list[Key]]:
+    """Partition of W's keys by closure under left-J and right-K simple
+    steps, each class sorted by (length, key)."""
+    lengths, coset, minima, classes = _cosets(group, J, K)
+    members = [[] for _ in minima]
+    for w, c in coset.items():
+        members[c].append(w)
+    return [
+        sorted((w for c in cls for w in members[c]), key=lambda w: (lengths[w], w))
+        for cls in classes
+    ]
+
+
+def brute_min_left_reps(group: WeylGroup, J) -> set[Key]:
+    """The shortest key of each coset W_J w, a closure class of W under left
+    simple steps by J, taken explicitly over its class."""
+    return set(_cosets(group, J, ())[2])
 
 
 def brute_project(group: WeylGroup, w: WeylElement, K) -> WeylElement:
@@ -130,58 +170,57 @@ def brute_project(group: WeylGroup, w: WeylElement, K) -> WeylElement:
     :func:`verify_atlas`; it goes when ``perfbench/tracer.py`` stops tracing
     it."""
     K = group.check_subset(K)
-    return _unique_by_length(
-        [group.multiply(w, v) for v in group.subgroup_elements(K)], min
-    )
+    coset = [group.multiply(w, v) for v in group.subgroup_elements(K)]
+    lengths = {v.key: v.length for v in coset}
+    return group._registry[_unique_by_length(group, lengths, lengths, min)]
 
 
 def verify_atlas(atlas: Atlas) -> VerificationReport:
     """Re-derive the atlas content by brute force and diff every claim."""
     report = VerificationReport([])
-    group = atlas.group
-    word = group.reduced_word
-    J, K = atlas.J, atlas.K
+    group, word, J, K = atlas.group, atlas.group.reduced_word, atlas.J, atlas.K
     scope = f"{atlas.case.spec.describe()} J={sorted(J)} K={sorted(K)}"
 
     def check(name: str, counterexamples):
         ce = next(iter(counterexamples), None)
         report.checks.append(CheckResult(name, scope, ce is None, ce))
 
-    # double-coset representatives from the closure partition
-    classes = brute_double_cosets(group, J, K)
-    differ = {cls[0] for cls in classes} ^ {w for s in atlas.strata for w in s.orbit}
+    # each double coset's fiber is its J-minimal part, the minima of its
+    # cosets; the class minimum and the top element are its shortest and its
+    # longest member
+    lengths, _, minima, classes = _cosets(group, J, K)
+    fibers, tops = {}, {}
+    for cls in classes:
+        fiber = [minima[c] for c in cls]
+        x = _unique_by_length(group, lengths, fiber, min)
+        fibers[x], tops[x] = fiber, _unique_by_length(group, lengths, fiber, max)
+    differ = fibers.keys() ^ {w.key for s in atlas.strata for w in s.orbit}
     check(
         "double_representatives",
         [f"symmetric difference {len(differ)} elements"] if differ else [],
     )
-
-    # the fiber of each class minimum is the class's J-minimal part, and its
-    # top element is the longest member of that part
-    left_reps = brute_min_left_reps(group, J)
-    fibers = {cls[0]: [w for w in cls if w in left_reps] for cls in classes}
     check(
         "fiber_partition",
         (
             f"x={word(x)}"
             for s in atlas.strata
             for x in s.orbit
-            if set(s.eo_fiber if x == s.rep else eo_fiber(group, x, J, K))
-            != set(fibers.get(x, ()))
+            if {w.key for w in (s.eo_fiber if x == s.rep else eo_fiber(group, x, J, K))}
+            != set(fibers.get(x.key, ()))
         ),
     )
 
-    tops = {x: _unique_by_length(fiber, max) for x, fiber in fibers.items()}
-
     # dimensions: the length of the brute top element
+    dims = {x: lengths[top] for x, top in tops.items()}
     check(
         "dimensions",
         (
             f"missing class for {word(x)}"
-            if x not in tops
-            else f"x={word(x)}: {tops[x].length} != {s.dim}"
+            if x.key not in dims
+            else f"x={word(x)}: {dims[x.key]} != {s.dim}"
             for s in atlas.strata
             for x in s.orbit
-            if x not in tops or tops[x].length != s.dim
+            if dims.get(x.key) != s.dim
         ),
     )
 
@@ -190,7 +229,7 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
         Jx = group.induced_subset(s.rep, J, K)
         xu, dim = parabolic.x_upper(group, s.rep, Jx, K)
         ell = parabolic.ell_JK(group, s.rep, Jx, K)
-        return xu is tops.get(s.rep) and dim == ell == s.dim == xu.length
+        return xu.key == tops.get(s.rep.key) and dim == ell == s.dim == xu.length
 
     check(
         "howlett_lengths",
@@ -200,10 +239,11 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     # closures from subword-oracle intervals on orbit members
     poset = atlas.orbit_poset
     n = len(poset)
+    orbits = [[w.key for w in orbit] for orbit in poset.orbits]
     brute_leq = []  # brute_leq[b][a]: some member of orbit a is below rep b
     for rep in poset.reps:
         interval = brute_interval(group, word(rep))
-        brute_leq.append([any(w in interval for w in orbit) for orbit in poset.orbits])
+        brute_leq.append([not interval.isdisjoint(orbit) for orbit in orbits])
     check(
         "closure_order",
         (
@@ -223,11 +263,9 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
             yield f"brute maximum {brute_max}, flagged {flagged}"
             return
         s = atlas.strata[brute_max[0]]
-        top = tops.get(s.rep)
         if not (
             len(s.orbit) == 1
-            and top is not None
-            and top.length == atlas.moduli_dim
+            and dims.get(s.rep.key) == atlas.moduli_dim
             and sorted(s.closure) == list(range(len(atlas.strata)))
         ):
             yield f"x={word(s.rep)}"
@@ -236,8 +274,12 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
 
     # single-fiber criterion: x^-1 s_j x = s_k exactly when s_j x = x s_k, so
     # the conjugates of J are the reflections of K iff the two step sets agree
+    compose, table = group._compose, group._table
+    simple = [s.key for s in group.simple]
+
     def single_by_steps(x) -> bool:
-        return {group.left_mul(j, x) for j in J} == {group.right_mul(x, k) for k in K}
+        left = {compose(x.key, table(simple[j])) for j in J}
+        return left == {compose(simple[k], table(x.key)) for k in K}
 
     check(
         "single_fiber_criterion",

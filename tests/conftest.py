@@ -22,6 +22,13 @@ def group_of(name: str) -> WeylGroup:
     return WeylGroup(cartan_from_spec(DynkinSpec(tuple(factors))))
 
 
+def elements_at(group: WeylGroup, keys) -> set:
+    """The elements of ``group`` with the root-permutation keys ``keys`` (the
+    oracle returns keys), all of W grown first."""
+    group.elements()
+    return {group._registry[key] for key in keys}
+
+
 def engine_leq(group: WeylGroup):
     """The engine's Bruhat order on all of W: with J empty, ^J W is W, and
     with each element's uid as its bit the lower sets of ``lower_sets`` are

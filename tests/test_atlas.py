@@ -375,7 +375,7 @@ def test_fibers_are_not_cached_and_start_less_ascents_are():
     atlas = build_atlas(parse_case(corpus_preset("gu:4,3:inert")))
     g = atlas.group
     assert verify_atlas(atlas).passed
-    # only ^J W and, for the oracle, W itself: no fiber
+    # only ^J W, no fiber; the oracle enumerates W on keys, not by ascend
     full = frozenset(range(g.n))
-    assert set(g._ascend_cache) == {(full, atlas.J), (full, frozenset())}
+    assert set(g._ascend_cache) == {(full, atlas.J)}
     assert parabolic.min_left_reps(g, atlas.J) is parabolic.min_left_reps(g, atlas.J)

@@ -278,7 +278,7 @@ class TestBruhat:
         for w in a2.elements():
             interval = brute_interval(a2, a2.reduced_word(w))
             for x in a2.elements():
-                assert leq(x, w) == (x in interval)
+                assert leq(x, w) == (x.key in interval)
 
     def test_partial_order_axioms(self):
         for name in ["A3", "C2", "A1xA1"]:
@@ -525,8 +525,8 @@ def count_composes(g: WeylGroup, monkeypatch) -> list:
 
 
 class TestStepMemo:
-    """A simple step is memoized in both directions, and the step's caller
-    hands ``_intern`` the length of the element it forms."""
+    """A right simple step is memoized in both directions, and a step on
+    either side hands ``_intern`` the length of the element it forms."""
 
     @staticmethod
     def steps(g: WeylGroup):
@@ -574,14 +574,11 @@ class TestStepMemo:
         # every pair {w, w s_i} was formed once, as an ascent, in both directions
         assert all(w.steps[i] is not None for w in elements for i in range(g.n))
         composed = count_composes(g, monkeypatch)
-        for side, step in self.steps(g).items():
-            for w in elements:
-                for i in range(g.n):
-                    v = step(w, i)
-                    formed = len(composed)
-                    assert step(v, i) is w, (side, i)
-                    assert len(composed) == formed, (side, i)
-        assert len(composed) == g.order * g.n // 2  # the left steps, once a pair
+        step = self.steps(g)["right"]
+        for w in elements:
+            for i in range(g.n):
+                assert step(step(w, i), i) is w, i
+        assert composed == []
 
     def test_wide_keys_over_min_left_reps(self, monkeypatch):
         # C12: 2N = 288, so tuple keys; ^J W for J = {2..11} has 528 elements
@@ -590,13 +587,13 @@ class TestStepMemo:
         jw = min_left_reps(g, range(2, 12))
         assert len(jw) == 528
         composed = count_composes(g, monkeypatch)
-        for step in self.steps(g).values():
-            for w in jw:
-                for i in range(g.n):
-                    v = step(w, i)
-                    assert v.length == negative_images(g, v.key)
-                    formed = len(composed)
-                    assert step(v, i) is w and len(composed) == formed
+        step = self.steps(g)["right"]
+        for w in jw:
+            for i in range(g.n):
+                v = step(w, i)
+                assert v.length == negative_images(g, v.key)
+                formed = len(composed)
+                assert step(v, i) is w and len(composed) == formed
         assert all(w.length == negative_images(g, w.key) for w in g._registry.values())
 
 

@@ -3,9 +3,11 @@ import itertools
 
 import pytest
 
-from bruhat_atlas import parabolic
+from bruhat_atlas import oracle, parabolic
 from bruhat_atlas.atlas import build_atlas, eo_fiber, siegel_case
+from bruhat_atlas.cli import corpus_preset, main
 from bruhat_atlas.coxeter import WeylGroup
+from bruhat_atlas.errors import BoundError, ConsistencyError
 from bruhat_atlas.oracle import (
     brute_double_cosets,
     brute_interval,
@@ -20,11 +22,11 @@ from conftest import engine_leq, group_of
 
 class TestBruteBruhat:
     def test_interval_of_identity(self, a2):
-        assert brute_interval(a2, []) == {a2.identity}
+        assert brute_interval(a2, []) == {a2.identity.key}
 
     def test_interval_of_w0_is_everything(self, c2):
         w0 = c2.longest_element(range(2))
-        assert brute_interval(c2, c2.reduced_word(w0)) == set(c2.elements())
+        assert brute_interval(c2, c2.reduced_word(w0)) == {w.key for w in c2.elements()}
 
     @pytest.mark.parametrize("name", ["A2", "C2", "A1xA1", "A3"])
     def test_agrees_with_engine_all_pairs(self, name):
@@ -34,7 +36,7 @@ class TestBruteBruhat:
             word = g.reduced_word(w)
             interval = brute_interval(g, word)
             for x in g.elements():
-                assert (x in interval) == leq(x, w)
+                assert (x.key in interval) == leq(x, w)
 
 
 class TestBruteCosets:
@@ -51,51 +53,47 @@ class TestBruteCosets:
             g = group_of(name)
             for J, K in [({0}, {1}), ({0, 1}, {0, 1}), ((), {2})]:
                 classes = brute_double_cosets(g, J, K)
-                assert {c[0] for c in classes} == set(
-                    parabolic.min_double_reps(g, J, K)
-                )
+                assert {c[0] for c in classes} == {
+                    w.key for w in parabolic.min_double_reps(g, J, K)
+                }
 
     def test_left_reps_match_engine(self):
         for name in ["A3", "B3", "C3", "D4", "A1xA2", "B2xA1"]:
             g = group_of(name)
             for r in range(g.n + 1):
                 for J in itertools.combinations(range(g.n), r):
-                    assert brute_min_left_reps(g, J) == set(
-                        parabolic.min_left_reps(g, J)
-                    ), (name, J)
+                    assert brute_min_left_reps(g, J) == {
+                        w.key for w in parabolic.min_left_reps(g, J)
+                    }, (name, J)
 
-    def test_left_reps_close_cosets_without_products(self, monkeypatch):
-        # the J of gu:4,3:inert, on a group whose memos are all cold
+    def test_key_passes_call_no_group_law_and_intern_nothing(self, monkeypatch):
+        # the J and K of gu:4,3:inert, on a group whose memos are all cold
         g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 6),))))
-        J = {0, 1, 3, 4, 5}
-        multiply, left_mul = WeylGroup.multiply, WeylGroup.left_mul
-        products, steps = [], []
-        monkeypatch.setattr(
-            WeylGroup, "multiply",
-            lambda self, w, v: products.append(1) or multiply(self, w, v),
-        )
-        monkeypatch.setattr(
-            WeylGroup, "left_mul", lambda self, i, w: steps.append(1) or left_mul(self, i, w)
-        )
-        assert len(brute_min_left_reps(g, J)) == 5040 // 144
-        assert products == []
-        assert 0 < len(steps) <= 5040 * len(J)
+        J = K = {0, 1, 3, 4, 5}
+        calls = []
+        for name in ("multiply", "left_mul", "right_mul", "ascend", "_intern"):
+            law = getattr(WeylGroup, name)
+            monkeypatch.setattr(
+                WeylGroup, name,
+                lambda self, *args, _name=name, _law=law: calls.append(_name)
+                or _law(self, *args),
+            )
+        lengths = oracle._lengths(g)
+        classes = brute_double_cosets(g, J, K)
+        left = brute_min_left_reps(g, J)
+        w0 = brute_interval(g, [0, 1, 0, 2, 1, 0, 3, 2, 1, 0])  # w0 of A4 inside A6
+        assert calls == [] and len(g._registry) == 1 + g.n
+        # the breadth-first levels are the lengths the engine reads off the keys
+        assert len(lengths) == g.order == 5040
+        assert all(length == g._length(key) for key, length in lengths.items())
+        assert sorted(map(len, classes)) == [144, 576, 1728, 2592]
+        assert len(left) == 5040 // 144 and len(w0) == 120
 
-    def test_second_pass_is_all_table_hits(self, monkeypatch):
-        g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 5),))))
-        J, K = {0, 2, 3}, {1, 3, 4}
-        first = brute_double_cosets(g, J, K)
-        assert len(g._registry) == g.order
-        compose, intern = g._compose, g._intern
-        composed, interned = [], []
-        monkeypatch.setattr(
-            g, "_compose", lambda key, table: composed.append(1) or compose(key, table)
-        )
-        monkeypatch.setattr(g, "_intern", lambda key: interned.append(1) or intern(key))
-        # every left-J and right-K step of the second pass is a memo table hit
-        assert brute_double_cosets(g, J, K) == first
-        assert composed == [] and interned == []
-        assert len(g._registry) == g.order
+    def test_w_pass_is_refused_past_the_bound_before_it_starts(self, monkeypatch):
+        g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 6),))), element_bound=5039)
+        monkeypatch.setattr(g, "_table", lambda key: pytest.fail("a key was composed"))
+        with pytest.raises(BoundError, match=r"^the oracle enumerates all 5040 elements"):
+            oracle._lengths(g)
 
     def test_project_matches_engine(self):
         g = group_of("C3")
@@ -116,6 +114,15 @@ def _corpus_atlases():
 
 
 class TestVerifyAtlas:
+    @pytest.mark.parametrize("preset", ["siegel:5", "gu:4,3:inert"])
+    def test_verify_interns_nothing(self, preset):
+        # an oracle on interned elements grows these registries to all of W,
+        # 73 -> 3,840 and 74 -> 5,040
+        atlas = build_atlas(parse_case(corpus_preset(preset)))
+        interned = len(atlas.group._registry)
+        assert verify_atlas(atlas).passed
+        assert len(atlas.group._registry) == interned
+
     @pytest.mark.parametrize(
         "preset,atlas", list(_corpus_atlases()), ids=lambda v: v if isinstance(v, str) else ""
     )
@@ -211,3 +218,44 @@ class TestVerifyAtlas:
         report = verify_atlas(broken)
         anti = next(c for c in report.checks if c.name == "orbit_order_antisymmetry")
         assert not anti.passed and anti.counterexample == "orbits 0 and 2"
+
+
+class TestGuards:
+    """The oracle's own guards fire, and name an element by the reduced word
+    peeled on its key."""
+
+    def test_a_wrong_count_of_w_exits_4(self, tmp_path, monkeypatch, capsys):
+        # s_0's key is swapped for the identity's for the oracle only, so its
+        # pass grows W(C2), of order 8, inside W(C3)
+        verify = oracle.verify_atlas
+
+        def with_a_broken_generator(atlas):
+            g = atlas.group
+            monkeypatch.setattr(g, "simple", (g.identity, *g.simple[1:]))
+            return verify(atlas)
+
+        monkeypatch.setattr(oracle, "verify_atlas", with_a_broken_generator)
+        assert main(["--out", str(tmp_path), "--verify", "corpus", "siegel:3"]) == 4
+        assert capsys.readouterr().err == (
+            "error: internal invariant failed: "
+            "the oracle's pass over W found 8 elements, but |W| is 48\n"
+        )
+
+    def test_a_tie_for_the_minimum_names_a_reduced_word(self, a2):
+        s0, s1 = a2.simple
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^min length 1 is attained more than once, at \[1\] and others$",
+        ):
+            oracle._unique_by_length(a2, {s0.key: 1, s1.key: 1}, [s1.key, s0.key], min)
+
+    @pytest.mark.parametrize("name", ["A3", "C3", "D4", "A1xA2"])
+    def test_words_peeled_on_keys_are_the_engines_and_intern_nothing(self, name):
+        engine = group_of(name)
+        engine.elements()
+        g = WeylGroup(engine.cartan)
+        for key, length in oracle._lengths(g).items():
+            word = oracle._word(g, key)
+            assert word == engine.reduced_word(engine._registry[key])
+            assert len(word) == length
+        assert len(g._registry) == 1 + g.n
