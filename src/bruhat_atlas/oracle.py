@@ -63,8 +63,9 @@ def _word(group: WeylGroup, key: Key) -> list[int]:
 
 def _lengths(group: WeylGroup) -> dict[Key, int]:
     """Every key of W with its length, breadth-first from the identity by
-    right simple steps: refused past the element bound before it starts, and
-    checked against |W| once grown."""
+    right simple steps, so a key first met from level l lies on level l + 1.
+    Refused past the element bound before it starts, and checked against |W|
+    once grown."""
     order, compose, table = group.order, group._compose, group._table
     if order > group.element_bound:
         raise BoundError(
