@@ -213,24 +213,25 @@ class WeylGroup:
     # -- words and descents --------------------------------------------------
 
     def reduced_word(self, w: WeylElement) -> list[int]:
-        """Deterministic reduced word: peel the smallest left descent, on keys
-        (the left descents are the simple-root indices in ``key[N:]``).
-
-        No element is interned.  The word of each element asked for is kept
-        by uid, and a peel stops at the first interned key on its chain with
-        a kept word.  Every call returns a new list."""
-        words = self._words
-        word = words.get(w.uid)
+        """Deterministic reduced word, :meth:`_peel` of w's key, kept by uid.
+        Every call returns a new list."""
+        word = self._words.get(w.uid)
         if word is None:
-            peeled, key, rest = [], w.key, ()
-            while (i := min(key[self.N:])) < self.n:
-                peeled.append(i)
-                key = self._compose(key, self._simple_tables[i])
-                if (v := self._registry.get(key)) is not None and v.uid in words:
-                    rest = words[v.uid]
-                    break
-            word = words[w.uid] = (*peeled, *rest)
+            word = self._words[w.uid] = self._peel(w.key)
         return list(word)
+
+    def _peel(self, key: Key) -> tuple[int, ...]:
+        """The reduced word of ``key`` that peels its smallest left descent
+        first (the left descents are the simple-root indices in ``key[N:]``).
+        No element is interned: the peel stops at the first interned key on
+        its chain with a kept word."""
+        peeled, words = [], self._words
+        while (i := min(key[self.N:])) < self.n:
+            peeled.append(i)
+            key = self._compose(key, self._simple_tables[i])
+            if (v := self._registry.get(key)) is not None and v.uid in words:
+                return (*peeled, *words[v.uid])
+        return tuple(peeled)
 
     def from_word(self, word) -> WeylElement:
         out = self.identity

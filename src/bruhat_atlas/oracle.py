@@ -3,12 +3,12 @@
 Each oracle here uses a method algorithmically independent of the engine:
 subword dynamic programming instead of the lifting recursion, and closure
 classes with explicit minima instead of growing ^J W by ascents.  It works on
-root-permutation keys and interns nothing.  Past the claims under test it
-calls no group law or enumeration of the engine, and shares with it only the
-indexing of the roots and the keys of the simple reflections, composed
-through the group's one key fork.  One breadth-first pass by right simple
-steps lists W with its lengths, the cosets W_J w are the classes of W under
-left-J steps and the double cosets W_J w W_K their unions along right-K
+root-permutation keys, interns nothing, and shares with the engine only the
+indexing of the roots, the keys of the simple reflections and the one key
+fork that composes them; past the claims under test it calls the engine only
+for the reduced words of its messages.  One breadth-first pass by right
+simple steps lists W with its lengths, the cosets W_J w are the classes of W
+under left-J steps and the double cosets W_J w W_K their unions along right-K
 steps: |W|·(n + |J|) steps and |K| per coset, each one ``bytes.translate``
 of a key.  The fiber of a stratum is the J-minimal part of its double coset,
 since for w in ^J W the minimum of w W_K is the minimum of W_J w W_K
@@ -51,16 +51,6 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-def _word(group: WeylGroup, key: Key) -> list[int]:
-    """The reduced word of ``key`` that peels its smallest left descent (a
-    simple-root index in ``key[N:]``) first."""
-    word = []
-    while (i := min(key[group.N:])) < group.n:
-        word.append(i)
-        key = group._compose(key, group._table(group.simple[i].key))
-    return word
-
-
 def _lengths(group: WeylGroup) -> dict[Key, int]:
     """Every key of W with its length, breadth-first from the identity by
     right simple steps, so a key first met from level l lies on level l + 1.
@@ -98,7 +88,7 @@ def _unique_by_length(group: WeylGroup, lengths: dict[Key, int], keys, pick) -> 
     if sum(1 for v in keys if lengths[v] == lengths[best]) != 1:
         raise ConsistencyError(
             f"{pick.__name__} length {lengths[best]} is attained more than once, "
-            f"at {_word(group, best)} and others"
+            f"at {list(group._peel(best))} and others"
         )
     return best
 
@@ -150,14 +140,12 @@ def brute_interval(group: WeylGroup, word) -> set[Key]:
 def brute_double_cosets(group: WeylGroup, J, K) -> list[list[Key]]:
     """Partition of W's keys by closure under left-J and right-K simple
     steps, each class sorted by (length, key)."""
-    lengths, coset, minima, classes = _cosets(group, J, K)
-    members = [[] for _ in minima]
-    for w, c in coset.items():
-        members[c].append(w)
-    return [
-        sorted((w for c in cls for w in members[c]), key=lambda w: (lengths[w], w))
-        for cls in classes
-    ]
+    lengths, coset, _, classes = _cosets(group, J, K)
+    members = [[] for _ in classes]
+    into = {c: members[d] for d, cls in enumerate(classes) for c in cls}
+    for w in sorted(coset, key=lambda w: (lengths[w], w)):
+        into[coset[w]].append(w)
+    return members
 
 
 def brute_min_left_reps(group: WeylGroup, J) -> set[Key]:
