@@ -172,15 +172,15 @@ def main(argv=None) -> int:
             bound = overrides.get("element_bound", DEFAULT_BOUND)
             doc = corpus_preset(args.preset, bound)
             return _run_case(doc, out_dir, args.verify, **overrides)
-        if args.command == "siegel":
-            ident = atlas_mod.siegel_identify(args.genus, **overrides)
-            print(f"genus {ident.g}: {len(ident.entries)} strata")
-            print(f"{'a':>3}  {'dim':>4}  rep")
-            for e in ident.entries:
-                print(f"{e['a']:>3}  {e['dim']:>4}  {serialize.word_label(e['rep'])}")
-            # siegel_identify raises unless the order is reversed
-            print("total order reversed by a-number: True")
-            return _verify(ident.atlas) if args.verify else 0
+        # siegel: the parser admits no other command
+        ident = atlas_mod.siegel_identify(args.genus, **overrides)
+        print(f"genus {ident.g}: {len(ident.entries)} strata")
+        print(f"{'a':>3}  {'dim':>4}  rep")
+        for e in ident.entries:
+            print(f"{e['a']:>3}  {e['dim']:>4}  {serialize.word_label(e['rep'])}")
+        # siegel_identify raises unless the order is reversed
+        print("total order reversed by a-number: True")
+        return _verify(ident.atlas) if args.verify else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -190,8 +190,3 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 4
-    return 2  # pragma: no cover
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

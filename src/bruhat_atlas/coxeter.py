@@ -13,20 +13,18 @@ enumerate, C_g up to g = 11, A_n up to n = 15).  A product is then one
 bytes, and bytes cache their hash.  Wider groups keep a tuple key composed
 by one ``itemgetter`` gather; the choice is made once per group, in
 ``_encode``, ``_table`` and ``_compose``, and nothing else depends on it.
-Bytes and tuples of the same length order alike, so sorting by key gives
-the same order either way.
 
 An element is its interned key: elements are interned per group, so equal
-means identical, and numbered by ``uid`` in order of creation.  Only the
-length is kept on the element; descents are read off the key when asked for.
+means identical.  The element keeps its length, its right steps and, once
+peeled, its reduced word; descents are read off the key when asked for.
 The group law by a simple reflection on the right is memoized on the element
-itself, in its ``steps`` list, in both directions: s_i s_i = e, so forming
-v = w s_i also records w = v s_i.  A step on the left, which no build takes,
-is formed anew on each call.  A step carries its length, l(w s_i) = l(w) + 1
-exactly when w(alpha_i) is positive (Humphreys, "Reflection Groups and
-Coxeter Groups", 1.6-1.7), so only a general product and the generators
-count negative images.  Canonical reduced words are peeled on keys,
-interning nothing, and kept by uid.  Validated subsets of the nodes, their
+itself, in its ``steps`` list, one way only: forming v = w s_i records v on
+w.  A step on the left, which no build takes, is formed anew on each call.
+A step carries its length, l(w s_i) = l(w) + 1 exactly when w(alpha_i) is
+positive (Humphreys, "Reflection Groups and Coxeter Groups", 1.6-1.7), so
+only a general product and the generators count negative images.  Canonical
+reduced words are peeled on keys, interning nothing, and kept on the
+elements already interned.  Validated subsets of the nodes, their
 parabolic orders and their ascent stops are memoized per group, one
 frozenset per subset.  The element bound of a group limits how many
 elements it materializes, and an enumeration whose closed-form count exceeds
@@ -74,19 +72,20 @@ class WeylElement:
 
     ``length`` is handed on by the step or product that first forms the
     element, and the descent sets are read off the key whenever they are
-    asked for.  ``steps[i]`` is w s_i, or None until formed; a step is kept
-    in both directions, so forming v = w s_i sets ``v.steps[i]`` to w.
+    asked for.  ``steps[i]`` is w s_i, or None until formed; a build forms
+    only ascents, so a filled slot holds a longer element.  ``word`` is the
+    reduced word of :meth:`WeylGroup.reduced_word`, or None until peeled.
     Equality is identity: a group interns one element per key.
     """
 
-    __slots__ = ("group", "key", "uid", "length", "steps")
+    __slots__ = ("group", "key", "length", "steps", "word")
 
-    def __init__(self, group: "WeylGroup", key: Key, uid: int, length: int):
+    def __init__(self, group: "WeylGroup", key: Key, length: int):
         self.group = group
         self.key = key
-        self.uid = uid
         self.length = length
         self.steps: list[WeylElement | None] = [None] * group.n
+        self.word: tuple[int, ...] | None = None
 
     @property
     def left_descents(self) -> frozenset[int]:
@@ -142,7 +141,6 @@ class WeylGroup:
         self._stops: dict[frozenset[int], frozenset[int]] = {}
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
-        self._words: dict[int, tuple[int, ...]] = {}
         self.order = self.parabolic_order(range(n))
         index = {root: r for r, root in enumerate(self.roots)}
         keys = [self._encode(range(width))] + [
@@ -171,7 +169,7 @@ class WeylGroup:
                     f"element bound {self.element_bound} exceeded: "
                     f"{count + 1} elements materialized"
                 )
-            el = WeylElement(self, key, count, length)
+            el = WeylElement(self, key, length)
             self._registry[key] = el
         return el
 
@@ -198,8 +196,8 @@ class WeylGroup:
         )
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
-        """w * s_i, kept in ``w.steps[i]`` and w in ``(w s_i).steps[i]``.  It
-        is longer than w exactly when w(alpha_i) is positive."""
+        """w * s_i, kept in ``w.steps[i]``.  It is longer than w exactly
+        when w(alpha_i) is positive."""
         cached = w.steps[i]
         if cached is None:
             key = self._compose(self.simple[i].key, self._table(w.key))
@@ -207,30 +205,28 @@ class WeylGroup:
                 key, w.length + 1 if w.key[i] < self.N else w.length - 1
             )
             w.steps[i] = cached
-            cached.steps[i] = w
         return cached
 
     # -- words and descents --------------------------------------------------
 
     def reduced_word(self, w: WeylElement) -> list[int]:
-        """Deterministic reduced word, :meth:`_peel` of w's key, kept by uid.
-        Every call returns a new list."""
-        word = self._words.get(w.uid)
-        if word is None:
-            word = self._words[w.uid] = self._peel(w.key)
-        return list(word)
+        """Deterministic reduced word, :meth:`_peel` of w's key, kept in
+        ``w.word``.  Every call returns a new list."""
+        if w.word is None:
+            w.word = self._peel(w.key)
+        return list(w.word)
 
     def _peel(self, key: Key) -> tuple[int, ...]:
         """The reduced word of ``key`` that peels its smallest left descent
         first (the left descents are the simple-root indices in ``key[N:]``).
         No element is interned: the peel stops at the first interned key on
-        its chain with a kept word."""
-        peeled, words = [], self._words
+        its chain whose element has a word."""
+        peeled = []
         while (i := min(key[self.N:])) < self.n:
             peeled.append(i)
             key = self._compose(key, self._simple_tables[i])
-            if (v := self._registry.get(key)) is not None and v.uid in words:
-                return (*peeled, *words[v.uid])
+            if (v := self._registry.get(key)) is not None and v.word is not None:
+                return (*peeled, *v.word)
         return tuple(peeled)
 
     def from_word(self, word) -> WeylElement:
@@ -286,7 +282,7 @@ class WeylGroup:
         out = set()
         for i in J:
             j = w0.key[i] - self.N  # w0(alpha_i) = -alpha_j
-            if not 0 <= j < self.n:  # pragma: no cover
+            if not 0 <= j < self.n:
                 raise ConsistencyError("w0 did not negate a simple root")
             out.add(j)
         return self._kept(frozenset(out))
@@ -365,8 +361,9 @@ class WeylGroup:
 
     def ascend(self, gens, J, start: WeylElement | None = None) -> list[WeylElement]:
         """The elements of start * W_gens with no left descent in J, grown from
-        ``start`` (the identity by default), breadth-first by length and
-        sorted by key within a length.
+        ``start`` (the identity by default), breadth-first by length, each
+        level in the order its elements are first reached: from the level
+        before in its order, by the generators in increasing order.
 
         ^J W is closed under prefixes, so each level is grown from the one
         before by the ascents that :meth:`ascent_stops` lets through, and a
@@ -391,16 +388,14 @@ class WeylGroup:
                     f"enumeration of {whole // part} elements exceeds element "
                     f"bound {self.element_bound}"
                 )
-            stops = self.ascent_stops(J)
+            stops, order = self.ascent_stops(J), sorted(gens)
             level = [start]
             cached = [start]
             while level:
-                nxt = set()
-                for w in level:
-                    for i in gens:
-                        if w.key[i] not in stops:
-                            nxt.add(self.right_mul(w, i))
-                level = sorted(nxt, key=lambda u: u.key)
+                level = list(dict.fromkeys(
+                    self.right_mul(w, i) for w in level for i in order
+                    if w.key[i] not in stops
+                ))
                 cached.extend(level)
             if len(cached) * part != whole:
                 raise ConsistencyError(
@@ -412,7 +407,8 @@ class WeylGroup:
         return cached
 
     def elements(self) -> list[WeylElement]:
-        """All elements, breadth-first by length, deterministic within a level."""
+        """All elements, breadth-first by length, in first-reached order
+        within a level."""
         return self.ascend(range(self.n), ())
 
     def subgroup_elements(self, J) -> list[WeylElement]:

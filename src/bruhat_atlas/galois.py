@@ -18,8 +18,8 @@ Prop. 2.2.7) xs < x and xs < u, so xs <= y for some y in gens(u); then
 x <= max(y, ys), and x <= ys with ys in ^J W, since otherwise the projection
 onto ^J W, which preserves the order (section 2.5), gives x <= y < u.  So
 down(w) = bits(w) | the union of down(y) over y in gens(w).  Each bit is a
-caller's label: an orbit id for the closure order, a uid for element-wide
-intervals.  The covering pairs are reduced once, on bitmasks.
+caller's label: an orbit id for the closure order, an element's index for
+element-wide intervals.  The covering pairs are reduced once, on bitmasks.
 """
 
 from __future__ import annotations
@@ -32,16 +32,13 @@ from .rootdata import DiagramAutomorphism, Record
 
 
 def definition_degree(J, phi: DiagramAutomorphism) -> int:
-    """Smallest d >= 1 with phi^d(J) = J; divides the order of phi."""
+    """Smallest d >= 1 with phi^d(J) = J.  phi permutes the subsets of a
+    finite set, so the loop ends, and d divides the order of phi."""
     J = frozenset(J)
-    current = J
-    for d in range(1, phi.order + 1):
-        current = phi.apply_subset(current)
-        if current == J:
-            if phi.order % d:  # pragma: no cover
-                raise ConsistencyError("stabilizer degree does not divide the order")
-            return d
-    raise ConsistencyError("phi^order fixed nothing")  # pragma: no cover
+    current, d = phi.apply_subset(J), 1
+    while current != J:
+        current, d = phi.apply_subset(current), d + 1
+    return d
 
 
 def galois_orbits(
@@ -158,7 +155,7 @@ def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPo
     """Quotient the Bruhat order on ^J W by the orbit partition."""
     J, N = group.check_subset(J), group.N
     for orbit in orbits:
-        if len({w.length for w in orbit}) != 1:  # pragma: no cover
+        if len({w.length for w in orbit}) != 1:
             raise ConsistencyError("orbit members have distinct lengths")
         for w in orbit:
             # a left descent in J is alpha_j (j in J) among w's negative-root images

@@ -31,10 +31,17 @@ def elements_at(group: WeylGroup, keys) -> set:
 
 def engine_leq(group: WeylGroup):
     """The engine's Bruhat order on all of W: with J empty, ^J W is W, and
-    with each element's uid as its bit the lower sets of ``lower_sets`` are
-    the Bruhat intervals."""
-    down = lower_sets(group, frozenset(), {w: 1 << w.uid for w in group.elements()})
-    return lambda x, w: bool(down[w] >> x.uid & 1)
+    with each element's index in ``elements()`` as its bit the lower sets of
+    ``lower_sets`` are the Bruhat intervals."""
+    index = {w: i for i, w in enumerate(group.elements())}
+    down = lower_sets(group, frozenset(), {w: 1 << i for w, i in index.items()})
+    return lambda x, w: bool(down[w] >> index[x] & 1)
+
+
+def forget_words(group: WeylGroup):
+    """Drop every peeled word kept on the elements of ``group``."""
+    for w in group._registry.values():
+        w.word = None
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

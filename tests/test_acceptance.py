@@ -213,11 +213,12 @@ def test_criterion_9_poset_sanity(corpus_atlases):
         group = group_of(name)
         phi = validate_automorphism(perm, group.cartan)
         image = {w: group.apply_automorphism(phi, w) for w in group.elements()}
-        down = lower_sets(group, frozenset(), {w: 1 << w.uid for w in group.elements()})
+        index = {w: i for i, w in enumerate(group.elements())}
+        down = lower_sets(group, frozenset(), {w: 1 << i for w, i in index.items()})
         for w in group.elements():
             # phi maps down(w) onto down(phi w)
             mapped = sum(
-                1 << image[x].uid for x in group.elements() if down[w] >> x.uid & 1
+                1 << index[image[x]] for x in group.elements() if down[w] >> index[x] & 1
             )
             ok &= mapped == down[image[w]]
     for atlas in corpus_atlases.values():

@@ -5,6 +5,7 @@ import pytest
 from bruhat_atlas import atlas as atlas_mod, galois, parabolic
 from bruhat_atlas.atlas import (
     PELCase,
+    StratumRecord,
     build_atlas,
     derive_J,
     derive_K,
@@ -27,7 +28,7 @@ from bruhat_atlas.rootdata import (
     validate_automorphism,
 )
 from bruhat_atlas.serialize import atlas_json, emit_dot, emit_table, parse_case
-from conftest import group_of
+from conftest import forget_words, group_of
 
 
 def make_case(factors, perm=None, mu=None, J=None, **options):
@@ -244,6 +245,18 @@ class TestBuildGuards:
         with pytest.raises(ConsistencyError, match="fiber sizes do not add up"):
             build_atlas(siegel_case(3))
 
+    def test_frobenius_power_guard(self, monkeypatch):
+        # gu:4,3:inert: phi reverses the A6 diagram, and J is fixed by phi^2
+        # only; degree 1 makes phi^d move J
+        monkeypatch.setattr(atlas_mod, "definition_degree", lambda J, phi: 1)
+        with pytest.raises(ConsistencyError, match="not fixed by phi\\^d"):
+            build_atlas(parse_case(corpus_preset("gu:4,3:inert")))
+
+    def test_siegel_a_number_guard(self, monkeypatch):
+        monkeypatch.setattr(atlas_mod, "siegel_dimension", lambda g, i: -1)
+        with pytest.raises(ConsistencyError, match="does not match a unique a-number"):
+            build_atlas(siegel_case(3))
+
     def test_single_fiber_guard(self, monkeypatch):
         monkeypatch.setattr(atlas_mod, "conjugate_type", lambda group, x, J: frozenset())
         with pytest.raises(
@@ -251,6 +264,39 @@ class TestBuildGuards:
             match=r"fiber size and conjugation criteria disagree at \[\]$",
         ):
             build_atlas(siegel_case(3))
+
+
+def _stratum(dim, closure, is_maximal, orbit=("x",)):
+    return StratumRecord(
+        rep=None, orbit=list(orbit), dim=dim, codim=2 - dim, eo_fiber=["y"],
+        single_eo=True, closure=closure, is_maximal=is_maximal, siegel_a=None,
+    )
+
+
+class TestAtlasInvariants:
+    """The atlas-wide guards, called on two synthetic strata of a moduli
+    space of dimension 2: a point below a top stratum."""
+
+    def test_consistent_strata_pass(self):
+        strata = [_stratum(0, [0], False), _stratum(2, [0, 1], True)]
+        atlas_mod._assert_atlas_invariants(strata, range(2), 2)
+
+    @pytest.mark.parametrize(
+        "strata, message",
+        [
+            ([_stratum(0, [0], True), _stratum(2, [0, 1], True)], "is not unique"),
+            ([_stratum(0, [0], False), _stratum(2, [0, 1], True, "xz")], "not a singleton"),
+            ([_stratum(0, [0], False), _stratum(1, [0, 1], True)], "differs from the total"),
+            ([_stratum(0, [0], False), _stratum(2, [1], True)], "misses some stratum"),
+            ([_stratum(-1, [0], False), _stratum(2, [0, 1], True)], "out of range"),
+        ],
+        ids=["two maxima", "top orbit", "top dimension", "top closure", "dimension"],
+    )
+    def test_each_guard_fires(self, strata, message):
+        # the fiber sizes add up, so only the named guard can fire
+        left_reps = range(sum(len(s.orbit) * len(s.eo_fiber) for s in strata))
+        with pytest.raises(ConsistencyError, match=message):
+            atlas_mod._assert_atlas_invariants(strata, left_reps, 2)
 
 
 class TestSiegel:
@@ -336,7 +382,7 @@ def test_wide_key_build_and_outputs_intern_a_pinned_number_of_elements():
 def test_outputs_peel_words_without_interning(monkeypatch):
     atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
     g = atlas.group
-    g._words.clear()
+    forget_words(g)
     calls = {"_intern": 0, "left_mul": 0}
     for name in calls:
         method = getattr(g, name)
@@ -348,7 +394,8 @@ def test_outputs_peel_words_without_interning(monkeypatch):
         monkeypatch.setattr(g, name, counted)
     for emit in (atlas_json, emit_dot, emit_table):
         emit(atlas)
-    assert g._words and calls == {"_intern": 0, "left_mul": 0}
+    assert any(w.word is not None for w in g._registry.values())
+    assert calls == {"_intern": 0, "left_mul": 0}
 
 
 @pytest.mark.parametrize("preset", ["gu:4,3:inert", "hilbert:6"])
@@ -367,8 +414,7 @@ def test_orbits_relabel_words_without_interning_or_composing(preset, monkeypatch
     reps = parabolic.min_double_reps(g, atlas.J, atlas.K)
     orbits = galois.galois_orbits(g, reps, generator)
     assert composed == [] and len(g._registry) == interned
-    uids = {frozenset(w.uid for w in orbit) for orbit in orbits}
-    assert uids == {frozenset(w.uid for w in s.orbit) for s in atlas.strata}
+    assert {frozenset(o) for o in orbits} == {frozenset(s.orbit) for s in atlas.strata}
 
 
 def test_fibers_are_not_cached_and_start_less_ascents_are():

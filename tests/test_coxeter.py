@@ -12,7 +12,7 @@ from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.oracle import brute_interval
 from bruhat_atlas.parabolic import min_left_reps
 from bruhat_atlas.serialize import parse_case
-from conftest import SMALL_GROUPS, engine_leq, group_of
+from conftest import SMALL_GROUPS, engine_leq, forget_words, group_of
 
 
 class TestGroupLaw:
@@ -212,7 +212,7 @@ class TestWords:
         assert isinstance(g.identity.key, tuple)
         fibers = [s.eo_fiber for s in atlas.strata]
         for elements in [min_left_reps(g, atlas.J), *fibers]:
-            g._words.clear()
+            forget_words(g)
             for w in reversed(elements) if order == "longest first" else elements:
                 word = g.reduced_word(w)
                 assert word == plain_peel(g, w)
@@ -248,6 +248,12 @@ class TestLongestAndOpposition:
     def test_opposition_c2_trivial(self, c2):
         for J in [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]:
             assert c2.opposition(J) == J
+
+    def test_opposition_refuses_a_w0_that_negates_no_simple_root(self, monkeypatch):
+        g = WeylGroup(group_of("A2").cartan)
+        monkeypatch.setattr(g, "longest_element", lambda J: g.identity)
+        with pytest.raises(ConsistencyError, match="w0 did not negate a simple root"):
+            g.opposition({0})
 
     def test_opposition_matches_conjugation(self):
         for name in ["A3", "C3", "D4"]:
@@ -525,8 +531,8 @@ def count_composes(g: WeylGroup, monkeypatch) -> list:
 
 
 class TestStepMemo:
-    """A right simple step is memoized in both directions, and a step on
-    either side hands ``_intern`` the length of the element it forms."""
+    """A right simple step is memoized on the element it starts from, and a
+    step on either side hands ``_intern`` the length of the element it forms."""
 
     @staticmethod
     def steps(g: WeylGroup):
@@ -571,30 +577,48 @@ class TestStepMemo:
     def test_a_step_taken_twice_composes_nothing(self, name, monkeypatch):
         g = WeylGroup(group_of(name).cartan)
         elements = g.elements()
-        # every pair {w, w s_i} was formed once, as an ascent, in both directions
-        assert all(w.steps[i] is not None for w in elements for i in range(g.n))
-        composed = count_composes(g, monkeypatch)
-        step = self.steps(g)["right"]
+        # W grown by ascents: every ascent slot is filled, no descent slot
         for w in elements:
             for i in range(g.n):
-                assert step(step(w, i), i) is w, i
+                assert (w.steps[i] is not None) == (w.key[i] < g.N), i
+        composed = count_composes(g, monkeypatch)
+        for w in elements:
+            for i in range(g.n):
+                if w.key[i] < g.N:
+                    assert g.right_mul(w, i) is w.steps[i], i
         assert composed == []
 
     def test_wide_keys_over_min_left_reps(self, monkeypatch):
         # C12: 2N = 288, so tuple keys; ^J W for J = {2..11} has 528 elements
         g = WeylGroup(group_of("C12").cartan)
         assert isinstance(g.identity.key, tuple)
-        jw = min_left_reps(g, range(2, 12))
+        J = range(2, 12)
+        jw = min_left_reps(g, J)
         assert len(jw) == 528
-        composed = count_composes(g, monkeypatch)
-        step = self.steps(g)["right"]
+        # ^J W grown by its ascents: each such slot is filled, no descent slot
+        stops = g.ascent_stops(J)
         for w in jw:
             for i in range(g.n):
-                v = step(w, i)
-                assert v.length == negative_images(g, v.key)
-                formed = len(composed)
-                assert step(v, i) is w and len(composed) == formed
+                assert (w.steps[i] is not None) == (w.key[i] not in stops), i
+        # the ascents that leave ^J W are formed on a first pass, then kept
+        ascents = [(w, i) for w in jw for i in range(g.n) if w.key[i] < g.N]
+        composed = count_composes(g, monkeypatch)
+        first = [g.right_mul(w, i) for w, i in ascents]
+        formed = len(composed)
+        assert 0 < formed < len(ascents)
+        assert [g.right_mul(w, i) for w, i in ascents] == first
+        assert len(composed) == formed
+        for (w, i), v in zip(ascents, first):
+            assert v.length == w.length + 1 == negative_images(g, v.key)
         assert all(w.length == negative_images(g, w.key) for w in g._registry.values())
+
+    @pytest.mark.parametrize("preset", ["siegel:4", "gu:4,3:inert", "hilbert:6"])
+    def test_a_build_keeps_only_longer_steps(self, preset):
+        # a step is kept on the element it starts from, and a build steps only
+        # by ascents
+        g = build_atlas(parse_case(corpus_preset(preset))).group
+        kept = [(w, v) for w in g._registry.values() for v in w.steps if v is not None]
+        assert kept and all(v.length == w.length + 1 for w, v in kept)
 
 
 class TestSubsetMemos:

@@ -129,6 +129,10 @@ class TestOrbitPoset:
         with pytest.raises(InputError, match="left descent"):
             orbit_poset(a2, orbits, J={0})
 
+    def test_orbit_of_two_lengths_is_refused(self, a2):
+        with pytest.raises(ConsistencyError, match="orbit members have distinct lengths"):
+            orbit_poset(a2, [[a2.identity, a2.simple[0]]], J=())
+
     def test_covers_are_the_transitive_reduction(self):
         g = group_of("A3")
         poset = orbit_poset(g, galois_orbits(g, g.elements(), flip(g)), J=())
@@ -162,12 +166,13 @@ class TestLowerSets:
         g = group_of(name)
         for J in _subsets(g.n):
             jw = parabolic.min_left_reps(g, J)
-            down = lower_sets(g, J, {w: 1 << w.uid for w in jw})
+            index = {w: i for i, w in enumerate(jw)}
+            down = lower_sets(g, J, {w: 1 << i for w, i in index.items()})
             assert set(down) == set(jw)
             for w in jw:
-                got = {x.uid for x in jw if down[w] >> x.uid & 1}
+                got = {x for x in jw if down[w] >> index[x] & 1}
                 interval = elements_at(g, brute_interval(g, g.reduced_word(w)))
-                assert got == {x.uid for x in interval if not x.left_descents & J}
+                assert got == {x for x in interval if not x.left_descents & J}
                 # no bit outside ^J W
                 assert down[w].bit_count() == len(got)
 
@@ -273,6 +278,6 @@ class TestStructuralGuards:
         monkeypatch.setattr(
             g, "_compose", lambda key, table: composed.append(1) or compose(key, table)
         )
-        down = lower_sets(g, atlas.J, {w: 1 << w.uid for w in jw})
+        down = lower_sets(g, atlas.J, {w: 1 << i for i, w in enumerate(jw)})
         assert composed == [] and len(g._registry) == interned
         assert set(down) == set(jw) and down[jw[-1]].bit_count() == len(jw)
