@@ -260,9 +260,11 @@ def _assert_atlas_invariants(strata, left_reps, moduli_dim):
         raise ConsistencyError("maximal stratum dimension differs from the total")
     if sorted(top.closure) != list(range(len(strata))):
         raise ConsistencyError("maximal stratum closure misses some stratum")
-    for s in strata:
+    for sid, s in enumerate(strata):
         if not (0 <= s.dim <= moduli_dim):
-            raise ConsistencyError("stratum dimension out of range")
+            raise ConsistencyError(
+                f"stratum {sid} dimension {s.dim} out of range 0..{moduli_dim}"
+            )
 
 
 class SiegelIdentification(Record):

@@ -77,9 +77,12 @@ def _positive_int(text: str, what: str) -> int:
 
 
 def _write_outputs(built, out_dir: Path):
-    (out_dir / "atlas.json").write_text(serialize.atlas_json(built))
-    (out_dir / "hasse.dot").write_text(serialize.emit_dot(built))
-    (out_dir / "table.txt").write_text(serialize.emit_table(built))
+    try:
+        (out_dir / "atlas.json").write_text(serialize.atlas_json(built))
+        (out_dir / "hasse.dot").write_text(serialize.emit_dot(built))
+        (out_dir / "table.txt").write_text(serialize.emit_table(built))
+    except OSError as exc:
+        raise InputError(f"cannot write to {out_dir}: {exc}") from exc
 
 
 def _run_case(doc: dict, out_dir: Path, verify: bool, **overrides) -> int:

@@ -17,26 +17,26 @@ by one ``itemgetter`` gather; the choice is made once per group, in
 An element is its interned key: elements are interned per group, so equal
 means identical.  The element keeps its length, its right steps and, once
 peeled, its reduced word; descents are read off the key when asked for.
-The group law by a simple reflection on the right is memoized on the element
-itself, in its ``steps`` list, one way only: forming v = w s_i records v on
-w.  A step on the left, which no build takes, is formed anew on each call.
-A step carries its length, l(w s_i) = l(w) + 1 exactly when w(alpha_i) is
-positive (Humphreys, "Reflection Groups and Coxeter Groups", 1.6-1.7), so
-only a general product and the generators count negative images.  Canonical
-reduced words are peeled on keys, interning nothing, and kept on the
-elements already interned.  Validated subsets of the nodes, their
-parabolic orders and their ascent stops are memoized per group, one
-frozenset per subset.  The element bound of a group limits how many
-elements it materializes, and an enumeration whose closed-form count exceeds
-it is refused before it grows.
+The group laws are a general product, :meth:`WeylGroup.multiply`, and a
+step by a simple reflection on the right, :meth:`WeylGroup.right_mul`,
+memoized on the element itself, in its ``steps`` list: forming v = w s_i
+records v on w.  A step carries its length, l(w s_i) = l(w) + 1 exactly
+when w(alpha_i) is positive (Humphreys, "Reflection Groups and Coxeter
+Groups", 1.6-1.7), so only a general product and the generators count
+negative images.  Canonical reduced words are peeled on keys, interning
+nothing, and kept on the elements already interned.  Validated subsets of
+the nodes, their parabolic orders and their ascent stops are memoized per
+group, one frozenset per subset.  The element bound of a group limits how
+many elements it materializes, and an enumeration whose closed-form count
+exceeds it is refused before it grows.
 
 Every enumeration of the engine comes from one routine,
 :meth:`WeylGroup.ascend`, which grows the J-minimal elements of a coset x W_S
 by ascents from x: ^J W and all of W (``J`` empty) from the identity, and
 each fiber x W_K meet ^J W from its representative x, its size known before
 it grows from root heights (:meth:`WeylGroup.parabolic_order`).  A symmetry
-of the diagram acts on reduced words.  The Bruhat order comes from
-:func:`galois.lower_sets`, one forward pass over ^J W along the steps that
+of the diagram acts on reduced words.  The one Bruhat order is
+:func:`galois.lower_sets`, a forward pass over ^J W along the steps that
 ``ascend`` memoized while growing it, so it composes no key.
 """
 
@@ -186,15 +186,6 @@ class WeylGroup:
         key = self._compose(v.key, self._table(w.key))
         return self._intern(key, self._length(key))
 
-    def left_mul(self, i: int, w: WeylElement) -> WeylElement:
-        """s_i * w, formed on each call: one compose and a registry lookup.
-        It is shorter than w exactly when i is a left descent of w, i.e.
-        alpha_i lies in w(negative roots)."""
-        key = self._compose(w.key, self._simple_tables[i])
-        return self._registry.get(key) or self._intern(
-            key, w.length - 1 if w.key.index(i) >= self.N else w.length + 1
-        )
-
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
         """w * s_i, kept in ``w.steps[i]``.  It is longer than w exactly
         when w(alpha_i) is positive."""
@@ -286,21 +277,6 @@ class WeylGroup:
                 raise ConsistencyError("w0 did not negate a simple root")
             out.add(j)
         return self._kept(frozenset(out))
-
-    # -- Bruhat order ----------------------------------------------------------
-
-    def bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
-        """Lifting property: for a left descent s of w, x <= w iff
-        min(x, s x) <= s w, walked as a loop.  No build or --verify run calls
-        this; it goes when ``perfbench/tracer.py`` stops tracing it."""
-        self.check_ambient(x, w)
-        N = self.N
-        while x is not w and x.length < w.length:
-            s = min(w.key[N:])  # the smallest left descent of w
-            if s in x.key[N:]:
-                x = self.left_mul(s, x)
-            w = self.left_mul(s, w)
-        return x is w
 
     # -- automorphisms ---------------------------------------------------------
 
@@ -411,7 +387,3 @@ class WeylGroup:
         within a level."""
         return self.ascend(range(self.n), ())
 
-    def subgroup_elements(self, J) -> list[WeylElement]:
-        """All of W_J, breadth-first by length; ``ascend(J, ())`` under the
-        name ``perfbench/tracer.py`` traces."""
-        return self.ascend(J, ())

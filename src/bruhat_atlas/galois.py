@@ -56,8 +56,9 @@ def galois_orbits(
         while current != w:
             if current not in pool:
                 raise InputError(
-                    "element set is not stable under the generator; "
-                    "J/K bookkeeping is inconsistent"
+                    "element set is not stable under the generator: the image "
+                    f"{group.reduced_word(current)} of {group.reduced_word(orbit[-1])} "
+                    "is not among the elements left; J/K bookkeeping is inconsistent"
                 )
             orbit.append(current)
             pool.discard(current)
@@ -155,8 +156,13 @@ def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPo
     """Quotient the Bruhat order on ^J W by the orbit partition."""
     J, N = group.check_subset(J), group.N
     for orbit in orbits:
-        if len({w.length for w in orbit}) != 1:
-            raise ConsistencyError("orbit members have distinct lengths")
+        for w in orbit:
+            if w.length != orbit[0].length:
+                raise ConsistencyError(
+                    f"orbit members have distinct lengths: {group.reduced_word(w)} "
+                    f"has length {w.length}, {group.reduced_word(orbit[0])} "
+                    f"has length {orbit[0].length}"
+                )
         for w in orbit:
             # a left descent in J is alpha_j (j in J) among w's negative-root images
             if not J.isdisjoint(w.key[N:]):

@@ -1,12 +1,13 @@
 """Brute-force re-derivations of every nontrivial combinatorial claim.
 
 Each oracle here uses a method algorithmically independent of the engine:
-subword dynamic programming instead of the lifting recursion, and closure
-classes with explicit minima instead of growing ^J W by ascents.  It works on
-root-permutation keys, interns nothing, and shares with the engine only the
-indexing of the roots, the keys of the simple reflections and the one key
-fork that composes them; past the claims under test it calls the engine only
-for the reduced words of its messages.  One breadth-first pass by right
+subword products instead of the forward pass of :func:`galois.lower_sets`,
+and closure classes with explicit minima instead of growing ^J W by
+ascents.  It works on root-permutation keys, interns nothing, and shares
+with the engine only the indexing of the roots, the keys of the simple
+reflections and the one key fork that composes them; past the claims under
+test it calls the engine only for the reduced words of its messages.  One
+breadth-first pass by right
 simple steps lists W with its lengths, the cosets W_J w are the classes of W
 under left-J steps and the double cosets W_J w W_K their unions along right-K
 steps: |W|·(n + |J|) steps and |K| per coset, each one ``bytes.translate``
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from . import parabolic
 from .atlas import Atlas, eo_fiber
-from .coxeter import Key, WeylElement, WeylGroup
+from .coxeter import Key, WeylGroup
 from .errors import BoundError, ConsistencyError
 from .rootdata import Record
 
@@ -152,16 +153,6 @@ def brute_min_left_reps(group: WeylGroup, J) -> set[Key]:
     """The shortest key of each coset W_J w, a closure class of W under left
     simple steps by J, taken explicitly over its class."""
     return set(_cosets(group, J, ())[2])
-
-
-def brute_project(group: WeylGroup, w: WeylElement, K) -> WeylElement:
-    """Shortest element of w W_K by scanning the whole coset.  Not used by
-    :func:`verify_atlas`; it goes when ``perfbench/tracer.py`` stops tracing
-    it."""
-    K = group.check_subset(K)
-    coset = [group.multiply(w, v) for v in group.subgroup_elements(K)]
-    lengths = {v.key: v.length for v in coset}
-    return group._registry[_unique_by_length(group, lengths, lengths, min)]
 
 
 def verify_atlas(atlas: Atlas) -> VerificationReport:

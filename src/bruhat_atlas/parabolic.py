@@ -21,7 +21,6 @@ fiber x * ^{J_x}W_K is grown from x inside ^J W.  None of them enumerates W.
 from __future__ import annotations
 
 from .coxeter import WeylElement, WeylGroup
-from .errors import InputError
 
 
 def min_left_reps(group: WeylGroup, J) -> list[WeylElement]:
@@ -49,10 +48,3 @@ def ell_JK(group: WeylGroup, x: WeylElement, Jx, K) -> int:
     ``Jx = group.induced_subset(x, J, K)``."""
     return x.length + group.longest_element(K).length - group.longest_element(Jx).length
 
-
-def relative_left_reps(group: WeylGroup, Jx, K) -> list[WeylElement]:
-    """Elements of W_K with no left descent in Jx (Jx must sit inside K).  No
-    build calls this; it goes when ``perfbench/tracer.py`` stops tracing it."""
-    if not group.check_subset(Jx) <= group.check_subset(K):
-        raise InputError(f"subset {sorted(Jx)} is not contained in {sorted(K)}")
-    return group.ascend(K, Jx)

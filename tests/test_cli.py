@@ -210,6 +210,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write to {out_dir}: ") and err.count("\n") == 1
 
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        # the directory exists, but a directory stands where atlas.json goes
+        (tmp_path / "atlas.json").mkdir()
+        assert main(["--out", str(tmp_path), "corpus", "siegel:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {tmp_path}: ") and err.count("\n") == 1
+
     def test_bound_exceeded_exits_3(self, tmp_path):
         rc = main(["--out", str(tmp_path), "--bound", "10", "corpus", "siegel:3"])
         assert rc == 3

@@ -134,7 +134,7 @@ class TestLengthAndDescents:
             for w in g.elements():
                 for i in range(g.n):
                     assert abs(g.right_mul(w, i).length - w.length) == 1
-                    assert abs(g.left_mul(i, w).length - w.length) == 1
+                    assert abs(g.multiply(g.simple[i], w).length - w.length) == 1
 
 
 def fresh_group(name: str) -> WeylGroup:
@@ -148,7 +148,7 @@ def plain_peel(g: WeylGroup, w) -> list[int]:
     while w.left_descents:
         i = min(w.left_descents)
         word.append(i)
-        w = g.left_mul(i, w)
+        w = g.multiply(g.simple[i], w)
     return word
 
 
@@ -318,14 +318,6 @@ class TestBruhat:
         assert len(word) == 1035
         assert g.from_word(word) is w0
 
-    def test_pairwise_bruhat_leq_matches_lower_sets(self):
-        for name in ["A3", "B3", "A1xA2"]:
-            g = group_of(name)
-            leq = engine_leq(g)
-            for x in g.elements():
-                for w in g.elements():
-                    assert g.bruhat_leq(x, w) == leq(x, w), (name, x, w)
-
     def test_length_monotone(self):
         g = group_of("C3")
         leq = engine_leq(g)
@@ -460,7 +452,7 @@ class TestEnumeration:
                     for i in range(g.n):
                         v = g.right_mul(w, i)
                         inside = v.length > w.length and all(
-                            g.left_mul(j, v).length > v.length for j in J
+                            g.multiply(g.simple[j], v).length > v.length for j in J
                         )
                         assert (w.key[i] not in stops) == inside, (J, i)
 
@@ -513,7 +505,6 @@ class TestEnumeration:
         assert len(g.ascend({0, 1}, ())) == 6  # A2 parabolic
         assert len(g.ascend({1, 2}, ())) == 8  # C2 parabolic
         assert g.ascend((), ()) == [g.identity]
-        assert g.subgroup_elements({1, 2}) == g.ascend({1, 2}, ())
 
 
 def negative_images(g: WeylGroup, key) -> int:
@@ -531,14 +522,15 @@ def count_composes(g: WeylGroup, monkeypatch) -> list:
 
 
 class TestStepMemo:
-    """A right simple step is memoized on the element it starts from, and a
-    step on either side hands ``_intern`` the length of the element it forms."""
+    """A right simple step is memoized on the element it starts from and
+    hands ``_intern`` the length of a new element it forms; a left step is a
+    general product, which hands ``_intern`` the length it counts."""
 
     @staticmethod
     def steps(g: WeylGroup):
         return {
             "right": lambda w, i: g.right_mul(w, i),
-            "left": lambda w, i: g.left_mul(i, w),
+            "left": lambda w, i: g.multiply(g.simple[i], w),
         }
 
     @pytest.mark.parametrize("side", ["right", "left"])
@@ -570,7 +562,9 @@ class TestStepMemo:
                             nxt.append(v)
                 frontier = nxt
             assert len(grown) == len(g._registry) == g.order
-            assert handed == [True] * (g.order - before), top
+            # a right step interns only what is new, a product every time
+            calls = g.order - before if side == "right" else g.order * g.n
+            assert handed == [True] * calls, top
             assert all(w.length == negative_images(g, w.key) for w in grown)
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
