@@ -9,7 +9,6 @@ relation, together with the ordinarity verdict.
 
 from __future__ import annotations
 
-from . import parabolic
 from .coxeter import WeylElement, WeylGroup, DEFAULT_BOUND, check_bound
 from .errors import ConsistencyError, InputError
 from .galois import definition_degree, galois_orbits, orbit_poset
@@ -110,22 +109,14 @@ def eo_fiber(group: WeylGroup, x: WeylElement, J, K) -> list[WeylElement]:
 
 def moduli_dimension(group: WeylGroup, J) -> int:
     """length(w0) - length(w0 of J): the relative dimension available to strata."""
-    J = group.check_subset(J)
-    return (
-        group.longest_element(range(group.n)).length - group.longest_element(J).length
-    )
+    return group.longest_length(range(group.n)) - group.longest_length(J)
 
 
-def conjugate_type(group: WeylGroup, x: WeylElement, J):
-    """The set {k : s_k = x^-1 s_j x for some j in J}, or None when some
-    conjugate is not a simple reflection.  As x s_k x^-1 = s_{x(alpha_k)}
-    (Humphreys, "Reflection Groups and Coxeter Groups", section 1.2), k is in
-    the set when x(alpha_k) = +-alpha_j for some j in J, and each j is matched
-    by at most one k."""
-    J = group.check_subset(J)
-    N = group.N
-    out = frozenset(k for k in range(group.n) if x.key[k] % N in J)
-    return out if len(out) == len(J) else None
+def stratum_dimension(group: WeylGroup, x: WeylElement, Jx, K) -> int:
+    """length(x) + length(w0 of K) - length(w0 of J_x), the length of the
+    longest element x w0(J_x) w0(K) of the fiber of x, for ``Jx =
+    group.induced_subset(x, J, K)`` (Bjorner-Brenti, section 2.4)."""
+    return x.length + group.longest_length(K) - group.longest_length(Jx)
 
 
 def mu_ordinary_report(J, phi: DiagramAutomorphism) -> MuOrdinaryReport:
@@ -179,8 +170,9 @@ def build_atlas(case: PELCase) -> Atlas:
     if generator.apply_subset(J) != J or generator.apply_subset(K) != K:
         raise ConsistencyError("stabilized types are not fixed by phi^d")
 
-    left_reps = parabolic.min_left_reps(group, J)
-    double_reps = parabolic.min_double_reps(group, J, K)
+    left_reps = group.ascend(range(group.n), J)
+    # ^J W^K: k is a right descent exactly when coordinate k is negative
+    double_reps = [w for w in left_reps if all(w.weight[k] >= 0 for k in K)]
 
     orbits = galois_orbits(group, double_reps, generator)
     poset = orbit_poset(group, orbits, J)
@@ -192,21 +184,13 @@ def build_atlas(case: PELCase) -> Atlas:
 
     strata: list[StratumRecord] = []
     for sid, (orbit, rep) in enumerate(zip(poset.orbits, poset.reps)):
-        Jx = group.induced_subset(rep, J, K)
-        top, dim = parabolic.x_upper(group, rep, Jx, K)
+        dim = stratum_dimension(group, rep, group.induced_subset(rep, J, K), K)
         fiber = eo_fiber(group, rep, J, K)
-        # the fiber is sorted by length and has one longest element
-        if top is not fiber[-1] or dim != parabolic.ell_JK(group, rep, Jx, K):
+        # the fiber is sorted by length and has one longest element, of length dim
+        if fiber[-1].length != dim or (len(fiber) > 1 and fiber[-2].length == dim):
             raise ConsistencyError(
                 "top element, fiber and dimension formulas disagree at "
-                f"{group.reduced_word(rep)}"
-            )
-        single_by_size = len(fiber) == 1
-        single_by_conj = conjugate_type(group, rep, J) == K
-        if single_by_size != single_by_conj:
-            raise ConsistencyError(
-                "fiber size and conjugation criteria disagree at "
-                f"{group.reduced_word(rep)}"
+                f"{list(group.reduced_word(rep))}"
             )
         closure = poset.ids_below(sid)
         is_max = rep.length == top_length
@@ -223,7 +207,7 @@ def build_atlas(case: PELCase) -> Atlas:
                 dim=dim,
                 codim=moduli_dim - dim,
                 eo_fiber=fiber,
-                single_eo=single_by_size,
+                single_eo=len(fiber) == 1,
                 closure=closure,
                 is_maximal=is_max,
                 siegel_a=siegel_a,

@@ -1,61 +1,56 @@
-"""Finite Weyl groups acting on their roots.
+"""Finite Weyl groups acting on the W-orbits of dominant weights.
 
-The 2N roots are indexed once per group: the N positive roots first, with the
-simple root alpha_i at index i, and -beta at (index of beta) + N.  An element
-``w`` is stored as the permutation it induces on them: ``key[r]`` is the index
-of ``w(root r)`` (Casselman, "Machine calculations in Weyl groups", 1994).
-Length is the number of positive roots sent negative, descents are lookups
-and a product composes two permutations.
+An element w of ^J W, the shortest elements of the cosets W_J w, is held as
+the weight v = w^-1 lambda_J in fundamental-weight coordinates, where lambda_J
+is the sum of the fundamental weights omega_j over j not in J: n small ints.
+W itself is the case J empty, lambda = rho.  The stabilizer of lambda_J is
+W_J, so w -> w^-1 lambda_J is a bijection from ^J W onto the orbit of
+lambda_J (Humphreys, "Reflection Groups and Coxeter Groups", section 1.12;
+Casselman, "Machine calculations in Weyl groups", 1994).  Coordinate i is
+<lambda_J, w alpha_i^vee>, so every rule of the engine reads one coordinate:
 
-A key is a ``bytes`` string whenever 2N <= 256 (every group the oracle can
-enumerate, C_g up to g = 11, A_n up to n = 15).  A product is then one
-``bytes.translate`` of the inner key through the outer key padded to 256
-bytes, and bytes cache their hash.  Wider groups keep a tuple key composed
-by one ``itemgetter`` gather; the choice is made once per group, in
-``_encode``, ``_table`` and ``_compose``, and nothing else depends on it.
+- w s_i has the weight s_i(v) = v - v_i (column i of the Cartan matrix),
+  which changes only i and its neighbours in the diagram;
+- w s_i is an ascent inside ^J W when v_i > 0 and a descent when v_i < 0;
+  when v_i = 0, w alpha_i is a root of W_J and the coset W_J w does not move;
+- w lies in ^J W^K exactly when v_k >= 0 for every k in K;
+- a diagram symmetry phi with phi(J) = J permutes the coordinates.
 
-An element is its interned key: elements are interned per group, so equal
-means identical.  The element keeps its length, its right steps and, once
-peeled, its reduced word; descents are read off the key when asked for.
-The group laws are a general product, :meth:`WeylGroup.multiply`, and a
-step by a simple reflection on the right, :meth:`WeylGroup.right_mul`,
-memoized on the element itself, in its ``steps`` list: forming v = w s_i
-records v on w.  A step carries its length, l(w s_i) = l(w) + 1 exactly
-when w(alpha_i) is positive (Humphreys, "Reflection Groups and Coxeter
-Groups", 1.6-1.7), so only a general product and the generators count
-negative images.  Canonical reduced words are peeled on keys, interning
-nothing, and kept on the elements already interned.  Validated subsets of
-the nodes, their parabolic orders and their ascent stops are memoized per
-group, one frozenset per subset.  The element bound of a group limits how
+Elements are interned per group and per J, so equal means identical.  The
+registry keys a weight by the integer sum v_k R^k, R = 2N + 1: each |v_k| is
+at most the height of a coroot, so at most N, the digits are balanced and the
+key is exact, and a step moves it by v_i times the key of alpha_i.  Each
+element keeps its length, handed on by the step that forms it, its right
+steps and its reduced word.  A step is memoized both ways: forming u = w s_i
+records u on w and w on u.  The canonical word is the lexicographically first
+reduced word, the one that peels the smallest left descent first.  A prefix
+of it is again lexicographically first, and ^J W is closed under prefixes, so
+word(w) is the least word(w s_d) + (d,) over the right descents d of w.
+
+Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
+grows the J-minimal elements of a coset x W_S by ascents from x: ^J W and all
+of W (``J`` empty) from the identity, and each fiber x W_K meet ^J W from its
+representative x, its size known before it grows from root heights
+(:meth:`WeylGroup.parabolic_order`).  The element bound of a group limits how
 many elements it materializes, and an enumeration whose closed-form count
-exceeds it is refused before it grows.
-
-Every enumeration of the engine comes from one routine,
-:meth:`WeylGroup.ascend`, which grows the J-minimal elements of a coset x W_S
-by ascents from x: ^J W and all of W (``J`` empty) from the identity, and
-each fiber x W_K meet ^J W from its representative x, its size known before
-it grows from root heights (:meth:`WeylGroup.parabolic_order`).  A symmetry
-of the diagram acts on reduced words.  The one Bruhat order is
+exceeds it is refused before it grows.  The one Bruhat order is
 :func:`galois.lower_sets`, a forward pass over ^J W along the steps that
-``ascend`` memoized while growing it, so it composes no key.
+``ascend`` memoized while growing it.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .errors import BoundError, ConsistencyError, InputError
-from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots, reflect
-
-Key = bytes | tuple[int, ...]
+from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots
 
 DEFAULT_BOUND = 10**6
 
 
 def check_bound(element_bound, rank: int):
-    """Refuse an element bound that is not an integer >= 1, then a rank whose
-    identity and simple reflections, which every group interns, already
-    exceed it; both before anything of size ``rank`` is built."""
+    """Refuse an element bound that is not an integer >= 1, then a rank at or
+    past it; both before anything of size ``rank`` is built.  A group lists
+    at least one positive root per node, and each element holds one
+    coordinate per node, so such a rank is past any size the bound admits."""
     if type(element_bound) is not int or element_bound < 1:
         raise InputError(
             f"options.element_bound must be an integer >= 1, got {element_bound!r}"
@@ -63,55 +58,38 @@ def check_bound(element_bound, rank: int):
     if rank >= element_bound:
         raise BoundError(
             f"rank {rank} is past element bound {element_bound}: a group "
-            "interns its identity and one reflection per node"
+            "lists at least one positive root per node"
         )
 
 
 class WeylElement:
-    """One group element; create these through a :class:`WeylGroup` only.
+    """One element of ^J W; create these through a :class:`WeylGroup` only.
 
-    ``length`` is handed on by the step or product that first forms the
-    element, and the descent sets are read off the key whenever they are
-    asked for.  ``steps[i]`` is w s_i, or None until formed; a build forms
-    only ascents, so a filled slot holds a longer element.  ``word`` is the
-    reduced word of :meth:`WeylGroup.reduced_word`, or None until peeled.
-    Equality is identity: a group interns one element per key.
+    ``weight`` is w^-1 lambda_J (see the module docstring), ``code`` its
+    registry key and ``J`` the subset it lives under.  ``steps[i]`` is w s_i,
+    or None until formed or while v_i = 0, where the step stays at w.
+    ``word`` is the reduced word of :meth:`WeylGroup.reduced_word`, or None
+    until formed.  Equality is identity: a group interns one element per J
+    and weight.
     """
 
-    __slots__ = ("group", "key", "length", "steps", "word")
+    __slots__ = ("group", "J", "code", "weight", "length", "steps", "word")
 
-    def __init__(self, group: "WeylGroup", key: Key, length: int):
+    def __init__(self, group: "WeylGroup", J, code: int, weight, length: int):
         self.group = group
-        self.key = key
+        self.J = J
+        self.code = code
+        self.weight = weight
         self.length = length
         self.steps: list[WeylElement | None] = [None] * group.n
         self.word: tuple[int, ...] | None = None
 
-    @property
-    def left_descents(self) -> frozenset[int]:
-        """{i : length(s_i w) < length(w)}: the simple roots in w(negative roots)."""
-        n = self.group.n
-        return frozenset(r for r in self.key[self.group.N:] if r < n)
-
-    @property
-    def right_descents(self) -> frozenset[int]:
-        """{i : w sends alpha_i negative}."""
-        N = self.group.N
-        return frozenset(i for i, r in enumerate(self.key[: self.group.n]) if r >= N)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.group.multiply(self, other)
-
     def __repr__(self):
-        return f"WeylElement({self.group.reduced_word(self)!r})"
+        return f"WeylElement(weight={self.weight}, J={sorted(self.J)})"
 
 
 class WeylGroup:
-    """The Weyl group of a Cartan matrix, with cached combinatorial data.
-
-    ``roots`` lists the 2N root vectors in key order (see the module
-    docstring); ``N`` is the number of positive roots.
-    """
+    """The Weyl group of a Cartan matrix, with cached combinatorial data."""
 
     def __init__(self, cartan: CartanMatrix, element_bound: int = DEFAULT_BOUND):
         self.cartan = cartan
@@ -120,108 +98,96 @@ class WeylGroup:
         self.pos_roots = positive_roots(cartan)
         supports = (frozenset(k for k, c in enumerate(r) if c) for r in self.pos_roots)
         self._heights = list(zip(supports, map(sum, self.pos_roots)))
-        simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-        positive = simples + [r for r in self.pos_roots if sum(r) > 1]
-        self.roots = tuple(positive + [tuple(-c for c in r) for r in positive])
-        self.N = len(positive)
-        width = 2 * self.N
-        # the one fork of the representation: how keys are built and composed
-        if width <= 256:
-            pad = bytes(256 - width)
-            self._encode = bytes
-            self._table = lambda key: key + pad
-            self._compose = bytes.translate
-        else:
-            self._encode = tuple
-            self._table = lambda key: key
-            self._compose = lambda key, table: itemgetter(*key)(table)
-        self._registry: dict[Key, WeylElement] = {}
+        # alpha_i in fundamental-weight coordinates: column i of the Cartan matrix
+        a = cartan.entries
+        self._columns = tuple(
+            tuple((k, a[k][i]) for k in range(n) if a[k][i]) for i in range(n)
+        )
+        self._base = 2 * len(self.pos_roots) + 1
+        self._column_codes = tuple(
+            sum(a * self._base**k for k, a in column) for column in self._columns
+        )
+        self._registry: dict[frozenset[int], dict[int, WeylElement]] = {}
+        self._count = 0
         self._subsets: dict[frozenset[int], frozenset[int]] = {}
-        self._orders: dict[frozenset[int], int] = {}
-        self._stops: dict[frozenset[int], frozenset[int]] = {}
+        self._orders: dict[frozenset[int], tuple[int, int]] = {}
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
-        self._longest_cache: dict[frozenset[int], WeylElement] = {}
+        self._opposite: dict[int, int] | None = None
         self.order = self.parabolic_order(range(n))
-        index = {root: r for r, root in enumerate(self.roots)}
-        keys = [self._encode(range(width))] + [
-            self._encode(index[reflect(cartan, i, r)] for r in self.roots) for i in range(n)
-        ]
-        self.identity, *simple = [self._intern(key, self._length(key)) for key in keys]
-        self.simple = tuple(simple)
-        self._simple_tables = tuple(self._table(s.key) for s in self.simple)
 
     # -- element construction ------------------------------------------------
 
-    def _length(self, key: Key) -> int:
-        """The number of positive roots that ``key`` sends negative."""
-        N = self.N
-        return sum(1 for r in key[:N] if r >= N)
-
-    def _intern(self, key: Key, length: int) -> WeylElement:
-        """The element of ``key``; ``length`` is its length, known to the
-        caller, and used only when the key is new.  A step looks the key up
-        in ``_registry`` itself and calls this only for a new one."""
-        el = self._registry.get(key)
-        if el is None:
-            count = len(self._registry)
-            if count >= self.element_bound:
-                raise BoundError(
-                    f"element bound {self.element_bound} exceeded: "
-                    f"{count + 1} elements materialized"
-                )
-            el = WeylElement(self, key, length)
-            self._registry[key] = el
+    def _intern(self, J: frozenset[int], code: int, weight, length: int) -> WeylElement:
+        """A new element of ^J W; the caller has looked ``code``, the key of
+        ``weight``, up in the registry of J and knows the length."""
+        if self._count >= self.element_bound:
+            raise BoundError(
+                f"element bound {self.element_bound} exceeded: "
+                f"{self._count + 1} elements materialized"
+            )
+        self._count += 1
+        el = self._registry[J][code] = WeylElement(self, J, code, weight, length)
         return el
 
-    def check_ambient(self, *elements: WeylElement):
-        for w in elements:
-            if w.group is not self:
-                raise InputError("element belongs to a different ambient group")
+    def _lookup(self, J: frozenset[int], weight, length: int) -> WeylElement:
+        """The element of ^J W with ``weight``, interned at ``length`` if new."""
+        code = 0
+        for c in reversed(weight):
+            code = code * self._base + c
+        return self._registry[J].get(code) or self._intern(J, code, weight, length)
 
-    # -- group law -----------------------------------------------------------
+    def _reflect(self, weight, i: int) -> tuple[int, ...]:
+        """s_i(weight) = weight - weight_i alpha_i."""
+        out, c = list(weight), weight[i]
+        for k, a in self._columns[i]:
+            out[k] -= c * a
+        return tuple(out)
 
-    def multiply(self, w: WeylElement, v: WeylElement) -> WeylElement:
-        """(w v)(root r) = w(v(root r))."""
-        self.check_ambient(w, v)
-        key = self._compose(v.key, self._table(w.key))
-        return self._intern(key, self._length(key))
+    def _name(self, w: WeylElement) -> str:
+        """w as a message names it: its reduced word once formed, else its
+        weight, so that naming w grows nothing."""
+        return str(list(w.word)) if w.word is not None else f"of weight {w.weight}"
+
+    def check_ambient(self, w: WeylElement):
+        if w.group is not self:
+            raise InputError("element belongs to a different ambient group")
+
+    # -- steps and words -------------------------------------------------------
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
-        """w * s_i, kept in ``w.steps[i]``.  It is longer than w exactly
-        when w(alpha_i) is positive."""
-        cached = w.steps[i]
-        if cached is None:
-            key = self._compose(self.simple[i].key, self._table(w.key))
-            cached = self._registry.get(key) or self._intern(
-                key, w.length + 1 if w.key[i] < self.N else w.length - 1
+        """The minimum of W_J w s_i, kept in ``w.steps[i]`` and, as s_i is an
+        involution, w in its ``steps[i]``.  It is w s_i, longer than w, when
+        v_i > 0, and shorter when v_i < 0; it is w itself when v_i = 0."""
+        u = w.steps[i]
+        if u is None:
+            c = w.weight[i]
+            if not c:
+                return w
+            code = w.code - c * self._column_codes[i]
+            length = w.length + 1 if c > 0 else w.length - 1
+            u = self._registry[w.J].get(code) or self._intern(
+                w.J, code, self._reflect(w.weight, i), length
             )
-            w.steps[i] = cached
-        return cached
+            w.steps[i] = u
+            u.steps[i] = w
+        return u
 
-    # -- words and descents --------------------------------------------------
-
-    def reduced_word(self, w: WeylElement) -> list[int]:
-        """Deterministic reduced word, :meth:`_peel` of w's key, kept in
-        ``w.word``.  Every call returns a new list."""
+    def reduced_word(self, w: WeylElement) -> tuple[int, ...]:
+        """The lexicographically first reduced word of w, kept in ``w.word``.
+        :meth:`ascend` forms the words of what it grows from the identity, so
+        a word asked of an element it has not reached grows ^J W first."""
         if w.word is None:
-            w.word = self._peel(w.key)
-        return list(w.word)
+            self.check_ambient(w)
+            self.ascend(range(self.n), w.J)
+        return w.word
 
-    def _peel(self, key: Key) -> tuple[int, ...]:
-        """The reduced word of ``key`` that peels its smallest left descent
-        first (the left descents are the simple-root indices in ``key[N:]``).
-        No element is interned: the peel stops at the first interned key on
-        its chain whose element has a word."""
-        peeled = []
-        while (i := min(key[self.N:])) < self.n:
-            peeled.append(i)
-            key = self._compose(key, self._simple_tables[i])
-            if (v := self._registry.get(key)) is not None and v.word is not None:
-                return (*peeled, *v.word)
-        return tuple(peeled)
-
-    def from_word(self, word) -> WeylElement:
-        out = self.identity
+    def from_word(self, word, J=()) -> WeylElement:
+        """The minimum of the coset W_J s_i1 ... s_ik, walked from the
+        identity of ^J W, whose weight is lambda_J itself."""
+        J = self.check_subset(J)
+        self._registry.setdefault(J, {})
+        out = self._lookup(J, tuple(0 if j in J else 1 for j in range(self.n)), 0)
+        out.word = ()  # the identity has no descent to form its word from
         for i in word:
             if not 0 <= i < self.n:
                 raise InputError(f"letter {i} outside 0..{self.n - 1}")
@@ -249,112 +215,107 @@ class WeylGroup:
         """The group's one copy of S, a subset of its node ids."""
         return self._subsets.setdefault(S, S)
 
-    def longest_element(self, J) -> WeylElement:
-        """The maximal-length element of the parabolic subgroup W_J."""
-        J = self.check_subset(J)
-        cached = self._longest_cache.get(J)
-        if cached is None:
-            w = self.identity
-            ascent = True
-            while ascent:
-                ascent = False
-                for j in sorted(J):
-                    if w.key[j] < self.N:  # w(alpha_j) positive: an ascent
-                        w = self.right_mul(w, j)
-                        ascent = True
-                        break
-            self._longest_cache[J] = cached = w
-        return cached
-
-    def opposition(self, J) -> frozenset[int]:
-        """Image of J under conjugation with the longest element."""
-        J = self.check_subset(J)
-        w0 = self.longest_element(range(self.n))
-        out = set()
-        for i in J:
-            j = w0.key[i] - self.N  # w0(alpha_i) = -alpha_j
-            if not 0 <= j < self.n:
-                raise ConsistencyError("w0 did not negate a simple root")
-            out.add(j)
-        return self._kept(frozenset(out))
-
-    # -- automorphisms ---------------------------------------------------------
-
-    def apply_automorphism(self, phi: DiagramAutomorphism, w: WeylElement) -> WeylElement:
-        """phi(s_i1 ... s_ik) = s_phi(i1) ... s_phi(ik) on w's reduced word.  For
-        w in ^J W with phi(J) = J every prefix lies in ^J W, so once ^J W is
-        grown this follows memoized steps and interns nothing."""
-        p = phi.perm
-        if len(p) != self.n:
-            raise InputError("automorphism rank mismatch")
-        return self.from_word(p[i] for i in self.reduced_word(w))
-
-    # -- enumeration -----------------------------------------------------------
-
-    def parabolic_order(self, S) -> int:
-        """|W_S| = prod (ht a + 1) / ht a over the positive roots a supported
-        in S: Macdonald's formula for the Poincare polynomial at q = 1 ("The
-        Poincare series of a Coxeter group", Math. Ann. 199, 1972).  Kept
-        by subset."""
+    def _parabolic(self, S) -> tuple[int, int]:
+        """|W_S| and the number of positive roots supported in S, kept by
+        subset."""
         S = self.check_subset(S)
-        order = self._orders.get(S)
-        if order is None:
+        data = self._orders.get(S)
+        if data is None:
             num = den = 1
+            count = 0
             for support, height in self._heights:
                 if support <= S:
                     num *= height + 1
                     den *= height
-            order = self._orders[S] = num // den
-        return order
+                    count += 1
+            data = self._orders[S] = (num // den, count)
+        return data
+
+    def parabolic_order(self, S) -> int:
+        """|W_S| = prod (ht a + 1) / ht a over the positive roots a supported
+        in S: Macdonald's formula for the Poincare polynomial at q = 1 ("The
+        Poincare series of a Coxeter group", Math. Ann. 199, 1972)."""
+        return self._parabolic(S)[0]
+
+    def longest_length(self, S) -> int:
+        """The length of the longest element of W_S: the number of positive
+        roots supported in S."""
+        return self._parabolic(S)[1]
+
+    def opposition(self, J) -> frozenset[int]:
+        """{j* : j in J}, where w0 alpha_j = -alpha_j*.  The longest element
+        w0 is reached from rho by right ascents, and lam = sum (j + 1) omega_j
+        is carried along, so it ends as w0^-1 lam = w0 lam = -sum (j + 1)
+        omega_j*."""
+        J = self.check_subset(J)
+        if self._opposite is None:
+            rho, lam = (1,) * self.n, tuple(range(1, self.n + 1))
+            while (i := next((k for k, c in enumerate(rho) if c > 0), None)) is not None:
+                rho, lam = self._reflect(rho, i), self._reflect(lam, i)
+            star = {-c - 1: k for k, c in enumerate(lam)}
+            if sorted(star) != list(range(self.n)):
+                raise ConsistencyError("w0 did not negate a simple root")
+            self._opposite = star
+        return self._kept(frozenset(self._opposite[j] for j in J))
+
+    # -- automorphisms ---------------------------------------------------------
+
+    def apply_automorphism(self, phi: DiagramAutomorphism, w: WeylElement) -> WeylElement:
+        """phi(w) for w in ^J W with phi(J) = J: phi(v)_phi(i) = v_i, at the
+        same length, since phi(lambda_J) = lambda_J."""
+        p = phi.perm
+        if len(p) != self.n:
+            raise InputError("automorphism rank mismatch")
+        if phi.apply_subset(w.J) != w.J:
+            raise InputError(f"automorphism moves J={sorted(w.J)}")
+        weight = [0] * self.n
+        for i, c in zip(p, w.weight):
+            weight[i] = c
+        return self._lookup(w.J, tuple(weight), w.length)
+
+    # -- enumeration -----------------------------------------------------------
 
     def induced_subset(self, x: WeylElement, J, K) -> frozenset[int]:
         """{k in K : x s_k x^-1 is a simple reflection from J}, for x in ^J W^K
-        (refused otherwise).  Such an x sends each alpha_k (k in K) to a
-        positive root, so this is {k in K : x(alpha_k) = alpha_j, j in J}."""
+        (refused otherwise): the k in K with v_k = 0.  Then x alpha_k is a
+        positive root of W_J, and x^-1 sends the simple roots of J to positive
+        roots, so x alpha_k is simple."""
         J = self.check_subset(J)
         K = self.check_subset(K)
-        key, N = x.key, self.N
-        left = J.intersection(key[N:])  # J meet the left descents
-        right = [k for k in K if key[k] >= N]  # K meet the right descents
-        if left or right:
+        self.check_ambient(x)
+        if x.J != J:
             raise InputError(
-                f"element {self.reduced_word(x)} is not a minimal double "
-                f"representative for J={sorted(J)}, K={sorted(K)}: left descents "
-                f"{sorted(left)} in J, right descents {sorted(right)} in K"
+                f"element {self._name(x)} lies in ^J W for J={sorted(x.J)}, "
+                f"not for J={sorted(J)}"
             )
-        return self._kept(frozenset(k for k in K if x.key[k] in J))
-
-    def ascent_stops(self, J) -> frozenset[int]:
-        """The root indices r such that, when w(alpha_i) is root r, w s_i is
-        shorter than w or leaves ^J W: the negative roots, and alpha_j for j
-        in J (Deodhar's lemma).  So for w in ^J W, w s_i is an ascent inside
-        ^J W exactly when ``w.key[i] not in ascent_stops(J)``.  Kept by subset."""
-        J = self.check_subset(J)
-        stops = self._stops.get(J)
-        if stops is None:
-            stops = self._stops[J] = frozenset(range(self.N, 2 * self.N)).union(J)
-        return stops
+        right = sorted(k for k in K if x.weight[k] < 0)
+        if right:
+            raise InputError(
+                f"element {self._name(x)} is not a minimal double "
+                f"representative for J={sorted(J)}, K={sorted(K)}: right descents "
+                f"{right} in K"
+            )
+        return self._kept(frozenset(k for k in K if not x.weight[k]))
 
     def ascend(self, gens, J, start: WeylElement | None = None) -> list[WeylElement]:
         """The elements of start * W_gens with no left descent in J, grown from
-        ``start`` (the identity by default), breadth-first by length, each
-        level in the order its elements are first reached: from the level
+        ``start`` (the identity of ^J W by default), breadth-first by length,
+        each level in the order its elements are first reached: from the level
         before in its order, by the generators in increasing order.
 
         ^J W is closed under prefixes, so each level is grown from the one
-        before by the ascents that :meth:`ascent_stops` lets through, and a
-        rejected candidate is never multiplied or interned.  ``start`` must
-        lie in ^J W^gens; the result is start * ^{J_s}(W_gens), J_s =
-        ``induced_subset(start, J, gens)`` (Bjorner-Brenti, section 2.4), so
-        its count is |W_gens| / |W_{J_s}|: refused up front past the element
-        bound, and checked once grown.
+        before by the steps with v_i > 0.  ``start`` must lie in ^J W^gens;
+        the result is start * ^{J_s}(W_gens), J_s = ``induced_subset(start, J,
+        gens)`` (Bjorner-Brenti, section 2.4), so its count is |W_gens| /
+        |W_{J_s}|: refused up front past the element bound, and checked once
+        grown.  Grown from the identity, every element's right descents lie
+        in gens, so its words are formed in growth order.
         """
         gens = self.check_subset(gens)
         J = self.check_subset(J)
         # only start-less calls are kept: a fiber is asked for once, by its caller
         cache = self._ascend_cache if start is None else {}
-        start = self.identity if start is None else start
-        self.check_ambient(start)
+        start = start or self.from_word((), J)
         J_s = self.induced_subset(start, J, gens)
         cached = cache.get((gens, J))
         if cached is None:
@@ -364,21 +325,31 @@ class WeylGroup:
                     f"enumeration of {whole // part} elements exceeds element "
                     f"bound {self.element_bound}"
                 )
-            stops, order = self.ascent_stops(J), sorted(gens)
+            order = sorted(gens)
             level = [start]
             cached = [start]
             while level:
                 level = list(dict.fromkeys(
-                    self.right_mul(w, i) for w in level for i in order
-                    if w.key[i] not in stops
+                    w.steps[i] or self.right_mul(w, i)
+                    for w in level for i in order if w.weight[i] > 0
                 ))
                 cached.extend(level)
             if len(cached) * part != whole:
                 raise ConsistencyError(
-                    f"ascent over {sorted(gens)} from {self.reduced_word(start)} found "
-                    f"{len(cached)} elements with no left descent in {sorted(J)}; "
+                    f"ascent over {sorted(gens)} from {self._name(start)} "
+                    f"found {len(cached)} elements with no left descent in {sorted(J)}; "
                     "the closed form disagrees"
                 )
+            if cache is self._ascend_cache:  # grown from the identity
+                # word(w) is the least word(w s_d) + (d,) over the right
+                # descents d of w (module docstring); they lie in gens, and
+                # each w s_d was grown before w, its step back kept on w
+                for w in cached:
+                    if w.word is None:
+                        steps = w.steps
+                        w.word = min(
+                            [steps[d].word + (d,) for d, c in enumerate(w.weight) if c < 0]
+                        )
             cache[(gens, J)] = cached
         return cached
 
@@ -386,4 +357,3 @@ class WeylGroup:
         """All elements, breadth-first by length, in first-reached order
         within a level."""
         return self.ascend(range(self.n), ())
-

@@ -6,9 +6,9 @@ symmetry fixing J.  Only that cyclic action on a finite set is ever needed.
 
 The orbit order comes from one forward pass over ^J W, the elements with no
 left descent in J, in the length order :meth:`WeylGroup.ascend` grows it in.
-Let w be reached first as w = us, an ascent of u inside ^J W (u(alpha_s) not
-among :meth:`WeylGroup.ascent_stops`).  Every element of ^J W below w lies
-below some member of the generating set
+Let w be reached first as w = us, an ascent of u inside ^J W (coordinate s of
+u's weight positive).  Every element of ^J W below w lies below some member
+of the generating set
 
     gens(w) = {u} | {ys : y in gens(u), ys an ascent of y inside ^J W},
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import compress
 
 from .coxeter import WeylElement, WeylGroup
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError
 from .rootdata import DiagramAutomorphism, Record
 
 
@@ -55,10 +55,11 @@ def galois_orbits(
         current = group.apply_automorphism(generator, w)
         while current != w:
             if current not in pool:
-                raise InputError(
+                raise ConsistencyError(
                     "element set is not stable under the generator: the image "
-                    f"{group.reduced_word(current)} of {group.reduced_word(orbit[-1])} "
-                    "is not among the elements left; J/K bookkeeping is inconsistent"
+                    f"{list(group.reduced_word(current))} of "
+                    f"{list(group.reduced_word(orbit[-1]))} is not among the "
+                    "elements left; J/K bookkeeping is inconsistent"
                 )
             orbit.append(current)
             pool.discard(current)
@@ -111,23 +112,23 @@ def lower_sets(
     One pass over ^J W in length order carries each element's generating set
     (module docstring), at most length(w) elements, and drops it once
     down(w) is formed.  It steps only by the ascents that grew ^J W, so once
-    ^J W has been grown it composes and interns nothing.
+    ^J W has been grown it forms and interns nothing.
     """
-    stops = group.ascent_stops(J)
     nodes = range(group.n)
-    gens = {group.identity: ()}
+    jw = group.ascend(nodes, J)
+    gens = {jw[0]: ()}
     down = {}
-    for u in group.ascend(nodes, J):
+    for u in jw:
         lower = gens.pop(u)
         mask = bits.get(u, 0)
         for y in lower:
             mask |= down[y]
         down[u] = mask
-        key, steps = u.key, u.steps
+        weight, steps = u.weight, u.steps
         for s in nodes:
             # the first u to reach w = us fixes gens(w)
-            if key[s] not in stops and (w := steps[s]) not in gens:
-                gens[w] = (u, *[y.steps[s] for y in lower if y.key[s] not in stops])
+            if weight[s] > 0 and (w := steps[s]) not in gens:
+                gens[w] = (u, *[y.steps[s] for y in lower if y.weight[s] > 0])
     return down
 
 
@@ -154,21 +155,13 @@ def _covers(below: list[int]) -> list[tuple[int, int]]:
 
 def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPoset:
     """Quotient the Bruhat order on ^J W by the orbit partition."""
-    J, N = group.check_subset(J), group.N
     for orbit in orbits:
         for w in orbit:
             if w.length != orbit[0].length:
                 raise ConsistencyError(
-                    f"orbit members have distinct lengths: {group.reduced_word(w)} "
-                    f"has length {w.length}, {group.reduced_word(orbit[0])} "
+                    f"orbit members have distinct lengths: {list(group.reduced_word(w))} "
+                    f"has length {w.length}, {list(group.reduced_word(orbit[0]))} "
                     f"has length {orbit[0].length}"
-                )
-        for w in orbit:
-            # a left descent in J is alpha_j (j in J) among w's negative-root images
-            if not J.isdisjoint(w.key[N:]):
-                raise InputError(
-                    f"orbit member {group.reduced_word(w)} has a left descent "
-                    f"in J={sorted(J)}"
                 )
     ordered = [sorted(orbit, key=group.reduced_word) for orbit in orbits]
     ordered.sort(key=lambda o: (o[0].length, group.reduced_word(o[0])))

@@ -2,32 +2,36 @@
 
 Each oracle here uses a method algorithmically independent of the engine:
 subword products instead of the forward pass of :func:`galois.lower_sets`,
-and closure classes with explicit minima instead of growing ^J W by
-ascents.  It works on root-permutation keys, interns nothing, and shares
-with the engine only the indexing of the roots, the keys of the simple
-reflections and the one key fork that composes them; past the claims under
-test it calls the engine only for the reduced words of its messages.  One
-breadth-first pass by right
-simple steps lists W with its lengths, the cosets W_J w are the classes of W
-under left-J steps and the double cosets W_J w W_K their unions along right-K
-steps: |W|·(n + |J|) steps and |K| per coset, each one ``bytes.translate``
-of a key.  The fiber of a stratum is the J-minimal part of its double coset,
+closure classes with explicit minima instead of growing ^J W by ascents, and
+an element of W as the permutation it induces on the 2N roots instead of a
+weight of ^J W (Casselman, "Machine calculations in Weyl groups", 1994).  The
+roots are indexed once, the N positive roots first with alpha_i at index i,
+and -beta at (index of beta) + N; ``key[r]`` is the index of w(root r), as
+``bytes``, so a product is one ``bytes.translate`` and a key caches its hash.
+The oracle shares with the engine only the Cartan matrix and the positive
+roots, and maps an engine element to its key through its reduced word; past
+the claims under test it calls the engine for nothing else.
+
+One breadth-first pass by right simple steps lists W with its lengths, the
+cosets W_J w are the classes of W under left-J steps and the double cosets
+W_J w W_K their unions along right-K steps: |W|·(n + |J|) steps and |K| per
+coset.  The fiber of a stratum is the J-minimal part of its double coset,
 since for w in ^J W the minimum of w W_K is the minimum of W_J w W_K
-(Bjorner-Brenti, "Combinatorics of Coxeter Groups", section 2.4).  The
-single-fiber criterion x^-1 {s_j : j in J} x = {s_k : k in K} is checked as
-{s_j x : j in J} == {x s_k : k in K}, where the engine reads conjugation off
-the root permutation of x.  They are meant for tests and for the --verify
-flag, not for speed.  Each check reports its first counterexample, or passes
-without one.
+(Bjorner-Brenti, "Combinatorics of Coxeter Groups", section 2.4), and its top
+is Howlett's product x w0(J_x) w0(K), with J_x = {k in K : x(alpha_k) =
+alpha_j, j in J} read off the key of x.  The single-fiber criterion
+x^-1 {s_j : j in J} x = {s_k : k in K} is checked as {s_j x : j in J} ==
+{x s_k : k in K}.  They are meant for tests and for the --verify flag, not
+for speed.  Each check reports its first counterexample, or passes without
+one.
 """
 
 from __future__ import annotations
 
-from . import parabolic
 from .atlas import Atlas, eo_fiber
-from .coxeter import Key, WeylGroup
+from .coxeter import WeylGroup
 from .errors import BoundError, ConsistencyError
-from .rootdata import Record
+from .rootdata import Record, reflect
 
 
 class CheckResult(Record):
@@ -52,96 +56,154 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-def _lengths(group: WeylGroup) -> dict[Key, int]:
+class RootKeys:
+    """The elements of a group's W as root permutations (module docstring);
+    ``roots`` lists the root vectors in key order.
+
+    Refused with :class:`BoundError` when |W| is past the group's element
+    bound, since every oracle enumerates W, and then when the 2N roots do not
+    fit a byte, before any key is built."""
+
+    def __init__(self, group: WeylGroup):
+        if group.order > group.element_bound:
+            raise BoundError(
+                f"the oracle enumerates all {group.order} elements of W, past element "
+                f"bound {group.element_bound}"
+            )
+        n = group.n
+        simples = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        positive = simples + [r for r in group.pos_roots if sum(r) > 1]
+        width = 2 * len(positive)
+        if width > 256:
+            raise BoundError(f"the oracle's keys hold {width} > 256 roots")
+        self.roots = positive + [tuple(-c for c in r) for r in positive]
+        index = {root: r for r, root in enumerate(self.roots)}
+        self.n, self.N, self.order = n, len(positive), group.order
+        self._pad = bytes(256 - width)
+        self.identity = bytes(range(width))
+        self.simple = [
+            bytes(index[reflect(group.cartan, i, r)] for r in self.roots) for i in range(n)
+        ]
+        self._simple_tables = [self.table(s) for s in self.simple]
+
+    def table(self, key: bytes) -> bytes:
+        """``key`` padded to a ``bytes.translate`` table."""
+        return key + self._pad
+
+    def product(self, a: bytes, b: bytes) -> bytes:
+        """(a b)(root r) = a(b(root r))."""
+        return b.translate(self.table(a))
+
+    def left(self, i: int, key: bytes) -> bytes:
+        """s_i w."""
+        return key.translate(self._simple_tables[i])
+
+    def of_word(self, word) -> bytes:
+        """The key of s_i1 ... s_ik."""
+        key = self.identity
+        for i in word:
+            key = self.simple[i].translate(self.table(key))
+        return key
+
+    def peel(self, key: bytes) -> list[int]:
+        """The reduced word of ``key`` that peels its smallest left descent
+        first; the left descents are the simple-root indices in ``key[N:]``."""
+        word = []
+        while (i := min(key[self.N:])) < self.n:
+            word.append(i)
+            key = self.left(i, key)
+        return word
+
+    def longest(self, S) -> bytes:
+        """The longest element of W_S, grown by right ascents: w s_j is longer
+        exactly when w(alpha_j) is positive."""
+        key = self.identity
+        while (j := next((j for j in sorted(S) if key[j] < self.N), None)) is not None:
+            key = self.simple[j].translate(self.table(key))
+        return key
+
+
+def _lengths(keys: RootKeys) -> dict[bytes, int]:
     """Every key of W with its length, breadth-first from the identity by
     right simple steps, so a key first met from level l lies on level l + 1.
-    Refused past the element bound before it starts, and checked against |W|
-    once grown."""
-    order, compose, table = group.order, group._compose, group._table
-    if order > group.element_bound:
-        raise BoundError(
-            f"the oracle enumerates all {order} elements of W, past element "
-            f"bound {group.element_bound}"
-        )
-    simple = [s.key for s in group.simple]
-    level = [group.identity.key]
+    Checked against |W| once grown."""
+    level = [keys.identity]
     lengths = {level[0]: 0}
-    while level and len(lengths) <= order:
+    while level and len(lengths) <= keys.order:
         ell, nxt = lengths[level[0]] + 1, []
         for w in level:
-            t = table(w)
-            for s in simple:
-                if (v := compose(s, t)) not in lengths:  # w s_i, first met
+            t = keys.table(w)
+            for s in keys.simple:
+                if (v := s.translate(t)) not in lengths:  # w s_i, first met
                     lengths[v] = ell
                     nxt.append(v)
         level = nxt
-    if len(lengths) != order:
+    if len(lengths) != keys.order:
         raise ConsistencyError(
-            f"the oracle's pass over W found {len(lengths)} elements, but |W| is {order}"
+            f"the oracle's pass over W found {len(lengths)} elements, "
+            f"but |W| is {keys.order}"
         )
     return lengths
 
 
-def _unique_by_length(group: WeylGroup, lengths: dict[Key, int], keys, pick) -> Key:
+def _unique_by_length(keys: RootKeys, lengths: dict[bytes, int], members, pick) -> bytes:
     """The key that ``pick`` (``min`` or ``max``) selects by length, refused
     unless no other key has its length."""
-    best = pick(keys, key=lengths.__getitem__)
-    if sum(1 for v in keys if lengths[v] == lengths[best]) != 1:
+    best = pick(members, key=lengths.__getitem__)
+    if sum(1 for v in members if lengths[v] == lengths[best]) != 1:
         raise ConsistencyError(
             f"{pick.__name__} length {lengths[best]} is attained more than once, "
-            f"at {list(group._peel(best))} and others"
+            f"at {keys.peel(best)} and others"
         )
     return best
 
 
-def _cosets(group: WeylGroup, J, K) -> tuple[dict, dict, list, list]:
+def _cosets(keys: RootKeys, J, K) -> tuple[dict, dict, list, list]:
     """The length and the coset W_J w of each key, each coset's minimum, and
     each double coset W_J w W_K as the list of the cosets it unites.  A right
     step maps the coset W_J u to W_J u s_k whichever u it is taken at, so the
     double cosets are the classes of cosets under right-K steps from their
     minima."""
-    lengths = _lengths(group)
-    compose, table = group._compose, group._table
-    left = [table(group.simple[j].key) for j in group.check_subset(J)]
-    right = [group.simple[k].key for k in group.check_subset(K)]
+    lengths = _lengths(keys)
+    left = [keys.table(keys.simple[j]) for j in J]
+    right = [keys.simple[k] for k in K]
     coset, minima = dict.fromkeys(lengths), []
     for w in lengths:
         if coset[w] is None:
             coset[w], block = len(minima), [w]
             for u in block:
                 for t in left:
-                    if coset[v := compose(u, t)] is None:  # s_j u
+                    if coset[v := u.translate(t)] is None:  # s_j u
                         coset[v] = coset[w]
                         block.append(v)
-            minima.append(_unique_by_length(group, lengths, block, min))
+            minima.append(_unique_by_length(keys, lengths, block, min))
     placed, classes = bytearray(len(minima)), []
     for c in range(len(minima)):
         if not placed[c]:
             placed[c], cls = 1, [c]
             for d in cls:
-                t = table(minima[d])
+                t = keys.table(minima[d])
                 for s in right:
-                    if not placed[e := coset[compose(s, t)]]:  # W_J m s_k
+                    if not placed[e := coset[s.translate(t)]]:  # W_J m s_k
                         placed[e] = 1
                         cls.append(e)
             classes.append(cls)
     return lengths, coset, minima, classes
 
 
-def brute_interval(group: WeylGroup, word) -> set[Key]:
+def brute_interval(keys: RootKeys, word) -> set[bytes]:
     """The keys of all subword products of ``word`` (the lower Bruhat
     interval), its letters taken from the right by left simple steps."""
-    reachable = {group.identity.key}
+    reachable = {keys.identity}
     for i in reversed(word):
-        t = group._table(group.simple[i].key)
-        reachable |= {group._compose(u, t) for u in reachable}
+        reachable |= {keys.left(i, u) for u in reachable}
     return reachable
 
 
-def brute_double_cosets(group: WeylGroup, J, K) -> list[list[Key]]:
+def brute_double_cosets(keys: RootKeys, J, K) -> list[list[bytes]]:
     """Partition of W's keys by closure under left-J and right-K simple
     steps, each class sorted by (length, key)."""
-    lengths, coset, _, classes = _cosets(group, J, K)
+    lengths, coset, _, classes = _cosets(keys, J, K)
     members = [[] for _ in classes]
     into = {c: members[d] for d, cls in enumerate(classes) for c in cls}
     for w in sorted(coset, key=lambda w: (lengths[w], w)):
@@ -149,17 +211,24 @@ def brute_double_cosets(group: WeylGroup, J, K) -> list[list[Key]]:
     return members
 
 
-def brute_min_left_reps(group: WeylGroup, J) -> set[Key]:
+def brute_min_left_reps(keys: RootKeys, J) -> set[bytes]:
     """The shortest key of each coset W_J w, a closure class of W under left
     simple steps by J, taken explicitly over its class."""
-    return set(_cosets(group, J, ())[2])
+    return set(_cosets(keys, J, ())[2])
 
 
 def verify_atlas(atlas: Atlas) -> VerificationReport:
     """Re-derive the atlas content by brute force and diff every claim."""
     report = VerificationReport([])
-    group, word, J, K = atlas.group, atlas.group.reduced_word, atlas.J, atlas.K
+    group, J, K = atlas.group, atlas.J, atlas.K
     scope = f"{atlas.case.spec.describe()} J={sorted(J)} K={sorted(K)}"
+    keys = RootKeys(group)
+
+    def word(w) -> list[int]:
+        return list(group.reduced_word(w))
+
+    def key(w) -> bytes:
+        return keys.of_word(group.reduced_word(w))
 
     def check(name: str, counterexamples):
         ce = next(iter(counterexamples), None)
@@ -168,13 +237,13 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     # each double coset's fiber is its J-minimal part, the minima of its
     # cosets; the class minimum and the top element are its shortest and its
     # longest member
-    lengths, _, minima, classes = _cosets(group, J, K)
+    lengths, _, minima, classes = _cosets(keys, J, K)
     fibers, tops = {}, {}
     for cls in classes:
         fiber = [minima[c] for c in cls]
-        x = _unique_by_length(group, lengths, fiber, min)
-        fibers[x], tops[x] = fiber, _unique_by_length(group, lengths, fiber, max)
-    differ = fibers.keys() ^ {w.key for s in atlas.strata for w in s.orbit}
+        x = _unique_by_length(keys, lengths, fiber, min)
+        fibers[x], tops[x] = fiber, _unique_by_length(keys, lengths, fiber, max)
+    differ = fibers.keys() ^ {key(w) for s in atlas.strata for w in s.orbit}
     check(
         "double_representatives",
         [f"symmetric difference {len(differ)} elements"] if differ else [],
@@ -185,8 +254,8 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
             f"x={word(x)}"
             for s in atlas.strata
             for x in s.orbit
-            if {w.key for w in (s.eo_fiber if x == s.rep else eo_fiber(group, x, J, K))}
-            != set(fibers.get(x.key, ()))
+            if {key(w) for w in (s.eo_fiber if x == s.rep else eo_fiber(group, x, J, K))}
+            != set(fibers.get(key(x), ()))
         ),
     )
 
@@ -196,20 +265,24 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
         "dimensions",
         (
             f"missing class for {word(x)}"
-            if x.key not in dims
-            else f"x={word(x)}: {dims[x.key]} != {s.dim}"
+            if key(x) not in dims
+            else f"x={word(x)}: {dims[key(x)]} != {s.dim}"
             for s in atlas.strata
             for x in s.orbit
-            if dims.get(x.key) != s.dim
+            if dims.get(key(x)) != s.dim
         ),
     )
 
-    # Howlett additivity: the engine's x_upper and ell_JK against the brute top
+    # Howlett additivity: x w0(J_x) w0(K), formed on keys, is the brute top
+    # element and the last of the claimed fiber, and its length is the
+    # claimed dimension
+    w0K = keys.longest(K)
+
     def howlett_holds(s) -> bool:
-        Jx = group.induced_subset(s.rep, J, K)
-        xu, dim = parabolic.x_upper(group, s.rep, Jx, K)
-        ell = parabolic.ell_JK(group, s.rep, Jx, K)
-        return xu.key == tops.get(s.rep.key) and dim == ell == s.dim == xu.length
+        x = key(s.rep)
+        Jx = [k for k in K if x[k] in J]  # x(alpha_k) = alpha_j with j in J
+        top = keys.product(x, keys.product(keys.longest(Jx), w0K))
+        return top == tops.get(x) == key(s.eo_fiber[-1]) and lengths[top] == s.dim
 
     check(
         "howlett_lengths",
@@ -219,10 +292,10 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     # closures from subword-oracle intervals on orbit members
     poset = atlas.orbit_poset
     n = len(poset)
-    orbits = [[w.key for w in orbit] for orbit in poset.orbits]
+    orbits = [[key(w) for w in orbit] for orbit in poset.orbits]
     brute_leq = []  # brute_leq[b][a]: some member of orbit a is below rep b
     for rep in poset.reps:
-        interval = brute_interval(group, word(rep))
+        interval = brute_interval(keys, group.reduced_word(rep))
         brute_leq.append([not interval.isdisjoint(orbit) for orbit in orbits])
     check(
         "closure_order",
@@ -245,7 +318,7 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
         s = atlas.strata[brute_max[0]]
         if not (
             len(s.orbit) == 1
-            and dims.get(s.rep.key) == atlas.moduli_dim
+            and dims.get(key(s.rep)) == atlas.moduli_dim
             and sorted(s.closure) == list(range(len(atlas.strata)))
         ):
             yield f"x={word(s.rep)}"
@@ -254,12 +327,10 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
 
     # single-fiber criterion: x^-1 s_j x = s_k exactly when s_j x = x s_k, so
     # the conjugates of J are the reflections of K iff the two step sets agree
-    compose, table = group._compose, group._table
-    simple = [s.key for s in group.simple]
-
     def single_by_steps(x) -> bool:
-        left = {compose(x.key, table(simple[j])) for j in J}
-        return left == {compose(simple[k], table(x.key)) for k in K}
+        x = key(x)
+        left = {keys.left(j, x) for j in J}
+        return left == {keys.product(x, keys.simple[k]) for k in K}
 
     check(
         "single_fiber_criterion",

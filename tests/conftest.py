@@ -8,6 +8,7 @@ import pytest
 
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.galois import lower_sets
+from bruhat_atlas.oracle import RootKeys
 from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 
 
@@ -22,11 +23,32 @@ def group_of(name: str) -> WeylGroup:
     return WeylGroup(cartan_from_spec(DynkinSpec(tuple(factors))))
 
 
-def elements_at(group: WeylGroup, keys) -> set:
-    """The elements of ``group`` with the root-permutation keys ``keys`` (the
-    oracle returns keys), all of W grown first."""
-    group.elements()
-    return {group._registry[key] for key in keys}
+@lru_cache(maxsize=None)
+def keys_of(group: WeylGroup) -> RootKeys:
+    """The oracle's root-permutation keys of ``group``, built once."""
+    return RootKeys(group)
+
+
+def key_of(group: WeylGroup, w) -> bytes:
+    """The oracle's key of an engine element, through its reduced word."""
+    return keys_of(group).of_word(group.reduced_word(w))
+
+
+def key_length(group: WeylGroup, key: bytes) -> int:
+    """The length of a key: the positive roots it sends negative."""
+    N = keys_of(group).N
+    return sum(1 for r in key[:N] if r >= N)
+
+
+def left_reps(group: WeylGroup, J) -> list:
+    """^J W, the engine's shortest elements of the cosets W_J w."""
+    return group.ascend(range(group.n), J)
+
+
+def double_reps(group: WeylGroup, J, K) -> list:
+    """^J W^K: the elements of ^J W with no negative coordinate in K."""
+    K = group.check_subset(K)
+    return [w for w in left_reps(group, J) if all(w.weight[k] >= 0 for k in K)]
 
 
 def engine_leq(group: WeylGroup):
@@ -38,10 +60,9 @@ def engine_leq(group: WeylGroup):
     return lambda x, w: bool(down[w] >> index[x] & 1)
 
 
-def forget_words(group: WeylGroup):
-    """Drop every peeled word kept on the elements of ``group``."""
-    for w in group._registry.values():
-        w.word = None
+def interned(group: WeylGroup) -> int:
+    """How many elements ``group`` holds, over every J."""
+    return sum(map(len, group._registry.values()))
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -11,15 +11,14 @@ import time
 
 import pytest
 
-from bruhat_atlas import parabolic
 from bruhat_atlas.atlas import (
     build_atlas,
-    conjugate_type,
     derive_K,
     eo_fiber,
     moduli_dimension,
     siegel_dimension,
     siegel_identify,
+    stratum_dimension,
 )
 from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.galois import lower_sets
@@ -30,7 +29,17 @@ from bruhat_atlas.oracle import (
 )
 from bruhat_atlas.rootdata import validate_automorphism
 from bruhat_atlas.serialize import parse_case
-from conftest import MATRIX_GROUPS, SMALL_GROUPS, engine_leq, group_of
+from conftest import (
+    MATRIX_GROUPS,
+    SMALL_GROUPS,
+    double_reps,
+    engine_leq,
+    group_of,
+    key_length,
+    key_of,
+    keys_of,
+    left_reps,
+)
 
 CORPUS_PRESETS = [
     "siegel:1",
@@ -104,14 +113,19 @@ def test_criterion_1_siegel_dimensions():
 
 
 def test_criterion_2_length_formulas():
+    # the top of each fiber is x w0(J_x) w0(K), formed on the oracle's keys,
+    # and its length is length(x) + length(w0(K)) - length(w0(J_x))
     ok = True
     for group, pairs in _matrix_pairs():
+        keys = keys_of(group)
         for J, K in pairs:
-            for x in parabolic.min_double_reps(group, J, K):
+            w0K = keys.longest(K)
+            for x in double_reps(group, J, K):
                 Jx = group.induced_subset(x, J, K)
-                xu, dim = parabolic.x_upper(group, x, Jx, K)
-                ok &= dim == xu.length
-                ok &= dim == parabolic.ell_JK(group, x, Jx, K)
+                top = eo_fiber(group, x, J, K)[-1]
+                xu = keys.product(key_of(group, x), keys.product(keys.longest(Jx), w0K))
+                ok &= xu == key_of(group, top)
+                ok &= stratum_dimension(group, x, Jx, K) == top.length == key_length(group, xu)
     _report(2, "maximal-element length formulas agree over the test matrix", ok)
 
 
@@ -119,9 +133,9 @@ def test_criterion_3_fiber_partition():
     ok = True
     for group, pairs in _matrix_pairs():
         for J, K in pairs:
-            left = set(parabolic.min_left_reps(group, J))
+            left = set(left_reps(group, J))
             seen = set()
-            for x in parabolic.min_double_reps(group, J, K):
+            for x in double_reps(group, J, K):
                 for w in eo_fiber(group, x, J, K):
                     ok &= w.length >= x.length
                     ok &= w in left and w not in seen
@@ -132,15 +146,21 @@ def test_criterion_3_fiber_partition():
 
 def test_criterion_4_single_fiber_criterion():
     # the conjugation criterion presupposes |J| = |K|, which holds in every
-    # atlas because K is the opposition image of the Frobenius image of J
+    # atlas because K is the opposition image of the Frobenius image of J;
+    # x^-1 s_j x = s_k exactly when s_j x = x s_k, on the oracle's keys
     ok = True
     for group, pairs in _matrix_pairs():
+        keys = keys_of(group)
         for J, K in pairs:
             if len(J) != len(K):
                 continue
-            for x in parabolic.min_double_reps(group, J, K):
+            for x in double_reps(group, J, K):
                 single = len(eo_fiber(group, x, J, K)) == 1
-                ok &= single == (conjugate_type(group, x, J) == K)
+                key = key_of(group, x)
+                conjugate = {keys.left(j, key) for j in J} == {
+                    keys.product(key, keys.simple[k]) for k in K
+                }
+                ok &= single == conjugate
     _report(4, "singleton fibers match the conjugation criterion", ok)
 
 
@@ -191,14 +211,12 @@ def test_criterion_8_oracle_equivalence(corpus_atlases):
         group = group_of(name)
         leq = engine_leq(group)
         for w in group.elements():
-            interval = brute_interval(group, group.reduced_word(w))
+            interval = brute_interval(keys_of(group), group.reduced_word(w))
             for x in group.elements():
-                ok &= (x.key in interval) == leq(x, w)
+                ok &= (key_of(group, x) in interval) == leq(x, w)
         for J, K in [(frozenset({0}), frozenset({group.n - 1})), (frozenset(), frozenset({0}))]:
-            classes = brute_double_cosets(group, J, K)
-            ok &= {c[0] for c in classes} == {
-                w.key for w in parabolic.min_double_reps(group, J, K)
-            }
+            classes = brute_double_cosets(keys_of(group), J, K)
+            ok &= {c[0] for c in classes} == {key_of(group, w) for w in double_reps(group, J, K)}
     for atlas in corpus_atlases.values():
         report = verify_atlas(atlas)
         ok &= report.passed

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from bruhat_atlas import atlas as atlas_mod, galois, parabolic
+from bruhat_atlas import atlas as atlas_mod, galois
 from bruhat_atlas.atlas import (
     PELCase,
     StratumRecord,
@@ -28,7 +28,7 @@ from bruhat_atlas.rootdata import (
     validate_automorphism,
 )
 from bruhat_atlas.serialize import atlas_json, emit_dot, emit_table, parse_case
-from conftest import forget_words, group_of
+from conftest import double_reps, group_of, interned, left_reps
 
 
 def make_case(factors, perm=None, mu=None, J=None, **options):
@@ -83,22 +83,23 @@ class TestDeriveJK:
 
 class TestFiberAndDimension:
     def test_saturated_fiber_is_singleton(self, c2):
-        assert eo_fiber(c2, c2.identity, {0}, {0}) == [c2.identity]
+        e = c2.from_word((), {0})
+        assert eo_fiber(c2, e, {0}, {0}) == [e]
 
     def test_c2_siegel_middle_fiber(self, c2):
-        fiber = eo_fiber(c2, c2.simple[1], {0}, {0})
+        fiber = eo_fiber(c2, c2.from_word([1], {0}), {0}, {0})
         assert [w.length for w in fiber] == [1, 2]
 
     def test_a2_identity_fiber(self, a2):
-        fiber = eo_fiber(a2, a2.identity, {0}, {1})
+        fiber = eo_fiber(a2, a2.from_word((), {0}), {0}, {1})
         assert [w.length for w in fiber] == [0, 1]
 
     def test_fibers_partition_left_reps(self):
         for name, J, K in [("C3", {0, 1}, {0, 1}), ("A3", {0}, {2}), ("D4", {1}, {1})]:
             g = group_of(name)
-            left = set(parabolic.min_left_reps(g, J))
+            left = set(left_reps(g, J))
             seen = set()
-            for x in parabolic.min_double_reps(g, J, K):
+            for x in double_reps(g, J, K):
                 fiber = set(eo_fiber(g, x, J, K))
                 assert fiber <= left
                 assert not (fiber & seen)
@@ -111,24 +112,25 @@ class TestFiberAndDimension:
          ((("D", 4),), {1}, {0, 3}), ((("A", 1), ("A", 2)), {1}, {0, 2})],
     )
     def test_fiber_growth_stays_inside_left_reps(self, monkeypatch, factors, J, K):
+        # once ^J W is grown, each fiber follows steps it memoized
         g = WeylGroup(cartan_from_spec(DynkinSpec(factors)))
-        left = parabolic.min_left_reps(g, J)
-        doubles = parabolic.min_double_reps(g, J, K)
-        interned = len(g._registry)
-        multiply, products = g.multiply, []
+        left = left_reps(g, J)
+        doubles = double_reps(g, J, K)
+        held = interned(g)
+        reflect, reflected = g._reflect, []
         monkeypatch.setattr(
-            g, "multiply", lambda w, v: products.append(1) or multiply(w, v)
+            g, "_reflect", lambda weight, i: reflected.append(1) or reflect(weight, i)
         )
         fibers = [g.ascend(K, J, x) for x in doubles]
-        assert len(g._registry) == interned and products == []
+        assert interned(g) == held and reflected == []
         assert sum(map(len, fibers)) == len(left)
 
     def test_fiber_of_a_non_representative_is_refused(self, a2, c2):
-        # each start trips one half of the guard only
-        with pytest.raises(InputError, match=r"left descents \[0\] in J"):
-            eo_fiber(c2, c2.simple[0], {0}, {1})  # left descent 0 in J, none in K
+        # an element of W is not one of ^J W; s_1 in ^J W has a right descent in K
+        with pytest.raises(InputError, match=r"lies in \^J W for J=\[\], not for J=\[0\]"):
+            eo_fiber(c2, c2.from_word([0]), {0}, {1})
         with pytest.raises(InputError, match=r"right descents \[1\] in K"):
-            eo_fiber(a2, a2.simple[1], {0}, {1})  # right descent 1 in K, none in J
+            eo_fiber(a2, a2.from_word([1], {0}), {0}, {1})
 
     def test_moduli_dimension(self, c2, a2):
         assert moduli_dimension(c2, {0, 1}) == 0
@@ -178,8 +180,8 @@ class TestBuildAtlas:
 
     def test_atlas_counting_invariants(self):
         for a in [build_atlas(siegel_case(3)), hilbert_atlas(), gu21_inert_atlas()]:
-            doubles = parabolic.min_double_reps(a.group, a.J, a.K)
-            left = parabolic.min_left_reps(a.group, a.J)
+            doubles = double_reps(a.group, a.J, a.K)
+            left = left_reps(a.group, a.J)
             assert sum(len(s.orbit) for s in a.strata) == len(doubles)
             assert sum(len(s.orbit) * len(s.eo_fiber) for s in a.strata) == len(left)
 
@@ -222,14 +224,16 @@ class TestBuildGuards:
         [("ell_JK_off_by_one", "[]"), ("x_upper_claims_x", "[2]")],
     )
     def test_top_element_and_dimension_guard(self, monkeypatch, fault, word):
-        ell_JK, x_upper = parabolic.ell_JK, parabolic.x_upper
+        dimension, fiber_of = atlas_mod.stratum_dimension, atlas_mod.eo_fiber
         if fault == "ell_JK_off_by_one":
             monkeypatch.setattr(
-                parabolic, "ell_JK", lambda group, x, Jx, K: ell_JK(group, x, Jx, K) + 1
+                atlas_mod, "stratum_dimension",
+                lambda group, x, Jx, K: dimension(group, x, Jx, K) + 1,
             )
-        else:  # x itself as the top element, with the true length
+        else:  # x itself in place of the top element of a fiber with several
             monkeypatch.setattr(
-                parabolic, "x_upper", lambda group, x, Jx, K: (x, x_upper(group, x, Jx, K)[1])
+                atlas_mod, "eo_fiber",
+                lambda group, x, J, K: [*fiber_of(group, x, J, K)[:-1], x],
             )
         with pytest.raises(ConsistencyError, match=f"dimension formulas disagree at {re.escape(word)}$"):
             build_atlas(siegel_case(3))
@@ -258,10 +262,17 @@ class TestBuildGuards:
             build_atlas(siegel_case(3))
 
     def test_single_fiber_guard(self, monkeypatch):
-        monkeypatch.setattr(atlas_mod, "conjugate_type", lambda group, x, J: frozenset())
+        # a fiber is single exactly when it has one element, so the guard
+        # that covers it is the one on the top: a second element of the top
+        # length is refused, here on the single fiber of the identity
+        fiber_of = atlas_mod.eo_fiber
+        monkeypatch.setattr(
+            atlas_mod, "eo_fiber",
+            lambda group, x, J, K: [*fiber_of(group, x, J, K), fiber_of(group, x, J, K)[-1]],
+        )
         with pytest.raises(
             ConsistencyError,
-            match=r"fiber size and conjugation criteria disagree at \[\]$",
+            match=r"top element, fiber and dimension formulas disagree at \[\]$",
         ):
             build_atlas(siegel_case(3))
 
@@ -326,7 +337,7 @@ class TestSiegel:
             siegel_identify(2)
 
     def test_options_reach_the_case(self):
-        with pytest.raises(BoundError, match="bound 5 exceeded: 6 elements"):
+        with pytest.raises(BoundError, match="16 elements exceeds element bound 5$"):
             siegel_identify(4, element_bound=5)
         assert siegel_identify(2, minuscule_check=False).atlas.case.minuscule_check is False
 
@@ -361,26 +372,22 @@ def _built_with_outputs(preset: str):
     """The atlas of ``preset`` once its three outputs are formed; forming
     them interns nothing."""
     atlas = build_atlas(parse_case(corpus_preset(preset)))
-    registry = atlas.group._registry
-    interned = len(registry)
+    held = interned(atlas.group)
     for emit in (atlas_json, emit_dot, emit_table):
         emit(atlas)
-    assert len(registry) == interned
+    assert interned(atlas.group) == held
     return atlas
 
 
 def test_build_and_outputs_intern_a_pinned_number_of_elements():
-    # |W| = 362,880 and |^J W| = 126 here.  Words are peeled on keys and
-    # intern nothing, so the count is ^J W (fibers included) plus the
-    # longest-element chains and x_upper products; a routine that walks
-    # outside ^J W changes it
-    assert len(_built_with_outputs("gu:5,4:split").group._registry) == 210
+    # |W| = 362,880 and |^J W| = 126 here: a build interns ^J W, fibers
+    # included, and nothing else
+    assert interned(_built_with_outputs("gu:5,4:split").group) == 126
 
 
 def test_wide_key_build_and_outputs_intern_a_pinned_number_of_elements():
-    # A16: 2N = 272, so tuple keys; |^J W| = 17, and the rest are the
-    # longest-element chains and x_upper products
-    assert len(_built_with_outputs("gu:16,1:inert").group._registry) == 390
+    # A16, 2N = 272 roots and |^J W| = 17
+    assert interned(_built_with_outputs("gu:16,1:inert").group) == 17
 
 
 @pytest.mark.parametrize(
@@ -391,20 +398,18 @@ def test_wide_key_build_and_outputs_intern_a_pinned_number_of_elements():
     ],
 )
 def test_build_and_outputs_intern_the_answer_plus_at_most_3N(preset):
-    # past ^J W a build interns only the longest-element chains and the
-    # x_upper products, a number linear in N: 132 against 3N = 192 on
-    # siegel:8, and none on the hilbert presets, where ^J W is all of W
+    # a build interns exactly ^J W: no simple reflection, no product
     atlas = _built_with_outputs(preset)
     g = atlas.group
-    left_reps = g.order // g.parabolic_order(atlas.J)
-    assert len(g._registry) <= left_reps + 3 * g.N
+    assert interned(g) == g.order // g.parabolic_order(atlas.J)
 
 
 def test_outputs_peel_words_without_interning(monkeypatch):
+    # the build forms every word it writes while it grows ^J W, so the
+    # writers read them: no step, no intern and no growth
     atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
     g = atlas.group
-    forget_words(g)
-    calls = {"_intern": 0}
+    calls = {"_intern": 0, "right_mul": 0, "ascend": 0}
     for name in calls:
         method = getattr(g, name)
 
@@ -415,26 +420,25 @@ def test_outputs_peel_words_without_interning(monkeypatch):
         monkeypatch.setattr(g, name, counted)
     for emit in (atlas_json, emit_dot, emit_table):
         emit(atlas)
-    assert any(w.word is not None for w in g._registry.values())
-    assert calls == {"_intern": 0}
+    assert all(w.word is not None for w in g._registry[atlas.J].values())
+    assert calls == {"_intern": 0, "right_mul": 0, "ascend": 0}
 
 
 @pytest.mark.parametrize("preset", ["gu:4,3:inert", "hilbert:6"])
 def test_orbits_relabel_words_without_interning_or_composing(preset, monkeypatch):
-    # the word image of a member of ^J W^K walks prefixes in ^J W, all grown
-    # and stepped by the build; hilbert:6 has a Frobenius of order 6
+    # Frobenius permutes the coordinates of a member of ^J W^K, an element
+    # the build has grown; hilbert:6 has a Frobenius of order 6
     atlas = build_atlas(parse_case(corpus_preset(preset)))
     g = atlas.group
     generator = atlas.case.phi.power(atlas.degree)
-    interned = len(g._registry)
-    composed = []
-    compose = g._compose
+    held = interned(g)
+    reflect, reflected = g._reflect, []
     monkeypatch.setattr(
-        g, "_compose", lambda key, table: composed.append(1) or compose(key, table)
+        g, "_reflect", lambda weight, i: reflected.append(1) or reflect(weight, i)
     )
-    reps = parabolic.min_double_reps(g, atlas.J, atlas.K)
+    reps = double_reps(g, atlas.J, atlas.K)
     orbits = galois.galois_orbits(g, reps, generator)
-    assert composed == [] and len(g._registry) == interned
+    assert reflected == [] and interned(g) == held
     assert {frozenset(o) for o in orbits} == {frozenset(s.orbit) for s in atlas.strata}
 
 
@@ -445,4 +449,4 @@ def test_fibers_are_not_cached_and_start_less_ascents_are():
     # only ^J W, no fiber; the oracle enumerates W on keys, not by ascend
     full = frozenset(range(g.n))
     assert set(g._ascend_cache) == {(full, atlas.J)}
-    assert parabolic.min_left_reps(g, atlas.J) is parabolic.min_left_reps(g, atlas.J)
+    assert left_reps(g, atlas.J) is left_reps(g, atlas.J)

@@ -106,9 +106,9 @@ class TestSerialization:
         doc = atlas_to_dict(atlas)
         group = WeylGroup(cartan_from_spec(atlas.case.spec))
         for s_doc, s in zip(doc["strata"], atlas.strata):
-            assert group.from_word(s_doc["rep"]).key == s.rep.key
+            assert group.from_word(s_doc["rep"], atlas.J).weight == s.rep.weight
             for f_doc, w in zip(s_doc["eo_fiber"], s.eo_fiber):
-                assert group.from_word(f_doc["word"]).key == w.key
+                assert group.from_word(f_doc["word"], atlas.J).weight == w.weight
                 assert f_doc["length"] == w.length
 
     def test_dot_is_transitive_reduction(self):
@@ -217,9 +217,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write to {tmp_path}: ") and err.count("\n") == 1
 
-    def test_bound_exceeded_exits_3(self, tmp_path):
-        rc = main(["--out", str(tmp_path), "--bound", "10", "corpus", "siegel:3"])
+    def test_bound_exceeded_exits_3(self, tmp_path, capsys):
+        # |^J W| = 8 for siegel:3: a bound of 8 builds, one below it does not
+        assert main(["--out", str(tmp_path), "--bound", "8", "corpus", "siegel:3"]) == 0
+        capsys.readouterr()
+        rc = main(["--out", str(tmp_path), "--bound", "7", "corpus", "siegel:3"])
         assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: enumeration of 8 elements exceeds element bound 7\n"
+        )
 
     def test_internal_invariant_exits_4(self, tmp_path, monkeypatch, capsys):
         order = WeylGroup.parabolic_order
@@ -250,6 +256,15 @@ class TestMain:
         # the oracle must refuse it by its order, not try to index all of it
         args = ["--out", str(tmp_path), "--verify", "corpus", "gu:20,1:inert"]
         assert main(args) == 3
+
+    def test_verify_refuses_a_group_whose_roots_do_not_fit_a_byte(self, tmp_path, capsys):
+        # |W(C12)| is about 1.96e12, under this bound, but its 288 roots do not
+        # fit the oracle's byte keys: refused before the oracle builds a key
+        args = ["--out", str(tmp_path), "--bound", "10000000000000", "--verify"]
+        assert main([*args, "corpus", "siegel:12"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("C12: 13 strata")
+        assert captured.err == "error: the oracle's keys hold 288 > 256 roots\n"
 
     @pytest.mark.parametrize("bound", ["abc", True, 0])
     def test_bad_element_bound_exits_2(self, tmp_path, bound):
@@ -363,7 +378,8 @@ class TestMain:
         assert main(["--bound", "5", "siegel", "4"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: element bound 5 exceeded: 6 elements materialized\n"
+        # |^J W| = 16 is refused by its closed form before anything is grown
+        assert captured.err == "error: enumeration of 16 elements exceeds element bound 5\n"
 
     @pytest.mark.parametrize(
         "command",

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,132 +11,182 @@ from bruhat_atlas.atlas import build_atlas
 from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
-from bruhat_atlas.oracle import brute_interval
-from bruhat_atlas.parabolic import min_left_reps
+from bruhat_atlas.galois import lower_sets
+from bruhat_atlas.oracle import RootKeys, brute_interval
+from bruhat_atlas.rootdata import CartanMatrix, positive_roots, reflect
 from bruhat_atlas.serialize import parse_case
-from conftest import SMALL_GROUPS, engine_leq, forget_words, group_of
+from conftest import (
+    SMALL_GROUPS,
+    engine_leq,
+    group_of,
+    interned,
+    key_length,
+    key_of,
+    keys_of,
+)
+
+
+@lru_cache(maxsize=None)
+def dual(g: WeylGroup) -> CartanMatrix:
+    """The Cartan matrix of the dual root system: the transpose."""
+    return CartanMatrix(g.cartan.spec, tuple(zip(*g.cartan.entries)))
+
+
+@lru_cache(maxsize=None)
+def coroots(g: WeylGroup):
+    """The positive coroots, in simple-coroot coordinates."""
+    return positive_roots(dual(g))
+
+
+def coroot_length(g: WeylGroup, weight) -> int:
+    """The length of the element of ^J W with ``weight`` = w^-1 lambda_J:
+    the positive coroots that pair negatively with it."""
+    return sum(1 for r in coroots(g) if sum(c * v for c, v in zip(r, weight)) < 0)
+
+
+def longest(g: WeylGroup, J=()):
+    """The longest element of ^J W, climbed from the identity by ascents."""
+    w = g.from_word((), J)
+    while (i := next((i for i, c in enumerate(w.weight) if c > 0), None)) is not None:
+        w = g.right_mul(w, i)
+    return w
+
+
+def s(g: WeylGroup, *word):
+    """The element s_i1 ... s_ik of W."""
+    return g.from_word(word)
+
+
+def left_peel(g: WeylGroup, word) -> list[int]:
+    """The reduced word of s_i1 ... s_ik in W that peels the smallest left
+    descent first, read off the lengths of walked words only: i is a left
+    descent when s_i w is shorter, and a reduced word of s_i w is the word
+    with the one letter deleted that walks to it."""
+    out, word = [], tuple(word)
+    while word:
+        i = min(i for i in range(g.n) if g.from_word((i, *word)).length < len(word))
+        target = g.from_word((i, *word))
+        out.append(i)
+        word = next(
+            c for k in range(len(word)) if g.from_word(c := word[:k] + word[k + 1:]) is target
+        )
+    return out
 
 
 class TestGroupLaw:
     def test_identity_fixes_roots(self, a2):
-        e = a2.identity
-        assert all(a2.roots[e.key[r]] == root for r, root in enumerate(a2.roots))
-        assert list(e.key) == list(range(2 * a2.N))
-        assert e.length == 0
+        # the identity of W is rho, that of ^J W is lambda_J
+        e = a2.from_word(())
+        assert e.weight == (1, 1) and e.length == 0 and e.word == ()
+        assert a2.from_word((), {0}).weight == (0, 1)
+        assert keys_of(a2).of_word(a2.reduced_word(e)) == keys_of(a2).identity
 
     def test_identity_idempotent(self, c2):
-        e = c2.identity
-        assert e * e is e
+        e = c2.from_word(())
+        assert c2.from_word(()) is e and c2.from_word((), ()) is e
+        for i in range(c2.n):
+            assert c2.right_mul(c2.right_mul(e, i), i) is e
 
     def test_involutions(self, a2):
-        for s in a2.simple:
-            assert s * s == a2.identity
+        for i in range(a2.n):
+            assert s(a2, i, i) is a2.from_word(())
 
     def test_braid_a2(self, a2):
-        s0, s1 = a2.simple
-        assert s0 * s1 * s0 == s1 * s0 * s1
+        assert s(a2, 0, 1, 0) is s(a2, 1, 0, 1)
 
     def test_c2_longest_two_ways(self, c2):
-        s0, s1 = c2.simple
-        w0 = c2.longest_element(range(2))
-        assert (s0 * s1) * (s0 * s1) == w0
-        assert (s1 * s0) * (s1 * s0) == w0
-        # w0 of C2 acts as -1 on the root lattice: every root goes to its negative
-        N = c2.N
-        assert all(w0.key[r] == (r + N) % (2 * N) for r in range(2 * N))
-        assert all(
-            c2.roots[w0.key[r]] == tuple(-c for c in root)
-            for r, root in enumerate(c2.roots)
-        )
+        w0 = s(c2, 0, 1, 0, 1)
+        assert s(c2, 1, 0, 1, 0) is w0 and longest(c2) is w0
+        # w0 of C2 acts as -1: w0^-1 rho = -rho, and every root goes to its negative
+        assert w0.weight == (-1, -1)
+        keys = keys_of(c2)
+        N = keys.N
+        key = keys.of_word(c2.reduced_word(w0))
+        assert all(key[r] == (r + N) % (2 * N) for r in range(2 * N))
 
     def test_ambient_mismatch(self, a2, c2):
-        with pytest.raises(InputError):
-            a2.multiply(a2.identity, c2.identity)
+        with pytest.raises(InputError, match="different ambient group"):
+            a2.induced_subset(c2.from_word(()), (), ())
 
     @pytest.mark.parametrize("name", ["A3", "C3", "D4", "A16"])
     def test_key_is_the_root_permutation(self, name):
+        # the weight is w^-1 lambda_J: coordinate i is <lambda_J, w alpha_i^vee>,
+        # with w alpha_i^vee formed by reflecting alpha_i^vee along the word
         g = group_of(name)
-        n, N, roots = g.n, g.N, g.roots
-        assert set(roots[:N]) == set(g.pos_roots)
-        assert all(roots[i] == tuple(int(k == i) for k in range(n)) for i in range(n))
-        neg_simple = {tuple(-int(k == i) for k in range(n)): i for i in range(n)}
+        n = g.n
         if name == "A16":
-            # 2N = 272 roots, past the bytes encoding: seeded random words
-            assert 2 * N > 256 and isinstance(g.identity.key, tuple)
+            # W has 17! elements: ^J W for J = {1..15}, and seeded random words
+            J = frozenset(range(1, n))
             rng = random.Random(16)
             sample = [
-                g.from_word(rng.randrange(n) for _ in range(rng.randrange(60)))
+                g.from_word((rng.randrange(n) for _ in range(rng.randrange(60))), J)
                 for _ in range(200)
             ]
         else:
-            assert isinstance(g.identity.key, bytes)
+            J = frozenset()
             sample = g.elements()
         for w in sample:
-            key = w.key
-            assert sorted(key) == list(range(2 * N))
-            assert all(key[r + N] == (key[r] + N) % (2 * N) for r in range(N))
-            # w(beta) by linearity from the images of the simple roots
-            images = []
-            for beta in roots[:N]:
-                vec = [0] * n
-                for k, c in enumerate(beta):
-                    for t, d in enumerate(roots[key[k]]):
-                        vec[t] += c * d
-                images.append(tuple(vec))
-            assert images == [roots[key[r]] for r in range(N)]
-            negative = [img for img in images if min(img) < 0]
-            assert w.length == len(negative)
-            lefts = {neg_simple[v] for v in negative if v in neg_simple}
-            assert w.left_descents == lefts
-            assert w.right_descents == {i for i in range(n) if min(images[i]) < 0}
-            assert g.multiply(w, g.from_word(reversed(g.reduced_word(w)))) is g.identity
+            word = g.reduced_word(w)
+            assert len(word) == w.length == coroot_length(g, w.weight)
+            for i in range(n):
+                vec = tuple(int(k == i) for k in range(n))
+                for letter in reversed(word):
+                    vec = reflect(dual(g), letter, vec)
+                assert w.weight[i] == sum(c for k, c in enumerate(vec) if k not in J)
+            assert g.from_word(word, J) is w
 
     def test_equality_needs_the_same_cartan_matrix(self):
         # elements are interned per group, so equality is identity
-        a2, a111 = group_of("A2"), group_of("A1xA1xA1")
-        # both have 3 positive roots, so their identity keys coincide
-        assert a2.identity.key == a111.identity.key
-        assert a2.identity != a111.identity
-        assert len({a2.identity, a111.identity}) == 2
+        a2, a1a1 = group_of("A2"), group_of("A1xA1")
+        # both are rho = (1, 1) in their own coordinates
+        assert a2.from_word(()).weight == a1a1.from_word(()).weight
+        assert a2.from_word(()) != a1a1.from_word(())
+        assert len({a2.from_word(()), a1a1.from_word(())}) == 2
         twin = WeylGroup(a2.cartan)
-        assert twin.identity.key == a2.identity.key and twin.identity is not a2.identity
-        assert [s.key for s in twin.simple] == [s.key for s in a2.simple]
-        assert len({twin.simple[0], a2.simple[0]}) == 2
+        assert twin.from_word(()).weight == a2.from_word(()).weight
+        assert twin.from_word(()) is not a2.from_word(())
+        assert len({s(twin, 0), s(a2, 0)}) == 2
         for w in a2.elements():
             assert a2.from_word(a2.reduced_word(w)) is w
 
 
 class TestLengthAndDescents:
     def test_lengths_a2(self, a2):
-        s0, s1 = a2.simple
-        assert (s0 * s1).length == 2
-        assert a2.longest_element(range(2)).length == 3
+        assert s(a2, 0, 1).length == 2
+        assert longest(a2).length == a2.longest_length(range(2)) == 3
 
     def test_c2_w0_length_is_root_count(self, c2):
-        assert c2.longest_element(range(2)).length == len(c2.pos_roots) == 4
+        assert longest(c2).length == c2.longest_length(range(2)) == len(c2.pos_roots) == 4
 
     def test_descents_of_identity(self, a2):
-        assert a2.identity.left_descents == frozenset()
-        assert a2.identity.right_descents == frozenset()
+        assert all(c > 0 for c in a2.from_word(()).weight)
+        assert keys_of(a2).peel(keys_of(a2).identity) == []
 
     def test_right_descents_s0s1(self, a2):
-        s0, s1 = a2.simple
-        assert (s0 * s1).right_descents == {1}
-        assert (s0 * s1).left_descents == {0}
+        # right descents are the negative coordinates; the left descents of
+        # the oracle's key are the simple roots among its negative images
+        w = s(a2, 0, 1)
+        assert {i for i, c in enumerate(w.weight) if c < 0} == {1}
+        keys = keys_of(a2)
+        assert {r for r in key_of(a2, w)[keys.N:] if r < keys.n} == {0}
 
     def test_w0_descends_everywhere(self):
         for name in ["A3", "C3", "D4", "A1xA1"]:
             g = group_of(name)
-            w0 = g.longest_element(range(g.n))
-            assert w0.left_descents == w0.right_descents == frozenset(range(g.n))
+            w0 = longest(g)
+            assert all(c < 0 for c in w0.weight)
+            keys = keys_of(g)
+            assert set(key_of(g, w0)[keys.N:]) >= set(range(g.n))
+            assert w0.length == len(g.pos_roots)
 
     def test_generator_multiplication_steps_by_one(self):
         for name in ["A3", "C3", "A1xA1"]:
             g = group_of(name)
             for w in g.elements():
+                word = g.reduced_word(w)
                 for i in range(g.n):
                     assert abs(g.right_mul(w, i).length - w.length) == 1
-                    assert abs(g.multiply(g.simple[i], w).length - w.length) == 1
+                    assert abs(g.from_word((i, *word)).length - w.length) == 1
 
 
 def fresh_group(name: str) -> WeylGroup:
@@ -143,25 +195,20 @@ def fresh_group(name: str) -> WeylGroup:
 
 
 def plain_peel(g: WeylGroup, w) -> list[int]:
-    """The canonical word without the memo: peel the smallest left descent."""
-    word = []
-    while w.left_descents:
-        i = min(w.left_descents)
-        word.append(i)
-        w = g.multiply(g.simple[i], w)
-    return word
+    """The canonical word from the oracle: the greedy left peel of w's key."""
+    return RootKeys(g).peel(key_of(g, w))
 
 
 class TestWords:
     def test_identity_word_empty(self, a2):
-        assert a2.reduced_word(a2.identity) == []
+        assert a2.reduced_word(a2.from_word(())) == ()
 
     def test_tie_break(self, a2):
         # s1*s0 peels its smallest left descent first
-        assert a2.reduced_word(a2.from_word([1, 0])) == [1, 0]
+        assert a2.reduced_word(s(a2, 1, 0)) == (1, 0)
 
     def test_c2_w0_word_length(self, c2):
-        assert len(c2.reduced_word(c2.longest_element(range(2)))) == 4
+        assert len(c2.reduced_word(longest(c2))) == 4
 
     def test_word_roundtrip_everywhere(self):
         for name in ["A3", "C3", "A1xA1", "D4"]:
@@ -176,25 +223,33 @@ class TestWords:
             a2.from_word([5])
 
     def test_mutating_a_word_leaves_the_memo_alone(self):
+        # the word is the kept tuple, which no caller can change
         g = fresh_group("B3")
-        w = g.longest_element(range(3))
+        w = longest(g)
         word = g.reduced_word(w)
-        word.append(0)
-        word[0] = 2
-        assert g.reduced_word(w) == plain_peel(g, w)
-        assert g.reduced_word(w) is not g.reduced_word(w)
+        assert type(word) is tuple and g.reduced_word(w) is word
+        assert list(word) == plain_peel(g, w)
 
     @pytest.mark.parametrize("name", ["B3", "A3xA1"])
     @pytest.mark.parametrize("order", ["longest first", "shortest first"])
     def test_memoized_words_are_the_peeled_words(self, name, order):
-        # each order meets the memo at a different point of the peel chain
         g = fresh_group(name)
         elements = g.elements()
         for w in reversed(elements) if order == "longest first" else elements:
             word = g.reduced_word(w)
-            assert word == plain_peel(g, w)
+            assert list(word) == plain_peel(g, w)
             assert len(word) == w.length
             assert g.from_word(word) is w
+
+    @pytest.mark.parametrize("name", ["A4", "B3", "C4", "D4", "D5", "A1xB2xA2"])
+    def test_words_are_the_left_peel_of_their_oracle_keys(self, name):
+        # all of W, and ^J W for J all nodes but the last
+        g = fresh_group(name)
+        keys = RootKeys(g)
+        for J in [(), range(g.n - 1)]:
+            for w in g.ascend(range(g.n), J):
+                word = g.reduced_word(w)
+                assert keys.peel(keys.of_word(word)) == list(word), (J, word)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 2), max_size=12))
@@ -206,41 +261,46 @@ class TestWords:
 
     @pytest.mark.parametrize("order", ["longest first", "shortest first"])
     def test_wide_key_words_are_the_peeled_words(self, order):
-        # A16: 2N = 272, so tuple keys; ^J W, then each fiber, memo cleared
+        # A16: 2N = 272 roots, past the oracle's byte keys; ^J W and each
+        # fiber against the peel read off walked lengths in W
         atlas = build_atlas(parse_case(corpus_preset("gu:16,1:inert")))
         g = atlas.group
-        assert isinstance(g.identity.key, tuple)
         fibers = [s.eo_fiber for s in atlas.strata]
-        for elements in [min_left_reps(g, atlas.J), *fibers]:
-            forget_words(g)
+        for elements in [g.ascend(range(g.n), atlas.J), *fibers]:
             for w in reversed(elements) if order == "longest first" else elements:
                 word = g.reduced_word(w)
-                assert word == plain_peel(g, w)
-                assert g.from_word(word) is w
+                assert list(word) == left_peel(g, word)
+                assert g.from_word(word, atlas.J) is w
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 15), max_size=40))
     def test_random_wide_words_reduce(self, word):
+        # A16 and J = {1..15}: a walked word lands on the minimum of its coset
         g = group_of("A16")
-        w = g.from_word(word)
-        assert g.reduced_word(w) == plain_peel(g, w)
-        assert g.from_word(g.reduced_word(w)) is w
+        J = range(1, 16)
+        w = g.from_word(word, J)
+        reduced = g.reduced_word(w)
+        assert list(reduced) == left_peel(g, reduced)
+        assert g.from_word(reduced, J) is w
 
 
 class TestLongestAndOpposition:
     def test_empty_subset(self, a2):
-        assert a2.longest_element(()) is a2.identity
+        assert a2.longest_length(()) == 0
         assert a2.opposition(()) == frozenset()
 
     def test_rank_one_parabolic(self, c2):
-        assert c2.longest_element({0}) is c2.simple[0]
+        assert c2.longest_length({0}) == 1
+        assert keys_of(c2).longest({0}) == keys_of(c2).simple[0]
 
     def test_longest_is_involution(self):
         for name in ["A4", "C3", "D4"]:
             g = group_of(name)
+            keys = keys_of(g)
             for J in [frozenset({0}), frozenset({0, 1}), frozenset(range(g.n))]:
-                w0J = g.longest_element(J)
-                assert g.multiply(w0J, w0J) == g.identity
+                w0J = keys.longest(J)
+                assert keys.product(w0J, w0J) == keys.identity
+                assert key_length(g, w0J) == g.longest_length(J)
 
     def test_opposition_a2(self, a2):
         assert a2.opposition({0}) == {1}
@@ -250,19 +310,37 @@ class TestLongestAndOpposition:
             assert c2.opposition(J) == J
 
     def test_opposition_refuses_a_w0_that_negates_no_simple_root(self, monkeypatch):
+        # a diagonal entry of 3: s_i(v)_i = -2 v_i, so the climb ends at
+        # -2 lam, which is not minus a relabelling of lam
         g = WeylGroup(group_of("A2").cartan)
-        monkeypatch.setattr(g, "longest_element", lambda J: g.identity)
+        monkeypatch.setattr(g, "_columns", (((0, 3),), ((1, 3),)))
         with pytest.raises(ConsistencyError, match="w0 did not negate a simple root"):
             g.opposition({0})
 
     def test_opposition_matches_conjugation(self):
         for name in ["A3", "C3", "D4"]:
             g = group_of(name)
-            w0 = g.longest_element(range(g.n))
+            keys = keys_of(g)
+            w0 = keys.longest(range(g.n))
             for i in range(g.n):
-                conj = g.multiply(g.multiply(w0, g.simple[i]), w0)
+                conj = keys.product(keys.product(w0, keys.simple[i]), w0)
                 (j,) = g.opposition({i})
-                assert conj is g.simple[j]
+                assert conj == keys.simple[j]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["A1", "A2", "A3", "A4", "A5", "B3", "C4", "D4", "D5", "D6", "D7",
+         "A3xD5", "B2xA4xD3"],
+    )
+    def test_opposition_is_read_off_the_oracle_w0_key(self, name):
+        # w0(alpha_i) = -alpha_i* on the oracle's key of w0
+        g = fresh_group(name)
+        keys = RootKeys(g)
+        w0 = keys.longest(range(g.n))
+        for i in range(g.n):
+            assert g.opposition({i}) == {w0[i] - keys.N}
+        if name in ("D5", "D7"):  # odd D swaps its two fork leaves
+            assert g.opposition({g.n - 2}) == {g.n - 1}
 
 
 class TestBruhat:
@@ -271,20 +349,19 @@ class TestBruhat:
     def test_identity_below_everything(self, a2):
         leq = engine_leq(a2)
         for w in a2.elements():
-            assert leq(a2.identity, w)
+            assert leq(a2.from_word(()), w)
 
     def test_a2_examples(self, a2):
         leq = engine_leq(a2)
-        s0, s1 = a2.simple
-        assert leq(s1, s1 * s0)
-        assert not leq(s0 * s1, s1 * s0)
+        assert leq(s(a2, 1), s(a2, 1, 0))
+        assert not leq(s(a2, 0, 1), s(a2, 1, 0))
 
     def test_full_a2_table_against_subword_oracle(self, a2):
         leq = engine_leq(a2)
         for w in a2.elements():
-            interval = brute_interval(a2, a2.reduced_word(w))
+            interval = brute_interval(keys_of(a2), a2.reduced_word(w))
             for x in a2.elements():
-                assert leq(x, w) == (x.key in interval)
+                assert leq(x, w) == (key_of(a2, x) in interval)
 
     def test_partial_order_axioms(self):
         for name in ["A3", "C2", "A1xA1"]:
@@ -306,17 +383,25 @@ class TestBruhat:
                             assert leq(x, z)
 
     def test_deep_chain_needs_no_recursion(self):
-        from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
-        from bruhat_atlas.coxeter import WeylGroup
-
-        # a reduced word of w0 is 1035 letters long, beyond the default
-        # recursion limit of 1000
-        g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 45),))))
-        w0 = g.longest_element(range(g.n))
-        assert w0.length == 1035
-        word = g.reduced_word(w0)
-        assert len(word) == 1035
-        assert g.from_word(word) is w0
+        # ^J W of C12 for J = {0..10}: its longest element is 78 letters
+        # long, past a recursion limit set to 50 frames above this one
+        g = fresh_group("C12")
+        J = range(11)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            jw = g.ascend(range(g.n), J)
+            top = jw[-1]
+            word = g.reduced_word(top)
+            down = lower_sets(g, J, {w: 1 << i for i, w in enumerate(jw)})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(word) == top.length == 78
+        assert g.from_word(word, J) is top
+        assert down[top].bit_count() == len(jw) == 4096
 
     def test_length_monotone(self):
         g = group_of("C3")
@@ -328,12 +413,13 @@ class TestBruhat:
 
 
 def _check_conjugation_on_roots(g, phi, elements):
-    """phi(w) against sigma w sigma^-1 on root indices, where sigma is the
-    permutation of roots that the node permutation induces, and phi against
-    the homomorphism rule phi(w s_i) = phi(w) s_phi(i)."""
-    index = {root: r for r, root in enumerate(g.roots)}
+    """phi(w) against sigma w sigma^-1 on the oracle's root indices, where
+    sigma is the permutation of roots that the node permutation induces, and
+    phi against the homomorphism rule phi(w s_i) = phi(w) s_phi(i)."""
+    keys = keys_of(g)
+    index = {root: r for r, root in enumerate(keys.roots)}
     sigma = []
-    for root in g.roots:
+    for root in keys.roots:
         image = [0] * g.n
         for k, c in enumerate(root):
             image[phi.perm[k]] = c
@@ -343,7 +429,8 @@ def _check_conjugation_on_roots(g, phi, elements):
         sigma_inv[image] = r
     for w in elements:
         image = g.apply_automorphism(phi, w)
-        assert list(image.key) == [sigma[w.key[sigma_inv[r]]] for r in range(len(sigma))]
+        key = key_of(g, w)
+        assert list(key_of(g, image)) == [sigma[key[sigma_inv[r]]] for r in range(len(sigma))]
         assert image.length == w.length
         for i in range(g.n):
             step = g.apply_automorphism(phi, g.right_mul(w, i))
@@ -362,13 +449,16 @@ class TestAutomorphismAction:
         from bruhat_atlas.rootdata import validate_automorphism
 
         phi = validate_automorphism([1, 0], a2.cartan)
-        assert a2.apply_automorphism(phi, a2.simple[0]) is a2.simple[1]
+        assert a2.apply_automorphism(phi, s(a2, 0)) is s(a2, 1)
 
     def test_flip_is_letterwise_word_image(self, a2):
         from bruhat_atlas.rootdata import validate_automorphism
 
         phi = validate_automorphism([1, 0], a2.cartan)
         _check_conjugation_on_roots(a2, phi, a2.elements())
+        for w in a2.elements():
+            image = [phi.perm[i] for i in a2.reduced_word(w)]
+            assert a2.apply_automorphism(phi, w) is a2.from_word(image)
 
     @pytest.mark.parametrize(
         "name,perm",
@@ -381,12 +471,20 @@ class TestAutomorphismAction:
         g = group_of(name)
         phi = validate_automorphism(perm, g.cartan)
         if g.n <= 4:
-            elements = g.elements()
-        else:  # A16: 2N = 272, so tuple keys; random words, not all 17!
-            assert isinstance(g.identity.key, tuple)
-            rng = random.Random(16)
-            elements = [g.from_word(rng.choices(range(g.n), k=40)) for _ in range(60)]
-        _check_conjugation_on_roots(g, phi, elements)
+            _check_conjugation_on_roots(g, phi, g.elements())
+            return
+        # A16: 2N = 272 roots, past the oracle's keys, and 17! elements:
+        # seeded random words, against their letterwise images
+        rng = random.Random(16)
+        for _ in range(60):
+            word = rng.choices(range(g.n), k=40)
+            w = g.from_word(word)
+            image = g.apply_automorphism(phi, w)
+            assert image is g.from_word(phi.perm[i] for i in word)
+            assert image.length == w.length == coroot_length(g, w.weight)
+            for i in range(g.n):
+                step = g.apply_automorphism(phi, g.right_mul(w, i))
+                assert step is g.right_mul(image, phi.perm[i])
 
     def test_triality_preserves_length(self):
         from bruhat_atlas.rootdata import validate_automorphism
@@ -417,7 +515,6 @@ class TestEnumeration:
 
     def test_bound_exceeded(self):
         from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
-        from bruhat_atlas.coxeter import WeylGroup
 
         g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 4),))), element_bound=100)
         with pytest.raises(BoundError, match="120"):
@@ -425,51 +522,54 @@ class TestEnumeration:
 
     def test_bound_counts_materialized_elements(self):
         from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
-        from bruhat_atlas.coxeter import WeylGroup
 
-        g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))), element_bound=10)
-        with pytest.raises(BoundError, match="bound 10 exceeded: 11 elements"):
-            g.longest_element(range(3))
+        # a walk along a reduced word of w0 interns one element per prefix
+        g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))), element_bound=5)
+        with pytest.raises(BoundError, match="bound 5 exceeded: 6 elements"):
+            g.from_word([0, 1, 0, 2, 1, 0, 2, 1, 2])
 
     def test_bound_refuses_an_enumeration_before_growing_it(self):
-        # C12: 2N = 288, so tuple keys; ^J W for J = {0..10} has 2^12 elements
+        # C12, ^J W for J = {0..10} has 2^12 elements
         g = WeylGroup(group_of("C12").cartan, element_bound=1000)
-        assert isinstance(g.identity.key, tuple)
         with pytest.raises(BoundError, match=r"\b4096 elements exceeds element bound 1000$"):
             g.ascend(range(12), range(11))
-        # only what the group interns on construction: the identity and s_i
-        assert len(g._registry) == 1 + g.n
+        # only the identity of ^J W, the start of the refused enumeration
+        assert interned(g) == 1
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_ascent_stops_match_the_definition(self, name):
         # every J, since every rank here is at most 4; the definition side
-        # reads lengths only: w s_i is longer than w, with no left descent in J
+        # reads the oracle's lengths: w s_i is longer than w, and no s_j s_i w
+        # with j in J is shorter
         g = group_of(name)
+        keys = keys_of(g)
         for r in range(g.n + 1):
             for J in itertools.combinations(range(g.n), r):
-                stops = g.ascent_stops(J)
                 for w in g.ascend(range(g.n), J):
+                    key = key_of(g, w)
                     for i in range(g.n):
-                        v = g.right_mul(w, i)
-                        inside = v.length > w.length and all(
-                            g.multiply(g.simple[j], v).length > v.length for j in J
+                        v = keys.product(key, keys.simple[i])
+                        inside = key_length(g, v) > key_length(g, key) and all(
+                            key_length(g, keys.left(j, v)) > key_length(g, v) for j in J
                         )
-                        assert (w.key[i] not in stops) == inside, (J, i)
+                        assert (w.weight[i] > 0) == inside, (J, i)
 
     def test_count_guard_fires(self, monkeypatch):
         from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
-        from bruhat_atlas.coxeter import WeylGroup
 
         g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))))
+        # a fiber start: s_2 is a double representative for J = K = {0, 1};
+        # its word is formed before the closed form is broken
+        start = g.from_word([2], {0, 1})
+        assert g.reduced_word(start) == (2,)
         order = WeylGroup.parabolic_order
         monkeypatch.setattr(
             WeylGroup, "parabolic_order", lambda self, S: order(self, S) + 1
         )
         with pytest.raises(ConsistencyError, match="closed form"):
-            g.ascend(range(3), {0, 1})
-        # a fiber start: s_2 is a double representative for J = K = {0, 1}
+            g.ascend(range(3), {0})
         with pytest.raises(ConsistencyError, match=r"from \[2\] .* closed form"):
-            g.ascend({0, 1}, {0, 1}, g.simple[2])
+            g.ascend({0, 1}, {0, 1}, start)
 
     @pytest.mark.parametrize(
         "name,S,order",
@@ -484,7 +584,9 @@ class TestEnumeration:
         g = group_of(name)
         for r in range(g.n + 1):
             for S in itertools.combinations(range(g.n), r):
-                assert g.parabolic_order(S) == len(g.ascend(S, ())), S
+                sub = g.ascend(S, ())
+                assert g.parabolic_order(S) == len(sub), S
+                assert g.longest_length(S) == max(w.length for w in sub), S
 
     @pytest.mark.parametrize(
         "name,order",
@@ -496,128 +598,123 @@ class TestEnumeration:
         ],
     )
     def test_order_of_a_wide_group(self, name, order):
+        # the order comes from root heights; nothing of size |W| is built
         g = group_of(name)
-        assert isinstance(g.identity.key, tuple)
         assert g.order == order
+        assert len(g.from_word(()).weight) == g.n
 
     def test_subgroup_enumeration(self):
         g = group_of("C3")
         assert len(g.ascend({0, 1}, ())) == 6  # A2 parabolic
         assert len(g.ascend({1, 2}, ())) == 8  # C2 parabolic
-        assert g.ascend((), ()) == [g.identity]
+        assert g.ascend((), ()) == [g.from_word(())]
 
 
-def negative_images(g: WeylGroup, key) -> int:
-    """Length read off a key: the positive roots it sends negative."""
-    return sum(1 for r in key[: g.N] if r >= g.N)
-
-
-def count_composes(g: WeylGroup, monkeypatch) -> list:
-    composed = []
-    compose = g._compose
+def count_reflections(g: WeylGroup, monkeypatch) -> list:
+    reflected = []
+    reflect_ = g._reflect
     monkeypatch.setattr(
-        g, "_compose", lambda key, table: composed.append(1) or compose(key, table)
+        g, "_reflect", lambda weight, i: reflected.append(1) or reflect_(weight, i)
     )
-    return composed
+    return reflected
 
 
 class TestStepMemo:
-    """A right simple step is memoized on the element it starts from and
-    hands ``_intern`` the length of a new element it forms; a left step is a
-    general product, which hands ``_intern`` the length it counts."""
-
-    @staticmethod
-    def steps(g: WeylGroup):
-        return {
-            "right": lambda w, i: g.right_mul(w, i),
-            "left": lambda w, i: g.multiply(g.simple[i], w),
-        }
+    """A right simple step is memoized on both elements it joins and hands
+    ``_intern`` the length of a new element it forms."""
 
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_each_step_hands_on_its_length(self, name, side, monkeypatch):
         # W grown on one side from the identity forms each new element by an
         # ascent (the +1 branch), and grown from the longest element, by a
-        # descent (the -1 branch): a level's other neighbours exist already
-        w0_key = group_of(name).longest_element(range(group_of(name).n)).key
+        # descent (the -1 branch); a left step s_i w is the walk of the word
+        # i followed by a word of w
+        w0_word = group_of(name).reduced_word(longest(group_of(name)))
         for top in (False, True):
             g = WeylGroup(group_of(name).cartan)
-            start = g._intern(w0_key, negative_images(g, w0_key)) if top else g.identity
-            before = len(g._registry)
             intern, handed = g._intern, []
             monkeypatch.setattr(
                 g, "_intern",
-                lambda key, length: handed.append(length == negative_images(g, key))
-                or intern(key, length),
+                lambda J, code, weight, length: handed.append(
+                    length == coroot_length(g, weight)
+                ) or intern(J, code, weight, length),
             )
-            step = self.steps(g)[side]
-            grown, frontier = {start}, [start]
+            start = g.from_word(w0_word if top else ())
+            words = {start: w0_word if top else ()}  # a word of each element reached
+            frontier = [start]
             while frontier:
                 nxt = []
                 for w in frontier:
                     for i in range(g.n):
-                        v = step(w, i)
-                        if v not in grown:
-                            grown.add(v)
+                        if side == "right":
+                            word, v = (*words[w], i), g.right_mul(w, i)
+                        else:
+                            word = (i, *words[w])
+                            v = g.from_word(word)
+                        if v not in words:
+                            words[v] = word
                             nxt.append(v)
                 frontier = nxt
-            assert len(grown) == len(g._registry) == g.order
-            # a right step interns only what is new, a product every time
-            calls = g.order - before if side == "right" else g.order * g.n
-            assert handed == [True] * calls, top
-            assert all(w.length == negative_images(g, w.key) for w in grown)
+            assert len(words) == interned(g) == g.order
+            assert handed and all(handed), top
+            assert all(w.length == coroot_length(g, w.weight) for w in words)
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_a_step_taken_twice_composes_nothing(self, name, monkeypatch):
         g = WeylGroup(group_of(name).cartan)
         elements = g.elements()
-        # W grown by ascents: every ascent slot is filled, no descent slot
+        # W grown by ascents: every slot is filled, the ascents forward and
+        # the descents by the step back
         for w in elements:
             for i in range(g.n):
-                assert (w.steps[i] is not None) == (w.key[i] < g.N), i
-        composed = count_composes(g, monkeypatch)
+                v = w.steps[i]
+                assert v is not None and v.steps[i] is w, i
+                assert v.length == w.length + (1 if w.weight[i] > 0 else -1)
+        reflected = count_reflections(g, monkeypatch)
         for w in elements:
             for i in range(g.n):
-                if w.key[i] < g.N:
-                    assert g.right_mul(w, i) is w.steps[i], i
-        assert composed == []
+                assert g.right_mul(w, i) is w.steps[i], i
+        assert reflected == []
 
     def test_wide_keys_over_min_left_reps(self, monkeypatch):
-        # C12: 2N = 288, so tuple keys; ^J W for J = {2..11} has 528 elements
+        # C12, ^J W for J = {2..11} has 528 elements, and only they are interned
         g = WeylGroup(group_of("C12").cartan)
-        assert isinstance(g.identity.key, tuple)
         J = range(2, 12)
-        jw = min_left_reps(g, J)
-        assert len(jw) == 528
-        # ^J W grown by its ascents: each such slot is filled, no descent slot
-        stops = g.ascent_stops(J)
+        jw = g.ascend(range(g.n), J)
+        assert len(jw) == interned(g) == 528
+        # a slot is filled exactly where the coordinate is not 0; where it is
+        # 0 the coset does not move, and the step stays at w without a reflection
+        reflected = count_reflections(g, monkeypatch)
         for w in jw:
             for i in range(g.n):
-                assert (w.steps[i] is not None) == (w.key[i] not in stops), i
-        # the ascents that leave ^J W are formed on a first pass, then kept
-        ascents = [(w, i) for w in jw for i in range(g.n) if w.key[i] < g.N]
-        composed = count_composes(g, monkeypatch)
-        first = [g.right_mul(w, i) for w, i in ascents]
-        formed = len(composed)
-        assert 0 < formed < len(ascents)
-        assert [g.right_mul(w, i) for w, i in ascents] == first
-        assert len(composed) == formed
-        for (w, i), v in zip(ascents, first):
-            assert v.length == w.length + 1 == negative_images(g, v.key)
-        assert all(w.length == negative_images(g, w.key) for w in g._registry.values())
+                assert (w.steps[i] is not None) == (w.weight[i] != 0), i
+                if not w.weight[i]:
+                    assert g.right_mul(w, i) is w
+        assert reflected == [] and interned(g) == 528
+        assert all(w.length == coroot_length(g, w.weight) for w in jw)
 
     @pytest.mark.parametrize("preset", ["siegel:4", "gu:4,3:inert", "hilbert:6"])
     def test_a_build_keeps_only_longer_steps(self, preset):
-        # a step is kept on the element it starts from, and a build steps only
-        # by ascents
+        # a build keeps each step on both elements: one longer exactly where
+        # the coordinate is positive, one shorter where it is negative
         g = build_atlas(parse_case(corpus_preset(preset))).group
-        kept = [(w, v) for w in g._registry.values() for v in w.steps if v is not None]
-        assert kept and all(v.length == w.length + 1 for w, v in kept)
+        kept = [
+            (w, i, v)
+            for registry in g._registry.values()
+            for w in registry.values()
+            for i, v in enumerate(w.steps)
+            if v is not None
+        ]
+        assert kept
+        for w, i, v in kept:
+            assert w.weight[i] != 0 and v.steps[i] is w
+            assert v.length == w.length + (1 if w.weight[i] > 0 else -1)
 
 
 class TestSubsetMemos:
-    """check_subset, parabolic_order and ascent_stops are memoized per group;
-    a memo hit never admits a subset the group would refuse."""
+    """check_subset, parabolic_order and longest_length are memoized per
+    group; a memo hit never admits a subset the group would refuse."""
 
     def test_a_valid_call_does_not_admit_a_bad_subset(self):
         g = WeylGroup(group_of("C3").cartan)
@@ -645,7 +742,6 @@ class TestSubsetMemos:
         for r in range(g.n + 1):
             for S in itertools.combinations(range(g.n), r):
                 fresh = WeylGroup(g.cartan)
-                first = g.parabolic_order(S), g.ascent_stops(S)
-                assert (g.parabolic_order(S), g.ascent_stops(S)) == first, S
-                assert g.ascent_stops(S) is first[1]
-                assert (fresh.parabolic_order(S), fresh.ascent_stops(S)) == first, S
+                first = g.parabolic_order(S), g.longest_length(S)
+                assert (g.parabolic_order(S), g.longest_length(S)) == first, S
+                assert (fresh.parabolic_order(S), fresh.longest_length(S)) == first, S

@@ -1,71 +1,85 @@
+"""Coset and double-coset representatives, induced subsets and fiber tops,
+against the oracle's root-permutation keys."""
+
 from itertools import combinations
 
 import pytest
 
-from bruhat_atlas import parabolic
-from bruhat_atlas.atlas import conjugate_type, eo_fiber
+from bruhat_atlas.atlas import eo_fiber, stratum_dimension
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import brute_double_cosets, brute_interval, brute_min_left_reps
 from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
-from conftest import elements_at, group_of
+from conftest import double_reps, group_of, key_length, key_of, keys_of, left_reps
+
+
+def words(g: WeylGroup, elements) -> set:
+    return {g.reduced_word(w) for w in elements}
+
+
+def right_descent(g: WeylGroup, key: bytes, k: int) -> bool:
+    """k is a right descent of a key when it sends alpha_k negative."""
+    return key[k] >= keys_of(g).N
 
 
 class TestLeftReps:
     def test_full_subset_gives_identity(self, a2):
-        assert parabolic.min_left_reps(a2, {0, 1}) == [a2.identity]
+        assert left_reps(a2, {0, 1}) == [a2.from_word((), {0, 1})]
 
     def test_a2_example(self, a2):
-        reps = parabolic.min_left_reps(a2, {0})
+        reps = left_reps(a2, {0})
         assert sorted(w.length for w in reps) == [0, 1, 2]
-        s0, s1 = a2.simple
-        assert set(reps) == {a2.identity, s1, s1 * s0}
+        assert words(a2, reps) == {(), (1,), (1, 0)}
 
     def test_c2_sizes(self, c2):
-        reps = parabolic.min_left_reps(c2, {0})
+        reps = left_reps(c2, {0})
         assert sorted(w.length for w in reps) == [0, 1, 2, 3]
 
     def test_lagrange(self):
         for name in ["A3", "C3", "D4"]:
             g = group_of(name)
             for J in [frozenset(), frozenset({0}), frozenset({0, 2}), frozenset(range(g.n))]:
-                reps = parabolic.min_left_reps(g, J)
+                reps = left_reps(g, J)
                 assert len(reps) * len(g.ascend(J, ())) == g.order
 
 
 class TestDoubleReps:
     def test_empty_subsets_give_everything(self, a2):
-        assert len(parabolic.min_double_reps(a2, (), ())) == a2.order
+        assert len(double_reps(a2, (), ())) == a2.order
 
     def test_a2_example(self, a2):
-        reps = parabolic.min_double_reps(a2, {0}, {1})
+        reps = double_reps(a2, {0}, {1})
         assert sorted(w.length for w in reps) == [0, 2]
 
     def test_c2_example(self, c2):
-        reps = parabolic.min_double_reps(c2, {0}, {0})
+        reps = double_reps(c2, {0}, {0})
         assert sorted(w.length for w in reps) == [0, 1, 3]
 
     def test_intersection_characterization(self):
         g = group_of("C3")
         J, K = frozenset({0, 1}), frozenset({1, 2})
-        left = set(parabolic.min_left_reps(g, J))
-        right = {w for w in g.elements() if not (w.right_descents & K)}
-        assert set(parabolic.min_double_reps(g, J, K)) == left & right
+        left = brute_min_left_reps(keys_of(g), J)
+        both = {v for v in left if not any(right_descent(g, v, k) for k in K)}
+        assert {key_of(g, w) for w in double_reps(g, J, K)} == both
 
     def test_partition_against_closure(self):
         for name in ["A3", "C2", "C3", "A1xA1"]:
             g = group_of(name)
             for J, K in [({0}, {1}), ({0}, {0}), ((), {0}), ({0, 1}, {0, 1})]:
-                reps = parabolic.min_double_reps(g, J, K)
-                classes = brute_double_cosets(g, J, K)
-                assert {cls[0] for cls in classes} == {w.key for w in reps}
+                reps = double_reps(g, J, K)
+                classes = brute_double_cosets(keys_of(g), J, K)
+                assert {cls[0] for cls in classes} == {key_of(g, w) for w in reps}
                 assert sum(len(cls) for cls in classes) == g.order
 
 
 def _coset_minima(g, K):
-    """Each element's key mapped to the key of the shortest element of w W_K,
-    read off the oracle's right-K closure classes."""
-    return {w: cls[0] for cls in brute_double_cosets(g, (), K) for w in cls}
+    """Each key mapped to the key of the shortest element of w W_K, read off
+    the oracle's right-K closure classes."""
+    return {w: cls[0] for cls in brute_double_cosets(keys_of(g), (), K) for w in cls}
+
+
+def _key(g, *word):
+    return keys_of(g).of_word(word)
 
 
 class TestProjection:
@@ -74,92 +88,109 @@ class TestProjection:
     double-coset class on the strength of it."""
 
     def test_already_minimal(self, a2):
-        s0, s1 = a2.simple
-        assert _coset_minima(a2, {1})[(s1 * s0).key] == (s1 * s0).key
+        assert _coset_minima(a2, {1})[_key(a2, 1, 0)] == _key(a2, 1, 0)
 
     def test_a2_example(self, a2):
-        _, s1 = a2.simple
-        assert _coset_minima(a2, {1})[s1.key] == a2.identity.key
+        assert _coset_minima(a2, {1})[_key(a2, 1)] == keys_of(a2).identity
 
     def test_c2_example(self, c2):
-        s0, s1 = c2.simple
-        assert _coset_minima(c2, {0})[(s1 * s0).key] == s1.key
+        assert _coset_minima(c2, {0})[_key(c2, 1, 0)] == _key(c2, 1)
 
     def test_surjective_and_coset_stable(self):
         g = group_of("C3")
         J, K = frozenset({0, 1}), frozenset({0, 1})
-        doubles = {w.key for w in parabolic.min_double_reps(g, J, K)}
-        double_min = {w: cls[0] for cls in brute_double_cosets(g, J, K) for w in cls}
+        doubles = {key_of(g, w) for w in double_reps(g, J, K)}
+        double_min = {w: cls[0] for cls in brute_double_cosets(keys_of(g), J, K) for w in cls}
         coset_min = _coset_minima(g, K)
         images = set()
-        for w in parabolic.min_left_reps(g, J):
-            x = coset_min[w.key]
-            assert x in doubles and x == double_min[w.key]
+        for w in left_reps(g, J):
+            x = coset_min[key_of(g, w)]
+            assert x in doubles and x == double_min[key_of(g, w)]
             images.add(x)
         assert images == doubles
 
 
 class TestInducedSubset:
     def test_identity_gives_intersection(self, c2):
-        assert c2.induced_subset(c2.identity, {0}, {0}) == {0}
+        assert c2.induced_subset(c2.from_word((), {0}), {0}, {0}) == {0}
 
     def test_c2_top_element(self, c2):
-        s0, s1 = c2.simple
-        x = s1 * s0 * s1
+        x = c2.from_word([1, 0, 1], {0})
         assert c2.induced_subset(x, {0}, {0}) == {0}
 
     def test_a2_example(self, a2):
-        s0, s1 = a2.simple
-        assert a2.induced_subset(s1 * s0, {0}, {1}) == {1}
+        assert a2.induced_subset(a2.from_word([1, 0], {0}), {0}, {1}) == {1}
 
     def test_always_inside_k(self):
         g = group_of("C3")
         J, K = frozenset({0, 2}), frozenset({1, 2})
-        for x in parabolic.min_double_reps(g, J, K):
+        for x in double_reps(g, J, K):
             assert g.induced_subset(x, J, K) <= K
 
     def test_rejects_bad_representative(self, c2):
-        with pytest.raises(InputError):
-            c2.induced_subset(c2.simple[0], {0}, {0})
+        # an element of another quotient, and one with a right descent in K
+        with pytest.raises(InputError, match=r"lies in \^J W for J=\[\], not for J=\[0\]"):
+            c2.induced_subset(c2.from_word([0]), {0}, {0})
+        with pytest.raises(InputError, match=r"right descents \[0\] in K"):
+            c2.induced_subset(c2.from_word([1, 0], {0}), {0}, {0})
+        # an element whose word is not formed is named by its weight: W(C12)
+        # is far past the bound, and naming the element grows none of it
+        c12 = WeylGroup(group_of("C12").cartan)
+        x = c12.from_word([11, 10])
+        with pytest.raises(InputError, match=r"^element of weight \(1, 1, 1, 1, 1, 1, 1, 1, 1, 4, -3, 2\) "):
+            c12.induced_subset(x, (), {10})
+        assert c12._count == 3
+
+
+def howlett_top(g, x, J, K) -> bytes:
+    """x w0(J_x) w0(K) on the oracle's keys, with J_x read off the key of x."""
+    keys = keys_of(g)
+    key = key_of(g, x)
+    Jx = [k for k in K if key[k] in J]
+    return keys.product(key, keys.product(keys.longest(Jx), keys.longest(K)))
 
 
 class TestHowlett:
-    # x_upper(x) = x * w0(J_x) * w0(K); these pin the W_K factor w0(J_x) * w0(K)
+    # the top of the fiber of x is x w0(J_x) w0(K), of length
+    # length(x) + length(w0(K)) - length(w0(J_x))
     def test_x_lower_trivial_when_saturated(self, c2):
         # J_e = K, so the fiber of e is e alone
-        assert c2.induced_subset(c2.identity, {0}, {0}) == {0}
-        xu, dim = parabolic.x_upper(c2, c2.identity, {0}, {0})
-        assert xu is c2.identity and dim == 0
+        e = c2.from_word((), {0})
+        assert c2.induced_subset(e, {0}, {0}) == {0}
+        assert eo_fiber(c2, e, {0}, {0}) == [e]
+        assert stratum_dimension(c2, e, {0}, {0}) == 0
 
     def test_a2_x_lower(self, a2):
         # J_e is empty inside K = {1}, so the fiber of e is W_K = {e, s1}
-        assert a2.induced_subset(a2.identity, {0}, {1}) == set()
-        xu, dim = parabolic.x_upper(a2, a2.identity, set(), {1})
-        assert xu is a2.simple[1] and dim == 1
+        e = a2.from_word((), {0})
+        assert a2.induced_subset(e, {0}, {1}) == set()
+        assert eo_fiber(a2, e, {0}, {1})[-1] is a2.from_word([1], {0})
+        assert stratum_dimension(a2, e, set(), {1}) == 1
 
     def test_c2_siegel_x_lower(self, c2):
-        s0, s1 = c2.simple
         # s1(alpha_0) is not simple, so J_x is empty and the fiber is s1 * W_K
+        s1 = c2.from_word([1], {0})
         assert c2.induced_subset(s1, {0}, {0}) == set()
-        xu, _ = parabolic.x_upper(c2, s1, set(), {0})
-        assert xu is s1 * s0
+        assert eo_fiber(c2, s1, {0}, {0})[-1] is c2.from_word([1, 0], {0})
 
     def test_c2_siegel_x_upper(self, c2):
-        s0, s1 = c2.simple
-        for x, Jx, top, length in [
-            (s1 * s0 * s1, {0}, s1 * s0 * s1, 3),
-            (s1, set(), s1 * s0, 2),
-            (c2.identity, {0}, c2.identity, 0),
+        for word, Jx, top, length in [
+            ((1, 0, 1), {0}, (1, 0, 1), 3),
+            ((1,), set(), (1, 0), 2),
+            ((), {0}, (), 0),
         ]:
+            x = c2.from_word(word, {0})
             assert c2.induced_subset(x, {0}, {0}) == Jx
-            assert parabolic.x_upper(c2, x, Jx, {0}) == (top, length)
+            fiber = eo_fiber(c2, x, {0}, {0})
+            assert c2.reduced_word(fiber[-1]) == top
+            assert stratum_dimension(c2, x, Jx, {0}) == length
+            assert howlett_top(c2, x, {0}, {0}) == key_of(c2, fiber[-1])
 
     def test_ell_jk_examples(self, a2, c2):
-        # ell_JK takes J_x: empty for s1 in C2, K itself for e, {1} for s1 s0 in A2
-        assert parabolic.ell_JK(c2, c2.simple[1], set(), {0}) == 2
-        assert parabolic.ell_JK(c2, c2.identity, {0}, {0}) == 0
-        s0, s1 = a2.simple
-        assert parabolic.ell_JK(a2, s1 * s0, {1}, {1}) == 2
+        # J_x: empty for s1 in C2, K itself for e, {1} for s1 s0 in A2
+        assert stratum_dimension(c2, c2.from_word([1], {0}), set(), {0}) == 2
+        assert stratum_dimension(c2, c2.from_word((), {0}), {0}, {0}) == 0
+        assert stratum_dimension(a2, a2.from_word([1, 0], {0}), {1}, {1}) == 2
 
     def test_formulas_agree_all_subsets(self):
         import itertools
@@ -171,23 +202,28 @@ class TestHowlett:
                 J = frozenset(i for i in nodes if jbits[i])
                 for kbits in itertools.product([0, 1], repeat=g.n):
                     K = frozenset(i for i in nodes if kbits[i])
-                    for x in parabolic.min_double_reps(g, J, K):
+                    for x in double_reps(g, J, K):
                         Jx = g.induced_subset(x, J, K)
-                        _, dim = parabolic.x_upper(g, x, Jx, K)
-                        assert dim == parabolic.ell_JK(g, x, Jx, K)
+                        fiber = eo_fiber(g, x, J, K)
+                        dim = stratum_dimension(g, x, Jx, K)
+                        assert [w.length for w in fiber].count(dim) == 1
+                        assert fiber[-1].length == dim
+                        assert howlett_top(g, x, J, K) == key_of(g, fiber[-1])
 
     def test_x_upper_is_bruhat_maximal_in_fiber(self):
         g = group_of("C3")
+        keys = keys_of(g)
         J, K = frozenset({0, 1}), frozenset({0, 1})
-        left = brute_min_left_reps(g, J)
-        classes = {cls[0]: cls for cls in brute_double_cosets(g, J, K)}
-        for x in parabolic.min_double_reps(g, J, K):
-            xu, dim = parabolic.x_upper(g, x, g.induced_subset(x, J, K), K)
-            fiber = [w for w in classes[x.key] if w in left]
-            assert xu.key in fiber
-            interval = brute_interval(g, g.reduced_word(xu))
+        left = brute_min_left_reps(keys, J)
+        classes = {cls[0]: cls for cls in brute_double_cosets(keys, J, K)}
+        for x in double_reps(g, J, K):
+            top = howlett_top(g, x, J, K)
+            fiber = [w for w in classes[key_of(g, x)] if w in left]
+            assert top in fiber
+            interval = brute_interval(keys, keys.peel(top))
             assert all(w in interval for w in fiber)
-            assert dim == max(w.length for w in elements_at(g, fiber))
+            dim = stratum_dimension(g, x, g.induced_subset(x, J, K), K)
+            assert dim == key_length(g, top) == max((key_length(g, w) for w in fiber))
 
 
 # every pair of subsets is checked on these
@@ -199,19 +235,26 @@ def subsets(nodes):
     return [frozenset(c) for r in range(len(nodes) + 1) for c in combinations(nodes, r)]
 
 
+def left_descent_in(g, key: bytes, J) -> bool:
+    """Some j in J is a left descent of the key: alpha_j among its negative images."""
+    return not J.isdisjoint(key[keys_of(g).N:])
+
+
 class TestAscentGrowth:
-    """Ascent-grown representative sets against descent filters over the
-    whole group, element for element and in the same order."""
+    """Ascent-grown representative sets against descent filters of the
+    oracle's keys over the whole group, element for element and in the same
+    order."""
 
     @pytest.mark.parametrize("name", ASCENT_GROUPS)
     def test_left_and_double_reps(self, name):
         g = group_of(name)
+        everything = [key_of(g, w) for w in g.elements()]
         for J in subsets(range(g.n)):
-            left = [w for w in g.elements() if not (w.left_descents & J)]
-            assert parabolic.min_left_reps(g, J) == left
+            left = [v for v in everything if not left_descent_in(g, v, J)]
+            assert [key_of(g, w) for w in left_reps(g, J)] == left
             for K in subsets(range(g.n)):
-                double = [w for w in left if not (w.right_descents & K)]
-                assert parabolic.min_double_reps(g, J, K) == double
+                double = [v for v in left if not any(right_descent(g, v, k) for k in K)]
+                assert [key_of(g, w) for w in double_reps(g, J, K)] == double
 
     @pytest.mark.parametrize("name", ASCENT_GROUPS)
     def test_relative_left_reps(self, name):
@@ -221,40 +264,46 @@ class TestAscentGrowth:
             sub = [w for w in g.elements() if set(g.reduced_word(w)) <= K]
             assert g.ascend(K, ()) == sub
             for Jx in subsets(K):
-                expected = [y for y in sub if not (y.left_descents & Jx)]
-                assert g.ascend(K, Jx) == expected
+                expected = [key_of(g, y) for y in sub if not left_descent_in(g, key_of(g, y), Jx)]
+                assert [key_of(g, y) for y in g.ascend(K, Jx)] == expected
 
     @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A1xA2"])
     def test_fibers_are_the_papers_products(self, name):
         # the paper's fiber: x*y over the minimal representatives y of the
-        # induced subset inside W_K, formed with general products
+        # induced subset inside W_K, formed as products of the oracle's keys
         g = group_of(name)
+        keys = keys_of(g)
         for K in subsets(range(g.n)):
-            W_K = [w for w in g.elements() if set(g.reduced_word(w)) <= K]
+            W_K = [key_of(g, w) for w in g.elements() if set(g.reduced_word(w)) <= K]
             for J in subsets(range(g.n)):
-                for x in parabolic.min_double_reps(g, J, K):
+                for x in double_reps(g, J, K):
                     Jx = g.induced_subset(x, J, K)
-                    reps = [y for y in W_K if not (y.left_descents & Jx)]
+                    reps = [y for y in W_K if not left_descent_in(g, y, Jx)]
                     products = sorted(
-                        (g.multiply(x, y) for y in reps),
-                        key=lambda w: (w.length, g.reduced_word(w)),
+                        (keys.product(key_of(g, x), y) for y in reps),
+                        key=lambda v: (key_length(g, v), keys.peel(v)),
                     )
-                    assert eo_fiber(g, x, J, K) == products
+                    assert [key_of(g, w) for w in eo_fiber(g, x, J, K)] == products
 
 
 class TestConjugationByKey:
-    """``induced_subset`` and ``conjugate_type`` read x s_k x^-1 = s_{x(alpha_k)}
-    off the key of x; the references here form the conjugates by products."""
+    """``induced_subset`` reads J_x off the coordinates of x; the references
+    here form the conjugates by products of the oracle's keys."""
 
     def test_no_group_products(self, monkeypatch):
         c4 = WeylGroup(cartan_from_spec(DynkinSpec((("C", 4),))))
         a3 = WeylGroup(cartan_from_spec(DynkinSpec((("A", 3),))))
         J = K = frozenset({0, 1, 2})
-        doubles = parabolic.min_double_reps(c4, J, K)
-        a3_elements = a3.elements()
-        before = (len(c4._registry), len(a3._registry))
+        doubles = double_reps(c4, J, K)
+        a3_doubles = [
+            (x, Js, Ks)
+            for Js in subsets(range(a3.n))
+            for Ks in subsets(range(a3.n))
+            for x in double_reps(a3, Js, Ks)
+        ]
+        before = (c4._count, a3._count)
         calls = []
-        for name in ("multiply", "right_mul"):
+        for name in ("right_mul", "_intern"):
             law = getattr(WeylGroup, name)
             monkeypatch.setattr(
                 WeylGroup,
@@ -264,35 +313,23 @@ class TestConjugationByKey:
             )
         for x in doubles:
             c4.induced_subset(x, J, K)
-        for x in a3_elements:
-            for Js in subsets(range(a3.n)):
-                conjugate_type(a3, x, Js)
+        for x, Js, Ks in a3_doubles:
+            a3.induced_subset(x, Js, Ks)
         assert calls == []
-        assert (len(c4._registry), len(a3._registry)) == before
+        assert (c4._count, a3._count) == before
 
     @pytest.mark.parametrize("name", ASCENT_GROUPS)
     def test_against_products(self, name):
         g = group_of(name)
-
-        def conjugates(x, J):
-            # x^-1 s_j x for j in J, or None once one is not simple
-            x_inv = g.from_word(reversed(g.reduced_word(x)))
-            out = set()
-            for j in J:
-                conj = g.multiply(g.multiply(x_inv, g.simple[j]), x)
-                if conj not in g.simple:
-                    return None
-                out.add(g.simple.index(conj))
-            return frozenset(out)
-
+        keys = keys_of(g)
         everything = subsets(range(g.n))
         for J in everything:
-            for x in g.elements():
-                assert conjugate_type(g, x, J) == conjugates(x, J), (g.reduced_word(x), J)
             for K in everything:
-                for x in parabolic.min_double_reps(g, J, K):
+                for x in double_reps(g, J, K):
+                    key = key_of(g, x)
+                    # x s_k x^-1 = s_j exactly when s_j x = x s_k
                     expected = {
                         k for k in K
-                        if any(g.multiply(g.simple[j], x) is g.right_mul(x, k) for j in J)
+                        if any(keys.left(j, key) == keys.product(key, keys.simple[k]) for j in J)
                     }
                     assert g.induced_subset(x, J, K) == expected
