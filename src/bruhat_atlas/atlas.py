@@ -99,12 +99,23 @@ def derive_K(group: WeylGroup, J, phi: DiagramAutomorphism):
     return group.opposition(phi.apply_subset(J))
 
 
-def eo_fiber(group: WeylGroup, x: WeylElement, J, K) -> list[WeylElement]:
-    """The finer strata inside the stratum of x: the J-minimal elements of
-    x W_K, i.e. x*y over the minimal representatives y of the induced subset
-    inside W_K, grown from x by ascents and sorted by length and reduced word."""
-    fiber = group.ascend(K, J, x)
-    return sorted(fiber, key=lambda w: (w.length, group.reduced_word(w)))
+def eo_fibers(group: WeylGroup, J, K) -> dict[WeylElement, list[WeylElement]]:
+    """The finer strata: each x in ^J W^K mapped to its fiber, the J-minimal
+    elements of x W_K, in (length, reduced word) order.
+
+    One pass over ^J W in the order :meth:`WeylGroup.ascend` grows it in.
+    When some k in K has v_k < 0, w s_k is a right descent of w, in ^J W and
+    in w W_K, grown before w with its step kept on w; w joins its fiber.  A
+    path of such descents ends at the minimum of w W_K, the one element of
+    ^J W^K in W_J w W_K (Bjorner-Brenti, section 2.4).  Otherwise w lies in
+    ^J W^K and starts its own fiber."""
+    K = sorted(group.check_subset(K))
+    fibers, home = {}, {}
+    for w in group.ascend(range(group.n), J):
+        k = next((k for k in K if w.weight[k] < 0), None)
+        fiber = home[w] = fibers.setdefault(w, []) if k is None else home[w.steps[k]]
+        fiber.append(w)
+    return fibers
 
 
 def moduli_dimension(group: WeylGroup, J) -> int:
@@ -171,8 +182,8 @@ def build_atlas(case: PELCase) -> Atlas:
         raise ConsistencyError("stabilized types are not fixed by phi^d")
 
     left_reps = group.ascend(range(group.n), J)
-    # ^J W^K: k is a right descent exactly when coordinate k is negative
-    double_reps = [w for w in left_reps if all(w.weight[k] >= 0 for k in K)]
+    fibers = eo_fibers(group, J, K)
+    double_reps = list(fibers)
 
     orbits = galois_orbits(group, double_reps, generator)
     poset = orbit_poset(group, orbits, J)
@@ -181,13 +192,17 @@ def build_atlas(case: PELCase) -> Atlas:
     genus = _siegel_genus(case, J, K)
 
     top_length = max(w.length for w in double_reps)
+    order_K = group.parabolic_order(K)
 
     strata: list[StratumRecord] = []
     for sid, (orbit, rep) in enumerate(zip(poset.orbits, poset.reps)):
-        dim = stratum_dimension(group, rep, group.induced_subset(rep, J, K), K)
-        fiber = eo_fiber(group, rep, J, K)
-        # the fiber is sorted by length and has one longest element, of length dim
-        if fiber[-1].length != dim or (len(fiber) > 1 and fiber[-2].length == dim):
+        Jx = group.induced_subset(rep, J, K)
+        dim = stratum_dimension(group, rep, Jx, K)
+        fiber = fibers[rep]
+        # the fiber is sorted by length and has one longest element, of
+        # length dim, and |W_K| / |W_{J_x}| elements
+        one_top = fiber[-1].length == dim and (len(fiber) == 1 or fiber[-2].length < dim)
+        if not one_top or len(fiber) * group.parabolic_order(Jx) != order_K:
             raise ConsistencyError(
                 "top element, fiber and dimension formulas disagree at "
                 f"{list(group.reduced_word(rep))}"

@@ -78,7 +78,8 @@ def _positive_int(text: str, what: str) -> int:
 
 def _write_outputs(built, out_dir: Path):
     try:
-        (out_dir / "atlas.json").write_text(serialize.atlas_json(built))
+        with open(out_dir / "atlas.json", "w") as out:
+            out.writelines(serialize.atlas_json_pieces(built))
         (out_dir / "hasse.dot").write_text(serialize.emit_dot(built))
         (out_dir / "table.txt").write_text(serialize.emit_table(built))
     except OSError as exc:

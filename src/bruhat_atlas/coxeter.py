@@ -28,14 +28,16 @@ of it is again lexicographically first, and ^J W is closed under prefixes, so
 word(w) is the least word(w s_d) + (d,) over the right descents d of w.
 
 Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
-grows the J-minimal elements of a coset x W_S by ascents from x: ^J W and all
-of W (``J`` empty) from the identity, and each fiber x W_K meet ^J W from its
-representative x, its size known before it grows from root heights
-(:meth:`WeylGroup.parabolic_order`).  The element bound of a group limits how
-many elements it materializes, and an enumeration whose closed-form count
-exceeds it is refused before it grows.  The one Bruhat order is
-:func:`galois.lower_sets`, a forward pass over ^J W along the steps that
-``ascend`` memoized while growing it.
+grows the elements of ^J W inside a parabolic subgroup W_S by ascents from
+the identity: ^J W itself, and all of W (``J`` empty), when S holds every
+node.  It lists them in (length, reduced word) order, forms their words as it
+goes and keeps the list, so a build grows ^J W once and reads every fiber off
+it (:func:`atlas.eo_fibers`).  The size of an enumeration is known before it
+grows, from root heights (:meth:`WeylGroup.parabolic_order`): the element
+bound of a group limits how many elements it materializes, and an
+enumeration whose closed-form count exceeds it is refused before it grows.
+The one Bruhat order is :func:`galois.lower_sets`, a forward pass over ^J W
+along the steps that ``ascend`` memoized while growing it.
 """
 
 from __future__ import annotations
@@ -109,10 +111,7 @@ class WeylGroup:
         )
         self._registry: dict[frozenset[int], dict[int, WeylElement]] = {}
         self._count = 0
-        self._subsets: dict[frozenset[int], frozenset[int]] = {}
-        self._orders: dict[frozenset[int], tuple[int, int]] = {}
         self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
-        self._opposite: dict[int, int] | None = None
         self.order = self.parabolic_order(range(n))
 
     # -- element construction ------------------------------------------------
@@ -174,8 +173,8 @@ class WeylGroup:
 
     def reduced_word(self, w: WeylElement) -> tuple[int, ...]:
         """The lexicographically first reduced word of w, kept in ``w.word``.
-        :meth:`ascend` forms the words of what it grows from the identity, so
-        a word asked of an element it has not reached grows ^J W first."""
+        :meth:`ascend` forms the words of what it grows, so a word asked of an
+        element it has not reached grows ^J W first."""
         if w.word is None:
             self.check_ambient(w)
             self.ascend(range(self.n), w.J)
@@ -197,39 +196,26 @@ class WeylGroup:
     # -- parabolic helpers ---------------------------------------------------
 
     def check_subset(self, J) -> frozenset[int]:
-        """J as a frozenset of node ids of this group, refused otherwise.
-
-        The group keeps one validated frozenset per subset and returns it, so
-        a caller that passes it on is answered at once.  The hit is by
-        identity: an equal set need not hold int ids (frozenset({1.0}) ==
-        frozenset({1})), so any other object is checked in full."""
-        if type(J) is frozenset and self._subsets.get(J) is J:
-            return J
+        """J as a frozenset of node ids of this group, refused otherwise: an
+        id must be an int (frozenset({1.0}) == frozenset({1}), but 1.0 is
+        refused) in 0..n-1."""
         J = frozenset(J)
         bad = [i for i in J if not (isinstance(i, int) and 0 <= i < self.n)]
         if bad:
             raise InputError(f"invalid node ids {sorted(bad)} for rank {self.n}")
-        return self._kept(J)
-
-    def _kept(self, S: frozenset[int]) -> frozenset[int]:
-        """The group's one copy of S, a subset of its node ids."""
-        return self._subsets.setdefault(S, S)
+        return J
 
     def _parabolic(self, S) -> tuple[int, int]:
-        """|W_S| and the number of positive roots supported in S, kept by
-        subset."""
+        """|W_S| and the number of positive roots supported in S."""
         S = self.check_subset(S)
-        data = self._orders.get(S)
-        if data is None:
-            num = den = 1
-            count = 0
-            for support, height in self._heights:
-                if support <= S:
-                    num *= height + 1
-                    den *= height
-                    count += 1
-            data = self._orders[S] = (num // den, count)
-        return data
+        num = den = 1
+        count = 0
+        for support, height in self._heights:
+            if support <= S:
+                num *= height + 1
+                den *= height
+                count += 1
+        return num // den, count
 
     def parabolic_order(self, S) -> int:
         """|W_S| = prod (ht a + 1) / ht a over the positive roots a supported
@@ -248,15 +234,13 @@ class WeylGroup:
         is carried along, so it ends as w0^-1 lam = w0 lam = -sum (j + 1)
         omega_j*."""
         J = self.check_subset(J)
-        if self._opposite is None:
-            rho, lam = (1,) * self.n, tuple(range(1, self.n + 1))
-            while (i := next((k for k, c in enumerate(rho) if c > 0), None)) is not None:
-                rho, lam = self._reflect(rho, i), self._reflect(lam, i)
-            star = {-c - 1: k for k, c in enumerate(lam)}
-            if sorted(star) != list(range(self.n)):
-                raise ConsistencyError("w0 did not negate a simple root")
-            self._opposite = star
-        return self._kept(frozenset(self._opposite[j] for j in J))
+        rho, lam = (1,) * self.n, tuple(range(1, self.n + 1))
+        while (i := next((k for k, c in enumerate(rho) if c > 0), None)) is not None:
+            rho, lam = self._reflect(rho, i), self._reflect(lam, i)
+        star = {-c - 1: k for k, c in enumerate(lam)}
+        if sorted(star) != list(range(self.n)):
+            raise ConsistencyError("w0 did not negate a simple root")
+        return frozenset(star[j] for j in J)
 
     # -- automorphisms ---------------------------------------------------------
 
@@ -295,39 +279,38 @@ class WeylGroup:
                 f"representative for J={sorted(J)}, K={sorted(K)}: right descents "
                 f"{right} in K"
             )
-        return self._kept(frozenset(k for k in K if not x.weight[k]))
+        return frozenset(k for k in K if not x.weight[k])
 
-    def ascend(self, gens, J, start: WeylElement | None = None) -> list[WeylElement]:
-        """The elements of start * W_gens with no left descent in J, grown from
-        ``start`` (the identity of ^J W by default), breadth-first by length,
-        each level in the order its elements are first reached: from the level
-        before in its order, by the generators in increasing order.
+    def ascend(self, gens, J) -> list[WeylElement]:
+        """The elements of ^J W that lie in W_gens, grown from the identity of
+        ^J W, breadth-first by length, each level in the order its elements
+        are first reached: from the level before in its order, by the
+        generators in increasing order.  Kept per (gens, J).
 
         ^J W is closed under prefixes, so each level is grown from the one
-        before by the steps with v_i > 0.  ``start`` must lie in ^J W^gens;
-        the result is start * ^{J_s}(W_gens), J_s = ``induced_subset(start, J,
-        gens)`` (Bjorner-Brenti, section 2.4), so its count is |W_gens| /
-        |W_{J_s}|: refused up front past the element bound, and checked once
-        grown.  Grown from the identity, every element's right descents lie
-        in gens, so its words are formed in growth order.
+        before by the steps with v_i > 0.  The result is ^{J_s}(W_gens), J_s =
+        J meet gens, so its count is |W_gens| / |W_{J_s}|: refused up front
+        past the element bound, and checked once grown.  The right descents
+        of an element lie in gens and lead to elements grown before it, so
+        its word, the least word(w s_d) + (d,), is formed in growth order.
+        Induction on the length shows that the list is in (length, reduced
+        word) order: the first parent u of w reached, at the least position
+        of its level, has the least word among w's parents, so word(w) is
+        word(u) + (d,) for the generator d of the step u -> w.
         """
         gens = self.check_subset(gens)
         J = self.check_subset(J)
-        # only start-less calls are kept: a fiber is asked for once, by its caller
-        cache = self._ascend_cache if start is None else {}
-        start = start or self.from_word((), J)
-        J_s = self.induced_subset(start, J, gens)
-        cached = cache.get((gens, J))
+        cached = self._ascend_cache.get((gens, J))
         if cached is None:
-            whole, part = self.parabolic_order(gens), self.parabolic_order(J_s)
+            whole, part = self.parabolic_order(gens), self.parabolic_order(J & gens)
             if whole > self.element_bound * part:
                 raise BoundError(
                     f"enumeration of {whole // part} elements exceeds element "
                     f"bound {self.element_bound}"
                 )
             order = sorted(gens)
-            level = [start]
-            cached = [start]
+            level = [self.from_word((), J)]
+            cached = list(level)
             while level:
                 level = list(dict.fromkeys(
                     w.steps[i] or self.right_mul(w, i)
@@ -336,21 +319,17 @@ class WeylGroup:
                 cached.extend(level)
             if len(cached) * part != whole:
                 raise ConsistencyError(
-                    f"ascent over {sorted(gens)} from {self._name(start)} "
-                    f"found {len(cached)} elements with no left descent in {sorted(J)}; "
-                    "the closed form disagrees"
+                    f"ascent over {sorted(gens)} found {len(cached)} elements with "
+                    f"no left descent in {sorted(J)}; the closed form disagrees"
                 )
-            if cache is self._ascend_cache:  # grown from the identity
-                # word(w) is the least word(w s_d) + (d,) over the right
-                # descents d of w (module docstring); they lie in gens, and
-                # each w s_d was grown before w, its step back kept on w
-                for w in cached:
-                    if w.word is None:
-                        steps = w.steps
-                        w.word = min(
-                            [steps[d].word + (d,) for d, c in enumerate(w.weight) if c < 0]
-                        )
-            cache[(gens, J)] = cached
+            # each w s_d was grown before w, its step back kept on w
+            for w in cached:
+                if w.word is None:
+                    steps = w.steps
+                    w.word = min(
+                        [steps[d].word + (d,) for d, c in enumerate(w.weight) if c < 0]
+                    )
+            self._ascend_cache[(gens, J)] = cached
         return cached
 
     def elements(self) -> list[WeylElement]:

@@ -44,7 +44,11 @@ def definition_degree(J, phi: DiagramAutomorphism) -> int:
 def galois_orbits(
     group: WeylGroup, elements: list[WeylElement], generator: DiagramAutomorphism
 ) -> list[list[WeylElement]]:
-    """Partition ``elements`` into orbits of the cyclic group of ``generator``."""
+    """Partition ``elements`` into orbits of the cyclic group of ``generator``,
+    each orbit starting at its first member in ``elements``.  Given ^J W^K in
+    (length, reduced word) order, as :func:`atlas.eo_fibers` keys it, that
+    member is the orbit's least, and the orbits come in (length,
+    representative word) order."""
     pool = set(elements)
     orbits = []
     for w in elements:
@@ -74,8 +78,8 @@ class OrbitPoset(Record):
     Orbit a lies below orbit b when some member of a sits below some member
     of b.  ``below[b]`` is that relation as a bitmask over orbit ids (bit a
     set when a <= b, bit b always set), and ``covers`` lists its covering
-    pairs (a, b), sorted.  Orbits are sorted by (common length,
-    representative word) and each representative is the member with the
+    pairs (a, b), sorted.  Orbits keep the order they are given in, which
+    must be by length, and each representative is the member with the
     smallest reduced word.
     """
 
@@ -154,7 +158,9 @@ def _covers(below: list[int]) -> list[tuple[int, int]]:
 
 
 def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPoset:
-    """Quotient the Bruhat order on ^J W by the orbit partition."""
+    """Quotient the Bruhat order on ^J W by the orbit partition, the orbits
+    taken in the order given; ``_covers`` refuses an order in which an orbit
+    lies below one listed before it."""
     for orbit in orbits:
         for w in orbit:
             if w.length != orbit[0].length:
@@ -164,7 +170,6 @@ def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPo
                     f"has length {orbit[0].length}"
                 )
     ordered = [sorted(orbit, key=group.reduced_word) for orbit in orbits]
-    ordered.sort(key=lambda o: (o[0].length, group.reduced_word(o[0])))
     reps = [o[0] for o in ordered]
     # equivariance of the action lets one side be pinned to the rep
     down = lower_sets(group, J, {w: 1 << a for a, o in enumerate(ordered) for w in o})

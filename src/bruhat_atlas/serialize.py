@@ -13,15 +13,17 @@ Case files are JSON documents:
 Elements are serialized as their deterministic reduced words, so every
 document re-parses to the same canonical elements.  ``atlas.json`` is exactly
 what ``json.dumps(atlas_to_dict(atlas), indent=2)`` returns, plus a final
-newline.  :func:`atlas_json` writes it from that fixed schema: the header
-values and notes go through ``json.dumps`` (so escaping is json's own), each
-stratum is one f-string, and every integer list (reduced words, closures,
-poset edges) is one ``join`` over decimal labels built once per atlas.
+newline.  :func:`atlas_json_pieces` forms it, piece by piece, from that fixed
+schema: the header values and notes go through ``json.dumps`` (so escaping is
+json's own), each stratum is one f-string, and every integer list (reduced
+words, closures, poset edges) is one ``join`` over decimal labels built once
+per atlas.  The command line writes the pieces as they come.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 from .atlas import Atlas, PELCase
 from .errors import InputError
@@ -232,31 +234,36 @@ def _stratum(labels: list[str], word, sid: int, s) -> str:
     )
 
 
-def atlas_json(atlas: Atlas) -> str:
-    """``json.dumps(atlas_to_dict(atlas), indent=2)`` plus a final newline,
-    written from the schema: one f-string per stratum, one ``join`` per
-    list, and one ``join`` of all the pieces."""
+def atlas_json_pieces(atlas: Atlas) -> Iterator[str]:
+    """The pieces of atlas.json in order, written from the schema: one
+    f-string per stratum and one ``join`` per list.  They are formed one at a
+    time, so a writer holds at most one stratum's text."""
     _, nl1, nl2, nl3, _, _ = _LINES
     labels = _labels(atlas)
     word = atlas.group.reduced_word
-    out = ["{"]
+    yield "{"
     for key, value in _header(atlas).items():
-        out.append(f'{nl1}"{key}": {_dumps(value, 1)},')
-    out.append(f'{nl1}"strata": [')
+        yield f'{nl1}"{key}": {_dumps(value, 1)},'
+    yield f'{nl1}"strata": ['
     # an atlas has at least one stratum, the one of the identity
     for sid, s in enumerate(atlas.strata):
         if sid:
-            out.append(",")
-        out.append(_stratum(labels, word, sid, s))
-    out.append(f'{nl1}],{nl1}"poset_edges": ')
+            yield ","
+        yield _stratum(labels, word, sid, s)
+    yield f'{nl1}],{nl1}"poset_edges": '
     covers = atlas.orbit_poset.covers  # the pairs that hasse_edges lists
-    out.append(
+    yield (
         _list((f"[{nl3}{labels[a]},{nl3}{labels[b]}{nl2}]" for a, b in covers), 1)
         if covers
         else "[]"
     )
-    out.append(f',{nl1}"notes": {_dumps(atlas.notes, 1)}\n}}\n')
-    return "".join(out)
+    yield f',{nl1}"notes": {_dumps(atlas.notes, 1)}\n}}\n'
+
+
+def atlas_json(atlas: Atlas) -> str:
+    """``json.dumps(atlas_to_dict(atlas), indent=2)`` plus a final newline:
+    the join of :func:`atlas_json_pieces`."""
+    return "".join(atlas_json_pieces(atlas))
 
 
 def hasse_edges(atlas: Atlas) -> list[list[int]]:

@@ -9,7 +9,7 @@ from bruhat_atlas.atlas import (
     build_atlas,
     derive_J,
     derive_K,
-    eo_fiber,
+    eo_fibers,
     moduli_dimension,
     mu_ordinary_report,
     siegel_case,
@@ -84,14 +84,14 @@ class TestDeriveJK:
 class TestFiberAndDimension:
     def test_saturated_fiber_is_singleton(self, c2):
         e = c2.from_word((), {0})
-        assert eo_fiber(c2, e, {0}, {0}) == [e]
+        assert eo_fibers(c2, {0}, {0})[e] == [e]
 
     def test_c2_siegel_middle_fiber(self, c2):
-        fiber = eo_fiber(c2, c2.from_word([1], {0}), {0}, {0})
+        fiber = eo_fibers(c2, {0}, {0})[c2.from_word([1], {0})]
         assert [w.length for w in fiber] == [1, 2]
 
     def test_a2_identity_fiber(self, a2):
-        fiber = eo_fiber(a2, a2.from_word((), {0}), {0}, {1})
+        fiber = eo_fibers(a2, {0}, {1})[a2.from_word((), {0})]
         assert [w.length for w in fiber] == [0, 1]
 
     def test_fibers_partition_left_reps(self):
@@ -99,8 +99,10 @@ class TestFiberAndDimension:
             g = group_of(name)
             left = set(left_reps(g, J))
             seen = set()
+            fibers = eo_fibers(g, J, K)
+            assert list(fibers) == double_reps(g, J, K)
             for x in double_reps(g, J, K):
-                fiber = set(eo_fiber(g, x, J, K))
+                fiber = set(fibers[x])
                 assert fiber <= left
                 assert not (fiber & seen)
                 seen |= fiber
@@ -112,7 +114,7 @@ class TestFiberAndDimension:
          ((("D", 4),), {1}, {0, 3}), ((("A", 1), ("A", 2)), {1}, {0, 2})],
     )
     def test_fiber_growth_stays_inside_left_reps(self, monkeypatch, factors, J, K):
-        # once ^J W is grown, each fiber follows steps it memoized
+        # once ^J W is grown, the fibers follow the steps it memoized
         g = WeylGroup(cartan_from_spec(DynkinSpec(factors)))
         left = left_reps(g, J)
         doubles = double_reps(g, J, K)
@@ -121,16 +123,20 @@ class TestFiberAndDimension:
         monkeypatch.setattr(
             g, "_reflect", lambda weight, i: reflected.append(1) or reflect(weight, i)
         )
-        fibers = [g.ascend(K, J, x) for x in doubles]
+        fibers = eo_fibers(g, J, K)
         assert interned(g) == held and reflected == []
-        assert sum(map(len, fibers)) == len(left)
+        assert list(fibers) == doubles
+        assert sum(map(len, fibers.values())) == len(left)
 
     def test_fiber_of_a_non_representative_is_refused(self, a2, c2):
-        # an element of W is not one of ^J W; s_1 in ^J W has a right descent in K
-        with pytest.raises(InputError, match=r"lies in \^J W for J=\[\], not for J=\[0\]"):
-            eo_fiber(c2, c2.from_word([0]), {0}, {1})
-        with pytest.raises(InputError, match=r"right descents \[1\] in K"):
-            eo_fiber(a2, a2.from_word([1], {0}), {0}, {1})
+        # only ^J W^K keys a fiber: an element of W is not one of ^J W, and
+        # s_1 in ^J W has a right descent in K, so it lies in the fiber of e
+        assert c2.from_word([0]) not in eo_fibers(c2, {0}, {1})
+        fibers = eo_fibers(a2, {0}, {1})
+        s1 = a2.from_word([1], {0})
+        assert s1 not in fibers and s1 in fibers[a2.from_word((), {0})]
+        with pytest.raises(InputError, match=r"invalid node ids \[2\] for rank 2"):
+            eo_fibers(a2, {0}, {2})
 
     def test_moduli_dimension(self, c2, a2):
         assert moduli_dimension(c2, {0, 1}) == 0
@@ -219,33 +225,51 @@ class TestBuildGuards:
     """Faults injected into the engine trip the build's invariant guards,
     which name the representative as a reduced word."""
 
+    @staticmethod
+    def _change_fibers(monkeypatch, change):
+        """Make the build read ``change(x, fiber)`` as the fiber of each x."""
+        fibers_of = atlas_mod.eo_fibers
+        monkeypatch.setattr(
+            atlas_mod, "eo_fibers",
+            lambda group, J, K: {
+                x: change(x, fiber) for x, fiber in fibers_of(group, J, K).items()
+            },
+        )
+
     @pytest.mark.parametrize(
         "fault, word",
         [("ell_JK_off_by_one", "[]"), ("x_upper_claims_x", "[2]")],
     )
     def test_top_element_and_dimension_guard(self, monkeypatch, fault, word):
-        dimension, fiber_of = atlas_mod.stratum_dimension, atlas_mod.eo_fiber
+        dimension = atlas_mod.stratum_dimension
         if fault == "ell_JK_off_by_one":
             monkeypatch.setattr(
                 atlas_mod, "stratum_dimension",
                 lambda group, x, Jx, K: dimension(group, x, Jx, K) + 1,
             )
         else:  # x itself in place of the top element of a fiber with several
-            monkeypatch.setattr(
-                atlas_mod, "eo_fiber",
-                lambda group, x, J, K: [*fiber_of(group, x, J, K)[:-1], x],
-            )
+            self._change_fibers(monkeypatch, lambda x, fiber: [*fiber[:-1], x])
         with pytest.raises(ConsistencyError, match=f"dimension formulas disagree at {re.escape(word)}$"):
             build_atlas(siegel_case(3))
 
+    def test_fiber_size_guard(self, monkeypatch):
+        # each fiber of several loses its representative: its top and the
+        # dimension stay, and only |fiber| |W_{J_x}| = |W_K| is broken
+        self._change_fibers(monkeypatch, lambda x, fiber: fiber[1:] or fiber)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^top element, fiber and dimension formulas disagree at \[2\]$",
+        ):
+            build_atlas(siegel_case(3))
+
     def test_fiber_sizes_guard(self, monkeypatch):
-        fiber_of = atlas_mod.eo_fiber
-
-        def drop_first(group, x, J, K):
-            fiber = fiber_of(group, x, J, K)
-            return fiber[1:] if len(fiber) > 1 else fiber
-
-        monkeypatch.setattr(atlas_mod, "eo_fiber", drop_first)
+        # every fiber has its closed-form size, so the strata cover less than
+        # ^J W only when an orbit is missing: here the one of the identity
+        orbits_of = atlas_mod.galois_orbits
+        monkeypatch.setattr(
+            atlas_mod, "galois_orbits",
+            lambda group, elements, generator: orbits_of(group, elements, generator)[1:],
+        )
         with pytest.raises(ConsistencyError, match="fiber sizes do not add up"):
             build_atlas(siegel_case(3))
 
@@ -265,11 +289,7 @@ class TestBuildGuards:
         # a fiber is single exactly when it has one element, so the guard
         # that covers it is the one on the top: a second element of the top
         # length is refused, here on the single fiber of the identity
-        fiber_of = atlas_mod.eo_fiber
-        monkeypatch.setattr(
-            atlas_mod, "eo_fiber",
-            lambda group, x, J, K: [*fiber_of(group, x, J, K), fiber_of(group, x, J, K)[-1]],
-        )
+        self._change_fibers(monkeypatch, lambda x, fiber: [*fiber, fiber[-1]])
         with pytest.raises(
             ConsistencyError,
             match=r"top element, fiber and dimension formulas disagree at \[\]$",
@@ -446,7 +466,43 @@ def test_fibers_are_not_cached_and_start_less_ascents_are():
     atlas = build_atlas(parse_case(corpus_preset("gu:4,3:inert")))
     g = atlas.group
     assert verify_atlas(atlas).passed
-    # only ^J W, no fiber; the oracle enumerates W on keys, not by ascend
+    # only ^J W, whose growth the fibers are read off; the oracle enumerates
+    # W on keys, not by ascend
     full = frozenset(range(g.n))
     assert set(g._ascend_cache) == {(full, atlas.J)}
     assert left_reps(g, atlas.J) is left_reps(g, atlas.J)
+
+
+@pytest.mark.parametrize("preset", ["siegel:4", "gu:4,3:inert", "gu:5,4:split", "hilbert:6"])
+def test_a_build_grows_jw_once_and_reads_the_fibers_off_it(preset, monkeypatch):
+    # gu:4,3:inert and hilbert:6 have orbits of several members, whose
+    # fibers the oracle reads from the same pass
+    misses = []
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            if value is None:
+                misses.append(key)
+            return value
+
+    init = WeylGroup.__init__
+
+    def init_counted(self, *args):
+        init(self, *args)
+        self._ascend_cache = Counted()
+
+    monkeypatch.setattr(WeylGroup, "__init__", init_counted)
+    atlas = build_atlas(parse_case(corpus_preset(preset)))
+    g = atlas.group
+    assert misses == [(frozenset(range(g.n)), atlas.J)] and len(g._ascend_cache) == 1
+    calls = []
+    for name in ("right_mul", "_intern"):
+        method = getattr(g, name)
+        monkeypatch.setattr(
+            g, name, lambda *args, _name=name, _method=method: calls.append(_name) or _method(*args)
+        )
+    fibers = atlas_mod.eo_fibers(g, atlas.J, atlas.K)
+    assert calls == [] and len(misses) == 1
+    assert [fibers[s.rep] for s in atlas.strata] == [s.eo_fiber for s in atlas.strata]
+    assert sum(map(len, fibers.values())) == len(left_reps(g, atlas.J))

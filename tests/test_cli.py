@@ -14,6 +14,8 @@ from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.rootdata import cartan_from_spec
 from bruhat_atlas.serialize import (
+    atlas_json,
+    atlas_json_pieces,
     atlas_to_dict,
     case_to_dict,
     emit_dot,
@@ -119,6 +121,15 @@ class TestSerialization:
         dot = emit_dot(atlas)
         assert dot.count("->") == len(edges)
         assert dot.startswith("digraph")
+
+    @pytest.mark.parametrize("preset", ["siegel:3", "gu:4,3:inert", "hilbert:6"])
+    def test_atlas_json_is_written_one_stratum_at_a_time(self, preset, tmp_path):
+        assert main(["--out", str(tmp_path), "corpus", preset]) == 0
+        atlas = build_atlas(parse_case(corpus_preset(preset)))
+        pieces = list(atlas_json_pieces(atlas))
+        assert (tmp_path / "atlas.json").read_text() == "".join(pieces) == atlas_json(atlas)
+        # each stratum is a piece of its own, from its line break on
+        assert sum(p.startswith('\n    {\n      "id": ') for p in pieces) == len(atlas.strata)
 
     def test_table_shape(self):
         atlas = build_atlas(siegel_case(2))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from bruhat_atlas.atlas import eo_fiber, stratum_dimension
+from bruhat_atlas.atlas import eo_fibers, stratum_dimension
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import brute_double_cosets, brute_interval, brute_min_left_reps
@@ -157,21 +157,21 @@ class TestHowlett:
         # J_e = K, so the fiber of e is e alone
         e = c2.from_word((), {0})
         assert c2.induced_subset(e, {0}, {0}) == {0}
-        assert eo_fiber(c2, e, {0}, {0}) == [e]
+        assert eo_fibers(c2, {0}, {0})[e] == [e]
         assert stratum_dimension(c2, e, {0}, {0}) == 0
 
     def test_a2_x_lower(self, a2):
         # J_e is empty inside K = {1}, so the fiber of e is W_K = {e, s1}
         e = a2.from_word((), {0})
         assert a2.induced_subset(e, {0}, {1}) == set()
-        assert eo_fiber(a2, e, {0}, {1})[-1] is a2.from_word([1], {0})
+        assert eo_fibers(a2, {0}, {1})[e][-1] is a2.from_word([1], {0})
         assert stratum_dimension(a2, e, set(), {1}) == 1
 
     def test_c2_siegel_x_lower(self, c2):
         # s1(alpha_0) is not simple, so J_x is empty and the fiber is s1 * W_K
         s1 = c2.from_word([1], {0})
         assert c2.induced_subset(s1, {0}, {0}) == set()
-        assert eo_fiber(c2, s1, {0}, {0})[-1] is c2.from_word([1, 0], {0})
+        assert eo_fibers(c2, {0}, {0})[s1][-1] is c2.from_word([1, 0], {0})
 
     def test_c2_siegel_x_upper(self, c2):
         for word, Jx, top, length in [
@@ -181,7 +181,7 @@ class TestHowlett:
         ]:
             x = c2.from_word(word, {0})
             assert c2.induced_subset(x, {0}, {0}) == Jx
-            fiber = eo_fiber(c2, x, {0}, {0})
+            fiber = eo_fibers(c2, {0}, {0})[x]
             assert c2.reduced_word(fiber[-1]) == top
             assert stratum_dimension(c2, x, Jx, {0}) == length
             assert howlett_top(c2, x, {0}, {0}) == key_of(c2, fiber[-1])
@@ -202,9 +202,10 @@ class TestHowlett:
                 J = frozenset(i for i in nodes if jbits[i])
                 for kbits in itertools.product([0, 1], repeat=g.n):
                     K = frozenset(i for i in nodes if kbits[i])
+                    fibers = eo_fibers(g, J, K)
                     for x in double_reps(g, J, K):
                         Jx = g.induced_subset(x, J, K)
-                        fiber = eo_fiber(g, x, J, K)
+                        fiber = fibers[x]
                         dim = stratum_dimension(g, x, Jx, K)
                         assert [w.length for w in fiber].count(dim) == 1
                         assert fiber[-1].length == dim
@@ -276,6 +277,7 @@ class TestAscentGrowth:
         for K in subsets(range(g.n)):
             W_K = [key_of(g, w) for w in g.elements() if set(g.reduced_word(w)) <= K]
             for J in subsets(range(g.n)):
+                fibers = eo_fibers(g, J, K)
                 for x in double_reps(g, J, K):
                     Jx = g.induced_subset(x, J, K)
                     reps = [y for y in W_K if not left_descent_in(g, y, Jx)]
@@ -283,7 +285,7 @@ class TestAscentGrowth:
                         (keys.product(key_of(g, x), y) for y in reps),
                         key=lambda v: (key_length(g, v), keys.peel(v)),
                     )
-                    assert [key_of(g, w) for w in eo_fiber(g, x, J, K)] == products
+                    assert [key_of(g, w) for w in fibers[x]] == products
 
 
 class TestConjugationByKey:
