@@ -111,7 +111,7 @@ def eo_fibers(group: WeylGroup, J, K) -> dict[WeylElement, list[WeylElement]]:
     ^J W^K and starts its own fiber."""
     K = sorted(group.check_subset(K))
     fibers, home = {}, {}
-    for w in group.ascend(range(group.n), J):
+    for w in group.ascend(J):
         k = next((k for k in K if w.weight[k] < 0), None)
         fiber = home[w] = fibers.setdefault(w, []) if k is None else home[w.steps[k]]
         fiber.append(w)
@@ -181,7 +181,7 @@ def build_atlas(case: PELCase) -> Atlas:
     if generator.apply_subset(J) != J or generator.apply_subset(K) != K:
         raise ConsistencyError("stabilized types are not fixed by phi^d")
 
-    left_reps = group.ascend(range(group.n), J)
+    left_reps = group.ascend(J)
     fibers = eo_fibers(group, J, K)
     double_reps = list(fibers)
 
@@ -205,7 +205,7 @@ def build_atlas(case: PELCase) -> Atlas:
         if not one_top or len(fiber) * group.parabolic_order(Jx) != order_K:
             raise ConsistencyError(
                 "top element, fiber and dimension formulas disagree at "
-                f"{list(group.reduced_word(rep))}"
+                f"{list(rep.word)}"
             )
         closure = poset.ids_below(sid)
         is_max = rep.length == top_length
@@ -296,7 +296,7 @@ def siegel_identify(g: int, **options) -> SiegelIdentification:
         raise ConsistencyError(f"dimension multiset {got} != {expected}")
     entries = sorted(
         (
-            {"a": s.siegel_a, "dim": s.dim, "rep": atlas.group.reduced_word(s.rep)}
+            {"a": s.siegel_a, "dim": s.dim, "rep": s.rep.word}
             for s in atlas.strata
         ),
         key=lambda e: e["a"],

@@ -44,10 +44,10 @@ def corpus_preset(name: str, element_bound: int = DEFAULT_BOUND) -> dict:
     if kind == "gu":
         if len(parts) != 3 or parts[2] not in ("inert", "split"):
             raise InputError("expected gu:<r>,<s>:inert|split")
-        try:
-            r, s = (int(v) for v in parts[1].split(","))
-        except ValueError as exc:
-            raise InputError(f"bad signature {parts[1]!r}") from exc
+        signature = parts[1].split(",")
+        if len(signature) != 2:
+            raise InputError(f"bad signature {parts[1]!r}")
+        r, s = (_decimal(v, "signature") for v in signature)
         if r < 0 or s < 0 or r + s < 2:
             raise InputError("signature needs r + s >= 2")
         n = r + s - 1  # diagram rank of the unitary case
@@ -66,11 +66,20 @@ def corpus_preset(name: str, element_bound: int = DEFAULT_BOUND) -> dict:
     raise InputError(f"unknown preset {name!r}")
 
 
-def _positive_int(text: str, what: str) -> int:
+def _decimal(text: str, what: str) -> int:
+    """``text`` as an int when it is ASCII decimal digits only: int() alone
+    also takes signs, spaces, underscores and other scripts' digits.  A
+    numeral past int's digit limit is refused too."""
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(f"bad {what} {text!r}")
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise InputError(f"bad {what} {text!r}") from exc
+
+
+def _positive_int(text: str, what: str) -> int:
+    value = _decimal(text, what)
     if value < 1:
         raise InputError(f"{what} must be >= 1")
     return value
@@ -149,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus = sub.add_parser("corpus", help="run a named preset")
     p_corpus.add_argument("preset")
     p_siegel = sub.add_parser("siegel", help="print the a-number identification")
-    p_siegel.add_argument("genus", type=int)
+    p_siegel.add_argument("genus")
     return parser
 
 
@@ -177,7 +186,8 @@ def main(argv=None) -> int:
             doc = corpus_preset(args.preset, bound)
             return _run_case(doc, out_dir, args.verify, **overrides)
         # siegel: the parser admits no other command
-        ident = atlas_mod.siegel_identify(args.genus, **overrides)
+        genus = _decimal(args.genus, "genus")
+        ident = atlas_mod.siegel_identify(genus, **overrides)
         print(f"genus {ident.g}: {len(ident.entries)} strata")
         print(f"{'a':>3}  {'dim':>4}  rep")
         for e in ident.entries:

@@ -19,25 +19,21 @@ Casselman, "Machine calculations in Weyl groups", 1994).  Coordinate i is
 Elements are interned per group and per J, so equal means identical.  The
 registry keys a weight by the integer sum v_k R^k, R = 2N + 1: each |v_k| is
 at most the height of a coroot, so at most N, the digits are balanced and the
-key is exact, and a step moves it by v_i times the key of alpha_i.  Each
-element keeps its length, handed on by the step that forms it, its right
-steps and its reduced word.  A step is memoized both ways: forming u = w s_i
-records u on w and w on u.  The canonical word is the lexicographically first
-reduced word, the one that peels the smallest left descent first.  A prefix
-of it is again lexicographically first, and ^J W is closed under prefixes, so
-word(w) is the least word(w s_d) + (d,) over the right descents d of w.
+key is exact, and a step moves it by v_i times the key of alpha_i.
 
-Every enumeration comes from one routine, :meth:`WeylGroup.ascend`, which
-grows the elements of ^J W inside a parabolic subgroup W_S by ascents from
-the identity: ^J W itself, and all of W (``J`` empty), when S holds every
-node.  It lists them in (length, reduced word) order, forms their words as it
-goes and keeps the list, so a build grows ^J W once and reads every fiber off
-it (:func:`atlas.eo_fibers`).  The size of an enumeration is known before it
-grows, from root heights (:meth:`WeylGroup.parabolic_order`): the element
-bound of a group limits how many elements it materializes, and an
-enumeration whose closed-form count exceeds it is refused before it grows.
-The one Bruhat order is :func:`galois.lower_sets`, a forward pass over ^J W
-along the steps that ``ascend`` memoized while growing it.
+Elements are born in one place, :meth:`WeylGroup.ascend`, which grows all of
+^J W (all of W when J is empty) by ascents from its identity and keeps the
+list.  Each element is born with its length, its reduced word and, once its
+level is grown, its right steps, each kept on both elements it joins; the
+rest of the engine only reads them.  The canonical word is the
+lexicographically first reduced word, the one that peels the smallest left
+descent first.  ``ascend`` lists ^J W in (length, reduced word) order, so a
+build grows it once and reads every fiber off it (:func:`atlas.eo_fibers`).
+Its size |W| / |W_J| is known before it grows, from root heights
+(:meth:`WeylGroup.parabolic_order`): the element bound of a group limits how
+many elements it materializes, and a ^J W whose closed-form count exceeds it
+is refused before it grows.  The one Bruhat order is
+:func:`galois.lower_sets`, a forward pass over ^J W along the kept steps.
 """
 
 from __future__ import annotations
@@ -65,14 +61,13 @@ def check_bound(element_bound, rank: int):
 
 
 class WeylElement:
-    """One element of ^J W; create these through a :class:`WeylGroup` only.
+    """One element of ^J W; only :meth:`WeylGroup.ascend` creates these.
 
     ``weight`` is w^-1 lambda_J (see the module docstring), ``code`` its
     registry key and ``J`` the subset it lives under.  ``steps[i]`` is w s_i,
-    or None until formed or while v_i = 0, where the step stays at w.
-    ``word`` is the reduced word of :meth:`WeylGroup.reduced_word`, or None
-    until formed.  Equality is identity: a group interns one element per J
-    and weight.
+    or None where v_i = 0 and the step stays at w.  ``word`` is the
+    lexicographically first reduced word.  Equality is identity: a group
+    interns one element per J and weight.
     """
 
     __slots__ = ("group", "J", "code", "weight", "length", "steps", "word")
@@ -111,7 +106,7 @@ class WeylGroup:
         )
         self._registry: dict[frozenset[int], dict[int, WeylElement]] = {}
         self._count = 0
-        self._ascend_cache: dict[tuple[frozenset[int], frozenset[int]], list] = {}
+        self._ascend_cache: dict[frozenset[int], list[WeylElement]] = {}
         self.order = self.parabolic_order(range(n))
 
     # -- element construction ------------------------------------------------
@@ -128,12 +123,12 @@ class WeylGroup:
         el = self._registry[J][code] = WeylElement(self, J, code, weight, length)
         return el
 
-    def _lookup(self, J: frozenset[int], weight, length: int) -> WeylElement:
-        """The element of ^J W with ``weight``, interned at ``length`` if new."""
+    def _code(self, weight) -> int:
+        """The registry key of ``weight``: sum v_k R^k."""
         code = 0
         for c in reversed(weight):
             code = code * self._base + c
-        return self._registry[J].get(code) or self._intern(J, code, weight, length)
+        return code
 
     def _reflect(self, weight, i: int) -> tuple[int, ...]:
         """s_i(weight) = weight - weight_i alpha_i."""
@@ -142,56 +137,9 @@ class WeylGroup:
             out[k] -= c * a
         return tuple(out)
 
-    def _name(self, w: WeylElement) -> str:
-        """w as a message names it: its reduced word once formed, else its
-        weight, so that naming w grows nothing."""
-        return str(list(w.word)) if w.word is not None else f"of weight {w.weight}"
-
     def check_ambient(self, w: WeylElement):
         if w.group is not self:
             raise InputError("element belongs to a different ambient group")
-
-    # -- steps and words -------------------------------------------------------
-
-    def right_mul(self, w: WeylElement, i: int) -> WeylElement:
-        """The minimum of W_J w s_i, kept in ``w.steps[i]`` and, as s_i is an
-        involution, w in its ``steps[i]``.  It is w s_i, longer than w, when
-        v_i > 0, and shorter when v_i < 0; it is w itself when v_i = 0."""
-        u = w.steps[i]
-        if u is None:
-            c = w.weight[i]
-            if not c:
-                return w
-            code = w.code - c * self._column_codes[i]
-            length = w.length + 1 if c > 0 else w.length - 1
-            u = self._registry[w.J].get(code) or self._intern(
-                w.J, code, self._reflect(w.weight, i), length
-            )
-            w.steps[i] = u
-            u.steps[i] = w
-        return u
-
-    def reduced_word(self, w: WeylElement) -> tuple[int, ...]:
-        """The lexicographically first reduced word of w, kept in ``w.word``.
-        :meth:`ascend` forms the words of what it grows, so a word asked of an
-        element it has not reached grows ^J W first."""
-        if w.word is None:
-            self.check_ambient(w)
-            self.ascend(range(self.n), w.J)
-        return w.word
-
-    def from_word(self, word, J=()) -> WeylElement:
-        """The minimum of the coset W_J s_i1 ... s_ik, walked from the
-        identity of ^J W, whose weight is lambda_J itself."""
-        J = self.check_subset(J)
-        self._registry.setdefault(J, {})
-        out = self._lookup(J, tuple(0 if j in J else 1 for j in range(self.n)), 0)
-        out.word = ()  # the identity has no descent to form its word from
-        for i in word:
-            if not 0 <= i < self.n:
-                raise InputError(f"letter {i} outside 0..{self.n - 1}")
-            out = out.steps[i] or self.right_mul(out, i)
-        return out
 
     # -- parabolic helpers ---------------------------------------------------
 
@@ -246,16 +194,20 @@ class WeylGroup:
 
     def apply_automorphism(self, phi: DiagramAutomorphism, w: WeylElement) -> WeylElement:
         """phi(w) for w in ^J W with phi(J) = J: phi(v)_phi(i) = v_i, at the
-        same length, since phi(lambda_J) = lambda_J."""
+        same length, since phi(lambda_J) = lambda_J.  phi(v) lies in the
+        W-orbit of phi(lambda_J) = lambda_phi(J), and the W-orbits of distinct
+        dominant weights are disjoint (Humphreys, section 1.12), so it is in
+        the registry of J, which ``ascend`` filled, exactly when phi(J) = J."""
         p = phi.perm
         if len(p) != self.n:
             raise InputError("automorphism rank mismatch")
-        if phi.apply_subset(w.J) != w.J:
-            raise InputError(f"automorphism moves J={sorted(w.J)}")
         weight = [0] * self.n
         for i, c in zip(p, w.weight):
             weight[i] = c
-        return self._lookup(w.J, tuple(weight), w.length)
+        image = self._registry[w.J].get(self._code(weight))
+        if image is None:
+            raise InputError(f"automorphism moves J={sorted(w.J)}")
+        return image
 
     # -- enumeration -----------------------------------------------------------
 
@@ -269,70 +221,69 @@ class WeylGroup:
         self.check_ambient(x)
         if x.J != J:
             raise InputError(
-                f"element {self._name(x)} lies in ^J W for J={sorted(x.J)}, "
+                f"element {list(x.word)} lies in ^J W for J={sorted(x.J)}, "
                 f"not for J={sorted(J)}"
             )
         right = sorted(k for k in K if x.weight[k] < 0)
         if right:
             raise InputError(
-                f"element {self._name(x)} is not a minimal double "
+                f"element {list(x.word)} is not a minimal double "
                 f"representative for J={sorted(J)}, K={sorted(K)}: right descents "
                 f"{right} in K"
             )
         return frozenset(k for k in K if not x.weight[k])
 
-    def ascend(self, gens, J) -> list[WeylElement]:
-        """The elements of ^J W that lie in W_gens, grown from the identity of
-        ^J W, breadth-first by length, each level in the order its elements
-        are first reached: from the level before in its order, by the
-        generators in increasing order.  Kept per (gens, J).
+    def ascend(self, J) -> list[WeylElement]:
+        """^J W, grown from its identity lambda_J, breadth-first by length,
+        each level in the order its elements are first reached: from the
+        level before in its order, by the nodes in increasing order.  Kept
+        per J; the only place where elements are born.
 
         ^J W is closed under prefixes, so each level is grown from the one
-        before by the steps with v_i > 0.  The result is ^{J_s}(W_gens), J_s =
-        J meet gens, so its count is |W_gens| / |W_{J_s}|: refused up front
-        past the element bound, and checked once grown.  The right descents
-        of an element lie in gens and lead to elements grown before it, so
-        its word, the least word(w s_d) + (d,), is formed in growth order.
-        Induction on the length shows that the list is in (length, reduced
-        word) order: the first parent u of w reached, at the least position
-        of its level, has the least word among w's parents, so word(w) is
-        word(u) + (d,) for the generator d of the step u -> w.
+        before by the steps with v_i > 0.  Each step is kept on both elements
+        it joins, so once grown, ``steps[i]`` is set exactly where v_i != 0.
+        The count is |W| / |W_J|: refused up front past the element bound,
+        and checked once grown.  Induction on the length shows that the list
+        is in (length, reduced word) order: the first parent u of w reached,
+        at the least position of its level, has the least word among w's
+        parents, so word(w) is word(u) + (d,) for the node d of the step u ->
+        w, and it is set when w is born.
         """
-        gens = self.check_subset(gens)
         J = self.check_subset(J)
-        cached = self._ascend_cache.get((gens, J))
+        cached = self._ascend_cache.get(J)
         if cached is None:
-            whole, part = self.parabolic_order(gens), self.parabolic_order(J & gens)
-            if whole > self.element_bound * part:
+            part = self.parabolic_order(J)
+            if self.order > self.element_bound * part:
                 raise BoundError(
-                    f"enumeration of {whole // part} elements exceeds element "
+                    f"enumeration of {self.order // part} elements exceeds element "
                     f"bound {self.element_bound}"
                 )
-            order = sorted(gens)
-            level = [self.from_word((), J)]
-            cached = list(level)
+            registry = self._registry[J] = {}
+            weight = tuple(0 if j in J else 1 for j in range(self.n))
+            identity = self._intern(J, self._code(weight), weight, 0)
+            identity.word = ()
+            cached, level = [identity], [identity]
             while level:
-                level = list(dict.fromkeys(
-                    w.steps[i] or self.right_mul(w, i)
-                    for w in level for i in order if w.weight[i] > 0
-                ))
-                cached.extend(level)
-            if len(cached) * part != whole:
+                born = []
+                for w in level:
+                    for i, c in enumerate(w.weight):
+                        if c > 0:
+                            code = w.code - c * self._column_codes[i]
+                            u = registry.get(code)
+                            if u is None:
+                                u = self._intern(
+                                    J, code, self._reflect(w.weight, i), w.length + 1
+                                )
+                                u.word = w.word + (i,)
+                                born.append(u)
+                            w.steps[i] = u
+                            u.steps[i] = w
+                cached.extend(born)
+                level = born
+            if len(cached) * part != self.order:
                 raise ConsistencyError(
-                    f"ascent over {sorted(gens)} found {len(cached)} elements with "
-                    f"no left descent in {sorted(J)}; the closed form disagrees"
+                    f"ascent found {len(cached)} elements with no left descent in "
+                    f"{sorted(J)}; the closed form disagrees"
                 )
-            # each w s_d was grown before w, its step back kept on w
-            for w in cached:
-                if w.word is None:
-                    steps = w.steps
-                    w.word = min(
-                        [steps[d].word + (d,) for d, c in enumerate(w.weight) if c < 0]
-                    )
-            self._ascend_cache[(gens, J)] = cached
+            self._ascend_cache[J] = cached
         return cached
-
-    def elements(self) -> list[WeylElement]:
-        """All elements, breadth-first by length, in first-reached order
-        within a level."""
-        return self.ascend(range(self.n), ())

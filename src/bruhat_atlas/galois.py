@@ -5,7 +5,8 @@ generated by phi^d, where d is the smallest power of the Frobenius diagram
 symmetry fixing J.  Only that cyclic action on a finite set is ever needed.
 
 The orbit order comes from one forward pass over ^J W, the elements with no
-left descent in J, in the length order :meth:`WeylGroup.ascend` grows it in.
+left descent in J, in the length order :meth:`WeylGroup.ascend` grows it in,
+along the steps it kept on each element; the pass forms no element.
 Let w be reached first as w = us, an ascent of u inside ^J W (coordinate s of
 u's weight positive).  Every element of ^J W below w lies below some member
 of the generating set
@@ -25,6 +26,7 @@ element-wide intervals.  The covering pairs are reduced once, on bitmasks.
 from __future__ import annotations
 
 from itertools import compress
+from operator import attrgetter
 
 from .coxeter import WeylElement, WeylGroup
 from .errors import ConsistencyError
@@ -61,8 +63,7 @@ def galois_orbits(
             if current not in pool:
                 raise ConsistencyError(
                     "element set is not stable under the generator: the image "
-                    f"{list(group.reduced_word(current))} of "
-                    f"{list(group.reduced_word(orbit[-1]))} is not among the "
+                    f"{list(current.word)} of {list(orbit[-1].word)} is not among the "
                     "elements left; J/K bookkeeping is inconsistent"
                 )
             orbit.append(current)
@@ -115,11 +116,11 @@ def lower_sets(
 
     One pass over ^J W in length order carries each element's generating set
     (module docstring), at most length(w) elements, and drops it once
-    down(w) is formed.  It steps only by the ascents that grew ^J W, so once
-    ^J W has been grown it forms and interns nothing.
+    down(w) is formed.  It reads only the steps that ``ascend`` kept, so
+    beyond growing ^J W once it forms and interns nothing.
     """
     nodes = range(group.n)
-    jw = group.ascend(nodes, J)
+    jw = group.ascend(J)
     gens = {jw[0]: ()}
     down = {}
     for u in jw:
@@ -165,11 +166,10 @@ def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPo
         for w in orbit:
             if w.length != orbit[0].length:
                 raise ConsistencyError(
-                    f"orbit members have distinct lengths: {list(group.reduced_word(w))} "
-                    f"has length {w.length}, {list(group.reduced_word(orbit[0]))} "
-                    f"has length {orbit[0].length}"
+                    f"orbit members have distinct lengths: {list(w.word)} has length "
+                    f"{w.length}, {list(orbit[0].word)} has length {orbit[0].length}"
                 )
-    ordered = [sorted(orbit, key=group.reduced_word) for orbit in orbits]
+    ordered = [sorted(orbit, key=attrgetter("word")) for orbit in orbits]
     reps = [o[0] for o in ordered]
     # equivariance of the action lets one side be pinned to the rep
     down = lower_sets(group, J, {w: 1 << a for a, o in enumerate(ordered) for w in o})

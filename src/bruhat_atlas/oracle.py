@@ -225,10 +225,10 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     keys = RootKeys(group)
 
     def word(w) -> list[int]:
-        return list(group.reduced_word(w))
+        return list(w.word)
 
     def key(w) -> bytes:
-        return keys.of_word(group.reduced_word(w))
+        return keys.of_word(w.word)
 
     def check(name: str, counterexamples):
         ce = next(iter(counterexamples), None)
@@ -296,7 +296,7 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     orbits = [[key(w) for w in orbit] for orbit in poset.orbits]
     brute_leq = []  # brute_leq[b][a]: some member of orbit a is below rep b
     for rep in poset.reps:
-        interval = brute_interval(keys, group.reduced_word(rep))
+        interval = brute_interval(keys, rep.word)
         brute_leq.append([not interval.isdisjoint(orbit) for orbit in orbits])
     check(
         "closure_order",

@@ -150,17 +150,16 @@ def _header(atlas: Atlas) -> dict:
 def atlas_to_dict(atlas: Atlas) -> dict:
     """The atlas.json document as a dict: the schema that :func:`atlas_json`
     writes."""
-    word = atlas.group.reduced_word
     strata = []
     for sid, s in enumerate(atlas.strata):
         strata.append(
             {
                 "id": sid,
-                "rep": word(s.rep),
-                "orbit": [word(w) for w in s.orbit],
+                "rep": s.rep.word,
+                "orbit": [w.word for w in s.orbit],
                 "dim": s.dim,
                 "codim": s.codim,
-                "eo_fiber": [{"word": word(w), "length": w.length} for w in s.eo_fiber],
+                "eo_fiber": [{"word": w.word, "length": w.length} for w in s.eo_fiber],
                 "single_eo": s.single_eo,
                 "closure": s.closure,
                 "is_maximal": s.is_maximal,
@@ -205,14 +204,14 @@ def _ints(labels: list[str], values, depth: int) -> str:
     return _list(map(labels.__getitem__, values), depth) if values else "[]"
 
 
-def _stratum(labels: list[str], word, sid: int, s) -> str:
+def _stratum(labels: list[str], sid: int, s) -> str:
     """One entry of the atlas.json ``strata`` list, from its line break on."""
     _, _, nl2, nl3, nl4, nl5 = _LINES
     # an orbit holds its representative, and a fiber its representative
-    orbit = _list((_ints(labels, word(w), 4) for w in s.orbit), 3)
+    orbit = _list((_ints(labels, w.word, 4) for w in s.orbit), 3)
     fiber = _list(
         (
-            f'{{{nl5}"word": {_ints(labels, word(w), 5)},{nl5}"length": {w.length}{nl4}}}'
+            f'{{{nl5}"word": {_ints(labels, w.word, 5)},{nl5}"length": {w.length}{nl4}}}'
             for w in s.eo_fiber
         ),
         3,
@@ -222,7 +221,7 @@ def _stratum(labels: list[str], word, sid: int, s) -> str:
     siegel_a = "null" if s.siegel_a is None else s.siegel_a
     return (
         f'{nl2}{{{nl3}"id": {labels[sid]},'
-        f'{nl3}"rep": {_ints(labels, word(s.rep), 3)},'
+        f'{nl3}"rep": {_ints(labels, s.rep.word, 3)},'
         f'{nl3}"orbit": {orbit},'
         f'{nl3}"dim": {s.dim},'
         f'{nl3}"codim": {s.codim},'
@@ -240,7 +239,6 @@ def atlas_json_pieces(atlas: Atlas) -> Iterator[str]:
     time, so a writer holds at most one stratum's text."""
     _, nl1, nl2, nl3, _, _ = _LINES
     labels = _labels(atlas)
-    word = atlas.group.reduced_word
     yield "{"
     for key, value in _header(atlas).items():
         yield f'{nl1}"{key}": {_dumps(value, 1)},'
@@ -249,7 +247,7 @@ def atlas_json_pieces(atlas: Atlas) -> Iterator[str]:
     for sid, s in enumerate(atlas.strata):
         if sid:
             yield ","
-        yield _stratum(labels, word, sid, s)
+        yield _stratum(labels, sid, s)
     yield f'{nl1}],{nl1}"poset_edges": '
     covers = atlas.orbit_poset.covers  # the pairs that hasse_edges lists
     yield (
@@ -279,10 +277,9 @@ def word_label(word) -> str:
 
 def emit_dot(atlas: Atlas) -> str:
     """Hasse diagram of the closure order, one node per stratum."""
-    group = atlas.group
     lines = ["digraph closure {", "  rankdir=BT;"]
     for sid, s in enumerate(atlas.strata):
-        rep = word_label(group.reduced_word(s.rep))
+        rep = word_label(s.rep.word)
         label = f"{rep} / dim {s.dim} / #EO {len(s.eo_fiber)}"
         lines.append(f'  n{sid} [label="{label}"];')
     for a, b in hasse_edges(atlas):
@@ -295,13 +292,12 @@ def emit_table(atlas: Atlas) -> str:
     """Fixed-width text table of the strata; the last column (closure) is
     never empty and is not padded."""
     labels = _labels(atlas)
-    word = atlas.group.reduced_word
     rows = [("id", "rep", "dim", "codim", "#EO", "single-EO", "closure")]
     for sid, s in enumerate(atlas.strata):
         rows.append(
             (
                 labels[sid],
-                word_label(word(s.rep)),
+                word_label(s.rep.word),
                 str(s.dim),
                 str(s.codim),
                 str(len(s.eo_fiber)),

@@ -31,7 +31,7 @@ def keys_of(group: WeylGroup) -> RootKeys:
 
 def key_of(group: WeylGroup, w) -> bytes:
     """The oracle's key of an engine element, through its reduced word."""
-    return keys_of(group).of_word(group.reduced_word(w))
+    return keys_of(group).of_word(w.word)
 
 
 def key_length(group: WeylGroup, key: bytes) -> int:
@@ -40,9 +40,20 @@ def key_length(group: WeylGroup, key: bytes) -> int:
     return sum(1 for r in key[:N] if r >= N)
 
 
+def from_word(group: WeylGroup, word, J=()):
+    """The minimum of the coset W_J s_i1 ... s_ik, walked from the identity of
+    ^J W along the steps that ``ascend`` kept: where v_i = 0 the coset does
+    not move and the walk stays.  It grows ^J W if need be and interns
+    nothing else."""
+    w = group.ascend(J)[0]
+    for i in word:
+        w = w.steps[i] or w
+    return w
+
+
 def left_reps(group: WeylGroup, J) -> list:
     """^J W, the engine's shortest elements of the cosets W_J w."""
-    return group.ascend(range(group.n), J)
+    return group.ascend(J)
 
 
 def double_reps(group: WeylGroup, J, K) -> list:
@@ -53,9 +64,9 @@ def double_reps(group: WeylGroup, J, K) -> list:
 
 def engine_leq(group: WeylGroup):
     """The engine's Bruhat order on all of W: with J empty, ^J W is W, and
-    with each element's index in ``elements()`` as its bit the lower sets of
+    with each element's index in ``ascend(())`` as its bit the lower sets of
     ``lower_sets`` are the Bruhat intervals."""
-    index = {w: i for i, w in enumerate(group.elements())}
+    index = {w: i for i, w in enumerate(group.ascend(()))}
     down = lower_sets(group, frozenset(), {w: 1 << i for w, i in index.items()})
     return lambda x, w: bool(down[w] >> index[x] & 1)
 

@@ -28,7 +28,7 @@ from bruhat_atlas.rootdata import (
     validate_automorphism,
 )
 from bruhat_atlas.serialize import atlas_json, emit_dot, emit_table, parse_case
-from conftest import double_reps, group_of, interned, left_reps
+from conftest import double_reps, from_word, group_of, interned, left_reps
 
 
 def make_case(factors, perm=None, mu=None, J=None, **options):
@@ -83,15 +83,15 @@ class TestDeriveJK:
 
 class TestFiberAndDimension:
     def test_saturated_fiber_is_singleton(self, c2):
-        e = c2.from_word((), {0})
+        e = from_word(c2, (), {0})
         assert eo_fibers(c2, {0}, {0})[e] == [e]
 
     def test_c2_siegel_middle_fiber(self, c2):
-        fiber = eo_fibers(c2, {0}, {0})[c2.from_word([1], {0})]
+        fiber = eo_fibers(c2, {0}, {0})[from_word(c2, [1], {0})]
         assert [w.length for w in fiber] == [1, 2]
 
     def test_a2_identity_fiber(self, a2):
-        fiber = eo_fibers(a2, {0}, {1})[a2.from_word((), {0})]
+        fiber = eo_fibers(a2, {0}, {1})[from_word(a2, (), {0})]
         assert [w.length for w in fiber] == [0, 1]
 
     def test_fibers_partition_left_reps(self):
@@ -131,10 +131,10 @@ class TestFiberAndDimension:
     def test_fiber_of_a_non_representative_is_refused(self, a2, c2):
         # only ^J W^K keys a fiber: an element of W is not one of ^J W, and
         # s_1 in ^J W has a right descent in K, so it lies in the fiber of e
-        assert c2.from_word([0]) not in eo_fibers(c2, {0}, {1})
+        assert from_word(c2, [0]) not in eo_fibers(c2, {0}, {1})
         fibers = eo_fibers(a2, {0}, {1})
-        s1 = a2.from_word([1], {0})
-        assert s1 not in fibers and s1 in fibers[a2.from_word((), {0})]
+        s1 = from_word(a2, [1], {0})
+        assert s1 not in fibers and s1 in fibers[from_word(a2, (), {0})]
         with pytest.raises(InputError, match=r"invalid node ids \[2\] for rank 2"):
             eo_fibers(a2, {0}, {2})
 
@@ -426,10 +426,10 @@ def test_build_and_outputs_intern_the_answer_plus_at_most_3N(preset):
 
 def test_outputs_peel_words_without_interning(monkeypatch):
     # the build forms every word it writes while it grows ^J W, so the
-    # writers read them: no step, no intern and no growth
+    # writers read them: no intern and no growth
     atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
     g = atlas.group
-    calls = {"_intern": 0, "right_mul": 0, "ascend": 0}
+    calls = {"_intern": 0, "ascend": 0}
     for name in calls:
         method = getattr(g, name)
 
@@ -441,7 +441,7 @@ def test_outputs_peel_words_without_interning(monkeypatch):
     for emit in (atlas_json, emit_dot, emit_table):
         emit(atlas)
     assert all(w.word is not None for w in g._registry[atlas.J].values())
-    assert calls == {"_intern": 0, "right_mul": 0, "ascend": 0}
+    assert calls == {"_intern": 0, "ascend": 0}
 
 
 @pytest.mark.parametrize("preset", ["gu:4,3:inert", "hilbert:6"])
@@ -468,8 +468,7 @@ def test_fibers_are_not_cached_and_start_less_ascents_are():
     assert verify_atlas(atlas).passed
     # only ^J W, whose growth the fibers are read off; the oracle enumerates
     # W on keys, not by ascend
-    full = frozenset(range(g.n))
-    assert set(g._ascend_cache) == {(full, atlas.J)}
+    assert set(g._ascend_cache) == {atlas.J}
     assert left_reps(g, atlas.J) is left_reps(g, atlas.J)
 
 
@@ -486,23 +485,23 @@ def test_a_build_grows_jw_once_and_reads_the_fibers_off_it(preset, monkeypatch):
                 misses.append(key)
             return value
 
-    init = WeylGroup.__init__
+    init, intern, born = WeylGroup.__init__, WeylGroup._intern, []
 
     def init_counted(self, *args):
         init(self, *args)
         self._ascend_cache = Counted()
 
     monkeypatch.setattr(WeylGroup, "__init__", init_counted)
+    monkeypatch.setattr(
+        WeylGroup, "_intern", lambda self, *args: born.append(args[1]) or intern(self, *args)
+    )
     atlas = build_atlas(parse_case(corpus_preset(preset)))
     g = atlas.group
-    assert misses == [(frozenset(range(g.n)), atlas.J)] and len(g._ascend_cache) == 1
-    calls = []
-    for name in ("right_mul", "_intern"):
-        method = getattr(g, name)
-        monkeypatch.setattr(
-            g, name, lambda *args, _name=name, _method=method: calls.append(_name) or _method(*args)
-        )
+    # one growth: the cache of J misses once, and each element of ^J W is
+    # interned once
+    assert misses == [atlas.J] and len(g._ascend_cache) == 1
+    assert len(born) == len(set(born)) == len(left_reps(g, atlas.J))
     fibers = atlas_mod.eo_fibers(g, atlas.J, atlas.K)
-    assert calls == [] and len(misses) == 1
+    assert len(born) == len(left_reps(g, atlas.J)) and len(misses) == 1
     assert [fibers[s.rep] for s in atlas.strata] == [s.eo_fiber for s in atlas.strata]
     assert sum(map(len, fibers.values())) == len(left_reps(g, atlas.J))

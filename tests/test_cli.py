@@ -23,7 +23,7 @@ from bruhat_atlas.serialize import (
     hasse_edges,
     parse_case,
 )
-from conftest import DIGESTS, LADDER, benchmark_workloads
+from conftest import DIGESTS, LADDER, benchmark_workloads, from_word
 
 
 A2 = {"group": {"factors": [{"type": "A", "rank": 2}]}}
@@ -60,11 +60,19 @@ class TestPresets:
 
     @pytest.mark.parametrize(
         "bad",
-        ["siegel", "siegel:0", "siegel:x", "hilbert:-1", "gu:2,1", "gu:a,b:inert", "nope:1"],
+        [
+            "siegel", "siegel:0", "siegel:x", "hilbert:-1", "gu:2,1", "gu:a,b:inert", "nope:1",
+            # a number is ASCII decimal digits only, though int() takes more
+            "hilbert:1_0", "siegel:\u0663", "siegel:+3", "siegel: 3", "gu:1_0,1:inert",
+            "gu:4,3,1:inert",
+        ],
     )
-    def test_bad_presets(self, bad):
+    def test_bad_presets(self, bad, capsys):
         with pytest.raises(InputError):
             corpus_preset(bad)
+        # the CLI refuses it in one line, exit 2
+        assert main(["corpus", bad]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestCaseRoundTrip:
@@ -108,9 +116,9 @@ class TestSerialization:
         doc = atlas_to_dict(atlas)
         group = WeylGroup(cartan_from_spec(atlas.case.spec))
         for s_doc, s in zip(doc["strata"], atlas.strata):
-            assert group.from_word(s_doc["rep"], atlas.J).weight == s.rep.weight
+            assert from_word(group, s_doc["rep"], atlas.J).weight == s.rep.weight
             for f_doc, w in zip(s_doc["eo_fiber"], s.eo_fiber):
-                assert group.from_word(f_doc["word"], atlas.J).weight == w.weight
+                assert from_word(group, f_doc["word"], atlas.J).weight == w.weight
                 assert f_doc["length"] == w.length
 
     def test_dot_is_transitive_reduction(self):
@@ -465,6 +473,10 @@ class TestMain:
     def test_siegel_bad_genus(self, capsys):
         assert main(["siegel", "0"]) == 2
         assert capsys.readouterr().err == "error: genus must be >= 1, got 0\n"
+        # a genus is ASCII decimal digits only, though int() takes more
+        for bad in ["1_0", "\u0663", "+3", "-3", " 3", "x"]:
+            assert main(["siegel", bad]) == 2
+            assert capsys.readouterr().err == f"error: bad genus {bad!r}\n"
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,5 @@
 import itertools
-import random
+import re
 import sys
 from functools import lru_cache
 
@@ -18,6 +18,7 @@ from bruhat_atlas.serialize import parse_case
 from conftest import (
     SMALL_GROUPS,
     engine_leq,
+    from_word,
     group_of,
     interned,
     key_length,
@@ -46,29 +47,41 @@ def coroot_length(g: WeylGroup, weight) -> int:
 
 def longest(g: WeylGroup, J=()):
     """The longest element of ^J W, climbed from the identity by ascents."""
-    w = g.from_word((), J)
+    w = g.ascend(J)[0]
     while (i := next((i for i, c in enumerate(w.weight) if c > 0), None)) is not None:
-        w = g.right_mul(w, i)
+        w = w.steps[i]
     return w
 
 
 def s(g: WeylGroup, *word):
     """The element s_i1 ... s_ik of W."""
-    return g.from_word(word)
+    return from_word(g, word)
+
+
+def rho_walk(g: WeylGroup, word) -> tuple[int, ...]:
+    """w^-1 rho for w = s_i1 ... s_ik, rho reflected along the word: W acts
+    simply transitively on the orbit of rho, so this names w in W without
+    interning anything, even where W is past the bound."""
+    v = (1,) * g.n
+    for i in word:
+        v = g._reflect(v, i)
+    return v
 
 
 def left_peel(g: WeylGroup, word) -> list[int]:
     """The reduced word of s_i1 ... s_ik in W that peels the smallest left
-    descent first, read off the lengths of walked words only: i is a left
-    descent when s_i w is shorter, and a reduced word of s_i w is the word
-    with the one letter deleted that walks to it."""
+    descent first, read off walked weights and their coroot lengths only: i
+    is a left descent when s_i w is shorter, and a reduced word of s_i w is
+    the word with the one letter deleted that walks to it."""
     out, word = [], tuple(word)
     while word:
-        i = min(i for i in range(g.n) if g.from_word((i, *word)).length < len(word))
-        target = g.from_word((i, *word))
+        i = min(
+            i for i in range(g.n) if coroot_length(g, rho_walk(g, (i, *word))) < len(word)
+        )
+        target = rho_walk(g, (i, *word))
         out.append(i)
         word = next(
-            c for k in range(len(word)) if g.from_word(c := word[:k] + word[k + 1:]) is target
+            c for k in range(len(word)) if rho_walk(g, c := word[:k] + word[k + 1:]) == target
         )
     return out
 
@@ -76,20 +89,20 @@ def left_peel(g: WeylGroup, word) -> list[int]:
 class TestGroupLaw:
     def test_identity_fixes_roots(self, a2):
         # the identity of W is rho, that of ^J W is lambda_J
-        e = a2.from_word(())
+        e = a2.ascend(())[0]
         assert e.weight == (1, 1) and e.length == 0 and e.word == ()
-        assert a2.from_word((), {0}).weight == (0, 1)
-        assert keys_of(a2).of_word(a2.reduced_word(e)) == keys_of(a2).identity
+        assert a2.ascend({0})[0].weight == (0, 1)
+        assert keys_of(a2).of_word(e.word) == keys_of(a2).identity
 
     def test_identity_idempotent(self, c2):
-        e = c2.from_word(())
-        assert c2.from_word(()) is e and c2.from_word((), ()) is e
+        e = c2.ascend(())[0]
+        assert from_word(c2, ()) is e and c2.ascend([]) is c2.ascend(())
         for i in range(c2.n):
-            assert c2.right_mul(c2.right_mul(e, i), i) is e
+            assert e.steps[i].steps[i] is e
 
     def test_involutions(self, a2):
         for i in range(a2.n):
-            assert s(a2, i, i) is a2.from_word(())
+            assert s(a2, i, i) is a2.ascend(())[0]
 
     def test_braid_a2(self, a2):
         assert s(a2, 0, 1, 0) is s(a2, 1, 0, 1)
@@ -101,12 +114,12 @@ class TestGroupLaw:
         assert w0.weight == (-1, -1)
         keys = keys_of(c2)
         N = keys.N
-        key = keys.of_word(c2.reduced_word(w0))
+        key = keys.of_word(w0.word)
         assert all(key[r] == (r + N) % (2 * N) for r in range(2 * N))
 
     def test_ambient_mismatch(self, a2, c2):
         with pytest.raises(InputError, match="different ambient group"):
-            a2.induced_subset(c2.from_word(()), (), ())
+            a2.induced_subset(c2.ascend(())[0], (), ())
 
     @pytest.mark.parametrize("name", ["A3", "C3", "D4", "A16"])
     def test_key_is_the_root_permutation(self, name):
@@ -114,40 +127,30 @@ class TestGroupLaw:
         # with w alpha_i^vee formed by reflecting alpha_i^vee along the word
         g = group_of(name)
         n = g.n
-        if name == "A16":
-            # W has 17! elements: ^J W for J = {1..15}, and seeded random words
-            J = frozenset(range(1, n))
-            rng = random.Random(16)
-            sample = [
-                g.from_word((rng.randrange(n) for _ in range(rng.randrange(60))), J)
-                for _ in range(200)
-            ]
-        else:
-            J = frozenset()
-            sample = g.elements()
-        for w in sample:
-            word = g.reduced_word(w)
+        # W of A16 has 17! elements, past the bound: ^J W for J = {1..15}
+        J = frozenset(range(1, n) if name == "A16" else ())
+        for w in g.ascend(J):
+            word = w.word
             assert len(word) == w.length == coroot_length(g, w.weight)
             for i in range(n):
                 vec = tuple(int(k == i) for k in range(n))
                 for letter in reversed(word):
                     vec = reflect(dual(g), letter, vec)
                 assert w.weight[i] == sum(c for k, c in enumerate(vec) if k not in J)
-            assert g.from_word(word, J) is w
+            assert from_word(g, word, J) is w
 
     def test_equality_needs_the_same_cartan_matrix(self):
         # elements are interned per group, so equality is identity
         a2, a1a1 = group_of("A2"), group_of("A1xA1")
+        e, f = a2.ascend(())[0], a1a1.ascend(())[0]
         # both are rho = (1, 1) in their own coordinates
-        assert a2.from_word(()).weight == a1a1.from_word(()).weight
-        assert a2.from_word(()) != a1a1.from_word(())
-        assert len({a2.from_word(()), a1a1.from_word(())}) == 2
+        assert e.weight == f.weight and e != f and len({e, f}) == 2
         twin = WeylGroup(a2.cartan)
-        assert twin.from_word(()).weight == a2.from_word(()).weight
-        assert twin.from_word(()) is not a2.from_word(())
+        assert twin.ascend(())[0].weight == e.weight
+        assert twin.ascend(())[0] is not e
         assert len({s(twin, 0), s(a2, 0)}) == 2
-        for w in a2.elements():
-            assert a2.from_word(a2.reduced_word(w)) is w
+        for w in a2.ascend(()):
+            assert from_word(a2, w.word) is w
 
 
 class TestLengthAndDescents:
@@ -159,7 +162,7 @@ class TestLengthAndDescents:
         assert longest(c2).length == c2.longest_length(range(2)) == len(c2.pos_roots) == 4
 
     def test_descents_of_identity(self, a2):
-        assert all(c > 0 for c in a2.from_word(()).weight)
+        assert all(c > 0 for c in a2.ascend(())[0].weight)
         assert keys_of(a2).peel(keys_of(a2).identity) == []
 
     def test_right_descents_s0s1(self, a2):
@@ -182,11 +185,10 @@ class TestLengthAndDescents:
     def test_generator_multiplication_steps_by_one(self):
         for name in ["A3", "C3", "A1xA1"]:
             g = group_of(name)
-            for w in g.elements():
-                word = g.reduced_word(w)
+            for w in g.ascend(()):
                 for i in range(g.n):
-                    assert abs(g.right_mul(w, i).length - w.length) == 1
-                    assert abs(g.from_word((i, *word)).length - w.length) == 1
+                    assert abs(w.steps[i].length - w.length) == 1
+                    assert abs(from_word(g, (i, *w.word)).length - w.length) == 1
 
 
 def fresh_group(name: str) -> WeylGroup:
@@ -201,45 +203,38 @@ def plain_peel(g: WeylGroup, w) -> list[int]:
 
 class TestWords:
     def test_identity_word_empty(self, a2):
-        assert a2.reduced_word(a2.from_word(())) == ()
+        assert a2.ascend(())[0].word == ()
 
     def test_tie_break(self, a2):
         # s1*s0 peels its smallest left descent first
-        assert a2.reduced_word(s(a2, 1, 0)) == (1, 0)
+        assert s(a2, 1, 0).word == (1, 0)
 
     def test_c2_w0_word_length(self, c2):
-        assert len(c2.reduced_word(longest(c2))) == 4
+        assert len(longest(c2).word) == 4
 
     def test_word_roundtrip_everywhere(self):
         for name in ["A3", "C3", "A1xA1", "D4"]:
             g = group_of(name)
-            for w in g.elements():
-                word = g.reduced_word(w)
-                assert len(word) == w.length
-                assert g.from_word(word) == w
-
-    def test_bad_letter(self, a2):
-        with pytest.raises(InputError):
-            a2.from_word([5])
+            for w in g.ascend(()):
+                assert len(w.word) == w.length
+                assert from_word(g, w.word) == w
 
     def test_mutating_a_word_leaves_the_memo_alone(self):
-        # the word is the kept tuple, which no caller can change
+        # the word is a tuple, which no caller can change
         g = fresh_group("B3")
         w = longest(g)
-        word = g.reduced_word(w)
-        assert type(word) is tuple and g.reduced_word(w) is word
-        assert list(word) == plain_peel(g, w)
+        assert type(w.word) is tuple
+        assert list(w.word) == plain_peel(g, w)
 
     @pytest.mark.parametrize("name", ["B3", "A3xA1"])
     @pytest.mark.parametrize("order", ["longest first", "shortest first"])
     def test_memoized_words_are_the_peeled_words(self, name, order):
         g = fresh_group(name)
-        elements = g.elements()
+        elements = g.ascend(())
         for w in reversed(elements) if order == "longest first" else elements:
-            word = g.reduced_word(w)
-            assert list(word) == plain_peel(g, w)
-            assert len(word) == w.length
-            assert g.from_word(word) is w
+            assert list(w.word) == plain_peel(g, w)
+            assert len(w.word) == w.length
+            assert from_word(g, w.word) is w
 
     @pytest.mark.parametrize("name", ["A4", "B3", "C4", "D4", "D5", "A1xB2xA2"])
     def test_words_are_the_left_peel_of_their_oracle_keys(self, name):
@@ -247,30 +242,28 @@ class TestWords:
         g = fresh_group(name)
         keys = RootKeys(g)
         for J in [(), range(g.n - 1)]:
-            for w in g.ascend(range(g.n), J):
-                word = g.reduced_word(w)
-                assert keys.peel(keys.of_word(word)) == list(word), (J, word)
+            for w in g.ascend(J):
+                assert keys.peel(keys.of_word(w.word)) == list(w.word), (J, w.word)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 2), max_size=12))
     def test_random_words_reduce(self, word):
         g = group_of("C3")
-        w = g.from_word(word)
+        w = from_word(g, word)
         assert w.length <= len(word)
-        assert g.from_word(g.reduced_word(w)) == w
+        assert from_word(g, w.word) == w
 
     @pytest.mark.parametrize("order", ["longest first", "shortest first"])
     def test_wide_key_words_are_the_peeled_words(self, order):
         # A16: 2N = 272 roots, past the oracle's byte keys; ^J W and each
-        # fiber against the peel read off walked lengths in W
+        # fiber against the peel read off walked weights in W
         atlas = build_atlas(parse_case(corpus_preset("gu:16,1:inert")))
         g = atlas.group
         fibers = [s.eo_fiber for s in atlas.strata]
-        for elements in [g.ascend(range(g.n), atlas.J), *fibers]:
+        for elements in [g.ascend(atlas.J), *fibers]:
             for w in reversed(elements) if order == "longest first" else elements:
-                word = g.reduced_word(w)
-                assert list(word) == left_peel(g, word)
-                assert g.from_word(word, atlas.J) is w
+                assert list(w.word) == left_peel(g, w.word)
+                assert from_word(g, w.word, atlas.J) is w
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 15), max_size=40))
@@ -278,10 +271,9 @@ class TestWords:
         # A16 and J = {1..15}: a walked word lands on the minimum of its coset
         g = group_of("A16")
         J = range(1, 16)
-        w = g.from_word(word, J)
-        reduced = g.reduced_word(w)
-        assert list(reduced) == left_peel(g, reduced)
-        assert g.from_word(reduced, J) is w
+        w = from_word(g, word, J)
+        assert list(w.word) == left_peel(g, w.word)
+        assert from_word(g, w.word, J) is w
 
 
 class TestLongestAndOpposition:
@@ -348,8 +340,8 @@ class TestBruhat:
 
     def test_identity_below_everything(self, a2):
         leq = engine_leq(a2)
-        for w in a2.elements():
-            assert leq(a2.from_word(()), w)
+        for w in a2.ascend(()):
+            assert leq(a2.ascend(())[0], w)
 
     def test_a2_examples(self, a2):
         leq = engine_leq(a2)
@@ -358,16 +350,16 @@ class TestBruhat:
 
     def test_full_a2_table_against_subword_oracle(self, a2):
         leq = engine_leq(a2)
-        for w in a2.elements():
-            interval = brute_interval(keys_of(a2), a2.reduced_word(w))
-            for x in a2.elements():
+        for w in a2.ascend(()):
+            interval = brute_interval(keys_of(a2), w.word)
+            for x in a2.ascend(()):
                 assert leq(x, w) == (key_of(a2, x) in interval)
 
     def test_partial_order_axioms(self):
         for name in ["A3", "C2", "A1xA1"]:
             g = group_of(name)
             leq = engine_leq(g)
-            els = g.elements()
+            els = g.ascend(())
             for x in els:
                 assert leq(x, x)
             for x in els:
@@ -393,21 +385,20 @@ class TestBruhat:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 50)
         try:
-            jw = g.ascend(range(g.n), J)
+            jw = g.ascend(J)
             top = jw[-1]
-            word = g.reduced_word(top)
             down = lower_sets(g, J, {w: 1 << i for i, w in enumerate(jw)})
         finally:
             sys.setrecursionlimit(limit)
-        assert len(word) == top.length == 78
-        assert g.from_word(word, J) is top
+        assert len(top.word) == top.length == 78
+        assert from_word(g, top.word, J) is top
         assert down[top].bit_count() == len(jw) == 4096
 
     def test_length_monotone(self):
         g = group_of("C3")
         leq = engine_leq(g)
-        for x in g.elements():
-            for w in g.elements():
+        for x in g.ascend(()):
+            for w in g.ascend(()):
                 if leq(x, w):
                     assert x.length <= w.length
 
@@ -433,8 +424,7 @@ def _check_conjugation_on_roots(g, phi, elements):
         assert list(key_of(g, image)) == [sigma[key[sigma_inv[r]]] for r in range(len(sigma))]
         assert image.length == w.length
         for i in range(g.n):
-            step = g.apply_automorphism(phi, g.right_mul(w, i))
-            assert step is g.right_mul(image, phi.perm[i])
+            assert g.apply_automorphism(phi, w.steps[i]) is image.steps[phi.perm[i]]
 
 
 class TestAutomorphismAction:
@@ -442,7 +432,7 @@ class TestAutomorphismAction:
         from bruhat_atlas.rootdata import identity_automorphism
 
         phi = identity_automorphism(a2.cartan)
-        for w in a2.elements():
+        for w in a2.ascend(()):
             assert a2.apply_automorphism(phi, w) is w
 
     def test_a2_flip_on_generators(self, a2):
@@ -455,10 +445,10 @@ class TestAutomorphismAction:
         from bruhat_atlas.rootdata import validate_automorphism
 
         phi = validate_automorphism([1, 0], a2.cartan)
-        _check_conjugation_on_roots(a2, phi, a2.elements())
-        for w in a2.elements():
-            image = [phi.perm[i] for i in a2.reduced_word(w)]
-            assert a2.apply_automorphism(phi, w) is a2.from_word(image)
+        _check_conjugation_on_roots(a2, phi, a2.ascend(()))
+        for w in a2.ascend(()):
+            image = [phi.perm[i] for i in w.word]
+            assert a2.apply_automorphism(phi, w) is from_word(a2, image)
 
     @pytest.mark.parametrize(
         "name,perm",
@@ -471,28 +461,50 @@ class TestAutomorphismAction:
         g = group_of(name)
         phi = validate_automorphism(perm, g.cartan)
         if g.n <= 4:
-            _check_conjugation_on_roots(g, phi, g.elements())
+            _check_conjugation_on_roots(g, phi, g.ascend(()))
             return
-        # A16: 2N = 272 roots, past the oracle's keys, and 17! elements:
-        # seeded random words, against their letterwise images
-        rng = random.Random(16)
-        for _ in range(60):
-            word = rng.choices(range(g.n), k=40)
-            w = g.from_word(word)
+        # A16: 2N = 272 roots, past the oracle's keys, and 17! elements, past
+        # the bound: ^J W for J = {1..14}, which the reversal fixes, 272
+        # elements, against their letterwise images
+        J = range(1, g.n - 1)
+        for w in g.ascend(J):
             image = g.apply_automorphism(phi, w)
-            assert image is g.from_word(phi.perm[i] for i in word)
+            assert image is from_word(g, [phi.perm[i] for i in w.word], J)
             assert image.length == w.length == coroot_length(g, w.weight)
             for i in range(g.n):
-                step = g.apply_automorphism(phi, g.right_mul(w, i))
-                assert step is g.right_mul(image, phi.perm[i])
+                step = g.apply_automorphism(phi, w.steps[i] or w)
+                assert step is (image.steps[phi.perm[i]] or image)
 
     def test_triality_preserves_length(self):
         from bruhat_atlas.rootdata import validate_automorphism
 
         g = group_of("D4")
         phi = validate_automorphism([2, 1, 3, 0], g.cartan)
-        for w in g.elements():
+        for w in g.ascend(()):
             assert g.apply_automorphism(phi, w).length == w.length
+
+    @pytest.mark.parametrize(
+        "name,perm",
+        [("A2", [1, 0]), ("A4", [3, 2, 1, 0]), ("D4", [0, 1, 3, 2]), ("D4", [2, 1, 3, 0])],
+        ids=["A2-reversal", "A4-reversal", "D4-fork-swap", "D4-triality"],
+    )
+    def test_automorphism_moves_j_exactly_when_phi_moves_j(self, name, perm):
+        # phi(v) lies in the W-orbit of lambda_phi(J), disjoint from that of
+        # lambda_J unless phi(J) = J, so the registry lookup misses exactly then
+        from bruhat_atlas.rootdata import validate_automorphism
+
+        g = fresh_group(name)
+        phi = validate_automorphism(perm, g.cartan)
+        for r in range(g.n + 1):
+            for J in map(frozenset, itertools.combinations(range(g.n), r)):
+                jw = g.ascend(J)
+                for w in jw:
+                    if phi.apply_subset(J) == J:
+                        assert g.apply_automorphism(phi, w) in jw, J
+                    else:
+                        moved = re.escape(f"automorphism moves J={sorted(J)}")
+                        with pytest.raises(InputError, match=f"^{moved}$"):
+                            g.apply_automorphism(phi, w)
 
 
 class TestEnumeration:
@@ -503,14 +515,14 @@ class TestEnumeration:
     def test_orders(self, name, order):
         g = group_of(name)
         assert g.order == order
-        assert len(g.elements()) == order
+        assert len(g.ascend(())) == order
 
     def test_a2_length_multiset(self, a2):
-        assert sorted(w.length for w in a2.elements()) == [0, 1, 1, 2, 2, 3]
+        assert sorted(w.length for w in a2.ascend(())) == [0, 1, 1, 2, 2, 3]
 
     def test_breadth_first(self):
         g = group_of("C3")
-        lengths = [w.length for w in g.elements()]
+        lengths = [w.length for w in g.ascend(())]
         assert lengths == sorted(lengths)
 
     def test_bound_exceeded(self):
@@ -518,21 +530,24 @@ class TestEnumeration:
 
         g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 4),))), element_bound=100)
         with pytest.raises(BoundError, match="120"):
-            g.elements()
+            g.ascend(())
 
     def test_bound_counts_materialized_elements(self):
         from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 
-        # a walk along a reduced word of w0 interns one element per prefix
-        g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))), element_bound=5)
-        with pytest.raises(BoundError, match="bound 5 exceeded: 6 elements"):
-            g.from_word([0, 1, 0, 2, 1, 0, 2, 1, 2])
+        # the bound counts what is interned over every J: ^J W for J = {0, 1}
+        # fills it with 8 elements, and the identity of ^J W for J = {0, 1, 2}
+        # is one more
+        g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))), element_bound=8)
+        assert len(g.ascend({0, 1})) == 8
+        with pytest.raises(BoundError, match="bound 8 exceeded: 9 elements"):
+            g.ascend({0, 1, 2})
 
     def test_bound_refuses_an_enumeration_before_growing_it(self):
         # C12, ^J W for J = {0..10} has 2^12 elements
         g = WeylGroup(group_of("C12").cartan, element_bound=1000)
         with pytest.raises(BoundError, match=r"\b4096 elements exceeds element bound 1000$"):
-            g.ascend(range(12), range(11))
+            g.ascend(range(11))
         # refused before its identity is formed
         assert interned(g) == 0
 
@@ -545,7 +560,7 @@ class TestEnumeration:
         keys = keys_of(g)
         for r in range(g.n + 1):
             for J in itertools.combinations(range(g.n), r):
-                for w in g.ascend(range(g.n), J):
+                for w in g.ascend(J):
                     key = key_of(g, w)
                     for i in range(g.n):
                         v = keys.product(key, keys.simple[i])
@@ -564,10 +579,10 @@ class TestEnumeration:
         )
         with pytest.raises(
             ConsistencyError,
-            match=r"^ascent over \[0, 1, 2\] found 24 elements with no left descent "
-            r"in \[0\]; the closed form disagrees$",
+            match=r"^ascent found 24 elements with no left descent in \[0\]; the "
+            r"closed form disagrees$",
         ):
-            g.ascend(range(3), {0})
+            g.ascend({0})
 
     @pytest.mark.parametrize(
         "name,S,order",
@@ -579,10 +594,11 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("name", SMALL_GROUPS + ["B3", "B4", "D5", "A1xB3"])
     def test_parabolic_order_counts_the_subgroup(self, name):
+        # W_S is the set of elements of W whose reduced words use only S
         g = group_of(name)
         for r in range(g.n + 1):
             for S in itertools.combinations(range(g.n), r):
-                sub = g.ascend(S, ())
+                sub = [w for w in g.ascend(()) if set(w.word) <= set(S)]
                 assert g.parabolic_order(S) == len(sub), S
                 assert g.longest_length(S) == max(w.length for w in sub), S
 
@@ -596,28 +612,41 @@ class TestEnumeration:
         ],
     )
     def test_order_of_a_wide_group(self, name, order):
-        # the order comes from root heights; nothing of size |W| is built
-        g = group_of(name)
+        # the order comes from root heights; nothing of size |W| is built, and
+        # W itself is refused before it grows
+        g = WeylGroup(group_of(name).cartan)
         assert g.order == order
-        assert len(g.from_word(()).weight) == g.n
+        with pytest.raises(BoundError, match=rf"^enumeration of {order} elements "):
+            g.ascend(())
+        (e,) = g.ascend(range(g.n))
+        assert e.weight == (0,) * g.n and interned(g) == 1
 
     @pytest.mark.parametrize("name", ["A4", "B3", "C4", "D4", "D5", "A2xB2", "C3xA1xD4"])
     def test_ascend_lists_jw_in_length_and_word_order(self, name):
         # every J: the first parent reached has the least word, so growth
         # order is (length, reduced word) order, which eo_fibers and
-        # galois_orbits read off it; a fresh group per J keeps memory small
+        # galois_orbits read off it; every element is born with its word, and
+        # once grown its step i is kept exactly where v_i != 0, which
+        # lower_sets, eo_fibers and from_word walk; a fresh group per J keeps
+        # memory small
         cartan = group_of(name).cartan
         for r in range(cartan.n + 1):
             for J in itertools.combinations(range(cartan.n), r):
                 g = WeylGroup(cartan)
-                ordered = [(w.length, g.reduced_word(w)) for w in g.ascend(range(g.n), J)]
+                jw = g.ascend(J)
+                ordered = [(w.length, w.word) for w in jw]
                 assert all(a < b for a, b in zip(ordered, ordered[1:])), J
+                for w in jw:
+                    assert type(w.word) is tuple and len(w.word) == w.length, J
+                    assert [v is not None for v in w.steps] == [c != 0 for c in w.weight], J
 
     def test_subgroup_enumeration(self):
+        # W_S as the elements of W whose reduced words use only S
         g = group_of("C3")
-        assert len(g.ascend({0, 1}, ())) == 6  # A2 parabolic
-        assert len(g.ascend({1, 2}, ())) == 8  # C2 parabolic
-        assert g.ascend((), ()) == [g.from_word(())]
+        W = g.ascend(())
+        assert len([w for w in W if set(w.word) <= {0, 1}]) == 6  # A2 parabolic
+        assert len([w for w in W if set(w.word) <= {1, 2}]) == 8  # C2 parabolic
+        assert [w for w in W if not w.word] == [W[0]]
 
 
 def count_reflections(g: WeylGroup, monkeypatch) -> list:
@@ -630,50 +659,62 @@ def count_reflections(g: WeylGroup, monkeypatch) -> list:
 
 
 class TestStepMemo:
-    """A right simple step is memoized on both elements it joins and hands
-    ``_intern`` the length of a new element it forms."""
+    """``ascend`` keeps each right simple step on both elements it joins and
+    hands ``_intern`` the length of each element it forms."""
 
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_each_step_hands_on_its_length(self, name, side, monkeypatch):
-        # W grown on one side from the identity forms each new element by an
-        # ascent (the +1 branch), and grown from the longest element, by a
-        # descent (the -1 branch); a left step s_i w is the walk of the word
-        # i followed by a word of w
-        w0_word = group_of(name).reduced_word(longest(group_of(name)))
-        for top in (False, True):
-            g = WeylGroup(group_of(name).cartan)
-            intern, handed = g._intern, []
+        # ^J W grown by ascents from its identity, each new element with the
+        # length _intern is handed; then walked from the identity along the
+        # kept steps, on one side, which reaches all of it.  A right step
+        # moves the length by the sign of v_i, for every J; a left step s_i w
+        # is the walk of the word i followed by a word of w, and it moves the
+        # length by one, in W (J empty), where W acts on itself on the left
+        cartan = group_of(name).cartan
+        every_j = itertools.chain.from_iterable(
+            itertools.combinations(range(cartan.n), r) for r in range(cartan.n + 1)
+        )
+        for J in every_j if side == "right" else [()]:
+            g = WeylGroup(cartan)
+            handed = []
             monkeypatch.setattr(
                 g, "_intern",
-                lambda J, code, weight, length: handed.append(
+                lambda J, code, weight, length, g=g, intern=g._intern: handed.append(
                     length == coroot_length(g, weight)
                 ) or intern(J, code, weight, length),
             )
-            start = g.from_word(w0_word if top else ())
-            words = {start: w0_word if top else ()}  # a word of each element reached
-            frontier = [start]
+            jw = g.ascend(J)
+            assert len(handed) == len(jw) == interned(g) == g.order // g.parabolic_order(J)
+            assert all(handed), J
+            words = {jw[0]: ()}  # a word of each element reached
+            frontier = [jw[0]]
             while frontier:
                 nxt = []
                 for w in frontier:
                     for i in range(g.n):
+                        word = (*words[w], i) if side == "right" else (i, *words[w])
+                        v = from_word(g, word, J)
                         if side == "right":
-                            word, v = (*words[w], i), g.right_mul(w, i)
+                            sign = (w.weight[i] > 0) - (w.weight[i] < 0)
+                            assert v.length == w.length + sign, (J, i)
                         else:
-                            word = (i, *words[w])
-                            v = g.from_word(word)
+                            assert abs(v.length - w.length) == 1, i
                         if v not in words:
                             words[v] = word
                             nxt.append(v)
                 frontier = nxt
-            assert len(words) == interned(g) == g.order
-            assert handed and all(handed), top
-            assert all(w.length == coroot_length(g, w.weight) for w in words)
+            assert set(words) == set(jw) and interned(g) == len(jw), J
+            assert all(w.length == coroot_length(g, w.weight) for w in jw), J
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_a_step_taken_twice_composes_nothing(self, name, monkeypatch):
         g = WeylGroup(group_of(name).cartan)
-        elements = g.elements()
+        reflected = count_reflections(g, monkeypatch)
+        elements = g.ascend(())
+        # one reflection per element born: a step that reaches an element
+        # already born composes nothing
+        assert len(reflected) == len(elements) - 1
         # W grown by ascents: every slot is filled, the ascents forward and
         # the descents by the step back
         for w in elements:
@@ -681,26 +722,25 @@ class TestStepMemo:
                 v = w.steps[i]
                 assert v is not None and v.steps[i] is w, i
                 assert v.length == w.length + (1 if w.weight[i] > 0 else -1)
-        reflected = count_reflections(g, monkeypatch)
-        for w in elements:
-            for i in range(g.n):
-                assert g.right_mul(w, i) is w.steps[i], i
-        assert reflected == []
+        # reading the steps back composes nothing more
+        lower_sets(g, (), {})
+        assert from_word(g, longest(g).word) is elements[-1]
+        assert len(reflected) == len(elements) - 1
 
     def test_wide_keys_over_min_left_reps(self, monkeypatch):
         # C12, ^J W for J = {2..11} has 528 elements, and only they are interned
         g = WeylGroup(group_of("C12").cartan)
         J = range(2, 12)
-        jw = g.ascend(range(g.n), J)
+        jw = g.ascend(J)
         assert len(jw) == interned(g) == 528
         # a slot is filled exactly where the coordinate is not 0; where it is
-        # 0 the coset does not move, and the step stays at w without a reflection
+        # 0 the coset does not move, and the walk stays at w without a reflection
         reflected = count_reflections(g, monkeypatch)
         for w in jw:
             for i in range(g.n):
                 assert (w.steps[i] is not None) == (w.weight[i] != 0), i
                 if not w.weight[i]:
-                    assert g.right_mul(w, i) is w
+                    assert from_word(g, (*w.word, i), J) is w
         assert reflected == [] and interned(g) == 528
         assert all(w.length == coroot_length(g, w.weight) for w in jw)
 

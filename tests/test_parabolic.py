@@ -10,11 +10,19 @@ from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import brute_double_cosets, brute_interval, brute_min_left_reps
 from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
-from conftest import double_reps, group_of, key_length, key_of, keys_of, left_reps
+from conftest import (
+    double_reps,
+    from_word,
+    group_of,
+    key_length,
+    key_of,
+    keys_of,
+    left_reps,
+)
 
 
 def words(g: WeylGroup, elements) -> set:
-    return {g.reduced_word(w) for w in elements}
+    return {w.word for w in elements}
 
 
 def right_descent(g: WeylGroup, key: bytes, k: int) -> bool:
@@ -24,7 +32,7 @@ def right_descent(g: WeylGroup, key: bytes, k: int) -> bool:
 
 class TestLeftReps:
     def test_full_subset_gives_identity(self, a2):
-        assert left_reps(a2, {0, 1}) == [a2.from_word((), {0, 1})]
+        assert left_reps(a2, {0, 1}) == [from_word(a2, (), {0, 1})]
 
     def test_a2_example(self, a2):
         reps = left_reps(a2, {0})
@@ -39,8 +47,9 @@ class TestLeftReps:
         for name in ["A3", "C3", "D4"]:
             g = group_of(name)
             for J in [frozenset(), frozenset({0}), frozenset({0, 2}), frozenset(range(g.n))]:
-                reps = left_reps(g, J)
-                assert len(reps) * len(g.ascend(J, ())) == g.order
+                # W_J: the elements of W whose reduced words use only J
+                W_J = [w for w in g.ascend(()) if set(w.word) <= J]
+                assert len(left_reps(g, J)) * len(W_J) == g.order
 
 
 class TestDoubleReps:
@@ -112,14 +121,14 @@ class TestProjection:
 
 class TestInducedSubset:
     def test_identity_gives_intersection(self, c2):
-        assert c2.induced_subset(c2.from_word((), {0}), {0}, {0}) == {0}
+        assert c2.induced_subset(from_word(c2, (), {0}), {0}, {0}) == {0}
 
     def test_c2_top_element(self, c2):
-        x = c2.from_word([1, 0, 1], {0})
+        x = from_word(c2, [1, 0, 1], {0})
         assert c2.induced_subset(x, {0}, {0}) == {0}
 
     def test_a2_example(self, a2):
-        assert a2.induced_subset(a2.from_word([1, 0], {0}), {0}, {1}) == {1}
+        assert a2.induced_subset(from_word(a2, [1, 0], {0}), {0}, {1}) == {1}
 
     def test_always_inside_k(self):
         g = group_of("C3")
@@ -130,16 +139,19 @@ class TestInducedSubset:
     def test_rejects_bad_representative(self, c2):
         # an element of another quotient, and one with a right descent in K
         with pytest.raises(InputError, match=r"lies in \^J W for J=\[\], not for J=\[0\]"):
-            c2.induced_subset(c2.from_word([0]), {0}, {0})
+            c2.induced_subset(from_word(c2, [0]), {0}, {0})
         with pytest.raises(InputError, match=r"right descents \[0\] in K"):
-            c2.induced_subset(c2.from_word([1, 0], {0}), {0}, {0})
-        # an element whose word is not formed is named by its weight: W(C12)
-        # is far past the bound, and naming the element grows none of it
+            c2.induced_subset(from_word(c2, [1, 0], {0}), {0}, {0})
+        # an element is named by its word: W(C12) is far past the bound, ^J W
+        # for J = {1..11} has 24 elements, and naming one grows nothing more
         c12 = WeylGroup(group_of("C12").cartan)
-        x = c12.from_word([11, 10])
-        with pytest.raises(InputError, match=r"^element of weight \(1, 1, 1, 1, 1, 1, 1, 1, 1, 4, -3, 2\) "):
-            c12.induced_subset(x, (), {10})
-        assert c12._count == 3
+        J = range(1, 12)
+        x = from_word(c12, [0, 1], J)
+        with pytest.raises(
+            InputError, match=r"^element \[0, 1\] is not a minimal double representative "
+        ):
+            c12.induced_subset(x, J, {1})
+        assert c12._count == len(c12.ascend(J)) == 24
 
 
 def howlett_top(g, x, J, K) -> bytes:
@@ -155,23 +167,23 @@ class TestHowlett:
     # length(x) + length(w0(K)) - length(w0(J_x))
     def test_x_lower_trivial_when_saturated(self, c2):
         # J_e = K, so the fiber of e is e alone
-        e = c2.from_word((), {0})
+        e = from_word(c2, (), {0})
         assert c2.induced_subset(e, {0}, {0}) == {0}
         assert eo_fibers(c2, {0}, {0})[e] == [e]
         assert stratum_dimension(c2, e, {0}, {0}) == 0
 
     def test_a2_x_lower(self, a2):
         # J_e is empty inside K = {1}, so the fiber of e is W_K = {e, s1}
-        e = a2.from_word((), {0})
+        e = from_word(a2, (), {0})
         assert a2.induced_subset(e, {0}, {1}) == set()
-        assert eo_fibers(a2, {0}, {1})[e][-1] is a2.from_word([1], {0})
+        assert eo_fibers(a2, {0}, {1})[e][-1] is from_word(a2, [1], {0})
         assert stratum_dimension(a2, e, set(), {1}) == 1
 
     def test_c2_siegel_x_lower(self, c2):
         # s1(alpha_0) is not simple, so J_x is empty and the fiber is s1 * W_K
-        s1 = c2.from_word([1], {0})
+        s1 = from_word(c2, [1], {0})
         assert c2.induced_subset(s1, {0}, {0}) == set()
-        assert eo_fibers(c2, {0}, {0})[s1][-1] is c2.from_word([1, 0], {0})
+        assert eo_fibers(c2, {0}, {0})[s1][-1] is from_word(c2, [1, 0], {0})
 
     def test_c2_siegel_x_upper(self, c2):
         for word, Jx, top, length in [
@@ -179,18 +191,18 @@ class TestHowlett:
             ((1,), set(), (1, 0), 2),
             ((), {0}, (), 0),
         ]:
-            x = c2.from_word(word, {0})
+            x = from_word(c2, word, {0})
             assert c2.induced_subset(x, {0}, {0}) == Jx
             fiber = eo_fibers(c2, {0}, {0})[x]
-            assert c2.reduced_word(fiber[-1]) == top
+            assert fiber[-1].word == top
             assert stratum_dimension(c2, x, Jx, {0}) == length
             assert howlett_top(c2, x, {0}, {0}) == key_of(c2, fiber[-1])
 
     def test_ell_jk_examples(self, a2, c2):
         # J_x: empty for s1 in C2, K itself for e, {1} for s1 s0 in A2
-        assert stratum_dimension(c2, c2.from_word([1], {0}), set(), {0}) == 2
-        assert stratum_dimension(c2, c2.from_word((), {0}), {0}, {0}) == 0
-        assert stratum_dimension(a2, a2.from_word([1, 0], {0}), {1}, {1}) == 2
+        assert stratum_dimension(c2, from_word(c2, [1], {0}), set(), {0}) == 2
+        assert stratum_dimension(c2, from_word(c2, (), {0}), {0}, {0}) == 0
+        assert stratum_dimension(a2, from_word(a2, [1, 0], {0}), {1}, {1}) == 2
 
     def test_formulas_agree_all_subsets(self):
         import itertools
@@ -249,7 +261,7 @@ class TestAscentGrowth:
     @pytest.mark.parametrize("name", ASCENT_GROUPS)
     def test_left_and_double_reps(self, name):
         g = group_of(name)
-        everything = [key_of(g, w) for w in g.elements()]
+        everything = [key_of(g, w) for w in g.ascend(())]
         for J in subsets(range(g.n)):
             left = [v for v in everything if not left_descent_in(g, v, J)]
             assert [key_of(g, w) for w in left_reps(g, J)] == left
@@ -261,12 +273,13 @@ class TestAscentGrowth:
     def test_relative_left_reps(self, name):
         g = group_of(name)
         for K in subsets(range(g.n)):
-            # W_K is the set of elements whose reduced words use only K
-            sub = [w for w in g.elements() if set(g.reduced_word(w)) <= K]
-            assert g.ascend(K, ()) == sub
+            # W_K is the set of elements whose reduced words use only K, and
+            # ^{J_x}(W_K) is its part in ^{J_x} W, in the same order
+            sub = [w for w in g.ascend(()) if set(w.word) <= K]
             for Jx in subsets(K):
                 expected = [key_of(g, y) for y in sub if not left_descent_in(g, key_of(g, y), Jx)]
-                assert [key_of(g, y) for y in g.ascend(K, Jx)] == expected
+                got = [key_of(g, y) for y in g.ascend(Jx) if set(y.word) <= K]
+                assert got == expected
 
     @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A1xA2"])
     def test_fibers_are_the_papers_products(self, name):
@@ -275,7 +288,7 @@ class TestAscentGrowth:
         g = group_of(name)
         keys = keys_of(g)
         for K in subsets(range(g.n)):
-            W_K = [key_of(g, w) for w in g.elements() if set(g.reduced_word(w)) <= K]
+            W_K = [key_of(g, w) for w in g.ascend(()) if set(w.word) <= K]
             for J in subsets(range(g.n)):
                 fibers = eo_fibers(g, J, K)
                 for x in double_reps(g, J, K):
@@ -305,7 +318,7 @@ class TestConjugationByKey:
         ]
         before = (c4._count, a3._count)
         calls = []
-        for name in ("right_mul", "_intern"):
+        for name in ("_intern", "_reflect"):
             law = getattr(WeylGroup, name)
             monkeypatch.setattr(
                 WeylGroup,

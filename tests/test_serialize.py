@@ -65,7 +65,7 @@ def padded_table(atlas) -> str:
         rows.append(
             (
                 str(sid),
-                word_label(atlas.group.reduced_word(s.rep)),
+                word_label(s.rep.word),
                 str(s.dim),
                 str(s.codim),
                 str(len(s.eo_fiber)),
