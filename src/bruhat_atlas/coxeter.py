@@ -64,22 +64,22 @@ class WeylElement:
     """One element of ^J W; only :meth:`WeylGroup.ascend` creates these.
 
     ``weight`` is w^-1 lambda_J (see the module docstring), ``code`` its
-    registry key and ``J`` the subset it lives under.  ``steps[i]`` is w s_i,
-    or None where v_i = 0 and the step stays at w.  ``word`` is the
-    lexicographically first reduced word.  Equality is identity: a group
-    interns one element per J and weight.
+    registry key and ``J`` the subset it lives under.  ``word`` is the
+    lexicographically first reduced word, and ``length`` its length.
+    ``steps[i]`` is w s_i, or None where v_i = 0 and the step stays at w.
+    Equality is identity: a group interns one element per J and weight.
     """
 
     __slots__ = ("group", "J", "code", "weight", "length", "steps", "word")
 
-    def __init__(self, group: "WeylGroup", J, code: int, weight, length: int):
+    def __init__(self, group: "WeylGroup", J, code: int, weight, word: tuple[int, ...]):
         self.group = group
         self.J = J
         self.code = code
         self.weight = weight
-        self.length = length
+        self.word = word
+        self.length = len(word)
         self.steps: list[WeylElement | None] = [None] * group.n
-        self.word: tuple[int, ...] | None = None
 
     def __repr__(self):
         return f"WeylElement(weight={self.weight}, J={sorted(self.J)})"
@@ -111,16 +111,16 @@ class WeylGroup:
 
     # -- element construction ------------------------------------------------
 
-    def _intern(self, J: frozenset[int], code: int, weight, length: int) -> WeylElement:
+    def _intern(self, J: frozenset[int], code: int, weight, word) -> WeylElement:
         """A new element of ^J W; the caller has looked ``code``, the key of
-        ``weight``, up in the registry of J and knows the length."""
+        ``weight``, up in the registry of J and knows its reduced word."""
         if self._count >= self.element_bound:
             raise BoundError(
                 f"element bound {self.element_bound} exceeded: "
                 f"{self._count + 1} elements materialized"
             )
         self._count += 1
-        el = self._registry[J][code] = WeylElement(self, J, code, weight, length)
+        el = self._registry[J][code] = WeylElement(self, J, code, weight, word)
         return el
 
     def _code(self, weight) -> int:
@@ -247,7 +247,7 @@ class WeylGroup:
         is in (length, reduced word) order: the first parent u of w reached,
         at the least position of its level, has the least word among w's
         parents, so word(w) is word(u) + (d,) for the node d of the step u ->
-        w, and it is set when w is born.
+        w, and w is born with it.
         """
         J = self.check_subset(J)
         cached = self._ascend_cache.get(J)
@@ -260,8 +260,7 @@ class WeylGroup:
                 )
             registry = self._registry[J] = {}
             weight = tuple(0 if j in J else 1 for j in range(self.n))
-            identity = self._intern(J, self._code(weight), weight, 0)
-            identity.word = ()
+            identity = self._intern(J, self._code(weight), weight, ())
             cached, level = [identity], [identity]
             while level:
                 born = []
@@ -272,9 +271,8 @@ class WeylGroup:
                             u = registry.get(code)
                             if u is None:
                                 u = self._intern(
-                                    J, code, self._reflect(w.weight, i), w.length + 1
+                                    J, code, self._reflect(w.weight, i), w.word + (i,)
                                 )
-                                u.word = w.word + (i,)
                                 born.append(u)
                             w.steps[i] = u
                             u.steps[i] = w

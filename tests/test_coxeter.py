@@ -660,17 +660,19 @@ def count_reflections(g: WeylGroup, monkeypatch) -> list:
 
 class TestStepMemo:
     """``ascend`` keeps each right simple step on both elements it joins and
-    hands ``_intern`` the length of each element it forms."""
+    hands ``_intern`` the reduced word, and so the length, of each element it
+    forms."""
 
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_each_step_hands_on_its_length(self, name, side, monkeypatch):
         # ^J W grown by ascents from its identity, each new element with the
-        # length _intern is handed; then walked from the identity along the
-        # kept steps, on one side, which reaches all of it.  A right step
-        # moves the length by the sign of v_i, for every J; a left step s_i w
-        # is the walk of the word i followed by a word of w, and it moves the
-        # length by one, in W (J empty), where W acts on itself on the left
+        # word _intern is handed, whose length is the element's; then walked
+        # from the identity along the kept steps, on one side, which reaches
+        # all of it.  A right step moves the length by the sign of v_i, for
+        # every J; a left step s_i w is the walk of the word i followed by a
+        # word of w, and it moves the length by one, in W (J empty), where W
+        # acts on itself on the left
         cartan = group_of(name).cartan
         every_j = itertools.chain.from_iterable(
             itertools.combinations(range(cartan.n), r) for r in range(cartan.n + 1)
@@ -680,9 +682,9 @@ class TestStepMemo:
             handed = []
             monkeypatch.setattr(
                 g, "_intern",
-                lambda J, code, weight, length, g=g, intern=g._intern: handed.append(
-                    length == coroot_length(g, weight)
-                ) or intern(J, code, weight, length),
+                lambda J, code, weight, word, g=g, intern=g._intern: handed.append(
+                    len(word) == coroot_length(g, weight)
+                ) or intern(J, code, weight, word),
             )
             jw = g.ascend(J)
             assert len(handed) == len(jw) == interned(g) == g.order // g.parabolic_order(J)
