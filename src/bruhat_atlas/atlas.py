@@ -123,11 +123,15 @@ def moduli_dimension(group: WeylGroup, J) -> int:
     return group.longest_length(range(group.n)) - group.longest_length(J)
 
 
-def stratum_dimension(group: WeylGroup, x: WeylElement, Jx, K) -> int:
+def stratum_dimension(group: WeylGroup, x: WeylElement, Jx, K, longest=None) -> int:
     """length(x) + length(w0 of K) - length(w0 of J_x), the length of the
     longest element x w0(J_x) w0(K) of the fiber of x, for ``Jx =
-    group.induced_subset(x, J, K)`` (Bjorner-Brenti, section 2.4)."""
-    return x.length + group.longest_length(K) - group.longest_length(Jx)
+    group.induced_subset(x, J, K)`` (Bjorner-Brenti, section 2.4).
+    ``longest`` maps a subset to the length of its longest element where the
+    caller holds these lengths, as a build does; otherwise they are
+    computed."""
+    longest = longest or group.longest_length
+    return x.length + longest(K) - longest(Jx)
 
 
 def mu_ordinary_report(J, phi: DiagramAutomorphism) -> MuOrdinaryReport:
@@ -192,40 +196,37 @@ def build_atlas(case: PELCase) -> Atlas:
     genus = _siegel_genus(case, J, K)
 
     top_length = max(w.length for w in double_reps)
-    order_K = group.parabolic_order(K)
+    Jxs = [group.induced_subset(rep, J, K) for rep in poset.reps]
+    # |W_S| and N_S once for each distinct subset the strata read, not per
+    # stratum: each is one pass over the positive roots
+    orders, longest = {}, {}
+    for S in {K, *Jxs}:
+        orders[S], longest[S] = group._parabolic(S)
 
     strata: list[StratumRecord] = []
-    for sid, (orbit, rep) in enumerate(zip(poset.orbits, poset.reps)):
-        Jx = group.induced_subset(rep, J, K)
-        dim = stratum_dimension(group, rep, Jx, K)
+    for sid, (orbit, rep, Jx) in enumerate(zip(poset.orbits, poset.reps, Jxs)):
+        dim = stratum_dimension(group, rep, Jx, K, longest.__getitem__)
         fiber = fibers[rep]
         # the fiber is sorted by length and has one longest element, of
         # length dim, and |W_K| / |W_{J_x}| elements
         one_top = fiber[-1].length == dim and (len(fiber) == 1 or fiber[-2].length < dim)
-        if not one_top or len(fiber) * group.parabolic_order(Jx) != order_K:
+        if not one_top or len(fiber) * orders[Jx] != orders[K]:
             raise ConsistencyError(
                 "top element, fiber and dimension formulas disagree at "
                 f"{list(rep.word)}"
             )
-        closure = poset.ids_below(sid)
-        is_max = rep.length == top_length
         siegel_a = None
         if genus is not None:
             matches = [i for i in range(genus + 1) if siegel_dimension(genus, i) == dim]
             if len(matches) != 1:
                 raise ConsistencyError("dimension does not match a unique a-number")
             siegel_a = matches[0]
+        # by position, in slot order: rep, orbit, dim, codim, eo_fiber,
+        # single_eo, closure, is_maximal, siegel_a
         strata.append(
             StratumRecord(
-                rep=rep,
-                orbit=orbit,
-                dim=dim,
-                codim=moduli_dim - dim,
-                eo_fiber=fiber,
-                single_eo=len(fiber) == 1,
-                closure=closure,
-                is_maximal=is_max,
-                siegel_a=siegel_a,
+                rep, orbit, dim, moduli_dim - dim, fiber, len(fiber) == 1,
+                poset.ids_below(sid), rep.length == top_length, siegel_a,
             )
         )
 

@@ -1,22 +1,34 @@
 """Command-line entry point.
 
-Subcommands: atlas <casefile>, verify <casefile>, corpus <preset>, siegel <g>.
+Grammar: [--out DIR] [--verify] [--no-minuscule-check] [--bound N] COMMAND ARG,
+read by :func:`parse_args` without argparse, whose import and help-string
+locale lookups cost each run more than parsing does.  Options come first,
+spelled in full, with a value as ``--opt VALUE`` or ``--opt=VALUE``; ``-h``
+or ``--help`` in place of an option or of ARG prints the usage.
+Commands: atlas <casefile>, verify <casefile>, corpus <preset>, siegel <g>.
 Presets: siegel:<g>, hilbert:<d>, gu:<r>,<s>:inert|split.
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 bound
-exceeded, 4 internal invariant failed (a bug in the engine).
+Exit codes: 0 success, 1 verification failure, 2 invalid input (a usage
+error too, in one line), 3 bound exceeded, 4 internal invariant failed (a
+bug in the engine).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from . import atlas as atlas_mod
 from . import serialize
 from .coxeter import DEFAULT_BOUND, check_bound
 from .errors import BoundError, ConsistencyError, InputError
+
+# each command and its one argument
+_ARGUMENT = {"atlas": "CASEFILE", "verify": "CASEFILE", "corpus": "PRESET", "siegel": "G"}
+USAGE = """\
+usage: bruhat-atlas [--out DIR] [--verify] [--no-minuscule-check] [--bound N] COMMAND ARG
+commands: atlas CASEFILE | verify CASEFILE | corpus PRESET | siegel G
+presets: siegel:<g> | hilbert:<d> | gu:<r>,<s>:inert|split"""
 
 
 def corpus_preset(name: str, element_bound: int = DEFAULT_BOUND) -> dict:
@@ -85,20 +97,22 @@ def _positive_int(text: str, what: str) -> int:
     return value
 
 
-def _write_outputs(built, out_dir: Path):
+def _write_outputs(built, out_dir: str):
     try:
-        with open(out_dir / "atlas.json", "w") as out:
+        with open(os.path.join(out_dir, "atlas.json"), "w") as out:
             out.writelines(serialize.atlas_json_pieces(built))
-        (out_dir / "hasse.dot").write_text(serialize.emit_dot(built))
-        (out_dir / "table.txt").write_text(serialize.emit_table(built))
+        with open(os.path.join(out_dir, "hasse.dot"), "w") as out:
+            out.write(serialize.emit_dot(built))
+        with open(os.path.join(out_dir, "table.txt"), "w") as out:
+            out.write(serialize.emit_table(built))
     except OSError as exc:
         raise InputError(f"cannot write to {out_dir}: {exc}") from exc
 
 
-def _run_case(doc: dict, out_dir: Path, verify: bool, **overrides) -> int:
+def _run_case(doc: dict, out_dir: str, verify: bool, **overrides) -> int:
     case = serialize.parse_case(doc, **overrides)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write to {out_dir}: {exc}") from exc
     built = atlas_mod.build_atlas(case)
@@ -126,7 +140,8 @@ def _load_doc(path: str) -> dict:
     UTF-8, UTF-16 or UTF-32.  ValueError covers undecodable bytes, malformed
     JSON and integers past the digit limit; RecursionError, deep nesting."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
@@ -135,58 +150,61 @@ def _load_doc(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bruhat-atlas",
-        description="Stratification atlases for classical Weyl groups",
-    )
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--verify", action="store_true", help="run brute-force verification"
-    )
-    parser.add_argument(
-        "--no-minuscule-check", action="store_true", help="skip the minuscule check"
-    )
-    parser.add_argument(
-        "--bound", type=int, default=None, help="most group elements to materialize"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_atlas = sub.add_parser("atlas", help="build an atlas from a case file")
-    p_atlas.add_argument("casefile")
-    p_verify = sub.add_parser("verify", help="build and brute-force verify")
-    p_verify.add_argument("casefile")
-    p_corpus = sub.add_parser("corpus", help="run a named preset")
-    p_corpus.add_argument("preset")
-    p_siegel = sub.add_parser("siegel", help="print the a-number identification")
-    p_siegel.add_argument("genus")
-    return parser
-
-
-def _overrides(args) -> dict:
-    """The case options set on the command line."""
-    overrides = {}
-    if args.no_minuscule_check:
-        overrides["minuscule_check"] = False
-    if args.bound is not None:
-        overrides["element_bound"] = args.bound
-    return overrides
+def parse_args(argv) -> tuple | None:
+    """``argv`` as (command, argument, output directory, verify, case
+    overrides), or None where it asks for help.  The grammar is fixed:
+    options first, each spelled in full, with a value as ``--opt VALUE`` or
+    ``--opt=VALUE``; then one command and its one argument.  Every error is
+    an InputError, so it ends in one line."""
+    out, verify, overrides = "out", False, {}
+    args = list(argv)
+    while args and args[0].startswith("-"):
+        option, eq, value = args.pop(0).partition("=")
+        if option in ("-h", "--help"):
+            return None
+        if option in ("--out", "--bound"):
+            if not eq:
+                if not args:
+                    raise InputError(f"option {option} needs a value")
+                value = args.pop(0)
+            if option == "--out":
+                out = value
+            else:
+                overrides["element_bound"] = _decimal(value, "bound")
+        elif option not in ("--verify", "--no-minuscule-check"):
+            raise InputError(f"unknown option {option!r}")
+        elif eq:
+            raise InputError(f"option {option} takes no value")
+        elif option == "--verify":
+            verify = True
+        else:
+            overrides["minuscule_check"] = False
+    if not args or args[0] not in _ARGUMENT:
+        raise InputError(f"unknown command {args[0]!r}" if args else "missing command")
+    command, *rest = args
+    if rest[:1] in (["-h"], ["--help"]):
+        return None
+    if len(rest) != 1 or rest[0].startswith("--"):
+        raise InputError(f"{command} takes one {_ARGUMENT[command]} after the options")
+    return command, rest[0], os.path.normpath(out), verify, overrides
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = Path(args.out)
-    overrides = _overrides(args)
     try:
-        if args.command in ("atlas", "verify"):
-            doc = _load_doc(args.casefile)
-            verify = args.verify or args.command == "verify"
-            return _run_case(doc, out_dir, verify, **overrides)
-        if args.command == "corpus":
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(USAGE)
+            return 0
+        command, arg, out_dir, verify, overrides = parsed
+        if command in ("atlas", "verify"):
+            doc = _load_doc(arg)
+            return _run_case(doc, out_dir, verify or command == "verify", **overrides)
+        if command == "corpus":
             bound = overrides.get("element_bound", DEFAULT_BOUND)
-            doc = corpus_preset(args.preset, bound)
-            return _run_case(doc, out_dir, args.verify, **overrides)
+            doc = corpus_preset(arg, bound)
+            return _run_case(doc, out_dir, verify, **overrides)
         # siegel: the parser admits no other command
-        genus = _decimal(args.genus, "genus")
+        genus = _decimal(arg, "genus")
         ident = atlas_mod.siegel_identify(genus, **overrides)
         print(f"genus {ident.g}: {len(ident.entries)} strata")
         print(f"{'a':>3}  {'dim':>4}  rep")
@@ -194,7 +212,7 @@ def main(argv=None) -> int:
             print(f"{e['a']:>3}  {e['dim']:>4}  {serialize.word_label(e['rep'])}")
         # siegel_identify raises unless the order is reversed
         print("total order reversed by a-number: True")
-        return _verify(ident.atlas) if args.verify else 0
+        return _verify(ident.atlas) if verify else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

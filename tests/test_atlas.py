@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,14 @@ from bruhat_atlas.rootdata import (
     validate_automorphism,
 )
 from bruhat_atlas.serialize import atlas_json, emit_dot, emit_table, parse_case
-from conftest import double_reps, from_word, group_of, interned, left_reps
+from conftest import (
+    benchmark_workloads,
+    double_reps,
+    from_word,
+    group_of,
+    interned,
+    left_reps,
+)
 
 
 def make_case(factors, perm=None, mu=None, J=None, **options):
@@ -244,8 +252,7 @@ class TestBuildGuards:
         dimension = atlas_mod.stratum_dimension
         if fault == "ell_JK_off_by_one":
             monkeypatch.setattr(
-                atlas_mod, "stratum_dimension",
-                lambda group, x, Jx, K: dimension(group, x, Jx, K) + 1,
+                atlas_mod, "stratum_dimension", lambda *args: dimension(*args) + 1
             )
         else:  # x itself in place of the top element of a fiber with several
             self._change_fibers(monkeypatch, lambda x, fiber: [*fiber[:-1], x])
@@ -505,3 +512,32 @@ def test_a_build_grows_jw_once_and_reads_the_fibers_off_it(preset, monkeypatch):
     assert len(born) == len(left_reps(g, atlas.J)) and len(misses) == 1
     assert [fibers[s.rep] for s in atlas.strata] == [s.eo_fiber for s in atlas.strata]
     assert sum(map(len, fibers.values())) == len(left_reps(g, atlas.J))
+
+
+def _case(name):
+    """A ladder preset or a many-strata shape of the benchmark (seed 0)."""
+    if ":" in name:
+        return parse_case(corpus_preset(name))
+    return parse_case(dict(benchmark_workloads().many_strata_docs(0))[name])
+
+
+@pytest.mark.parametrize(
+    "name", ["siegel:3", "gu:4,3:inert", "B3xA3-rev-J", "D4xA2-fork-rev-J"]
+)
+def test_a_build_computes_each_parabolic_constant_once_per_subset(name, monkeypatch):
+    # each _parabolic call is one pass over the positive roots; a build makes
+    # one per distinct subset its strata read (K and each J_x), plus the fixed
+    # ones: |W| in the constructor, |W_J| in ascend, and N_W and N_J in
+    # moduli_dimension.  None scales with the number of strata.
+    calls = []
+    parabolic = WeylGroup._parabolic
+    monkeypatch.setattr(
+        WeylGroup, "_parabolic",
+        lambda self, S: calls.append(frozenset(S)) or parabolic(self, S),
+    )
+    atlas = build_atlas(_case(name))
+    made = Counter(calls)
+    g, J, K = atlas.group, atlas.J, atlas.K
+    read = {K} | {g.induced_subset(s.rep, J, K) for s in atlas.strata}
+    W = frozenset(range(g.n))
+    assert made <= Counter([W, J, W, J]) + Counter(read), made

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bruhat_atlas import cli, galois
-from bruhat_atlas.cli import build_parser, corpus_preset, main
+from bruhat_atlas.cli import USAGE, corpus_preset, main, parse_args
 from bruhat_atlas.atlas import build_atlas, siegel_case
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
@@ -247,9 +247,10 @@ class TestMain:
         )
 
     def test_internal_invariant_exits_4(self, tmp_path, monkeypatch, capsys):
-        order = WeylGroup.parabolic_order
+        parabolic = WeylGroup._parabolic
         monkeypatch.setattr(
-            WeylGroup, "parabolic_order", lambda self, S: order(self, S) + 1
+            WeylGroup, "_parabolic",
+            lambda self, S: (parabolic(self, S)[0] + 1, parabolic(self, S)[1]),
         )
         rc = main(["--out", str(tmp_path), "corpus", "siegel:3"])
         assert rc == 4
@@ -432,10 +433,11 @@ class TestMain:
 
     @pytest.mark.parametrize("command", [["corpus", "siegel:2"], ["siegel", "2"]])
     def test_nonpositive_bound_exits_2(self, tmp_path, capsys, command):
-        assert main(["--out", str(tmp_path), "--bound", "0", *command]) == 2
-        assert capsys.readouterr().err == (
-            "error: options.element_bound must be an integer >= 1, got 0\n"
-        )
+        for bound in (["--bound", "0"], ["--bound=0"]):
+            assert main(["--out", str(tmp_path), *bound, *command]) == 2
+            assert capsys.readouterr().err == (
+                "error: options.element_bound must be an integer >= 1, got 0\n"
+            )
 
     def test_siegel_verify_passes(self, capsys):
         assert main(["--verify", "siegel", "3"]) == 0
@@ -478,9 +480,81 @@ class TestMain:
             assert main(["siegel", bad]) == 2
             assert capsys.readouterr().err == f"error: bad genus {bad!r}\n"
 
-    def test_parser_requires_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([])
+    def test_parser_requires_command(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr() == ("", "error: missing command\n")
+
+
+class TestUsage:
+    """The fixed grammar [--out DIR] [--verify] [--no-minuscule-check]
+    [--bound N] COMMAND ARG: every usage error exits 2 with one line."""
+
+    @pytest.mark.parametrize("bad", ["1_000", "\u0663", "+5", "x", "-5", " 5", ""])
+    @pytest.mark.parametrize("form", ["split", "joined"])
+    def test_bad_bound_exits_2_in_one_line(self, tmp_path, capsys, bad, form):
+        # a bound is ASCII decimal digits only, like the preset numbers
+        bound = ["--bound", bad] if form == "split" else [f"--bound={bad}"]
+        assert main(["--out", str(tmp_path), *bound, "corpus", "siegel:3"]) == 2
+        assert capsys.readouterr() == ("", f"error: bad bound {bad!r}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--verify"], "missing command"),
+            (["frob", "x"], "unknown command 'frob'"),
+            (["Corpus", "siegel:2"], "unknown command 'Corpus'"),
+            (["corpus"], "corpus takes one PRESET after the options"),
+            (["atlas", "a.json", "b.json"], "atlas takes one CASEFILE after the options"),
+            (["--frobenius", "corpus", "siegel:2"], "unknown option '--frobenius'"),
+            (["-v", "corpus", "siegel:2"], "unknown option '-v'"),
+            (["--", "corpus", "siegel:2"], "unknown option '--'"),
+            # argparse took unique prefixes; options are spelled in full
+            (["--ver", "corpus", "siegel:2"], "unknown option '--ver'"),
+            (["--no-min", "corpus", "siegel:2"], "unknown option '--no-min'"),
+            (["--bo", "8", "corpus", "siegel:2"], "unknown option '--bo'"),
+            (["--out"], "option --out needs a value"),
+            (["--verify", "--bound"], "option --bound needs a value"),
+            (["--verify=yes", "corpus", "siegel:2"], "option --verify takes no value"),
+            (["corpus", "siegel:2", "--verify"], "corpus takes one PRESET after the options"),
+            (["corpus", "--verify", "siegel:2"], "corpus takes one PRESET after the options"),
+            (["siegel", "--bound=3"], "siegel takes one G after the options"),
+        ],
+    )
+    def test_usage_errors_exit_2_in_one_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            ["--help"],
+            ["--verify", "--help"],
+            ["--help", "corpus", "siegel:2"],
+            ["corpus", "-h"],
+            ["siegel", "--help"],
+        ],
+    )
+    def test_help_prints_the_usage(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), *argv]) == 0
+        assert capsys.readouterr() == (USAGE + "\n", "")
+        assert USAGE.startswith("usage: bruhat-atlas [--out DIR] [--verify] ")
+        assert not out.exists()
+
+    def test_options_take_their_value_joined_or_split(self, tmp_path, capsys):
+        # |^J W| = 8 for siegel:3: a bound of 8 builds, 7 does not
+        assert main([f"--out={tmp_path / 'a'}", "--bound=8", "corpus", "siegel:3"]) == 0
+        assert main(["--out", str(tmp_path / "b"), "--bound", "8", "corpus", "siegel:3"]) == 0
+        for name in ("atlas.json", "hasse.dot", "table.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        capsys.readouterr()
+        assert main([f"--out={tmp_path / 'c'}", "--bound=7", "corpus", "siegel:3"]) == 3
+        # the last of a repeated option wins, as it did under argparse
+        assert parse_args(["--out", "x", "--out=y", "siegel", "2"])[2] == "y"
 
 
 @pytest.mark.parametrize("preset", LADDER)
@@ -543,7 +617,14 @@ def test_verify_stdout_is_pinned(preset, tmp_path, capsys):
 
 
 # modules whose import a build-only process must not pay for
-_HEAVY_IMPORTS = ("dataclasses", "inspect", "bruhat_atlas.oracle")
+_HEAVY_IMPORTS = (
+    "dataclasses",
+    "inspect",
+    "bruhat_atlas.oracle",
+    "argparse",
+    "gettext",
+    "pathlib",
+)
 
 
 def _loaded_after_main(out, *args) -> dict:
