@@ -3,8 +3,8 @@
 An input case is a classical diagram, a Frobenius diagram symmetry, and either
 a cocharacter pairing vector or the parabolic type J directly.  The atlas
 lists one record per Frobenius orbit of minimal double-coset representatives,
-carrying the stratum dimension, the finer fiber decomposition, and the closure
-relation, together with the ordinarity verdict.
+carrying the stratum dimension and the finer fiber decomposition, with the
+closure relation as the orbit poset's bitmasks and the ordinarity verdict.
 """
 
 from __future__ import annotations
@@ -45,17 +45,9 @@ class PELCase(Value):
 
 
 class StratumRecord(Record):
-    __slots__ = (
-        "rep",
-        "orbit",
-        "dim",
-        "codim",
-        "eo_fiber",
-        "single_eo",
-        "closure",
-        "is_maximal",
-        "siegel_a",
-    )
+    """One stratum's independent data; the writers derive the rest as they write."""
+
+    __slots__ = ("rep", "orbit", "dim", "eo_fiber", "siegel_a")
 
 
 class MuOrdinaryReport(Record):
@@ -123,14 +115,11 @@ def moduli_dimension(group: WeylGroup, J) -> int:
     return group.longest_length(range(group.n)) - group.longest_length(J)
 
 
-def stratum_dimension(group: WeylGroup, x: WeylElement, Jx, K, longest=None) -> int:
+def stratum_dimension(x: WeylElement, Jx, K, longest) -> int:
     """length(x) + length(w0 of K) - length(w0 of J_x), the length of the
     longest element x w0(J_x) w0(K) of the fiber of x, for ``Jx =
     group.induced_subset(x, J, K)`` (Bjorner-Brenti, section 2.4).
-    ``longest`` maps a subset to the length of its longest element where the
-    caller holds these lengths, as a build does; otherwise they are
-    computed."""
-    longest = longest or group.longest_length
+    ``longest`` maps a subset to the length of its longest element."""
     return x.length + longest(K) - longest(Jx)
 
 
@@ -187,15 +176,12 @@ def build_atlas(case: PELCase) -> Atlas:
 
     left_reps = group.ascend(J)
     fibers = eo_fibers(group, J, K)
-    double_reps = list(fibers)
-
-    orbits = galois_orbits(group, double_reps, generator)
+    orbits = galois_orbits(group, list(fibers), generator)
     poset = orbit_poset(group, orbits, J)
 
     moduli_dim = moduli_dimension(group, J)
     genus = _siegel_genus(case, J, K)
 
-    top_length = max(w.length for w in double_reps)
     Jxs = [group.induced_subset(rep, J, K) for rep in poset.reps]
     # |W_S| and N_S once for each distinct subset the strata read, not per
     # stratum: each is one pass over the positive roots
@@ -204,8 +190,8 @@ def build_atlas(case: PELCase) -> Atlas:
         orders[S], longest[S] = group._parabolic(S)
 
     strata: list[StratumRecord] = []
-    for sid, (orbit, rep, Jx) in enumerate(zip(poset.orbits, poset.reps, Jxs)):
-        dim = stratum_dimension(group, rep, Jx, K, longest.__getitem__)
+    for orbit, rep, Jx in zip(poset.orbits, poset.reps, Jxs):
+        dim = stratum_dimension(rep, Jx, K, longest.__getitem__)
         fiber = fibers[rep]
         # the fiber is sorted by length and has one longest element, of
         # length dim, and |W_K| / |W_{J_x}| elements
@@ -221,16 +207,9 @@ def build_atlas(case: PELCase) -> Atlas:
             if len(matches) != 1:
                 raise ConsistencyError("dimension does not match a unique a-number")
             siegel_a = matches[0]
-        # by position, in slot order: rep, orbit, dim, codim, eo_fiber,
-        # single_eo, closure, is_maximal, siegel_a
-        strata.append(
-            StratumRecord(
-                rep, orbit, dim, moduli_dim - dim, fiber, len(fiber) == 1,
-                poset.ids_below(sid), rep.length == top_length, siegel_a,
-            )
-        )
+        strata.append(StratumRecord(rep, orbit, dim, fiber, siegel_a))
 
-    _assert_atlas_invariants(strata, left_reps, moduli_dim)
+    _assert_atlas_invariants(strata, poset.below, left_reps, moduli_dim)
 
     return Atlas(
         case=case,
@@ -246,19 +225,21 @@ def build_atlas(case: PELCase) -> Atlas:
     )
 
 
-def _assert_atlas_invariants(strata, left_reps, moduli_dim):
+def _assert_atlas_invariants(strata, below, left_reps, moduli_dim):
+    """The strata come in (length, representative word) order, so the writers
+    mark the last one maximal: its representative must be the one longest,
+    and its down-set mask in ``below`` must hold every stratum."""
     weighted = sum(len(s.orbit) * len(s.eo_fiber) for s in strata)
     if weighted != len(left_reps):
         raise ConsistencyError("fiber sizes do not add up to the finer index set")
-    maximal = [s for s in strata if s.is_maximal]
-    if len(maximal) != 1:
+    top = strata[-1]
+    if any(s.rep.length >= top.rep.length for s in strata[:-1]):
         raise ConsistencyError("maximal stratum is not unique")
-    top = maximal[0]
     if len(top.orbit) != 1:
         raise ConsistencyError("maximal stratum orbit is not a singleton")
     if top.dim != moduli_dim:
         raise ConsistencyError("maximal stratum dimension differs from the total")
-    if sorted(top.closure) != list(range(len(strata))):
+    if below[-1] != (1 << len(strata)) - 1:
         raise ConsistencyError("maximal stratum closure misses some stratum")
     for sid, s in enumerate(strata):
         if not (0 <= s.dim <= moduli_dim):

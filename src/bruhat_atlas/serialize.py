@@ -18,6 +18,12 @@ schema: the header values and notes go through ``json.dumps`` (so escaping is
 json's own), each stratum is one f-string, and every integer list (reduced
 words, closures, poset edges) is one ``join`` over decimal labels built once
 per atlas.  The command line writes the pieces as they come.
+
+A stratum record holds only its independent data.  Each writer derives the
+rest as it writes the stratum: ``codim`` is ``moduli_dim - dim``,
+``single_eo`` is a fiber of one element, ``closure`` is the stratum's
+down-set in the orbit poset, read off its bitmask, and ``is_maximal`` marks
+the last stratum, since strata come in length order and one is longest.
 """
 
 from __future__ import annotations
@@ -151,6 +157,7 @@ def atlas_to_dict(atlas: Atlas) -> dict:
     """The atlas.json document as a dict: the schema that :func:`atlas_json`
     writes."""
     strata = []
+    top = len(atlas.strata) - 1
     for sid, s in enumerate(atlas.strata):
         strata.append(
             {
@@ -158,11 +165,11 @@ def atlas_to_dict(atlas: Atlas) -> dict:
                 "rep": s.rep.word,
                 "orbit": [w.word for w in s.orbit],
                 "dim": s.dim,
-                "codim": s.codim,
+                "codim": atlas.moduli_dim - s.dim,
                 "eo_fiber": [{"word": w.word, "length": w.length} for w in s.eo_fiber],
-                "single_eo": s.single_eo,
-                "closure": s.closure,
-                "is_maximal": s.is_maximal,
+                "single_eo": len(s.eo_fiber) == 1,
+                "closure": atlas.orbit_poset.ids_below(sid),
+                "is_maximal": sid == top,
                 "siegel_a": s.siegel_a,
             }
         )
@@ -204,9 +211,10 @@ def _ints(labels: list[str], values, depth: int) -> str:
     return _list(map(labels.__getitem__, values), depth) if values else "[]"
 
 
-def _stratum(labels: list[str], sid: int, s) -> str:
+def _stratum(labels: list[str], atlas: Atlas, sid: int) -> str:
     """One entry of the atlas.json ``strata`` list, from its line break on."""
     _, _, nl2, nl3, nl4, nl5 = _LINES
+    s = atlas.strata[sid]
     # an orbit holds its representative, and a fiber its representative
     orbit = _list((_ints(labels, w.word, 4) for w in s.orbit), 3)
     fiber = _list(
@@ -216,18 +224,18 @@ def _stratum(labels: list[str], sid: int, s) -> str:
         ),
         3,
     )
-    single = "true" if s.single_eo else "false"
-    maximal = "true" if s.is_maximal else "false"
+    single = "true" if len(s.eo_fiber) == 1 else "false"
+    maximal = "true" if sid == len(atlas.strata) - 1 else "false"
     siegel_a = "null" if s.siegel_a is None else s.siegel_a
     return (
         f'{nl2}{{{nl3}"id": {labels[sid]},'
         f'{nl3}"rep": {_ints(labels, s.rep.word, 3)},'
         f'{nl3}"orbit": {orbit},'
         f'{nl3}"dim": {s.dim},'
-        f'{nl3}"codim": {s.codim},'
+        f'{nl3}"codim": {atlas.moduli_dim - s.dim},'
         f'{nl3}"eo_fiber": {fiber},'
         f'{nl3}"single_eo": {single},'
-        f'{nl3}"closure": {_ints(labels, s.closure, 3)},'
+        f'{nl3}"closure": {_ints(labels, atlas.orbit_poset.ids_below(sid), 3)},'
         f'{nl3}"is_maximal": {maximal},'
         f'{nl3}"siegel_a": {siegel_a}{nl2}}}'
     )
@@ -244,10 +252,10 @@ def atlas_json_pieces(atlas: Atlas) -> Iterator[str]:
         yield f'{nl1}"{key}": {_dumps(value, 1)},'
     yield f'{nl1}"strata": ['
     # an atlas has at least one stratum, the one of the identity
-    for sid, s in enumerate(atlas.strata):
+    for sid in range(len(atlas.strata)):
         if sid:
             yield ","
-        yield _stratum(labels, sid, s)
+        yield _stratum(labels, atlas, sid)
     yield f'{nl1}],{nl1}"poset_edges": '
     covers = atlas.orbit_poset.covers  # the pairs that hasse_edges lists
     yield (
@@ -299,10 +307,10 @@ def emit_table(atlas: Atlas) -> str:
                 labels[sid],
                 word_label(s.rep.word),
                 str(s.dim),
-                str(s.codim),
+                str(atlas.moduli_dim - s.dim),
                 str(len(s.eo_fiber)),
-                "yes" if s.single_eo else "no",
-                ",".join(map(labels.__getitem__, s.closure)),
+                "yes" if len(s.eo_fiber) == 1 else "no",
+                ",".join(map(labels.__getitem__, atlas.orbit_poset.ids_below(sid))),
             )
         )
     widths = [max(len(row[c]) for row in rows) for c in range(6)]

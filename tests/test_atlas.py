@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -170,16 +171,16 @@ class TestBuildAtlas:
         assert sorted(s.dim for s in a.strata) == [0, 2, 3]
         assert sorted(len(s.eo_fiber) for s in a.strata) == [1, 1, 2]
         # closure order is a chain
-        assert [s.closure for s in a.strata] == [[0], [0, 1], [0, 1, 2]]
+        assert [a.orbit_poset.ids_below(sid) for sid in range(3)] == [[0], [0, 1], [0, 1, 2]]
         assert a.mu_ordinary.verdict is True
         assert [s.siegel_a for s in a.strata] == [2, 1, 0]
 
     def test_hilbert(self):
         a = hilbert_atlas()
-        assert [(s.dim, len(s.orbit), s.single_eo) for s in a.strata] == [
-            (0, 1, True),
-            (1, 2, True),
-            (2, 1, True),
+        assert [(s.dim, len(s.orbit), len(s.eo_fiber)) for s in a.strata] == [
+            (0, 1, 1),
+            (1, 2, 1),
+            (2, 1, 1),
         ]
         assert a.degree == 1
         assert a.mu_ordinary.verdict is True
@@ -189,7 +190,7 @@ class TestBuildAtlas:
         assert a.degree == 2
         assert a.mu_ordinary.verdict is False
         assert sorted(s.dim for s in a.strata) == [0, 2]
-        top = next(s for s in a.strata if s.is_maximal)
+        top = a.strata[-1]
         assert [w.length for w in top.eo_fiber] == [1, 2]
 
     def test_atlas_counting_invariants(self):
@@ -202,7 +203,7 @@ class TestBuildAtlas:
     def test_single_stratum_case(self, a2):
         a = build_atlas(make_case([("A", 2)], mu=(0, 0)))
         assert len(a.strata) == 1
-        assert a.strata[0].is_maximal and a.strata[0].dim == 0
+        assert a.orbit_poset.below == (1,) and a.strata[0].dim == 0
 
     def test_requires_exactly_one_of_mu_and_j(self):
         with pytest.raises(InputError):
@@ -216,16 +217,15 @@ class TestBuildAtlas:
 
     def test_closure_set(self):
         a = build_atlas(siegel_case(2))
-        assert a.strata[0].closure == [0]
-        top = next(i for i, s in enumerate(a.strata) if s.is_maximal)
-        assert a.strata[top].closure == [0, 1, 2]
+        assert a.orbit_poset.ids_below(0) == [0]
+        assert a.orbit_poset.ids_below(len(a.strata) - 1) == [0, 1, 2]
 
     def test_d4_triality_case(self):
         # the triality cycle moves node 0, so J takes three steps to return
         a = build_atlas(make_case([("D", 4)], perm=[2, 1, 3, 0], J={0}))
         assert a.degree == 3
         assert a.mu_ordinary.verdict is False
-        top = next(s for s in a.strata if s.is_maximal)
+        top = a.strata[-1]
         assert len(top.orbit) == 1 and top.dim == a.moduli_dim
 
 
@@ -304,40 +304,43 @@ class TestBuildGuards:
             build_atlas(siegel_case(3))
 
 
-def _stratum(dim, closure, is_maximal, orbit=("x",)):
+def _stratum(dim, length, orbit=("x",)):
+    """A stratum whose representative has only a length."""
     return StratumRecord(
-        rep=None, orbit=list(orbit), dim=dim, codim=2 - dim, eo_fiber=["y"],
-        single_eo=True, closure=closure, is_maximal=is_maximal, siegel_a=None,
+        rep=SimpleNamespace(length=length), orbit=list(orbit), dim=dim,
+        eo_fiber=["y"], siegel_a=None,
     )
 
 
 class TestAtlasInvariants:
     """The atlas-wide guards, called on two synthetic strata of a moduli
-    space of dimension 2: a point below a top stratum."""
+    space of dimension 2: a point below a top stratum, with their down-set
+    masks."""
 
     def test_consistent_strata_pass(self):
-        strata = [_stratum(0, [0], False), _stratum(2, [0, 1], True)]
-        atlas_mod._assert_atlas_invariants(strata, range(2), 2)
+        strata = [_stratum(0, 0), _stratum(2, 2)]
+        atlas_mod._assert_atlas_invariants(strata, (0b01, 0b11), range(2), 2)
 
     @pytest.mark.parametrize(
-        "strata, message",
+        "strata, below, message",
         [
-            ([_stratum(0, [0], True), _stratum(2, [0, 1], True)], "is not unique"),
-            ([_stratum(0, [0], False), _stratum(2, [0, 1], True, "xz")], "not a singleton"),
-            ([_stratum(0, [0], False), _stratum(1, [0, 1], True)], "differs from the total"),
-            ([_stratum(0, [0], False), _stratum(2, [1], True)], "misses some stratum"),
+            ([_stratum(0, 2), _stratum(2, 2)], (0b01, 0b11), "is not unique"),
+            ([_stratum(0, 0), _stratum(2, 2, "xz")], (0b01, 0b11), "not a singleton"),
+            ([_stratum(0, 0), _stratum(1, 2)], (0b01, 0b11), "differs from the total"),
+            ([_stratum(0, 0), _stratum(2, 2)], (0b01, 0b10), "misses some stratum"),
             (
-                [_stratum(-1, [0], False), _stratum(2, [0, 1], True)],
+                [_stratum(-1, 0), _stratum(2, 2)],
+                (0b01, 0b11),
                 r"^stratum 0 dimension -1 out of range 0\.\.2$",
             ),
         ],
         ids=["two maxima", "top orbit", "top dimension", "top closure", "dimension"],
     )
-    def test_each_guard_fires(self, strata, message):
+    def test_each_guard_fires(self, strata, below, message):
         # the fiber sizes add up, so only the named guard can fire
         left_reps = range(sum(len(s.orbit) * len(s.eo_fiber) for s in strata))
         with pytest.raises(ConsistencyError, match=message):
-            atlas_mod._assert_atlas_invariants(strata, left_reps, 2)
+            atlas_mod._assert_atlas_invariants(strata, below, left_reps, 2)
 
 
 class TestSiegel:

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,20 @@ class TestMain:
             line for line in dot.splitlines() if "->" in line
         ]
 
+    @pytest.mark.parametrize("preset", ["siegel:3", "gu:4,3:inert", "hilbert:6"])
+    def test_closures_are_formed_only_as_they_are_written(self, tmp_path, monkeypatch, preset):
+        # the build forms no closure list; a run forms each stratum's at most
+        # once for each file that writes it, atlas.json and table.txt
+        calls = []
+        ids_below = galois.OrbitPoset.ids_below
+        monkeypatch.setattr(
+            galois.OrbitPoset, "ids_below", lambda poset, b: calls.append(b) or ids_below(poset, b)
+        )
+        n = len(build_atlas(parse_case(corpus_preset(preset))).strata)
+        assert calls == []
+        assert main(["--out", str(tmp_path), "corpus", preset]) == 0
+        assert calls and Counter(calls) <= Counter(dict.fromkeys(range(n), 2))
+
     def test_broken_closure_order_fails_verification(self, tmp_path, monkeypatch, capsys):
         # a many-strata shape with one bit of the built order cleared
         build = cli.atlas_mod.build_atlas
@@ -357,8 +372,12 @@ class TestMain:
         assert cli._run_case(doc, tmp_path, verify=True) == 1
         out = capsys.readouterr().out
         assert "192 strata" in out
+        # the top's down-set is the closure written for it, so the maximal
+        # stratum check sees the cleared bit too
         assert [line for line in out.splitlines() if "[FAIL]" in line] == [
-            "[FAIL] closure_order (B3 x A2 J=[] K=[]) counterexample: orbits 1 <= 191"
+            "[FAIL] closure_order (B3 x A2 J=[] K=[]) counterexample: orbits 1 <= 191",
+            "[FAIL] maximal_stratum (B3 x A2 J=[] K=[]) counterexample: "
+            "x=[0, 1, 0, 2, 1, 0, 2, 1, 2, 3, 4, 3]",
         ]
 
     def test_trivial_signature_either_side(self, tmp_path):
@@ -469,7 +488,8 @@ class TestMain:
         assert main(["--verify", "siegel", "3"]) == 1
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if "[FAIL]" in line] == [
-            "[FAIL] closure_order (C3 J=[0, 1] K=[0, 1]) counterexample: orbits 1 <= 3"
+            "[FAIL] closure_order (C3 J=[0, 1] K=[0, 1]) counterexample: orbits 1 <= 3",
+            "[FAIL] maximal_stratum (C3 J=[0, 1] K=[0, 1]) counterexample: x=[2, 1, 0, 2, 1, 2]",
         ]
 
     def test_siegel_bad_genus(self, capsys):

@@ -140,7 +140,7 @@ class TestVerifyAtlas:
         atlas = build_atlas(siegel_case(2))
         broken = copy.copy(atlas)
         broken.strata = [copy.copy(s) for s in atlas.strata]
-        victim = next(s for s in broken.strata if not s.is_maximal and s.dim > 0)
+        victim = next(s for s in broken.strata[:-1] if s.dim > 0)
         victim.dim += 1
         report = verify_atlas(broken)
         assert not report.passed
@@ -150,32 +150,40 @@ class TestVerifyAtlas:
 
     @pytest.mark.parametrize("claimed", [True, False])
     def test_corrupted_single_eo_is_caught(self, claimed):
-        # flip a stratum with several fibers to True, or the singleton top
-        # stratum to False
+        # a stratum is single exactly when its fiber has one element.  Claimed
+        # single: a fiber of several cut to its top, which changes its set
+        # too.  Claimed not single: the singleton top stratum's fiber repeats
+        # its one element, which leaves the set and the top as they are.
         atlas = build_atlas(siegel_case(2))
         broken = copy.copy(atlas)
         broken.strata = [copy.copy(s) for s in atlas.strata]
-        victim = next(
-            s for s in broken.strata if s.single_eo is not claimed and s.is_maximal is not claimed
-        )
-        victim.single_eo = claimed
+        if claimed:
+            victim = next(s for s in broken.strata if len(s.eo_fiber) > 1)
+            victim.eo_fiber = victim.eo_fiber[-1:]
+        else:
+            victim = broken.strata[-1]
+            assert len(victim.eo_fiber) == 1
+            victim.eo_fiber = victim.eo_fiber * 2
         failed = [
             line for line in verify_atlas(broken).render().splitlines()
             if line.startswith("[FAIL]")
         ]
         word = list(victim.rep.word)
-        assert len(failed) == 1
-        assert failed[0].startswith("[FAIL] single_fiber_criterion ")
-        assert failed[0].endswith(f"counterexample: x={word}")
+        names = ["fiber_partition", "single_fiber_criterion"] if claimed else [
+            "single_fiber_criterion"
+        ]
+        assert [line.split()[1] for line in failed] == names
+        assert all(line.endswith(f"counterexample: x={word}") for line in failed)
 
     def test_corrupted_maximal_flag_is_caught(self):
+        # the writers mark the last stratum maximal; with the last two
+        # swapped, a stratum below the top is last
         atlas = build_atlas(siegel_case(2))
         broken = copy.copy(atlas)
-        broken.strata = [copy.copy(s) for s in atlas.strata]
-        for s in broken.strata:
-            s.is_maximal = True
-        report = verify_atlas(broken)
-        assert any(c.name == "maximal_stratum" and not c.passed for c in report.checks)
+        broken.strata = [*atlas.strata[:-2], atlas.strata[-1], atlas.strata[-2]]
+        failed = [c for c in verify_atlas(broken).checks if not c.passed]
+        assert [c.name for c in failed] == ["maximal_stratum"]
+        assert failed[0].counterexample == f"x={list(atlas.strata[-2].rep.word)}"
 
     @pytest.mark.parametrize("claimed_length", ["own", "true"])
     def test_engine_top_element_is_checked_not_trusted(self, claimed_length):

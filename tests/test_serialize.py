@@ -67,10 +67,10 @@ def padded_table(atlas) -> str:
                 str(sid),
                 word_label(s.rep.word),
                 str(s.dim),
-                str(s.codim),
+                str(atlas.moduli_dim - s.dim),
                 str(len(s.eo_fiber)),
-                "yes" if s.single_eo else "no",
-                ",".join(map(str, s.closure)),
+                "yes" if len(s.eo_fiber) == 1 else "no",
+                ",".join(str(a) for a in range(sid + 1) if atlas.orbit_poset.leq(a, sid)),
             )
         )
     widths = [max(len(row[c]) for row in rows) for c in range(7)]
@@ -167,3 +167,29 @@ class TestWriter:
         assert {
             file: hashlib.sha256(text.encode()).hexdigest() for file, text in outputs.items()
         } == DIGESTS[digest_key(name)]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_written_derived_fields_agree_with_the_document(name):
+    # codim, single_eo, closure and is_maximal are formed as each stratum is
+    # written; each is checked against the document's own independent fields
+    doc = json.loads(atlas_json(atlas_of(name)))
+    strata, moduli_dim = doc["strata"], doc["moduli_dim"]
+    # the closure order: the reflexive-transitive closure of the poset edges
+    below = [{sid} for sid in range(len(strata))]
+    grown = True
+    while grown:
+        grown = False
+        for a, b in doc["poset_edges"]:
+            if not below[a] <= below[b]:
+                below[b] |= below[a]
+                grown = True
+    for sid, s in enumerate(strata):
+        assert s["id"] == sid
+        assert s["codim"] == moduli_dim - s["dim"]
+        assert s["single_eo"] is (len(s["eo_fiber"]) == 1)
+        assert s["closure"] == sorted(below[sid])
+    maximal = [s for s in strata if s["is_maximal"] is True]
+    assert len(maximal) == 1 and all(type(s["is_maximal"]) is bool for s in strata)
+    assert maximal[0]["dim"] == moduli_dim
+    assert maximal[0]["closure"] == list(range(len(strata)))
