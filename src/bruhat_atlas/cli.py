@@ -8,8 +8,13 @@ or ``--help`` in place of an option or of ARG prints the usage.
 Commands: atlas <casefile>, verify <casefile>, corpus <preset>, siegel <g>.
 Presets: siegel:<g>, hilbert:<d>, gu:<r>,<s>:inert|split.
 Exit codes: 0 success, 1 verification failure, 2 invalid input (a usage
-error too, in one line), 3 bound exceeded, 4 internal invariant failed (a
-bug in the engine).
+error, or an output directory or stdout that cannot be written, in one
+line), 3 bound exceeded, 4 internal invariant failed (a bug in the engine).
+
+:func:`main` is the in-process API: it returns the exit code and never ends
+the process.  :func:`run` is the process entry of ``python -m bruhat_atlas``
+and of the ``bruhat-atlas`` script: it calls ``main`` and ends the process
+with ``os._exit``, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ def _write_outputs(built, out_dir: str):
         with open(os.path.join(out_dir, "hasse.dot"), "w") as out:
             out.write(serialize.emit_dot(built))
         with open(os.path.join(out_dir, "table.txt"), "w") as out:
-            out.write(serialize.emit_table(built))
+            out.writelines(serialize.emit_table(built))
     except OSError as exc:
         raise InputError(f"cannot write to {out_dir}: {exc}") from exc
 
@@ -117,7 +122,7 @@ def _run_case(doc: dict, out_dir: str, verify: bool, **overrides) -> int:
         raise InputError(f"cannot write to {out_dir}: {exc}") from exc
     built = atlas_mod.build_atlas(case)
     _write_outputs(built, out_dir)
-    print(
+    _say(
         f"{case.spec.describe()}: {len(built.strata)} strata, "
         f"moduli dim {built.moduli_dim}, "
         f"mu-ordinary {built.mu_ordinary.verdict}, degree {built.degree}"
@@ -131,8 +136,20 @@ def _verify(built) -> int:
     from . import oracle
 
     report = oracle.verify_atlas(built)
-    print(report.render())
+    _say(report.render())
     return 0 if report.passed else 1
+
+
+def _say(text: str):
+    """Print ``text`` and flush stdout, so that nothing printed is still
+    buffered when :func:`main` returns.  A stdout that cannot take it (a full
+    device, a closed pipe) is an InputError; its unwritten bytes stay
+    buffered, and nothing flushes stdout again in a process that :func:`run`
+    ends."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise InputError(f"cannot write to stdout: {exc}") from exc
 
 
 def _load_doc(path: str) -> dict:
@@ -190,10 +207,13 @@ def parse_args(argv) -> tuple | None:
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` by default) and return
+    its exit code.  Every line it prints is flushed before it returns; an
+    exception other than the input, bound and invariant errors propagates."""
     try:
         parsed = parse_args(sys.argv[1:] if argv is None else argv)
         if parsed is None:
-            print(USAGE)
+            _say(USAGE)
             return 0
         command, arg, out_dir, verify, overrides = parsed
         if command in ("atlas", "verify"):
@@ -206,12 +226,12 @@ def main(argv=None) -> int:
         # siegel: the parser admits no other command
         genus = _decimal(arg, "genus")
         ident = atlas_mod.siegel_identify(genus, **overrides)
-        print(f"genus {ident.g}: {len(ident.entries)} strata")
-        print(f"{'a':>3}  {'dim':>4}  rep")
+        _say(f"genus {ident.g}: {len(ident.entries)} strata")
+        _say(f"{'a':>3}  {'dim':>4}  rep")
         for e in ident.entries:
-            print(f"{e['a']:>3}  {e['dim']:>4}  {serialize.word_label(e['rep'])}")
+            _say(f"{e['a']:>3}  {e['dim']:>4}  {serialize.word_label(e['rep'])}")
         # siegel_identify raises unless the order is reversed
-        print("total order reversed by a-number: True")
+        _say("total order reversed by a-number: True")
         return _verify(ident.atlas) if verify else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -222,3 +242,15 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 4
+
+
+def run():
+    """The process entry: run :func:`main`, flush stderr, and end the process
+    with ``os._exit`` and main's code.  The interpreter's teardown (clearing
+    every module, freeing every object, a last collection) is skipped, since
+    the operating system reclaims all of it; the output files are closed by
+    then and stdout is flushed.  An exception from ``main`` propagates with
+    its traceback and the process ends as usual."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)

@@ -296,24 +296,27 @@ def emit_dot(atlas: Atlas) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_table(atlas: Atlas) -> str:
-    """Fixed-width text table of the strata; the last column (closure) is
-    never empty and is not padded."""
+def emit_table(atlas: Atlas) -> Iterator[str]:
+    """Fixed-width text table of the strata, one line per piece.  A first
+    pass forms the short cells of columns 0-5 and their widths; the last
+    column (closure) is never empty and is not padded, and it is formed from
+    its bitmask only as its row is yielded, so a writer holds one closure's
+    text at a time."""
     labels = _labels(atlas)
-    rows = [("id", "rep", "dim", "codim", "#EO", "single-EO", "closure")]
-    for sid, s in enumerate(atlas.strata):
-        rows.append(
-            (
-                labels[sid],
-                word_label(s.rep.word),
-                str(s.dim),
-                str(atlas.moduli_dim - s.dim),
-                str(len(s.eo_fiber)),
-                "yes" if len(s.eo_fiber) == 1 else "no",
-                ",".join(map(labels.__getitem__, atlas.orbit_poset.ids_below(sid))),
-            )
+    header = ("id", "rep", "dim", "codim", "#EO", "single-EO")
+    rows = [
+        (
+            labels[sid],
+            word_label(s.rep.word),
+            str(s.dim),
+            str(atlas.moduli_dim - s.dim),
+            str(len(s.eo_fiber)),
+            "yes" if len(s.eo_fiber) == 1 else "no",
         )
-    widths = [max(len(row[c]) for row in rows) for c in range(6)]
-    return "".join(
-        "  ".join([*map(str.ljust, row[:6], widths), row[6]]) + "\n" for row in rows
-    )
+        for sid, s in enumerate(atlas.strata)
+    ]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    yield "  ".join([*map(str.ljust, header, widths), "closure"]) + "\n"
+    for sid, row in enumerate(rows):
+        closure = ",".join(map(labels.__getitem__, atlas.orbit_poset.ids_below(sid)))
+        yield "  ".join([*map(str.ljust, row, widths), closure]) + "\n"

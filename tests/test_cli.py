@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -142,7 +143,7 @@ class TestSerialization:
 
     def test_table_shape(self):
         atlas = build_atlas(siegel_case(2))
-        lines = emit_table(atlas).splitlines()
+        lines = "".join(emit_table(atlas)).splitlines()
         assert lines[0].split() == ["id", "rep", "dim", "codim", "#EO", "single-EO", "closure"]
         assert len(lines) == 1 + len(atlas.strata)
 
@@ -636,6 +637,8 @@ def test_verify_stdout_is_pinned(preset, tmp_path, capsys):
     assert capsys.readouterr().out == VERIFY_STDOUT[preset]
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 # modules whose import a build-only process must not pay for
 _HEAVY_IMPORTS = (
     "dataclasses",
@@ -650,7 +653,6 @@ _HEAVY_IMPORTS = (
 def _loaded_after_main(out, *args) -> dict:
     """Which of ``_HEAVY_IMPORTS`` a fresh ``python -S`` process holds in
     ``sys.modules`` after running ``main`` on ``args``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import json, sys; sys.path.insert(0, sys.argv[1]);"
         "from bruhat_atlas.cli import main;"
@@ -659,7 +661,7 @@ def _loaded_after_main(out, *args) -> dict:
         "raise SystemExit(code)"
     )
     done = subprocess.run(
-        [sys.executable, "-S", "-c", script, src, "--out", str(out), *args],
+        [sys.executable, "-S", "-c", script, SRC, "--out", str(out), *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -676,3 +678,133 @@ def test_a_build_only_process_imports_neither_dataclasses_nor_the_oracle(tmp_pat
 def test_verify_loads_the_oracle(tmp_path):
     loaded = _loaded_after_main(tmp_path, "--verify", "corpus", "siegel:2")
     assert loaded["bruhat_atlas.oracle"]
+
+
+def _entry_env(unbuffered: bool = False) -> dict:
+    """The environment of a ``python -S -m bruhat_atlas`` process: this
+    checkout's sources, and stdout block-buffered unless ``unbuffered``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _entry(*args, stdout=subprocess.PIPE, unbuffered: bool = False):
+    """One ``python -S -m bruhat_atlas`` process on ``args``."""
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "bruhat_atlas", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=_entry_env(unbuffered),
+        text=True,
+        timeout=120,
+    )
+
+
+class TestProcessEntry:
+    """``cli.run`` ends the process with ``os._exit`` once ``main`` returns:
+    what the process prints, writes and exits with is what ``main`` gives."""
+
+    @pytest.mark.parametrize("preset", sorted(VERIFY_STDOUT))
+    def test_entry_prints_and_writes_what_main_does(self, preset, tmp_path, capsys):
+        # stdout is a block-buffered pipe, so a missing flush would lose lines
+        done = _entry("--out", str(tmp_path / "entry"), "--verify", "corpus", preset)
+        assert (done.returncode, done.stdout, done.stderr) == (0, VERIFY_STDOUT[preset], "")
+        assert main(["--out", str(tmp_path / "main"), "--verify", "corpus", preset]) == 0
+        assert capsys.readouterr().out == VERIFY_STDOUT[preset]
+        for name in ("atlas.json", "hasse.dot", "table.txt"):
+            entry = (tmp_path / "entry" / name).read_bytes()
+            assert entry == (tmp_path / "main" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["corpus", "nope:1"], 2), (["corpus", "hilbert:30"], 3)],
+    )
+    def test_entry_exits_with_mains_error_code_in_one_line(self, args, code, tmp_path):
+        done = _entry("--out", str(tmp_path), *args)
+        assert done.returncode == code
+        assert done.stdout == "" and len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("code", [1, 4])
+    def test_entry_exits_with_the_code_main_returns(self, code):
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]);"
+            "from bruhat_atlas import cli;"
+            f"cli.main = lambda argv=None: {code};"
+            "cli.run()"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script, SRC],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+
+    def test_an_exception_from_main_keeps_its_traceback(self):
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]);"
+            "from bruhat_atlas import cli;"
+            "cli.main = lambda argv=None: 1 // 0;"
+            "cli.run()"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script, SRC],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("Traceback")
+        assert done.stderr.splitlines()[-1] == "ZeroDivisionError: integer division or modulo by zero"
+
+    def test_the_script_and_python_m_share_the_entry(self):
+        pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+        assert 'bruhat-atlas = "bruhat_atlas.cli:run"' in pyproject.splitlines()
+        main_py = (Path(SRC) / "bruhat_atlas" / "__main__.py").read_text()
+        assert "run()" in main_py and "main(" not in main_py
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize(
+        "args", [["corpus", "siegel:2"], ["--verify", "siegel", "3"]]
+    )
+    def test_a_full_stdout_exits_2_in_one_line(self, args, unbuffered, tmp_path):
+        # unbuffered, the first print fails; block-buffered, its flush does
+        with open("/dev/full", "w") as full:
+            done = _entry("--out", str(tmp_path), *args, stdout=full, unbuffered=unbuffered)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: cannot write to stdout: [Errno 28] No space left on device"
+        ]
+
+    def test_a_closed_pipe_exits_2_in_one_line(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the process starts: every write fails
+        try:
+            done = _entry("--out", str(tmp_path), "corpus", "siegel:2", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["error: cannot write to stdout: [Errno 32] Broken pipe"]
+
+
+def test_main_leaves_no_resource_open(tmp_path):
+    # the entry skips the teardown, where an unclosed file would have been
+    # reported; here a process runs main, collects and exits as usual, so a
+    # ResourceWarning still shows on its stderr
+    casefile = tmp_path / "case.json"
+    casefile.write_text(json.dumps(corpus_preset("gu:2,1:inert")))
+    script = (
+        "import gc, sys; sys.path.insert(0, sys.argv[1]);"
+        "from bruhat_atlas.cli import main;"
+        "out = sys.argv[2];"
+        "assert main(['--out', out, 'corpus', 'siegel:2']) == 0;"
+        "assert main(['--out', out, 'atlas', sys.argv[3]]) == 0;"
+        "assert main(['--out', out, '--verify', 'corpus', 'siegel:3']) == 0;"
+        "gc.collect()"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "dev", "-W", "error", "-c", script,
+         SRC, str(tmp_path / "out"), str(casefile)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
