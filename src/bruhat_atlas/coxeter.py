@@ -16,16 +16,12 @@ Casselman, "Machine calculations in Weyl groups", 1994).  Coordinate i is
 - w lies in ^J W^K exactly when v_k >= 0 for every k in K;
 - a diagram symmetry phi with phi(J) = J permutes the coordinates.
 
-Elements are interned per group and per J, so equal means identical.  The
-registry keys a weight by the integer sum v_k R^k, R = 2N + 1: each |v_k| is
-at most the height of a coroot, so at most N, the digits are balanced and the
-key is exact, and a step moves it by v_i times the key of alpha_i.
-
 Elements are born in one place, :meth:`WeylGroup.ascend`, which grows all of
 ^J W (all of W when J is empty) by ascents from its identity and keeps the
-list.  Each element is born with its length, its reduced word and, once its
-level is grown, its right steps, each kept on both elements it joins; the
-rest of the engine only reads them.  The canonical word is the
+list, so per group and per J equal means identical.  Each element is born
+with its length, its reduced word and, once its level is grown, its right
+steps, each kept on both elements it joins; the rest of the engine only
+reads them, and finds no element by its weight.  The canonical word is the
 lexicographically first reduced word, the one that peels the smallest left
 descent first.  ``ascend`` lists ^J W in (length, reduced word) order, so a
 build grows it once and reads every fiber off it (:func:`atlas.eo_fibers`).
@@ -63,19 +59,19 @@ def check_bound(element_bound, rank: int):
 class WeylElement:
     """One element of ^J W; only :meth:`WeylGroup.ascend` creates these.
 
-    ``weight`` is w^-1 lambda_J (see the module docstring), ``code`` its
-    registry key and ``J`` the subset it lives under.  ``word`` is the
-    lexicographically first reduced word, and ``length`` its length.
-    ``steps[i]`` is w s_i, or None where v_i = 0 and the step stays at w.
+    ``weight`` is w^-1 lambda_J (see the module docstring) and ``J`` the
+    subset it lives under.  ``word`` is the lexicographically first reduced
+    word, and ``length`` its length.  ``steps[i]`` is w s_i, or None where
+    v_i = 0 and the step stays at w.  No registry key is kept: only
+    ``ascend`` finds an element by its weight, while it grows ^J W.
     Equality is identity: a group interns one element per J and weight.
     """
 
-    __slots__ = ("group", "J", "code", "weight", "length", "steps", "word")
+    __slots__ = ("group", "J", "weight", "length", "steps", "word")
 
-    def __init__(self, group: "WeylGroup", J, code: int, weight, word: tuple[int, ...]):
+    def __init__(self, group: "WeylGroup", J, weight, word: tuple[int, ...]):
         self.group = group
         self.J = J
-        self.code = code
         self.weight = weight
         self.word = word
         self.length = len(word)
@@ -104,31 +100,22 @@ class WeylGroup:
         self._column_codes = tuple(
             sum(a * self._base**k for k, a in column) for column in self._columns
         )
-        self._registry: dict[frozenset[int], dict[int, WeylElement]] = {}
         self._count = 0
         self._ascend_cache: dict[frozenset[int], list[WeylElement]] = {}
         self.order = self.parabolic_order(range(n))
 
     # -- element construction ------------------------------------------------
 
-    def _intern(self, J: frozenset[int], code: int, weight, word) -> WeylElement:
-        """A new element of ^J W; the caller has looked ``code``, the key of
-        ``weight``, up in the registry of J and knows its reduced word."""
+    def _intern(self, J: frozenset[int], weight, word) -> WeylElement:
+        """A new element of ^J W; the caller knows ``weight`` is not yet born
+        and knows its reduced word."""
         if self._count >= self.element_bound:
             raise BoundError(
                 f"element bound {self.element_bound} exceeded: "
                 f"{self._count + 1} elements materialized"
             )
         self._count += 1
-        el = self._registry[J][code] = WeylElement(self, J, code, weight, word)
-        return el
-
-    def _code(self, weight) -> int:
-        """The registry key of ``weight``: sum v_k R^k."""
-        code = 0
-        for c in reversed(weight):
-            code = code * self._base + c
-        return code
+        return WeylElement(self, J, weight, word)
 
     def _reflect(self, weight, i: int) -> tuple[int, ...]:
         """s_i(weight) = weight - weight_i alpha_i."""
@@ -193,20 +180,20 @@ class WeylGroup:
     # -- automorphisms ---------------------------------------------------------
 
     def apply_automorphism(self, phi: DiagramAutomorphism, w: WeylElement) -> WeylElement:
-        """phi(w) for w in ^J W with phi(J) = J: phi(v)_phi(i) = v_i, at the
-        same length, since phi(lambda_J) = lambda_J.  phi(v) lies in the
-        W-orbit of phi(lambda_J) = lambda_phi(J), and the W-orbits of distinct
-        dominant weights are disjoint (Humphreys, section 1.12), so it is in
-        the registry of J, which ``ascend`` filled, exactly when phi(J) = J."""
+        """phi(w) for w in ^J W with phi(J) = J, refused otherwise: the walk
+        from the identity of ^J W along the kept steps phi(i), i in w.word.
+        phi(s_i1 ... s_ik) = s_phi(i1) ... s_phi(ik) is reduced, and with
+        phi(J) = J each of its prefixes is the image of a prefix of w, so in
+        ^J W: every step of the walk is a kept ascent."""
         p = phi.perm
         if len(p) != self.n:
             raise InputError("automorphism rank mismatch")
-        weight = [0] * self.n
-        for i, c in zip(p, w.weight):
-            weight[i] = c
-        image = self._registry[w.J].get(self._code(weight))
-        if image is None:
+        self.check_ambient(w)
+        if phi.apply_subset(w.J) != w.J:
             raise InputError(f"automorphism moves J={sorted(w.J)}")
+        image = self._ascend_cache[w.J][0]
+        for i in w.word:
+            image = image.steps[p[i]]
         return image
 
     # -- enumeration -----------------------------------------------------------
@@ -242,6 +229,12 @@ class WeylGroup:
         ^J W is closed under prefixes, so each level is grown from the one
         before by the steps with v_i > 0.  Each step is kept on both elements
         it joins, so once grown, ``steps[i]`` is set exactly where v_i != 0.
+        While ^J W grows, a local registry keys each weight by the integer
+        sum v_k R^k, R = 2N + 1: each |v_k| is at most the height of a
+        coroot, so at most N, the digits are balanced and the key is exact,
+        and a step moves it by v_i times the key of alpha_i.  Each level
+        carries its keys beside its elements, and the registry is dropped
+        once ^J W is grown.
         The count is |W| / |W_J|: refused up front past the element bound,
         and checked once grown.  Induction on the length shows that the list
         is in (length, reduced word) order: the first parent u of w reached,
@@ -258,25 +251,26 @@ class WeylGroup:
                     f"enumeration of {self.order // part} elements exceeds element "
                     f"bound {self.element_bound}"
                 )
-            registry = self._registry[J] = {}
             weight = tuple(0 if j in J else 1 for j in range(self.n))
-            identity = self._intern(J, self._code(weight), weight, ())
-            cached, level = [identity], [identity]
+            identity = self._intern(J, weight, ())
+            code = sum(self._base**j for j, c in enumerate(weight) if c)
+            registry = {code: identity}
+            cached, level = [identity], [(identity, code)]
             while level:
                 born = []
-                for w in level:
+                for w, code in level:
                     for i, c in enumerate(w.weight):
                         if c > 0:
-                            code = w.code - c * self._column_codes[i]
-                            u = registry.get(code)
+                            key = code - c * self._column_codes[i]
+                            u = registry.get(key)
                             if u is None:
-                                u = self._intern(
-                                    J, code, self._reflect(w.weight, i), w.word + (i,)
+                                u = registry[key] = self._intern(
+                                    J, self._reflect(w.weight, i), w.word + (i,)
                                 )
-                                born.append(u)
+                                born.append((u, key))
                             w.steps[i] = u
                             u.steps[i] = w
-                cached.extend(born)
+                cached.extend(u for u, _ in born)
                 level = born
             if len(cached) * part != self.order:
                 raise ConsistencyError(

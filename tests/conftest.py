@@ -72,8 +72,9 @@ def engine_leq(group: WeylGroup):
 
 
 def interned(group: WeylGroup) -> int:
-    """How many elements ``group`` holds, over every J."""
-    return sum(map(len, group._registry.values()))
+    """How many elements ``group`` holds, over every J: the lists of ^J W
+    that ``ascend`` keeps."""
+    return sum(map(len, group._ascend_cache.values()))
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

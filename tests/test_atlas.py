@@ -448,7 +448,7 @@ def test_outputs_peel_words_without_interning(monkeypatch):
 
         monkeypatch.setattr(g, name, counted)
     atlas_json(atlas), emit_dot(atlas), "".join(emit_table(atlas))
-    assert all(w.word is not None for w in g._registry[atlas.J].values())
+    assert all(w.word is not None for w in g._ascend_cache[atlas.J])
     assert calls == {"_intern": 0, "ascend": 0}
 
 

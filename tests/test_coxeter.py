@@ -489,22 +489,44 @@ class TestAutomorphismAction:
         ids=["A2-reversal", "A4-reversal", "D4-fork-swap", "D4-triality"],
     )
     def test_automorphism_moves_j_exactly_when_phi_moves_j(self, name, perm):
-        # phi(v) lies in the W-orbit of lambda_phi(J), disjoint from that of
-        # lambda_J unless phi(J) = J, so the registry lookup misses exactly then
+        # with phi(J) = J the walk of phi(word) stays in ^J W and lands on the
+        # element whose weight is phi(v), phi(v)_phi(i) = v_i: the W-orbit of
+        # lambda_J holds it; otherwise phi(v) lies in the W-orbit of
+        # lambda_phi(J), disjoint from that of lambda_J, and phi is refused
         from bruhat_atlas.rootdata import validate_automorphism
 
         g = fresh_group(name)
         phi = validate_automorphism(perm, g.cartan)
+        p = phi.perm
         for r in range(g.n + 1):
             for J in map(frozenset, itertools.combinations(range(g.n), r)):
                 jw = g.ascend(J)
+                if phi.apply_subset(J) == J:
+                    images = []
+                    for w in jw:
+                        image = g.apply_automorphism(phi, w)
+                        assert all(image.weight[p[i]] == c for i, c in enumerate(w.weight))
+                        assert image is from_word(g, [p[i] for i in w.word], J), J
+                        images.append(image)
+                    assert len(set(images)) == len(jw) and set(images) == set(jw), J
+                    continue
+                moved = re.escape(f"automorphism moves J={sorted(J)}")
                 for w in jw:
-                    if phi.apply_subset(J) == J:
-                        assert g.apply_automorphism(phi, w) in jw, J
-                    else:
-                        moved = re.escape(f"automorphism moves J={sorted(J)}")
-                        with pytest.raises(InputError, match=f"^{moved}$"):
-                            g.apply_automorphism(phi, w)
+                    with pytest.raises(InputError, match=f"^{moved}$"):
+                        g.apply_automorphism(phi, w)
+
+    def test_an_element_of_another_group_is_refused(self):
+        # the walk reads this group's ^J W, so a foreign element is refused
+        # before it: not a KeyError, and not an element of the wrong group
+        from bruhat_atlas.rootdata import validate_automorphism
+
+        g, other = fresh_group("A2"), fresh_group("A2")
+        phi = validate_automorphism([1, 0], g.cartan)
+        foreign = "^element belongs to a different ambient group$"
+        for w in other.ascend(()):
+            with pytest.raises(InputError, match=foreign):
+                g.apply_automorphism(phi, w)
+        assert g._ascend_cache == {}
 
 
 class TestEnumeration:
@@ -682,9 +704,9 @@ class TestStepMemo:
             handed = []
             monkeypatch.setattr(
                 g, "_intern",
-                lambda J, code, weight, word, g=g, intern=g._intern: handed.append(
+                lambda J, weight, word, g=g, intern=g._intern: handed.append(
                     len(word) == coroot_length(g, weight)
-                ) or intern(J, code, weight, word),
+                ) or intern(J, weight, word),
             )
             jw = g.ascend(J)
             assert len(handed) == len(jw) == interned(g) == g.order // g.parabolic_order(J)
@@ -753,8 +775,8 @@ class TestStepMemo:
         g = build_atlas(parse_case(corpus_preset(preset))).group
         kept = [
             (w, i, v)
-            for registry in g._registry.values()
-            for w in registry.values()
+            for jw in g._ascend_cache.values()
+            for w in jw
             for i, v in enumerate(w.steps)
             if v is not None
         ]

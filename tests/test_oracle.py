@@ -2,6 +2,7 @@ import copy
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from bruhat_atlas import oracle
 from bruhat_atlas.atlas import build_atlas, siegel_case
@@ -28,6 +29,7 @@ from conftest import (
     keys_of,
     left_reps,
 )
+from test_galois import _relabelled_cases
 
 
 class TestBruteBruhat:
@@ -116,7 +118,7 @@ def _corpus_atlases():
 class TestVerifyAtlas:
     @pytest.mark.parametrize("preset", ["siegel:5", "gu:4,3:inert"])
     def test_verify_interns_nothing(self, preset):
-        # an oracle on interned elements would grow these registries from
+        # an oracle on interned elements would grow what the group holds from
         # ^J W, 32 and 35 elements, to all of W, 3,840 and 5,040
         atlas = build_atlas(parse_case(corpus_preset(preset)))
         held = interned(atlas.group)
@@ -128,6 +130,15 @@ class TestVerifyAtlas:
     )
     def test_corpus_passes(self, preset, atlas):
         report = verify_atlas(atlas)
+        assert report.passed, report.render()
+        assert len(report.checks) == 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(_relabelled_cases())
+    def test_relabelled_cases_pass_all_checks(self, doc):
+        # shuffled factors, D4 triality and cycled factors, end to end: the
+        # orbits come from walking each representative's word through phi
+        report = verify_atlas(build_atlas(parse_case(doc)))
         assert report.passed, report.render()
         assert len(report.checks) == 8
 
