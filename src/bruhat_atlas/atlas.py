@@ -3,8 +3,10 @@
 An input case is a classical diagram, a Frobenius diagram symmetry, and either
 a cocharacter pairing vector or the parabolic type J directly.  The atlas
 lists one record per Frobenius orbit of minimal double-coset representatives,
-carrying the stratum dimension and the finer fiber decomposition, with the
-closure relation as the orbit poset's bitmasks and the ordinarity verdict.
+carrying the orbit, its least member as representative, the stratum dimension
+and the finer fiber decomposition.  The strata are the one holder of the
+orbits; the orbit poset holds the closure relation as bitmasks over stratum
+ids, and the mu-ordinarity verdict is one boolean, phi(J) = J.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ class StratumRecord(Record):
     __slots__ = ("rep", "orbit", "dim", "eo_fiber", "siegel_a")
 
 
-class MuOrdinaryReport(Record):
-    __slots__ = ("verdict", "flags")
-
-
 class Atlas(Record):
+    """A case's strata in (length, representative word) order, the closure
+    order on their ids, and ``mu_ordinary``, the boolean phi(J) = J."""
+
     __slots__ = (
         "case",
         "J",
@@ -123,19 +124,6 @@ def stratum_dimension(x: WeylElement, Jx, K, longest) -> int:
     return x.length + longest(K) - longest(Jx)
 
 
-def mu_ordinary_report(J, phi: DiagramAutomorphism) -> MuOrdinaryReport:
-    """All equivalent readings of the ordinarity criterion carry one boolean."""
-    verdict = phi.apply_subset(frozenset(J)) == frozenset(J)
-    flags = {
-        "frobenius_fixes_parabolic_type": verdict,
-        "maximal_bruhat_equals_generic_newton": verdict,
-        "reflex_completion_is_qp": verdict,
-        "ordinary_locus_nonempty": verdict,
-        "ordinary_equals_mu_ordinary": verdict,
-    }
-    return MuOrdinaryReport(verdict, flags)
-
-
 def _siegel_genus(case: PELCase, J, K) -> int | None:
     """Genus when the case has the principally polarized shape, else None."""
     if len(case.spec.factors) != 1 or not case.phi.is_identity or J != K:
@@ -182,7 +170,7 @@ def build_atlas(case: PELCase) -> Atlas:
     moduli_dim = moduli_dimension(group, J)
     genus = _siegel_genus(case, J, K)
 
-    Jxs = [group.induced_subset(rep, J, K) for rep in poset.reps]
+    Jxs = [group.induced_subset(orbit[0], J, K) for orbit in orbits]
     # |W_S| and N_S once for each distinct subset the strata read, not per
     # stratum: each is one pass over the positive roots
     orders, longest = {}, {}
@@ -190,7 +178,8 @@ def build_atlas(case: PELCase) -> Atlas:
         orders[S], longest[S] = group._parabolic(S)
 
     strata: list[StratumRecord] = []
-    for orbit, rep, Jx in zip(poset.orbits, poset.reps, Jxs):
+    for orbit, Jx in zip(orbits, Jxs):
+        rep = orbit[0]
         dim = stratum_dimension(rep, Jx, K, longest.__getitem__)
         fiber = fibers[rep]
         # the fiber is sorted by length and has one longest element, of
@@ -219,7 +208,7 @@ def build_atlas(case: PELCase) -> Atlas:
         moduli_dim=moduli_dim,
         strata=strata,
         orbit_poset=poset,
-        mu_ordinary=mu_ordinary_report(J, phi),
+        mu_ordinary=phi.apply_subset(J) == J,
         group=group,
         notes=notes,
     )
@@ -248,10 +237,6 @@ def _assert_atlas_invariants(strata, below, left_reps, moduli_dim):
             )
 
 
-class SiegelIdentification(Record):
-    __slots__ = ("g", "entries", "atlas")  # entries: a-number, dim, rep word
-
-
 def siegel_case(g: int, **options) -> PELCase:
     """The principally polarized preset of genus g."""
     if g < 1:
@@ -259,13 +244,14 @@ def siegel_case(g: int, **options) -> PELCase:
     check_bound(options.get("element_bound", DEFAULT_BOUND), g)
     spec = DynkinSpec((("A", 1),) if g == 1 else (("C", g),))
     mu = CocharSpec(tuple([0] * (g - 1) + [1]))
-    phi = DiagramAutomorphism(tuple(range(g)), 1)
+    phi = DiagramAutomorphism(tuple(range(g)))
     return PELCase(spec=spec, phi=phi, mu=mu, **options)
 
 
-def siegel_identify(g: int, **options) -> SiegelIdentification:
-    """Match strata to a-numbers via the closed dimension formula and check
-    that the closure order reverses the a-number order.  ``options`` go to
+def siegel_identify(g: int, **options) -> Atlas:
+    """The atlas of genus g, once checked: g + 1 strata whose dimensions are
+    the closed formula's, each matched to its a-number (``siegel_a``), with a
+    closure order that reverses the a-number order.  ``options`` go to
     :func:`siegel_case`."""
     atlas = build_atlas(siegel_case(g, **options))
     if len(atlas.strata) != g + 1:
@@ -276,13 +262,6 @@ def siegel_identify(g: int, **options) -> SiegelIdentification:
     got = sorted(s.dim for s in atlas.strata)
     if got != expected:
         raise ConsistencyError(f"dimension multiset {got} != {expected}")
-    entries = sorted(
-        (
-            {"a": s.siegel_a, "dim": s.dim, "rep": s.rep.word}
-            for s in atlas.strata
-        ),
-        key=lambda e: e["a"],
-    )
     # order reversal: x below x' exactly when the a-number is at least as big
     leq = atlas.orbit_poset.leq
     for a, s in enumerate(atlas.strata):
@@ -292,4 +271,4 @@ def siegel_identify(g: int, **options) -> SiegelIdentification:
                     "closure order does not reverse the a-number order at "
                     f"strata {a} and {b}"
                 )
-    return SiegelIdentification(g=g, entries=entries, atlas=atlas)
+    return atlas

@@ -125,7 +125,7 @@ def _run_case(doc: dict, out_dir: str, verify: bool, **overrides) -> int:
     _say(
         f"{case.spec.describe()}: {len(built.strata)} strata, "
         f"moduli dim {built.moduli_dim}, "
-        f"mu-ordinary {built.mu_ordinary.verdict}, degree {built.degree}"
+        f"mu-ordinary {built.mu_ordinary}, degree {built.degree}"
     )
     return _verify(built) if verify else 0
 
@@ -225,14 +225,14 @@ def main(argv=None) -> int:
             return _run_case(doc, out_dir, verify, **overrides)
         # siegel: the parser admits no other command
         genus = _decimal(arg, "genus")
-        ident = atlas_mod.siegel_identify(genus, **overrides)
-        _say(f"genus {ident.g}: {len(ident.entries)} strata")
+        built = atlas_mod.siegel_identify(genus, **overrides)
+        _say(f"genus {genus}: {len(built.strata)} strata")
         _say(f"{'a':>3}  {'dim':>4}  rep")
-        for e in ident.entries:
-            _say(f"{e['a']:>3}  {e['dim']:>4}  {serialize.word_label(e['rep'])}")
+        for s in sorted(built.strata, key=lambda s: s.siegel_a):
+            _say(f"{s.siegel_a:>3}  {s.dim:>4}  {serialize.word_label(s.rep.word)}")
         # siegel_identify raises unless the order is reversed
         _say("total order reversed by a-number: True")
-        return _verify(ident.atlas) if verify else 0
+        return _verify(built) if verify else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,9 @@
 The Galois group fixing a parabolic type J acts through the cyclic group
 generated by phi^d, where d is the smallest power of the Frobenius diagram
 symmetry fixing J.  Only that cyclic action on a finite set is ever needed.
+Each orbit comes sorted by reduced word, so its first member represents it.
+The orbits are held once, by the atlas's strata; :class:`OrbitPoset` holds
+only the order on their positions, as bitmasks.
 
 The orbit order comes from one forward pass over ^J W, the elements with no
 left descent in J, in the length order :meth:`WeylGroup.ascend` grows it in,
@@ -47,9 +50,10 @@ def galois_orbits(
     group: WeylGroup, elements: list[WeylElement], generator: DiagramAutomorphism
 ) -> list[list[WeylElement]]:
     """Partition ``elements`` into orbits of the cyclic group of ``generator``,
-    each orbit starting at its first member in ``elements``.  Given ^J W^K in
-    (length, reduced word) order, as :func:`atlas.eo_fibers` keys it, that
-    member is the orbit's least, and the orbits come in (length,
+    each orbit sorted by reduced word and met at its first member in
+    ``elements``.  Given ^J W^K in (length, reduced word) order, as
+    :func:`atlas.eo_fibers` keys it, that member is the orbit's least, so it
+    stays first and represents the orbit, and the orbits come in (length,
     representative word) order."""
     pool = set(elements)
     orbits = []
@@ -69,25 +73,24 @@ def galois_orbits(
             orbit.append(current)
             pool.discard(current)
             current = group.apply_automorphism(generator, current)
-        orbits.append(orbit)
+        orbits.append(sorted(orbit, key=attrgetter("word")))
     return orbits
 
 
 class OrbitPoset(Record):
-    """Orbits of double-coset representatives with the induced Bruhat order.
+    """The Bruhat order induced on orbits of double-coset representatives.
 
     Orbit a lies below orbit b when some member of a sits below some member
-    of b.  ``below[b]`` is that relation as a bitmask over orbit ids (bit a
-    set when a <= b, bit b always set), and ``covers`` lists its covering
-    pairs (a, b), sorted.  Orbits keep the order they are given in, which
-    must be by length, and each representative is the member with the
-    smallest reduced word.
+    of b.  ``below[b]`` is that relation as a bitmask over orbit ids, the
+    positions of the orbits :func:`orbit_poset` was given (bit a set when
+    a <= b, bit b always set), and ``covers`` lists its covering pairs
+    (a, b), sorted.  The orbits themselves are the caller's.
     """
 
-    __slots__ = ("orbits", "reps", "below", "covers")
+    __slots__ = ("below", "covers")
 
     def __len__(self) -> int:
-        return len(self.orbits)
+        return len(self.below)
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.below[b] >> a & 1)
@@ -160,8 +163,9 @@ def _covers(below: list[int]) -> list[tuple[int, int]]:
 
 def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPoset:
     """Quotient the Bruhat order on ^J W by the orbit partition, the orbits
-    taken in the order given; ``_covers`` refuses an order in which an orbit
-    lies below one listed before it."""
+    taken as given: in length order, each represented by its first member.
+    ``_covers`` refuses an order in which an orbit lies below one listed
+    before it."""
     for orbit in orbits:
         for w in orbit:
             if w.length != orbit[0].length:
@@ -169,9 +173,7 @@ def orbit_poset(group: WeylGroup, orbits: list[list[WeylElement]], J) -> OrbitPo
                     f"orbit members have distinct lengths: {list(w.word)} has length "
                     f"{w.length}, {list(orbit[0].word)} has length {orbit[0].length}"
                 )
-    ordered = [sorted(orbit, key=attrgetter("word")) for orbit in orbits]
-    reps = [o[0] for o in ordered]
     # equivariance of the action lets one side be pinned to the rep
-    down = lower_sets(group, J, {w: 1 << a for a, o in enumerate(ordered) for w in o})
-    below = [down[rep] for rep in reps]
-    return OrbitPoset(ordered, reps, tuple(below), tuple(_covers(below)))
+    down = lower_sets(group, J, {w: 1 << a for a, o in enumerate(orbits) for w in o})
+    below = [down[orbit[0]] for orbit in orbits]
+    return OrbitPoset(tuple(below), tuple(_covers(below)))

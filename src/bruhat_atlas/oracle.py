@@ -21,9 +21,13 @@ since for w in ^J W the minimum of w W_K is the minimum of W_J w W_K
 is Howlett's product x w0(J_x) w0(K), with J_x = {k in K : x(alpha_k) =
 alpha_j, j in J} read off the key of x.  The single-fiber criterion
 x^-1 {s_j : j in J} x = {s_k : k in K} is checked as {s_j x : j in J} ==
-{x s_k : k in K}.  They are meant for tests and for the --verify flag, not
-for speed.  Each check reports its first counterexample, or passes without
-one.
+{x s_k : k in K}.  The closure order is checked on the strata's own orbits
+and representatives, against the masks the writers read.  K is re-derived
+from J through the key of w0, which sends alpha_i to -alpha_i*, and each
+orbit as the cycle of its representative under phi^d, which acts on keys by
+conjugation with the permutation of root indices it makes.  They are meant
+for tests and for the --verify flag, not for speed.  Each of the ten checks
+reports its first counterexample, or passes without one.
 """
 
 from __future__ import annotations
@@ -290,17 +294,20 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
         (f"x={word(s.rep)}" for s in atlas.strata if not howlett_holds(s)),
     )
 
-    # closures from subword-oracle intervals on orbit members
-    poset = atlas.orbit_poset
-    n = len(poset)
-    orbits = [[key(w) for w in orbit] for orbit in poset.orbits]
+    # closures from subword-oracle intervals on the strata's orbits, against
+    # the down-set masks the writers read each stratum's closure off
+    strata, poset = atlas.strata, atlas.orbit_poset
+    n = len(strata)
+    orbits = [[key(w) for w in s.orbit] for s in strata]
     brute_leq = []  # brute_leq[b][a]: some member of orbit a is below rep b
-    for rep in poset.reps:
-        interval = brute_interval(keys, rep.word)
+    for s in strata:
+        interval = brute_interval(keys, s.rep.word)
         brute_leq.append([not interval.isdisjoint(orbit) for orbit in orbits])
     check(
         "closure_order",
-        (
+        [f"{len(poset)} down-set masks for {n} strata"]
+        if len(poset) != n
+        else (
             f"orbits {a} <= {b}"
             for b in range(n)
             for a in range(n)
@@ -316,10 +323,11 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
         if brute_max != [n - 1]:
             yield f"brute maximum {brute_max}, last stratum {n - 1}"
             return
-        s = atlas.strata[-1]
+        s = strata[-1]
         if not (
             len(s.orbit) == 1
             and dims.get(key(s.rep)) == atlas.moduli_dim
+            and len(poset) == n
             and poset.below[-1] == (1 << n) - 1
         ):
             yield f"x={word(s.rep)}"
@@ -352,5 +360,34 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
             if brute_leq[b][a] and brute_leq[a][b]
         ),
     )
+
+    # parabolic types: J is the zeros of mu or the case's J, and K holds (phi j)*
+    # for j in J, read off the oracle's w0, whose key sends index i to i* + N
+    mu, phi = atlas.case.mu, atlas.case.phi.perm
+    J0 = atlas.case.J if mu is None else {i for i, m in enumerate(mu.pairings) if m == 0}
+    w0 = keys.longest(range(keys.n))
+    K0 = {w0[phi[j]] - keys.N for j in J0}
+    expected = f"expected J={sorted(J0)} K={sorted(K0)}"
+    check("parabolic_types", [] if (J, K) == (J0, K0) else [expected])
+
+    # Frobenius orbits: phi^d, for the least d with phi^d(J) = J, permutes the
+    # coordinates of the roots; as that permutation P of root indices it acts
+    # on a key by conjugation, and each orbit is the cycle of its representative
+    power = phi
+    while {power[j] for j in J} != J:
+        power = tuple(phi[i] for i in power)
+    index = {root: r for r, root in enumerate(keys.roots)}
+    inverse = sorted(range(keys.n), key=power.__getitem__)  # inverse[power[i]] = i
+    P = bytes(index[tuple(root[i] for i in inverse)] for root in keys.roots)
+    P_inv = bytes(sorted(range(len(P)), key=P.__getitem__))
+
+    def cycle(x: bytes) -> list[bytes]:
+        out = [x]
+        while (y := keys.product(P, keys.product(out[-1], P_inv))) != x:
+            out.append(y)
+        return sorted(out)
+
+    misgrouped = (s for s in strata if sorted(map(key, s.orbit)) != cycle(key(s.rep)))
+    check("frobenius_orbits", (f"x={word(s.rep)}" for s in misgrouped))
 
     return report

@@ -3,12 +3,12 @@
 Convention used throughout: the Cartan matrix entry ``a[i][j]`` is the pairing
 of the j-th simple root against the i-th simple coroot.  Nodes are numbered
 0..n-1 globally, consecutive within each factor, Bourbaki order inside a
-factor; for a type-C factor the last node carries the long root.
+factor; for a type-C factor the last node carries the long root.  A diagram
+symmetry is held as its node permutation and nothing else; a power is formed
+by composing it.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .errors import BoundError, InputError
 
@@ -130,19 +130,20 @@ class CartanMatrix(Value):
 
 
 class DiagramAutomorphism(Value):
-    """A node permutation preserving the Cartan matrix, with its order."""
+    """A node permutation preserving the Cartan matrix: node i goes to
+    ``perm[i]``.  The permutation is all it holds."""
 
-    __slots__ = ("perm", "order")
+    __slots__ = ("perm",)
 
     def apply_subset(self, subset: frozenset[int]) -> frozenset[int]:
         return frozenset(self.perm[i] for i in subset)
 
     def power(self, k: int) -> "DiagramAutomorphism":
-        n = len(self.perm)
-        p = tuple(range(n))
-        for _ in range(k % self.order):
+        """phi^k, the k-fold composite, for k >= 0."""
+        p = tuple(range(len(self.perm)))
+        for _ in range(k):
             p = tuple(self.perm[i] for i in p)
-        return DiagramAutomorphism(p, _perm_order(p))
+        return DiagramAutomorphism(p)
 
     @property
     def is_identity(self) -> bool:
@@ -225,25 +226,8 @@ def positive_roots(cartan: CartanMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
 
-def _perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        k, j = 0, start
-        while True:
-            j = perm[j]
-            k += 1
-            seen.add(j)
-            if j == start:
-                break
-        order = lcm(order, k)
-    return order
-
-
 def validate_automorphism(perm, cartan: CartanMatrix) -> DiagramAutomorphism:
-    """Check that ``perm`` preserves the Cartan matrix and compute its order."""
+    """``perm`` as an automorphism, once checked to preserve the Cartan matrix."""
     n = cartan.n
     perm = tuple(perm)
     if sorted(perm) != list(range(n)):
@@ -257,11 +241,11 @@ def validate_automorphism(perm, cartan: CartanMatrix) -> DiagramAutomorphism:
                     f"({i},{j}): a[{perm[i]}][{perm[j]}]={a[perm[i]][perm[j]]} "
                     f"!= a[{i}][{j}]={a[i][j]}"
                 )
-    return DiagramAutomorphism(perm, _perm_order(perm))
+    return DiagramAutomorphism(perm)
 
 
 def identity_automorphism(cartan: CartanMatrix) -> DiagramAutomorphism:
-    return DiagramAutomorphism(tuple(range(cartan.n)), 1)
+    return DiagramAutomorphism(tuple(range(cartan.n)))
 
 
 def pairing(mu: CocharSpec, root: tuple[int, ...]) -> int:

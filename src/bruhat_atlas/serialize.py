@@ -133,6 +133,18 @@ def case_to_dict(case: PELCase) -> dict:
     return doc
 
 
+# the mu-ordinary verdict, phi(J) = J, under each name atlas.json gives it:
+# the verdict, the criterion itself and its four equivalent readings
+_MU_ORDINARY_KEYS = (
+    "verdict",
+    "frobenius_fixes_parabolic_type",
+    "maximal_bruhat_equals_generic_newton",
+    "reflex_completion_is_qp",
+    "ordinary_locus_nonempty",
+    "ordinary_equals_mu_ordinary",
+)
+
+
 def _header(atlas: Atlas) -> dict:
     """The entries of atlas.json before ``strata``."""
     return {
@@ -146,10 +158,7 @@ def _header(atlas: Atlas) -> dict:
         "K": sorted(atlas.K),
         "degree": atlas.degree,
         "moduli_dim": atlas.moduli_dim,
-        "mu_ordinary": {
-            "verdict": atlas.mu_ordinary.verdict,
-            **atlas.mu_ordinary.flags,
-        },
+        "mu_ordinary": dict.fromkeys(_MU_ORDINARY_KEYS, atlas.mu_ordinary),
     }
 
 

@@ -101,10 +101,10 @@ def test_criterion_1_siegel_dimensions():
     start = time.perf_counter()
     ok = True
     for g in range(1, 6):
-        ident = siegel_identify(g)
+        strata = siegel_identify(g).strata
         expected = sorted(siegel_dimension(g, i) for i in range(g + 1))
-        dims = sorted(e["dim"] for e in ident.entries)
-        ok &= len(ident.entries) == g + 1
+        dims = sorted(s.dim for s in strata)
+        ok &= len(strata) == g + 1
         ok &= dims == expected
         ok &= max(dims) == g * (g + 1) // 2
     elapsed = time.perf_counter() - start
@@ -186,9 +186,9 @@ def test_criterion_6_ordinarity_verdicts(corpus_atlases):
     ok = True
     for preset, atlas in corpus_atlases.items():
         if preset.startswith("siegel") or preset.endswith("split"):
-            ok &= atlas.mu_ordinary.verdict is True
+            ok &= atlas.mu_ordinary is True
     gu = corpus_atlases["gu:2,1:inert"]
-    ok &= gu.mu_ordinary.verdict is False
+    ok &= gu.mu_ordinary is False
     ok &= gu.degree == 2
     top = gu.strata[-1]
     ok &= sorted(w.length for w in top.eo_fiber) == [1, 2]
@@ -201,7 +201,7 @@ def test_criterion_7_hilbert_preset(corpus_atlases):
     ok &= sorted(s.dim for s in atlas.strata) == [0, 1, 2]
     ok &= all(len(s.eo_fiber) == 1 for s in atlas.strata)
     ok &= atlas.degree == 1
-    ok &= atlas.mu_ordinary.verdict is True
+    ok &= atlas.mu_ordinary is True
     leq = atlas.orbit_poset.leq
     n = len(atlas.strata)
     chain = sum(leq(a, b) for a in range(n) for b in range(n) if a != b)

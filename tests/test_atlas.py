@@ -13,7 +13,6 @@ from bruhat_atlas.atlas import (
     derive_K,
     eo_fibers,
     moduli_dimension,
-    mu_ordinary_report,
     siegel_case,
     siegel_dimension,
     siegel_identify,
@@ -29,7 +28,13 @@ from bruhat_atlas.rootdata import (
     identity_automorphism,
     validate_automorphism,
 )
-from bruhat_atlas.serialize import atlas_json, emit_dot, emit_table, parse_case
+from bruhat_atlas.serialize import (
+    atlas_json,
+    atlas_to_dict,
+    emit_dot,
+    emit_table,
+    parse_case,
+)
 from conftest import (
     benchmark_workloads,
     double_reps,
@@ -154,15 +159,20 @@ class TestFiberAndDimension:
 
 
 class TestMuOrdinary:
-    def test_identity_always_true(self, c2):
-        report = mu_ordinary_report({0}, identity_automorphism(c2.cartan))
-        assert report.verdict is True
-        assert set(report.flags.values()) == {True}
+    """The verdict is one boolean, phi(J) = J; atlas.json writes it under
+    each of its six names."""
 
-    def test_a2_flip_false(self, a2):
-        report = mu_ordinary_report({1}, validate_automorphism([1, 0], a2.cartan))
-        assert report.verdict is False
-        assert set(report.flags.values()) == {False}
+    def test_identity_always_true(self):
+        a = build_atlas(make_case([("C", 2)], J={0}))
+        assert a.mu_ordinary is True
+        header = atlas_to_dict(a)["mu_ordinary"]
+        assert len(header) == 6 and set(header.values()) == {True}
+
+    def test_a2_flip_false(self):
+        a = build_atlas(make_case([("A", 2)], perm=[1, 0], J={1}))
+        assert a.mu_ordinary is False
+        header = atlas_to_dict(a)["mu_ordinary"]
+        assert len(header) == 6 and set(header.values()) == {False}
 
 
 class TestBuildAtlas:
@@ -172,7 +182,7 @@ class TestBuildAtlas:
         assert sorted(len(s.eo_fiber) for s in a.strata) == [1, 1, 2]
         # closure order is a chain
         assert [a.orbit_poset.ids_below(sid) for sid in range(3)] == [[0], [0, 1], [0, 1, 2]]
-        assert a.mu_ordinary.verdict is True
+        assert a.mu_ordinary is True
         assert [s.siegel_a for s in a.strata] == [2, 1, 0]
 
     def test_hilbert(self):
@@ -183,12 +193,12 @@ class TestBuildAtlas:
             (2, 1, 1),
         ]
         assert a.degree == 1
-        assert a.mu_ordinary.verdict is True
+        assert a.mu_ordinary is True
 
     def test_gu21_inert(self):
         a = gu21_inert_atlas()
         assert a.degree == 2
-        assert a.mu_ordinary.verdict is False
+        assert a.mu_ordinary is False
         assert sorted(s.dim for s in a.strata) == [0, 2]
         top = a.strata[-1]
         assert [w.length for w in top.eo_fiber] == [1, 2]
@@ -224,7 +234,7 @@ class TestBuildAtlas:
         # the triality cycle moves node 0, so J takes three steps to return
         a = build_atlas(make_case([("D", 4)], perm=[2, 1, 3, 0], J={0}))
         assert a.degree == 3
-        assert a.mu_ordinary.verdict is False
+        assert a.mu_ordinary is False
         top = a.strata[-1]
         assert len(top.orbit) == 1 and top.dim == a.moduli_dim
 
@@ -346,9 +356,9 @@ class TestAtlasInvariants:
 class TestSiegel:
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_identify(self, g):
-        ident = siegel_identify(g)
-        assert [e["a"] for e in ident.entries] == list(range(g + 1))
-        assert [e["dim"] for e in ident.entries] == [
+        strata = sorted(siegel_identify(g).strata, key=lambda s: s.siegel_a)
+        assert [s.siegel_a for s in strata] == list(range(g + 1))
+        assert [s.dim for s in strata] == [
             siegel_dimension(g, i) for i in range(g + 1)
         ]
 
@@ -369,10 +379,10 @@ class TestSiegel:
     def test_options_reach_the_case(self):
         with pytest.raises(BoundError, match="16 elements exceeds element bound 5$"):
             siegel_identify(4, element_bound=5)
-        assert siegel_identify(2, minuscule_check=False).atlas.case.minuscule_check is False
+        assert siegel_identify(2, minuscule_check=False).case.minuscule_check is False
 
     def test_g3_chain(self):
-        a = siegel_identify(3).atlas
+        a = siegel_identify(3)
         n = len(a.strata)
         chains = sum(
             a.orbit_poset.leq(i, j) for i in range(n) for j in range(n) if i != j
@@ -383,11 +393,11 @@ class TestSiegel:
         # |W(C8)| = 10,321,920 is past the default bound, but building the
         # atlas never enumerates W; what it does intern is counted by
         # test_build_and_outputs_intern_the_answer_plus_at_most_3N
-        ident = siegel_identify(8)
-        assert [e["dim"] for e in ident.entries] == [
+        a = siegel_identify(8)
+        assert [s.dim for s in sorted(a.strata, key=lambda s: s.siegel_a)] == [
             (8 * 9 - i * (i + 1)) // 2 for i in range(9)
         ]
-        assert ident.atlas.group.order > DEFAULT_BOUND
+        assert a.group.order > DEFAULT_BOUND
 
     def test_dimension_formula(self):
         assert [siegel_dimension(2, i) for i in range(3)] == [3, 2, 0]

@@ -154,7 +154,7 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "3 strata" in out and "moduli dim 3" in out
-        assert out.count("[PASS]") == 8 and "[FAIL]" not in out
+        assert out.count("[PASS]") == 10 and "[FAIL]" not in out
         doc = json.loads((tmp_path / "atlas.json").read_text())
         assert doc["J"] == [0] and doc["K"] == [0]
         assert [s["dim"] for s in doc["strata"]] == [0, 2, 3]
@@ -471,7 +471,7 @@ class TestMain:
             "  3     0  e",
             "total order reversed by a-number: True",
         ]
-        assert len(lines) == 15
+        assert len(lines) == 17
         assert all(line.startswith("[PASS] ") for line in lines[7:])
 
     def test_siegel_verify_catches_broken_closure_order(self, monkeypatch, capsys):
@@ -479,11 +479,11 @@ class TestMain:
         identify = cli.atlas_mod.siegel_identify
 
         def identify_broken(g, **options):
-            ident = identify(g, **options)
-            below = list(ident.atlas.orbit_poset.below)
+            built = identify(g, **options)
+            below = list(built.orbit_poset.below)
             below[-1] &= ~(1 << 1)  # orbit 1 no longer below the top
-            ident.atlas.orbit_poset.below = tuple(below)
-            return ident
+            built.orbit_poset.below = tuple(below)
+            return built
 
         monkeypatch.setattr(cli.atlas_mod, "siegel_identify", identify_broken)
         assert main(["--verify", "siegel", "3"]) == 1
@@ -616,6 +616,8 @@ A5: 4 strata, moduli dim 9, mu-ordinary True, degree 1
 [PASS] maximal_stratum (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
 [PASS] single_fiber_criterion (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
 [PASS] orbit_order_antisymmetry (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] parabolic_types (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
+[PASS] frobenius_orbits (A5 J=[0, 1, 3, 4] K=[0, 1, 3, 4])
 """,
     "siegel:3": """\
 C3: 4 strata, moduli dim 6, mu-ordinary True, degree 1
@@ -627,6 +629,8 @@ C3: 4 strata, moduli dim 6, mu-ordinary True, degree 1
 [PASS] maximal_stratum (C3 J=[0, 1] K=[0, 1])
 [PASS] single_fiber_criterion (C3 J=[0, 1] K=[0, 1])
 [PASS] orbit_order_antisymmetry (C3 J=[0, 1] K=[0, 1])
+[PASS] parabolic_types (C3 J=[0, 1] K=[0, 1])
+[PASS] frobenius_orbits (C3 J=[0, 1] K=[0, 1])
 """,
 }
 

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from bruhat_atlas import oracle
+from bruhat_atlas import atlas as atlas_mod, oracle
 from bruhat_atlas.atlas import build_atlas, siegel_case
 from bruhat_atlas.cli import corpus_preset, main
 from bruhat_atlas.coxeter import WeylGroup
@@ -131,7 +131,7 @@ class TestVerifyAtlas:
     def test_corpus_passes(self, preset, atlas):
         report = verify_atlas(atlas)
         assert report.passed, report.render()
-        assert len(report.checks) == 8
+        assert len(report.checks) == 10
 
     @settings(max_examples=30, deadline=None)
     @given(_relabelled_cases())
@@ -140,7 +140,7 @@ class TestVerifyAtlas:
         # orbits come from walking each representative's word through phi
         report = verify_atlas(build_atlas(parse_case(doc)))
         assert report.passed, report.render()
-        assert len(report.checks) == 8
+        assert len(report.checks) == 10
 
     def test_render_format(self):
         atlas = build_atlas(siegel_case(2))
@@ -188,13 +188,61 @@ class TestVerifyAtlas:
 
     def test_corrupted_maximal_flag_is_caught(self):
         # the writers mark the last stratum maximal; with the last two
-        # swapped, a stratum below the top is last
+        # swapped, a stratum below the top is last, and the down-set masks,
+        # left as built, no longer match the strata they are written for
         atlas = build_atlas(siegel_case(2))
         broken = copy.copy(atlas)
         broken.strata = [*atlas.strata[:-2], atlas.strata[-1], atlas.strata[-2]]
         failed = [c for c in verify_atlas(broken).checks if not c.passed]
-        assert [c.name for c in failed] == ["maximal_stratum"]
-        assert failed[0].counterexample == f"x={list(atlas.strata[-2].rep.word)}"
+        assert [c.name for c in failed] == ["closure_order", "maximal_stratum"]
+        assert failed[0].counterexample == "orbits 2 <= 1"
+        assert failed[1].counterexample == "brute maximum [1], last stratum 2"
+
+    def test_swapped_strata_of_equal_length_are_caught(self):
+        # hilbert:6 strata 2 and 3 have equal length but different closures:
+        # swapped, each is written with the other's closure list
+        atlas = build_atlas(parse_case(corpus_preset("hilbert:6")))
+        assert atlas.strata[2].rep.length == atlas.strata[3].rep.length
+        assert atlas.orbit_poset.below[2] != atlas.orbit_poset.below[3]
+        broken = copy.copy(atlas)
+        broken.strata = list(atlas.strata)
+        broken.strata[2], broken.strata[3] = atlas.strata[3], atlas.strata[2]
+        failed = [c for c in verify_atlas(broken).checks if not c.passed]
+        assert [c.name for c in failed] == ["closure_order"]
+        assert failed[0].counterexample.startswith("orbits ")
+
+    def test_a_mask_short_of_the_strata_fails_closure_order(self):
+        # a counterexample, not an IndexError
+        atlas = build_atlas(siegel_case(3))
+        broken = copy.copy(atlas)
+        broken.orbit_poset = copy.copy(atlas.orbit_poset)
+        broken.orbit_poset.below = atlas.orbit_poset.below[:-1]
+        failed = [c for c in verify_atlas(broken).checks if not c.passed]
+        assert [c.name for c in failed] == ["closure_order", "maximal_stratum"]
+        assert failed[0].counterexample == "3 down-set masks for 4 strata"
+
+    def test_k_taken_as_the_frobenius_image_of_j_is_caught(self, monkeypatch):
+        # K taken as phi(J), without the opposition, is J itself on
+        # gu:3,2:split, whose phi is the identity; every other check reads the
+        # atlas's own K, and passes
+        monkeypatch.setattr(atlas_mod, "derive_K", lambda group, J, phi: phi.apply_subset(J))
+        atlas = build_atlas(parse_case(corpus_preset("gu:3,2:split")))
+        assert atlas.K == atlas.J == frozenset({0, 2, 3})
+        failed = [c for c in verify_atlas(atlas).checks if not c.passed]
+        assert [(c.name, c.counterexample) for c in failed] == [
+            ("parabolic_types", "expected J=[0, 2, 3] K=[0, 1, 3]")
+        ]
+
+    def test_singleton_orbits_are_caught(self, monkeypatch):
+        # hilbert:6 has 14 orbits under its cyclic Frobenius; one stratum per
+        # element of ^J W^K gives 64, each with a closure order of its own
+        monkeypatch.setattr(
+            atlas_mod, "galois_orbits", lambda group, elements, phi: [[w] for w in elements]
+        )
+        atlas = build_atlas(parse_case(corpus_preset("hilbert:6")))
+        assert len(atlas.strata) == 64
+        failed = [c for c in verify_atlas(atlas).checks if not c.passed]
+        assert [(c.name, c.counterexample) for c in failed] == [("frobenius_orbits", "x=[0]")]
 
     @pytest.mark.parametrize("claimed_length", ["own", "true"])
     def test_engine_top_element_is_checked_not_trusted(self, claimed_length):
@@ -229,11 +277,10 @@ class TestVerifyAtlas:
     def test_orbit_overlapping_an_interval_breaks_antisymmetry(self):
         atlas = build_atlas(siegel_case(2))
         broken = copy.copy(atlas)
-        broken.orbit_poset = copy.copy(atlas.orbit_poset)
-        orbits = list(atlas.orbit_poset.orbits)
+        broken.strata = [copy.copy(s) for s in atlas.strata]
         # the identity below every representative now also sits in the top orbit
-        orbits[-1] = orbits[-1] + [from_word(atlas.group, (), atlas.J)]
-        broken.orbit_poset.orbits = orbits
+        top = broken.strata[-1]
+        top.orbit = top.orbit + [from_word(atlas.group, (), atlas.J)]
         report = verify_atlas(broken)
         anti = next(c for c in report.checks if c.name == "orbit_order_antisymmetry")
         assert not anti.passed and anti.counterexample == "orbits 0 and 2"

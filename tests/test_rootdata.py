@@ -3,13 +3,7 @@ import pickle
 
 import pytest
 
-from bruhat_atlas.atlas import (
-    Atlas,
-    MuOrdinaryReport,
-    PELCase,
-    SiegelIdentification,
-    StratumRecord,
-)
+from bruhat_atlas.atlas import Atlas, PELCase, StratumRecord
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.galois import OrbitPoset
@@ -127,11 +121,12 @@ class TestPositiveRoots:
 class TestAutomorphisms:
     def test_identity_always_valid(self, request):
         cartan = cartan_from_spec(spec(("A", 2)))
-        assert validate_automorphism([0, 1], cartan).order == 1
+        assert validate_automorphism([0, 1], cartan).is_identity
 
     def test_a2_flip(self):
         cartan = cartan_from_spec(spec(("A", 2)))
-        assert validate_automorphism([1, 0], cartan).order == 2
+        flip = validate_automorphism([1, 0], cartan)
+        assert not flip.is_identity and flip.power(2).is_identity
 
     def test_c2_swap_rejected(self):
         cartan = cartan_from_spec(spec(("C", 2)))
@@ -146,20 +141,36 @@ class TestAutomorphisms:
     def test_d4_triality(self):
         cartan = cartan_from_spec(spec(("D", 4)))
         phi = validate_automorphism([2, 1, 3, 0], cartan)
-        assert phi.order == 3
+        assert [phi.power(k).is_identity for k in range(1, 4)] == [False, False, True]
 
     def test_composition_is_valid(self):
         cartan = cartan_from_spec(spec(("A", 3)))
         flip = validate_automorphism([2, 1, 0], cartan)
         composed = tuple(flip.perm[flip.perm[i]] for i in range(3))
-        assert validate_automorphism(composed, cartan).order == 1
+        assert validate_automorphism(composed, cartan) == flip.power(2)
+        assert flip.power(2).is_identity
 
     def test_powers_cycle(self):
         cartan = cartan_from_spec(spec(("A", 1), ("A", 1), ("A", 1)))
         phi = validate_automorphism([1, 2, 0], cartan)
-        assert phi.order == 3
         assert phi.power(3).is_identity
         assert phi.power(1).perm == phi.perm
+
+    @pytest.mark.parametrize(
+        "factors,perm,order",
+        [
+            ((("D", 4),), [2, 1, 3, 0], 3),
+            ((("A", 1),) * 5, [1, 2, 3, 4, 0], 5),  # the cycle of hilbert:5
+        ],
+        ids=["D4-triality", "hilbert:5"],
+    )
+    def test_power_is_the_k_fold_composite(self, factors, perm, order):
+        phi = validate_automorphism(perm, cartan_from_spec(spec(*factors)))
+        composite = tuple(range(len(perm)))
+        for k in range(2 * order + 1):
+            assert phi.power(k) == DiagramAutomorphism(composite)
+            assert phi.power(k).is_identity == (k % order == 0)
+            composite = tuple(perm[i] for i in composite)
 
 
 class TestPairing:
@@ -202,9 +213,9 @@ VALUES = {
         cartan_from_spec(spec(("C", 3))),
     ),
     "DiagramAutomorphism": (
-        ("perm", "order"),
-        lambda: DiagramAutomorphism((1, 0), 2),
-        DiagramAutomorphism((0, 1), 1),
+        ("perm",),
+        lambda: DiagramAutomorphism((1, 0)),
+        DiagramAutomorphism((0, 1)),
     ),
     "CocharSpec": (("pairings",), lambda: CocharSpec((0, 1)), CocharSpec((1, 0))),
     "PELCase": (
@@ -255,9 +266,7 @@ class TestValueTypes:
     [
         Atlas,
         CheckResult,
-        MuOrdinaryReport,
         OrbitPoset,
-        SiegelIdentification,
         StratumRecord,
         VerificationReport,
     ],
