@@ -49,7 +49,14 @@ class PELCase(Value):
 class StratumRecord(Record):
     """One stratum's independent data; the writers derive the rest as they write."""
 
-    __slots__ = ("rep", "orbit", "dim", "eo_fiber", "siegel_a")
+    __slots__ = ("orbit", "dim", "eo_fiber", "siegel_a")
+
+    @property
+    def rep(self) -> WeylElement:
+        """The representative: the least member of the orbit, which comes
+        first in the orbit and, as the minimum of its double coset, first in
+        the fiber."""
+        return self.orbit[0]
 
 
 class Atlas(Record):
@@ -113,7 +120,7 @@ def eo_fibers(group: WeylGroup, J, K) -> dict[WeylElement, list[WeylElement]]:
 
 def moduli_dimension(group: WeylGroup, J) -> int:
     """length(w0) - length(w0 of J): the relative dimension available to strata."""
-    return group.longest_length(range(group.n)) - group.longest_length(J)
+    return group.parabolic(range(group.n))[1] - group.parabolic(J)[1]
 
 
 def stratum_dimension(x: WeylElement, Jx, K, longest) -> int:
@@ -175,7 +182,7 @@ def build_atlas(case: PELCase) -> Atlas:
     # stratum: each is one pass over the positive roots
     orders, longest = {}, {}
     for S in {K, *Jxs}:
-        orders[S], longest[S] = group._parabolic(S)
+        orders[S], longest[S] = group.parabolic(S)
 
     strata: list[StratumRecord] = []
     for orbit, Jx in zip(orbits, Jxs):
@@ -196,7 +203,7 @@ def build_atlas(case: PELCase) -> Atlas:
             if len(matches) != 1:
                 raise ConsistencyError("dimension does not match a unique a-number")
             siegel_a = matches[0]
-        strata.append(StratumRecord(rep, orbit, dim, fiber, siegel_a))
+        strata.append(StratumRecord(orbit, dim, fiber, siegel_a))
 
     _assert_atlas_invariants(strata, poset.below, left_reps, moduli_dim)
 

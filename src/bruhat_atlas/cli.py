@@ -143,12 +143,17 @@ def _verify(built) -> int:
 def _say(text: str):
     """Print ``text`` and flush stdout, so that nothing printed is still
     buffered when :func:`main` returns.  A stdout that cannot take it (a full
-    device, a closed pipe) is an InputError; its unwritten bytes stay
-    buffered, and nothing flushes stdout again in a process that :func:`run`
-    ends."""
+    device, a closed pipe) is an InputError, and ``sys.stdout`` is then
+    None, so print writes nothing more."""
     try:
         print(text, flush=True)
     except OSError as exc:
+        # the unwritten bytes stay in the stream's buffer, and an interpreter
+        # that exits as usual flushes sys.stdout again, reporting a second
+        # error and exiting 120; dropping the stream, rather than pointing
+        # fd 1 at os.devnull, leaves the descriptor the caller and its child
+        # processes share as it was
+        sys.stdout = None
         raise InputError(f"cannot write to stdout: {exc}") from exc
 
 

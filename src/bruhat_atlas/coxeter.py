@@ -26,7 +26,7 @@ lexicographically first reduced word, the one that peels the smallest left
 descent first.  ``ascend`` lists ^J W in (length, reduced word) order, so a
 build grows it once and reads every fiber off it (:func:`atlas.eo_fibers`).
 Its size |W| / |W_J| is known before it grows, from root heights
-(:meth:`WeylGroup.parabolic_order`): the element bound of a group limits how
+(:meth:`WeylGroup.parabolic`): the element bound of a group limits how
 many elements it materializes, and a ^J W whose closed-form count exceeds it
 is refused before it grows.  The one Bruhat order is
 :func:`galois.lower_sets`, a forward pass over ^J W along the kept steps.
@@ -102,7 +102,7 @@ class WeylGroup:
         )
         self._count = 0
         self._ascend_cache: dict[frozenset[int], list[WeylElement]] = {}
-        self.order = self.parabolic_order(range(n))
+        self.order = self.parabolic(range(n))[0]
 
     # -- element construction ------------------------------------------------
 
@@ -140,8 +140,12 @@ class WeylGroup:
             raise InputError(f"invalid node ids {sorted(bad)} for rank {self.n}")
         return J
 
-    def _parabolic(self, S) -> tuple[int, int]:
-        """|W_S| and the number of positive roots supported in S."""
+    def parabolic(self, S) -> tuple[int, int]:
+        """|W_S| and N_S, the number of positive roots supported in S, which
+        is the length of the longest element of W_S.  |W_S| = prod (ht a + 1)
+        / ht a over those roots a: Macdonald's formula for the Poincare
+        polynomial at q = 1 ("The Poincare series of a Coxeter group", Math.
+        Ann. 199, 1972)."""
         S = self.check_subset(S)
         num = den = 1
         count = 0
@@ -151,17 +155,6 @@ class WeylGroup:
                 den *= height
                 count += 1
         return num // den, count
-
-    def parabolic_order(self, S) -> int:
-        """|W_S| = prod (ht a + 1) / ht a over the positive roots a supported
-        in S: Macdonald's formula for the Poincare polynomial at q = 1 ("The
-        Poincare series of a Coxeter group", Math. Ann. 199, 1972)."""
-        return self._parabolic(S)[0]
-
-    def longest_length(self, S) -> int:
-        """The length of the longest element of W_S: the number of positive
-        roots supported in S."""
-        return self._parabolic(S)[1]
 
     def opposition(self, J) -> frozenset[int]:
         """{j* : j in J}, where w0 alpha_j = -alpha_j*.  The longest element
@@ -245,7 +238,7 @@ class WeylGroup:
         J = self.check_subset(J)
         cached = self._ascend_cache.get(J)
         if cached is None:
-            part = self.parabolic_order(J)
+            part = self.parabolic(J)[0]
             if self.order > self.element_bound * part:
                 raise BoundError(
                     f"enumeration of {self.order // part} elements exceeds element "

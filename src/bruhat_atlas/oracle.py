@@ -27,7 +27,9 @@ from J through the key of w0, which sends alpha_i to -alpha_i*, and each
 orbit as the cycle of its representative under phi^d, which acts on keys by
 conjugation with the permutation of root indices it makes.  They are meant
 for tests and for the --verify flag, not for speed.  Each of the ten checks
-reports its first counterexample, or passes without one.
+reports its first counterexample, or passes without one.  The classes
+themselves, listed as sets of keys, are read off :func:`_cosets` in
+``tests/reference.py``, since only the tests list them.
 """
 
 from __future__ import annotations
@@ -202,23 +204,6 @@ def brute_interval(keys: RootKeys, word) -> set[bytes]:
     for i in reversed(word):
         reachable |= {keys.left(i, u) for u in reachable}
     return reachable
-
-
-def brute_double_cosets(keys: RootKeys, J, K) -> list[list[bytes]]:
-    """Partition of W's keys by closure under left-J and right-K simple
-    steps, each class sorted by (length, key)."""
-    lengths, coset, _, classes = _cosets(keys, J, K)
-    members = [[] for _ in classes]
-    into = {c: members[d] for d, cls in enumerate(classes) for c in cls}
-    for w in sorted(coset, key=lambda w: (lengths[w], w)):
-        into[coset[w]].append(w)
-    return members
-
-
-def brute_min_left_reps(keys: RootKeys, J) -> set[bytes]:
-    """The shortest key of each coset W_J w, a closure class of W under left
-    simple steps by J, taken explicitly over its class."""
-    return set(_cosets(keys, J, ())[2])
 
 
 def verify_atlas(atlas: Atlas) -> VerificationReport:

@@ -12,8 +12,10 @@ Case files are JSON documents:
 
 Elements are serialized as their deterministic reduced words, so every
 document re-parses to the same canonical elements.  ``atlas.json`` is exactly
-what ``json.dumps(atlas_to_dict(atlas), indent=2)`` returns, plus a final
-newline.  :func:`atlas_json_pieces` forms it, piece by piece, from that fixed
+what ``json.dumps(..., indent=2)`` returns for its schema, plus a final
+newline; ``tests/reference.py`` holds that schema as a dict, and the tests
+compare the two byte for byte.
+:func:`atlas_json_pieces` forms the document, piece by piece, from the fixed
 schema: the header values and notes go through ``json.dumps`` (so escaping is
 json's own), each stratum is one f-string, and every integer list (reduced
 words, closures, poset edges) is one ``join`` over decimal labels built once
@@ -162,34 +164,6 @@ def _header(atlas: Atlas) -> dict:
     }
 
 
-def atlas_to_dict(atlas: Atlas) -> dict:
-    """The atlas.json document as a dict: the schema that :func:`atlas_json`
-    writes."""
-    strata = []
-    top = len(atlas.strata) - 1
-    for sid, s in enumerate(atlas.strata):
-        strata.append(
-            {
-                "id": sid,
-                "rep": s.rep.word,
-                "orbit": [w.word for w in s.orbit],
-                "dim": s.dim,
-                "codim": atlas.moduli_dim - s.dim,
-                "eo_fiber": [{"word": w.word, "length": w.length} for w in s.eo_fiber],
-                "single_eo": len(s.eo_fiber) == 1,
-                "closure": atlas.orbit_poset.ids_below(sid),
-                "is_maximal": sid == top,
-                "siegel_a": s.siegel_a,
-            }
-        )
-    return {
-        **_header(atlas),
-        "strata": strata,
-        "poset_edges": hasse_edges(atlas),
-        "notes": atlas.notes,
-    }
-
-
 # a line break followed by the indentation of each depth of atlas.json, and
 # the opening, separator and closing of a non-empty list that starts there
 _LINES = tuple("\n" + "  " * depth for depth in range(6))
@@ -273,12 +247,6 @@ def atlas_json_pieces(atlas: Atlas) -> Iterator[str]:
         else "[]"
     )
     yield f',{nl1}"notes": {_dumps(atlas.notes, 1)}\n}}\n'
-
-
-def atlas_json(atlas: Atlas) -> str:
-    """``json.dumps(atlas_to_dict(atlas), indent=2)`` plus a final newline:
-    the join of :func:`atlas_json_pieces`."""
-    return "".join(atlas_json_pieces(atlas))
 
 
 def hasse_edges(atlas: Atlas) -> list[list[int]]:

@@ -51,6 +51,12 @@ def from_word(group: WeylGroup, word, J=()):
     return w
 
 
+def longest_length(group: WeylGroup):
+    """S -> the length of the longest element of W_S, the N_S of
+    ``group.parabolic(S)``: the ``longest`` of ``atlas.stratum_dimension``."""
+    return lambda S: group.parabolic(S)[1]
+
+
 def left_reps(group: WeylGroup, J) -> list:
     """^J W, the engine's shortest elements of the cosets W_J w."""
     return group.ascend(J)

@@ -28,13 +28,7 @@ from bruhat_atlas.rootdata import (
     identity_automorphism,
     validate_automorphism,
 )
-from bruhat_atlas.serialize import (
-    atlas_json,
-    atlas_to_dict,
-    emit_dot,
-    emit_table,
-    parse_case,
-)
+from bruhat_atlas.serialize import emit_dot, emit_table, parse_case
 from conftest import (
     benchmark_workloads,
     double_reps,
@@ -43,6 +37,7 @@ from conftest import (
     interned,
     left_reps,
 )
+from reference import atlas_json, atlas_to_dict
 
 
 def make_case(factors, perm=None, mu=None, J=None, **options):
@@ -185,6 +180,14 @@ class TestBuildAtlas:
         assert a.mu_ordinary is True
         assert [s.siegel_a for s in a.strata] == [2, 1, 0]
 
+    @pytest.mark.parametrize("preset", ["siegel:3", "gu:4,3:inert", "hilbert:6"])
+    def test_rep_is_read_off_the_orbit_and_the_fiber(self, preset):
+        assert StratumRecord.__slots__ == ("orbit", "dim", "eo_fiber", "siegel_a")
+        a = build_atlas(parse_case(corpus_preset(preset)))
+        assert all(s.rep is s.orbit[0] is s.eo_fiber[0] for s in a.strata)
+        with pytest.raises(AttributeError):
+            a.strata[0].rep = a.strata[-1].orbit[0]
+
     def test_hilbert(self):
         a = hilbert_atlas()
         assert [(s.dim, len(s.orbit), len(s.eo_fiber)) for s in a.strata] == [
@@ -314,12 +317,11 @@ class TestBuildGuards:
             build_atlas(siegel_case(3))
 
 
-def _stratum(dim, length, orbit=("x",)):
-    """A stratum whose representative has only a length."""
-    return StratumRecord(
-        rep=SimpleNamespace(length=length), orbit=list(orbit), dim=dim,
-        eo_fiber=["y"], siegel_a=None,
-    )
+def _stratum(dim, length, size=1):
+    """A stratum whose representative, the first member of its orbit of
+    ``size`` members, has only a length."""
+    orbit = [SimpleNamespace(length=length)] + ["x"] * (size - 1)
+    return StratumRecord(orbit=orbit, dim=dim, eo_fiber=["y"], siegel_a=None)
 
 
 class TestAtlasInvariants:
@@ -335,7 +337,7 @@ class TestAtlasInvariants:
         "strata, below, message",
         [
             ([_stratum(0, 2), _stratum(2, 2)], (0b01, 0b11), "is not unique"),
-            ([_stratum(0, 0), _stratum(2, 2, "xz")], (0b01, 0b11), "not a singleton"),
+            ([_stratum(0, 0), _stratum(2, 2, size=2)], (0b01, 0b11), "not a singleton"),
             ([_stratum(0, 0), _stratum(1, 2)], (0b01, 0b11), "differs from the total"),
             ([_stratum(0, 0), _stratum(2, 2)], (0b01, 0b10), "misses some stratum"),
             (
@@ -440,7 +442,7 @@ def test_build_and_outputs_intern_the_answer_plus_at_most_3N(preset):
     # a build interns exactly ^J W: no simple reflection, no product
     atlas = _built_with_outputs(preset)
     g = atlas.group
-    assert interned(g) == g.order // g.parabolic_order(atlas.J)
+    assert interned(g) == g.order // g.parabolic(atlas.J)[0]
 
 
 def test_outputs_peel_words_without_interning(monkeypatch):
@@ -536,14 +538,14 @@ def _case(name):
     "name", ["siegel:3", "gu:4,3:inert", "B3xA3-rev-J", "D4xA2-fork-rev-J"]
 )
 def test_a_build_computes_each_parabolic_constant_once_per_subset(name, monkeypatch):
-    # each _parabolic call is one pass over the positive roots; a build makes
+    # each parabolic call is one pass over the positive roots; a build makes
     # one per distinct subset its strata read (K and each J_x), plus the fixed
     # ones: |W| in the constructor, |W_J| in ascend, and N_W and N_J in
     # moduli_dimension.  None scales with the number of strata.
     calls = []
-    parabolic = WeylGroup._parabolic
+    parabolic = WeylGroup.parabolic
     monkeypatch.setattr(
-        WeylGroup, "_parabolic",
+        WeylGroup, "parabolic",
         lambda self, S: calls.append(frozenset(S)) or parabolic(self, S),
     )
     atlas = build_atlas(_case(name))

@@ -16,9 +16,7 @@ from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.rootdata import cartan_from_spec
 from bruhat_atlas.serialize import (
-    atlas_json,
     atlas_json_pieces,
-    atlas_to_dict,
     case_to_dict,
     emit_dot,
     emit_table,
@@ -26,6 +24,7 @@ from bruhat_atlas.serialize import (
     parse_case,
 )
 from conftest import DIGESTS, LADDER, benchmark_workloads, from_word
+from reference import atlas_json, atlas_to_dict
 
 
 A2 = {"group": {"factors": [{"type": "A", "rank": 2}]}}
@@ -249,9 +248,9 @@ class TestMain:
         )
 
     def test_internal_invariant_exits_4(self, tmp_path, monkeypatch, capsys):
-        parabolic = WeylGroup._parabolic
+        parabolic = WeylGroup.parabolic
         monkeypatch.setattr(
-            WeylGroup, "_parabolic",
+            WeylGroup, "parabolic",
             lambda self, S: (parabolic(self, S)[0] + 1, parabolic(self, S)[1]),
         )
         rc = main(["--out", str(tmp_path), "corpus", "siegel:3"])
@@ -812,3 +811,28 @@ def test_main_leaves_no_resource_open(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args", [["corpus", "siegel:2"], ["--verify", "siegel", "3"]]
+)
+def test_an_in_process_main_on_a_full_stdout_exits_2_in_one_line(args, tmp_path):
+    # this process exits as usual, through the interpreter's exit flush of
+    # stdout, which must find nothing left to write
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "from bruhat_atlas.cli import main;"
+        "sys.exit(main(sys.argv[2:]))"
+    )
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-S", "-X", "dev", "-W", "error", "-c", script,
+             SRC, "--out", str(tmp_path), *args],
+            stdout=full, stderr=subprocess.PIPE, env=_entry_env(),
+            text=True, timeout=120,
+        )
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: cannot write to stdout: [Errno 28] No space left on device"
+    ]

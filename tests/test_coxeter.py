@@ -156,10 +156,10 @@ class TestGroupLaw:
 class TestLengthAndDescents:
     def test_lengths_a2(self, a2):
         assert s(a2, 0, 1).length == 2
-        assert longest(a2).length == a2.longest_length(range(2)) == 3
+        assert longest(a2).length == a2.parabolic(range(2))[1] == 3
 
     def test_c2_w0_length_is_root_count(self, c2):
-        assert longest(c2).length == c2.longest_length(range(2)) == len(c2.pos_roots) == 4
+        assert longest(c2).length == c2.parabolic(range(2))[1] == len(c2.pos_roots) == 4
 
     def test_descents_of_identity(self, a2):
         assert all(c > 0 for c in a2.ascend(())[0].weight)
@@ -278,11 +278,11 @@ class TestWords:
 
 class TestLongestAndOpposition:
     def test_empty_subset(self, a2):
-        assert a2.longest_length(()) == 0
+        assert a2.parabolic(()) == (1, 0)
         assert a2.opposition(()) == frozenset()
 
     def test_rank_one_parabolic(self, c2):
-        assert c2.longest_length({0}) == 1
+        assert c2.parabolic({0}) == (2, 1)
         assert keys_of(c2).longest({0}) == keys_of(c2).simple[0]
 
     def test_longest_is_involution(self):
@@ -292,7 +292,7 @@ class TestLongestAndOpposition:
             for J in [frozenset({0}), frozenset({0, 1}), frozenset(range(g.n))]:
                 w0J = keys.longest(J)
                 assert keys.product(w0J, w0J) == keys.identity
-                assert key_length(g, w0J) == g.longest_length(J)
+                assert key_length(g, w0J) == g.parabolic(J)[1]
 
     def test_opposition_a2(self, a2):
         assert a2.opposition({0}) == {1}
@@ -595,9 +595,10 @@ class TestEnumeration:
         from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 
         g = WeylGroup(cartan_from_spec(DynkinSpec((("C", 3),))))
-        order = WeylGroup.parabolic_order
+        parabolic = WeylGroup.parabolic
         monkeypatch.setattr(
-            WeylGroup, "parabolic_order", lambda self, S: order(self, S) + 1
+            WeylGroup, "parabolic",
+            lambda self, S: (parabolic(self, S)[0] + 1, parabolic(self, S)[1]),
         )
         with pytest.raises(
             ConsistencyError,
@@ -612,7 +613,7 @@ class TestEnumeration:
          ("C3", {0, 2}, 4), ("A1xA2", {0, 1, 2}, 12), ("A3", (), 1)],
     )
     def test_parabolic_order(self, name, S, order):
-        assert group_of(name).parabolic_order(S) == order
+        assert group_of(name).parabolic(S)[0] == order
 
     @pytest.mark.parametrize("name", SMALL_GROUPS + ["B3", "B4", "D5", "A1xB3"])
     def test_parabolic_order_counts_the_subgroup(self, name):
@@ -621,8 +622,7 @@ class TestEnumeration:
         for r in range(g.n + 1):
             for S in itertools.combinations(range(g.n), r):
                 sub = [w for w in g.ascend(()) if set(w.word) <= set(S)]
-                assert g.parabolic_order(S) == len(sub), S
-                assert g.longest_length(S) == max(w.length for w in sub), S
+                assert g.parabolic(S) == (len(sub), max(w.length for w in sub)), S
 
     @pytest.mark.parametrize(
         "name,order",
@@ -709,7 +709,7 @@ class TestStepMemo:
                 ) or intern(J, weight, word),
             )
             jw = g.ascend(J)
-            assert len(handed) == len(jw) == interned(g) == g.order // g.parabolic_order(J)
+            assert len(handed) == len(jw) == interned(g) == g.order // g.parabolic(J)[0]
             assert all(handed), J
             words = {jw[0]: ()}  # a word of each element reached
             frontier = [jw[0]]
@@ -787,7 +787,7 @@ class TestStepMemo:
 
 
 class TestSubsetMemos:
-    """check_subset, parabolic_order and longest_length keep no memo: a
+    """check_subset and parabolic keep no memo: a
     valid call never admits a subset the group would refuse, and every call
     agrees with a fresh group."""
 
@@ -815,6 +815,5 @@ class TestSubsetMemos:
         for r in range(g.n + 1):
             for S in itertools.combinations(range(g.n), r):
                 fresh = WeylGroup(g.cartan)
-                first = g.parabolic_order(S), g.longest_length(S)
-                assert (g.parabolic_order(S), g.longest_length(S)) == first, S
-                assert (fresh.parabolic_order(S), fresh.longest_length(S)) == first, S
+                first = g.parabolic(S)
+                assert g.parabolic(S) == first and fresh.parabolic(S) == first, S

@@ -10,14 +10,13 @@ from bruhat_atlas.atlas import build_atlas
 from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.serialize import (
     _dumps,
-    atlas_json,
-    atlas_to_dict,
     emit_dot,
     emit_table,
     parse_case,
     word_label,
 )
 from conftest import DIGESTS, LADDER, benchmark_workloads
+from reference import atlas_json, atlas_to_dict
 
 
 WORKLOADS = benchmark_workloads()
