@@ -7,11 +7,16 @@ carrying the orbit, its least member as representative, the stratum dimension
 and the finer fiber decomposition.  The strata are the one holder of the
 orbits; the orbit poset holds the closure relation as bitmasks over stratum
 ids, and the mu-ordinarity verdict is one boolean, phi(J) = J.
+
+This module assembles: it derives J and K, takes ^J W and the fibers from
+:mod:`coxeter` (:func:`coxeter.eo_fibers`) and the orbits and their poset
+from :mod:`galois`, and checks the dimensions against them.  It reads no
+element's weight or steps.
 """
 
 from __future__ import annotations
 
-from .coxeter import WeylElement, WeylGroup, DEFAULT_BOUND, check_bound
+from .coxeter import WeylElement, WeylGroup, DEFAULT_BOUND, check_bound, eo_fibers
 from .errors import ConsistencyError, InputError
 from .galois import definition_degree, galois_orbits, orbit_poset
 from .rootdata import (
@@ -97,25 +102,6 @@ def derive_K(group: WeylGroup, J, phi: DiagramAutomorphism):
     """K = opposition applied to the Frobenius image of J."""
     J = group.check_subset(J)
     return group.opposition(phi.apply_subset(J))
-
-
-def eo_fibers(group: WeylGroup, J, K) -> dict[WeylElement, list[WeylElement]]:
-    """The finer strata: each x in ^J W^K mapped to its fiber, the J-minimal
-    elements of x W_K, in (length, reduced word) order.
-
-    One pass over ^J W in the order :meth:`WeylGroup.ascend` grows it in.
-    When some k in K has v_k < 0, w s_k is a right descent of w, in ^J W and
-    in w W_K, grown before w with its step kept on w; w joins its fiber.  A
-    path of such descents ends at the minimum of w W_K, the one element of
-    ^J W^K in W_J w W_K (Bjorner-Brenti, section 2.4).  Otherwise w lies in
-    ^J W^K and starts its own fiber."""
-    K = sorted(group.check_subset(K))
-    fibers, home = {}, {}
-    for w in group.ascend(J):
-        k = next((k for k in K if w.weight[k] < 0), None)
-        fiber = home[w] = fibers.setdefault(w, []) if k is None else home[w.steps[k]]
-        fiber.append(w)
-    return fibers
 
 
 def moduli_dimension(group: WeylGroup, J) -> int:

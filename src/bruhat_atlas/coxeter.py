@@ -24,12 +24,31 @@ steps, each kept on both elements it joins; the rest of the engine only
 reads them, and finds no element by its weight.  The canonical word is the
 lexicographically first reduced word, the one that peels the smallest left
 descent first.  ``ascend`` lists ^J W in (length, reduced word) order, so a
-build grows it once and reads every fiber off it (:func:`atlas.eo_fibers`).
+build grows it once and reads every fiber off it (:func:`eo_fibers`).
 Its size |W| / |W_J| is known before it grows, from root heights
 (:meth:`WeylGroup.parabolic`): the element bound of a group limits how
 many elements it materializes, and a ^J W whose closed-form count exceeds it
-is refused before it grows.  The one Bruhat order is
-:func:`galois.lower_sets`, a forward pass over ^J W along the kept steps.
+is refused before it grows.  This module is the one reader of the weights and
+steps: the rest of the library reaches ^J W through ``ascend``,
+``apply_automorphism``, ``induced_subset``, :func:`eo_fibers` and
+:func:`lower_sets`, and through an element's ``word`` and ``length``.
+
+The one Bruhat order is :func:`lower_sets`, a forward pass over ^J W in the
+length order ``ascend`` grows it in, along the steps it kept on each element;
+the pass forms no element.  Let w be reached first as w = us, an ascent of u
+inside ^J W (coordinate s of u's weight positive).  Every element of ^J W
+below w lies below some member of the generating set
+
+    gens(w) = {u} | {ys : y in gens(u), ys an ascent of y inside ^J W},
+
+with gens(e) empty.  Indeed, take x in ^J W with x < w and x not <= u.  By
+the lifting property (Bjorner-Brenti, "Combinatorics of Coxeter Groups",
+Prop. 2.2.7) xs < x and xs < u, so xs <= y for some y in gens(u); then
+x <= max(y, ys), and x <= ys with ys in ^J W, since otherwise the projection
+onto ^J W, which preserves the order (section 2.5), gives x <= y < u.  So
+down(w) = bits(w) | the union of down(y) over y in gens(w).  Each bit is a
+caller's label: an orbit id for the closure order, an element's index for
+element-wide intervals.
 """
 
 from __future__ import annotations
@@ -272,3 +291,51 @@ class WeylGroup:
                 )
             self._ascend_cache[J] = cached
         return cached
+
+
+def eo_fibers(group: WeylGroup, J, K) -> dict[WeylElement, list[WeylElement]]:
+    """The finer strata: each x in ^J W^K mapped to its fiber, the J-minimal
+    elements of x W_K, in (length, reduced word) order.
+
+    One pass over ^J W in the order :meth:`WeylGroup.ascend` grows it in.
+    When some k in K has v_k < 0, w s_k is a right descent of w, in ^J W and
+    in w W_K, grown before w with its step kept on w; w joins its fiber.  A
+    path of such descents ends at the minimum of w W_K, the one element of
+    ^J W^K in W_J w W_K (Bjorner-Brenti, section 2.4).  Otherwise w lies in
+    ^J W^K and starts its own fiber."""
+    K = sorted(group.check_subset(K))
+    fibers, home = {}, {}
+    for w in group.ascend(J):
+        k = next((k for k in K if w.weight[k] < 0), None)
+        fiber = home[w] = fibers.setdefault(w, []) if k is None else home[w.steps[k]]
+        fiber.append(w)
+    return fibers
+
+
+def lower_sets(
+    group: WeylGroup, J, bits: dict[WeylElement, int]
+) -> dict[WeylElement, int]:
+    """down(w) for every w in ^J W: the OR of ``bits.get(x, 0)`` over the x in
+    ^J W with x <= w, keyed by element.
+
+    One pass over ^J W in length order carries each element's generating set
+    (module docstring), at most length(w) elements, and drops it once
+    down(w) is formed.  It reads only the steps that ``ascend`` kept, so
+    beyond growing ^J W once it forms and interns nothing.
+    """
+    nodes = range(group.n)
+    jw = group.ascend(J)
+    gens = {jw[0]: ()}
+    down = {}
+    for u in jw:
+        lower = gens.pop(u)
+        mask = bits.get(u, 0)
+        for y in lower:
+            mask |= down[y]
+        down[u] = mask
+        weight, steps = u.weight, u.steps
+        for s in nodes:
+            # the first u to reach w = us fixes gens(w)
+            if weight[s] > 0 and (w := steps[s]) not in gens:
+                gens[w] = (u, *[y.steps[s] for y in lower if y.weight[s] > 0])
+    return down

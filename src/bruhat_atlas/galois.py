@@ -7,23 +7,11 @@ Each orbit comes sorted by reduced word, so its first member represents it.
 The orbits are held once, by the atlas's strata; :class:`OrbitPoset` holds
 only the order on their positions, as bitmasks.
 
-The orbit order comes from one forward pass over ^J W, the elements with no
-left descent in J, in the length order :meth:`WeylGroup.ascend` grows it in,
-along the steps it kept on each element; the pass forms no element.
-Let w be reached first as w = us, an ascent of u inside ^J W (coordinate s of
-u's weight positive).  Every element of ^J W below w lies below some member
-of the generating set
-
-    gens(w) = {u} | {ys : y in gens(u), ys an ascent of y inside ^J W},
-
-with gens(e) empty.  Indeed, take x in ^J W with x < w and x not <= u.  By
-the lifting property (Bjorner-Brenti, "Combinatorics of Coxeter Groups",
-Prop. 2.2.7) xs < x and xs < u, so xs <= y for some y in gens(u); then
-x <= max(y, ys), and x <= ys with ys in ^J W, since otherwise the projection
-onto ^J W, which preserves the order (section 2.5), gives x <= y < u.  So
-down(w) = bits(w) | the union of down(y) over y in gens(w).  Each bit is a
-caller's label: an orbit id for the closure order, an element's index for
-element-wide intervals.  The covering pairs are reduced once, on bitmasks.
+The orbit order is read off :func:`coxeter.lower_sets`, the one Bruhat
+order, with each element's bit its orbit's id, so the down-sets are bitmasks
+over orbit ids; the covering pairs are reduced once, on those bitmasks.  This
+module reads no element's weight or steps: it forms the orbits with
+:meth:`WeylGroup.apply_automorphism` and reads elements by word and length.
 """
 
 from __future__ import annotations
@@ -31,7 +19,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import attrgetter
 
-from .coxeter import WeylElement, WeylGroup
+from .coxeter import WeylElement, WeylGroup, lower_sets
 from .errors import ConsistencyError
 from .rootdata import DiagramAutomorphism, Record
 
@@ -52,7 +40,7 @@ def galois_orbits(
     """Partition ``elements`` into orbits of the cyclic group of ``generator``,
     each orbit sorted by reduced word and met at its first member in
     ``elements``.  Given ^J W^K in (length, reduced word) order, as
-    :func:`atlas.eo_fibers` keys it, that member is the orbit's least, so it
+    :func:`coxeter.eo_fibers` keys it, that member is the orbit's least, so it
     stays first and represents the orbit, and the orbits come in (length,
     representative word) order."""
     pool = set(elements)
@@ -109,35 +97,6 @@ def _bits(mask: int) -> list[int]:
     its binary digits, least significant first."""
     digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
     return list(compress(range(len(digits)), digits))
-
-
-def lower_sets(
-    group: WeylGroup, J, bits: dict[WeylElement, int]
-) -> dict[WeylElement, int]:
-    """down(w) for every w in ^J W: the OR of ``bits.get(x, 0)`` over the x in
-    ^J W with x <= w, keyed by element.
-
-    One pass over ^J W in length order carries each element's generating set
-    (module docstring), at most length(w) elements, and drops it once
-    down(w) is formed.  It reads only the steps that ``ascend`` kept, so
-    beyond growing ^J W once it forms and interns nothing.
-    """
-    nodes = range(group.n)
-    jw = group.ascend(J)
-    gens = {jw[0]: ()}
-    down = {}
-    for u in jw:
-        lower = gens.pop(u)
-        mask = bits.get(u, 0)
-        for y in lower:
-            mask |= down[y]
-        down[u] = mask
-        weight, steps = u.weight, u.steps
-        for s in nodes:
-            # the first u to reach w = us fixes gens(w)
-            if weight[s] > 0 and (w := steps[s]) not in gens:
-                gens[w] = (u, *[y.steps[s] for y in lower if y.weight[s] > 0])
-    return down
 
 
 def _covers(below: list[int]) -> list[tuple[int, int]]:

@@ -1,7 +1,7 @@
 """Brute-force re-derivations of every nontrivial combinatorial claim.
 
 Each oracle here uses a method algorithmically independent of the engine:
-subword products instead of the forward pass of :func:`galois.lower_sets`,
+subword products instead of the forward pass of :func:`coxeter.lower_sets`,
 closure classes with explicit minima instead of growing ^J W by ascents, and
 an element of W as the permutation it induces on the 2N roots instead of a
 weight of ^J W (Casselman, "Machine calculations in Weyl groups", 1994).  The
@@ -9,8 +9,11 @@ roots are indexed once, the N positive roots first with alpha_i at index i,
 and -beta at (index of beta) + N; ``key[r]`` is the index of w(root r), as
 ``bytes``, so a product is one ``bytes.translate`` and a key caches its hash.
 The oracle shares with the engine only the Cartan matrix and the positive
-roots, and maps an engine element to its key through its reduced word; past
-the claims under test it calls the engine for nothing else.
+roots, and maps an engine element to its key through its reduced word.  Past
+the claims under test it calls one engine routine, :func:`coxeter.eo_fibers`:
+``fiber_partition`` reads from it the fibers of the orbit members other than
+the representative, which the atlas does not hold (ROADMAP item 2 would
+check the written document instead).
 
 One breadth-first pass by right simple steps lists W with its lengths, the
 cosets W_J w are the classes of W under left-J steps and the double cosets
@@ -34,8 +37,9 @@ themselves, listed as sets of keys, are read off :func:`_cosets` in
 
 from __future__ import annotations
 
-from .atlas import Atlas, eo_fibers
-from .coxeter import WeylGroup
+from .atlas import Atlas
+# the one engine routine called past the claims checked (module docstring)
+from .coxeter import WeylGroup, eo_fibers
 from .errors import BoundError, ConsistencyError
 from .rootdata import Record, reflect
 

@@ -1,13 +1,18 @@
+"""The tests' one reader of the engine's element format: what a test needs
+of an element's weight or steps, of the elements a group holds, or of the work
+it does, it reads through a helper here."""
+
 import importlib.util
 import json
 import re
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from bruhat_atlas.coxeter import WeylGroup
-from bruhat_atlas.galois import lower_sets
+from bruhat_atlas.coxeter import WeylGroup, lower_sets
 from bruhat_atlas.oracle import RootKeys
 from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 
@@ -81,6 +86,36 @@ def interned(group: WeylGroup) -> int:
     """How many elements ``group`` holds, over every J: the lists of ^J W
     that ``ascend`` keeps."""
     return sum(map(len, group._ascend_cache.values()))
+
+
+def engine_work(monkeypatch) -> SimpleNamespace:
+    """Record, from now to the end of the test, the work every group does:
+    ``born`` the word of each element interned, ``reflected`` the node of
+    each reflection of a weight, and ``grown`` the J of each ^J W grown,
+    which interns its identity, the one element with the empty word, first."""
+    work = SimpleNamespace(born=[], reflected=[], grown=[])
+    intern, reflect = WeylGroup._intern, WeylGroup._reflect
+
+    def born(group, J, weight, word):
+        work.born.append(word)
+        if not word:
+            work.grown.append(J)
+        return intern(group, J, weight, word)
+
+    def reflected(group, weight, i):
+        work.reflected.append(i)
+        return reflect(group, weight, i)
+
+    monkeypatch.setattr(WeylGroup, "_intern", born)
+    monkeypatch.setattr(WeylGroup, "_reflect", reflected)
+    return work
+
+
+def subsets(nodes) -> list[frozenset]:
+    """Every subset of ``nodes``, by size and then in the order of
+    ``itertools.combinations`` over the sorted nodes."""
+    nodes = sorted(nodes)
+    return [frozenset(c) for r in range(len(nodes) + 1) for c in combinations(nodes, r)]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

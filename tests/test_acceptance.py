@@ -6,7 +6,6 @@ sweeps run over a fixed matrix of groups: exhaustive subsets for the small
 groups, corpus-derived subsets for A5.
 """
 
-import itertools
 import time
 
 import pytest
@@ -14,14 +13,13 @@ import pytest
 from bruhat_atlas.atlas import (
     build_atlas,
     derive_K,
-    eo_fibers,
     moduli_dimension,
     siegel_dimension,
     siegel_identify,
     stratum_dimension,
 )
 from bruhat_atlas.cli import corpus_preset
-from bruhat_atlas.galois import lower_sets
+from bruhat_atlas.coxeter import eo_fibers, lower_sets
 from bruhat_atlas.oracle import brute_interval, verify_atlas
 from bruhat_atlas.rootdata import validate_automorphism
 from bruhat_atlas.serialize import parse_case
@@ -36,6 +34,7 @@ from conftest import (
     keys_of,
     left_reps,
     longest_length,
+    subsets,
 )
 from reference import brute_double_cosets
 
@@ -59,13 +58,8 @@ def _report(number: int, label: str, ok: bool):
 
 
 def _all_subset_pairs(group):
-    nodes = range(group.n)
-    subsets = [
-        frozenset(c)
-        for size in range(group.n + 1)
-        for c in itertools.combinations(nodes, size)
-    ]
-    return [(J, K) for J in subsets for K in subsets]
+    every = subsets(range(group.n))
+    return [(J, K) for J in every for K in every]
 
 
 def _a5_corpus_pairs():

@@ -11,14 +11,13 @@ from bruhat_atlas.atlas import (
     build_atlas,
     derive_J,
     derive_K,
-    eo_fibers,
     moduli_dimension,
     siegel_case,
     siegel_dimension,
     siegel_identify,
 )
 from bruhat_atlas.cli import corpus_preset
-from bruhat_atlas.coxeter import DEFAULT_BOUND, WeylGroup
+from bruhat_atlas.coxeter import DEFAULT_BOUND, WeylGroup, eo_fibers
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.oracle import verify_atlas
 from bruhat_atlas.rootdata import (
@@ -32,6 +31,7 @@ from bruhat_atlas.serialize import emit_dot, emit_table, parse_case
 from conftest import (
     benchmark_workloads,
     double_reps,
+    engine_work,
     from_word,
     group_of,
     interned,
@@ -127,13 +127,9 @@ class TestFiberAndDimension:
         g = WeylGroup(cartan_from_spec(DynkinSpec(factors)))
         left = left_reps(g, J)
         doubles = double_reps(g, J, K)
-        held = interned(g)
-        reflect, reflected = g._reflect, []
-        monkeypatch.setattr(
-            g, "_reflect", lambda weight, i: reflected.append(1) or reflect(weight, i)
-        )
+        held, work = interned(g), engine_work(monkeypatch)
         fibers = eo_fibers(g, J, K)
-        assert interned(g) == held and reflected == []
+        assert interned(g) == held and work.reflected == []
         assert list(fibers) == doubles
         assert sum(map(len, fibers.values())) == len(left)
 
@@ -249,11 +245,10 @@ class TestBuildGuards:
     @staticmethod
     def _change_fibers(monkeypatch, change):
         """Make the build read ``change(x, fiber)`` as the fiber of each x."""
-        fibers_of = atlas_mod.eo_fibers
         monkeypatch.setattr(
             atlas_mod, "eo_fibers",
             lambda group, J, K: {
-                x: change(x, fiber) for x, fiber in fibers_of(group, J, K).items()
+                x: change(x, fiber) for x, fiber in eo_fibers(group, J, K).items()
             },
         )
 
@@ -449,19 +444,10 @@ def test_outputs_peel_words_without_interning(monkeypatch):
     # the build forms every word it writes while it grows ^J W, so the
     # writers read them: no intern and no growth
     atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
-    g = atlas.group
-    calls = {"_intern": 0, "ascend": 0}
-    for name in calls:
-        method = getattr(g, name)
-
-        def counted(*args, name=name, method=method):
-            calls[name] += 1
-            return method(*args)
-
-        monkeypatch.setattr(g, name, counted)
+    work = engine_work(monkeypatch)
     atlas_json(atlas), emit_dot(atlas), "".join(emit_table(atlas))
-    assert all(w.word is not None for w in g._ascend_cache[atlas.J])
-    assert calls == {"_intern": 0, "ascend": 0}
+    assert work.born == [] and work.grown == []
+    assert all(w.word is not None for w in left_reps(atlas.group, atlas.J))
 
 
 @pytest.mark.parametrize("preset", ["gu:4,3:inert", "hilbert:6"])
@@ -471,24 +457,21 @@ def test_orbits_relabel_words_without_interning_or_composing(preset, monkeypatch
     atlas = build_atlas(parse_case(corpus_preset(preset)))
     g = atlas.group
     generator = atlas.case.phi.power(atlas.degree)
-    held = interned(g)
-    reflect, reflected = g._reflect, []
-    monkeypatch.setattr(
-        g, "_reflect", lambda weight, i: reflected.append(1) or reflect(weight, i)
-    )
+    held, work = interned(g), engine_work(monkeypatch)
     reps = double_reps(g, atlas.J, atlas.K)
     orbits = galois.galois_orbits(g, reps, generator)
-    assert reflected == [] and interned(g) == held
+    assert work.reflected == [] and interned(g) == held
     assert {frozenset(o) for o in orbits} == {frozenset(s.orbit) for s in atlas.strata}
 
 
-def test_fibers_are_not_cached_and_start_less_ascents_are():
+def test_fibers_are_not_cached_and_start_less_ascents_are(monkeypatch):
+    work = engine_work(monkeypatch)
     atlas = build_atlas(parse_case(corpus_preset("gu:4,3:inert")))
     g = atlas.group
     assert verify_atlas(atlas).passed
     # only ^J W, whose growth the fibers are read off; the oracle enumerates
     # W on keys, not by ascend
-    assert set(g._ascend_cache) == {atlas.J}
+    assert work.grown == [atlas.J]
     assert left_reps(g, atlas.J) is left_reps(g, atlas.J)
 
 
@@ -496,33 +479,14 @@ def test_fibers_are_not_cached_and_start_less_ascents_are():
 def test_a_build_grows_jw_once_and_reads_the_fibers_off_it(preset, monkeypatch):
     # gu:4,3:inert and hilbert:6 have orbits of several members, whose
     # fibers the oracle reads from the same pass
-    misses = []
-
-    class Counted(dict):
-        def get(self, key, default=None):
-            value = super().get(key, default)
-            if value is None:
-                misses.append(key)
-            return value
-
-    init, intern, born = WeylGroup.__init__, WeylGroup._intern, []
-
-    def init_counted(self, *args):
-        init(self, *args)
-        self._ascend_cache = Counted()
-
-    monkeypatch.setattr(WeylGroup, "__init__", init_counted)
-    monkeypatch.setattr(
-        WeylGroup, "_intern", lambda self, *args: born.append(args[1]) or intern(self, *args)
-    )
+    work = engine_work(monkeypatch)
     atlas = build_atlas(parse_case(corpus_preset(preset)))
     g = atlas.group
-    # one growth: the cache of J misses once, and each element of ^J W is
-    # interned once
-    assert misses == [atlas.J] and len(g._ascend_cache) == 1
-    assert len(born) == len(set(born)) == len(left_reps(g, atlas.J))
-    fibers = atlas_mod.eo_fibers(g, atlas.J, atlas.K)
-    assert len(born) == len(left_reps(g, atlas.J)) and len(misses) == 1
+    # one growth, and each element of ^J W is interned once
+    assert work.grown == [atlas.J]
+    assert len(work.born) == len(set(work.born)) == len(left_reps(g, atlas.J))
+    fibers = eo_fibers(g, atlas.J, atlas.K)
+    assert len(work.born) == len(left_reps(g, atlas.J)) and len(work.grown) == 1
     assert [fibers[s.rep] for s in atlas.strata] == [s.eo_fiber for s in atlas.strata]
     assert sum(map(len, fibers.values())) == len(left_reps(g, atlas.J))
 

@@ -1,4 +1,3 @@
-import itertools
 import re
 import sys
 from functools import lru_cache
@@ -9,21 +8,22 @@ from hypothesis import strategies as st
 
 from bruhat_atlas.atlas import build_atlas
 from bruhat_atlas.cli import corpus_preset
-from bruhat_atlas.coxeter import WeylGroup
+from bruhat_atlas.coxeter import WeylGroup, lower_sets
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
-from bruhat_atlas.galois import lower_sets
 from bruhat_atlas.oracle import RootKeys, brute_interval
 from bruhat_atlas.rootdata import CartanMatrix, positive_roots, reflect
 from bruhat_atlas.serialize import parse_case
 from conftest import (
     SMALL_GROUPS,
     engine_leq,
+    engine_work,
     from_word,
     group_of,
     interned,
     key_length,
     key_of,
     keys_of,
+    subsets,
 )
 
 
@@ -336,7 +336,7 @@ class TestLongestAndOpposition:
 
 
 class TestBruhat:
-    """The Bruhat order of ``galois.lower_sets`` with J empty."""
+    """The Bruhat order of ``lower_sets`` with J empty."""
 
     def test_identity_below_everything(self, a2):
         leq = engine_leq(a2)
@@ -498,22 +498,21 @@ class TestAutomorphismAction:
         g = fresh_group(name)
         phi = validate_automorphism(perm, g.cartan)
         p = phi.perm
-        for r in range(g.n + 1):
-            for J in map(frozenset, itertools.combinations(range(g.n), r)):
-                jw = g.ascend(J)
-                if phi.apply_subset(J) == J:
-                    images = []
-                    for w in jw:
-                        image = g.apply_automorphism(phi, w)
-                        assert all(image.weight[p[i]] == c for i, c in enumerate(w.weight))
-                        assert image is from_word(g, [p[i] for i in w.word], J), J
-                        images.append(image)
-                    assert len(set(images)) == len(jw) and set(images) == set(jw), J
-                    continue
-                moved = re.escape(f"automorphism moves J={sorted(J)}")
+        for J in subsets(range(g.n)):
+            jw = g.ascend(J)
+            if phi.apply_subset(J) == J:
+                images = []
                 for w in jw:
-                    with pytest.raises(InputError, match=f"^{moved}$"):
-                        g.apply_automorphism(phi, w)
+                    image = g.apply_automorphism(phi, w)
+                    assert all(image.weight[p[i]] == c for i, c in enumerate(w.weight))
+                    assert image is from_word(g, [p[i] for i in w.word], J), J
+                    images.append(image)
+                assert len(set(images)) == len(jw) and set(images) == set(jw), J
+                continue
+            moved = re.escape(f"automorphism moves J={sorted(J)}")
+            for w in jw:
+                with pytest.raises(InputError, match=f"^{moved}$"):
+                    g.apply_automorphism(phi, w)
 
     def test_an_element_of_another_group_is_refused(self):
         # the walk reads this group's ^J W, so a foreign element is refused
@@ -580,16 +579,15 @@ class TestEnumeration:
         # with j in J is shorter
         g = group_of(name)
         keys = keys_of(g)
-        for r in range(g.n + 1):
-            for J in itertools.combinations(range(g.n), r):
-                for w in g.ascend(J):
-                    key = key_of(g, w)
-                    for i in range(g.n):
-                        v = keys.product(key, keys.simple[i])
-                        inside = key_length(g, v) > key_length(g, key) and all(
-                            key_length(g, keys.left(j, v)) > key_length(g, v) for j in J
-                        )
-                        assert (w.weight[i] > 0) == inside, (J, i)
+        for J in subsets(range(g.n)):
+            for w in g.ascend(J):
+                key = key_of(g, w)
+                for i in range(g.n):
+                    v = keys.product(key, keys.simple[i])
+                    inside = key_length(g, v) > key_length(g, key) and all(
+                        key_length(g, keys.left(j, v)) > key_length(g, v) for j in J
+                    )
+                    assert (w.weight[i] > 0) == inside, (J, i)
 
     def test_count_guard_fires(self, monkeypatch):
         from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
@@ -619,10 +617,9 @@ class TestEnumeration:
     def test_parabolic_order_counts_the_subgroup(self, name):
         # W_S is the set of elements of W whose reduced words use only S
         g = group_of(name)
-        for r in range(g.n + 1):
-            for S in itertools.combinations(range(g.n), r):
-                sub = [w for w in g.ascend(()) if set(w.word) <= set(S)]
-                assert g.parabolic(S) == (len(sub), max(w.length for w in sub)), S
+        for S in subsets(range(g.n)):
+            sub = [w for w in g.ascend(()) if set(w.word) <= S]
+            assert g.parabolic(S) == (len(sub), max(w.length for w in sub)), S
 
     @pytest.mark.parametrize(
         "name,order",
@@ -652,15 +649,14 @@ class TestEnumeration:
         # lower_sets, eo_fibers and from_word walk; a fresh group per J keeps
         # memory small
         cartan = group_of(name).cartan
-        for r in range(cartan.n + 1):
-            for J in itertools.combinations(range(cartan.n), r):
-                g = WeylGroup(cartan)
-                jw = g.ascend(J)
-                ordered = [(w.length, w.word) for w in jw]
-                assert all(a < b for a, b in zip(ordered, ordered[1:])), J
-                for w in jw:
-                    assert type(w.word) is tuple and len(w.word) == w.length, J
-                    assert [v is not None for v in w.steps] == [c != 0 for c in w.weight], J
+        for J in subsets(range(cartan.n)):
+            g = WeylGroup(cartan)
+            jw = g.ascend(J)
+            ordered = [(w.length, w.word) for w in jw]
+            assert all(a < b for a, b in zip(ordered, ordered[1:])), J
+            for w in jw:
+                assert type(w.word) is tuple and len(w.word) == w.length, J
+                assert [v is not None for v in w.steps] == [c != 0 for c in w.weight], J
 
     def test_subgroup_enumeration(self):
         # W_S as the elements of W whose reduced words use only S
@@ -669,15 +665,6 @@ class TestEnumeration:
         assert len([w for w in W if set(w.word) <= {0, 1}]) == 6  # A2 parabolic
         assert len([w for w in W if set(w.word) <= {1, 2}]) == 8  # C2 parabolic
         assert [w for w in W if not w.word] == [W[0]]
-
-
-def count_reflections(g: WeylGroup, monkeypatch) -> list:
-    reflected = []
-    reflect_ = g._reflect
-    monkeypatch.setattr(
-        g, "_reflect", lambda weight, i: reflected.append(1) or reflect_(weight, i)
-    )
-    return reflected
 
 
 class TestStepMemo:
@@ -696,10 +683,7 @@ class TestStepMemo:
         # word of w, and it moves the length by one, in W (J empty), where W
         # acts on itself on the left
         cartan = group_of(name).cartan
-        every_j = itertools.chain.from_iterable(
-            itertools.combinations(range(cartan.n), r) for r in range(cartan.n + 1)
-        )
-        for J in every_j if side == "right" else [()]:
+        for J in subsets(range(cartan.n)) if side == "right" else [()]:
             g = WeylGroup(cartan)
             handed = []
             monkeypatch.setattr(
@@ -734,7 +718,7 @@ class TestStepMemo:
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_a_step_taken_twice_composes_nothing(self, name, monkeypatch):
         g = WeylGroup(group_of(name).cartan)
-        reflected = count_reflections(g, monkeypatch)
+        reflected = engine_work(monkeypatch).reflected
         elements = g.ascend(())
         # one reflection per element born: a step that reaches an element
         # already born composes nothing
@@ -759,7 +743,7 @@ class TestStepMemo:
         assert len(jw) == interned(g) == 528
         # a slot is filled exactly where the coordinate is not 0; where it is
         # 0 the coset does not move, and the walk stays at w without a reflection
-        reflected = count_reflections(g, monkeypatch)
+        reflected = engine_work(monkeypatch).reflected
         for w in jw:
             for i in range(g.n):
                 assert (w.steps[i] is not None) == (w.weight[i] != 0), i
@@ -812,8 +796,7 @@ class TestSubsetMemos:
     @pytest.mark.parametrize("name", ["B3", "D4", "A1xA2"])
     def test_memo_hits_agree_with_a_fresh_group(self, name):
         g = group_of(name)
-        for r in range(g.n + 1):
-            for S in itertools.combinations(range(g.n), r):
-                fresh = WeylGroup(g.cartan)
-                first = g.parabolic(S)
-                assert g.parabolic(S) == first and fresh.parabolic(S) == first, S
+        for S in subsets(range(g.n)):
+            fresh = WeylGroup(g.cartan)
+            first = g.parabolic(S)
+            assert g.parabolic(S) == first and fresh.parabolic(S) == first, S

@@ -1,18 +1,15 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhat_atlas import atlas as atlas_mod
-from bruhat_atlas.coxeter import WeylGroup
+from bruhat_atlas.coxeter import WeylGroup, lower_sets
 from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.errors import ConsistencyError
 from bruhat_atlas.galois import (
     _covers,
     definition_degree,
     galois_orbits,
-    lower_sets,
     orbit_poset,
 )
 from bruhat_atlas.oracle import brute_interval
@@ -25,12 +22,14 @@ from bruhat_atlas.serialize import parse_case
 from conftest import (
     SMALL_GROUPS,
     double_reps,
+    engine_work,
     from_word,
     group_of,
     interned,
     key_of,
     keys_of,
     left_reps,
+    subsets,
 )
 
 
@@ -181,17 +180,13 @@ class TestOrbitPoset:
             _covers([0b11, 0b11])
 
 
-def _subsets(n):
-    return [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
-
-
 class TestLowerSets:
     """The lower-set pass against subword intervals."""
 
     @pytest.mark.parametrize("name", SMALL_GROUPS + ["B3", "A1xA2", "B2xA1"])
     def test_every_j_on_all_of_jw(self, name):
         g = group_of(name)
-        for J in _subsets(g.n):
+        for J in subsets(range(g.n)):
             jw = left_reps(g, J)
             index = {w: i for i, w in enumerate(jw)}
             down = lower_sets(g, J, {w: 1 << i for w, i in index.items()})
@@ -291,11 +286,7 @@ class TestStructuralGuards:
         atlas = atlas_mod.build_atlas(parse_case(doc))
         g = atlas.group
         jw = left_reps(g, atlas.J)
-        held = interned(g)
-        reflect, reflected = g._reflect, []
-        monkeypatch.setattr(
-            g, "_reflect", lambda weight, i: reflected.append(1) or reflect(weight, i)
-        )
+        held, work = interned(g), engine_work(monkeypatch)
         down = lower_sets(g, atlas.J, {w: 1 << i for i, w in enumerate(jw)})
-        assert reflected == [] and interned(g) == held
+        assert work.reflected == [] and interned(g) == held
         assert set(down) == set(jw) and down[jw[-1]].bit_count() == len(jw)

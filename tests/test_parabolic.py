@@ -1,24 +1,25 @@
 """Coset and double-coset representatives, induced subsets and fiber tops,
 against the oracle's root-permutation keys."""
 
-from itertools import combinations
-
 import pytest
 
-from bruhat_atlas.atlas import eo_fibers, stratum_dimension
-from bruhat_atlas.coxeter import WeylGroup
+from bruhat_atlas.atlas import stratum_dimension
+from bruhat_atlas.coxeter import WeylGroup, eo_fibers
 from bruhat_atlas.errors import InputError
 from bruhat_atlas.oracle import brute_interval
 from bruhat_atlas.rootdata import DynkinSpec, cartan_from_spec
 from conftest import (
     double_reps,
+    engine_work,
     from_word,
     group_of,
+    interned,
     key_length,
     key_of,
     keys_of,
     left_reps,
     longest_length,
+    subsets,
 )
 from reference import brute_double_cosets, brute_min_left_reps
 
@@ -153,7 +154,7 @@ class TestInducedSubset:
             InputError, match=r"^element \[0, 1\] is not a minimal double representative "
         ):
             c12.induced_subset(x, J, {1})
-        assert c12._count == len(c12.ascend(J)) == 24
+        assert interned(c12) == len(c12.ascend(J)) == 24
 
 
 def howlett_top(g, x, J, K) -> bytes:
@@ -245,11 +246,6 @@ class TestHowlett:
 ASCENT_GROUPS = ["A3", "B3", "C3", "D4", "A1xA2", "B2xA1"]
 
 
-def subsets(nodes):
-    nodes = sorted(nodes)
-    return [frozenset(c) for r in range(len(nodes) + 1) for c in combinations(nodes, r)]
-
-
 def left_descent_in(g, key: bytes, J) -> bool:
     """Some j in J is a left descent of the key: alpha_j among its negative images."""
     return not J.isdisjoint(key[keys_of(g).N:])
@@ -318,22 +314,13 @@ class TestConjugationByKey:
             for Ks in subsets(range(a3.n))
             for x in double_reps(a3, Js, Ks)
         ]
-        before = (c4._count, a3._count)
-        calls = []
-        for name in ("_intern", "_reflect"):
-            law = getattr(WeylGroup, name)
-            monkeypatch.setattr(
-                WeylGroup,
-                name,
-                lambda self, *args, _name=name, _law=law: calls.append(_name)
-                or _law(self, *args),
-            )
+        before, work = (interned(c4), interned(a3)), engine_work(monkeypatch)
         for x in doubles:
             c4.induced_subset(x, J, K)
         for x, Js, Ks in a3_doubles:
             a3.induced_subset(x, Js, Ks)
-        assert calls == []
-        assert (c4._count, a3._count) == before
+        assert work.born == work.reflected == []
+        assert (interned(c4), interned(a3)) == before
 
     @pytest.mark.parametrize("name", ASCENT_GROUPS)
     def test_against_products(self, name):
