@@ -83,18 +83,23 @@ def engine_leq(group: WeylGroup):
 
 
 def interned(group: WeylGroup) -> int:
-    """How many elements ``group`` holds, over every J: the lists of ^J W
-    that ``ascend`` keeps."""
-    return sum(map(len, group._ascend_cache.values()))
+    """How many elements ``group`` has interned, over every J: the engine's
+    own count, which the element bound guards."""
+    return group._count
 
 
 def engine_work(monkeypatch) -> SimpleNamespace:
     """Record, from now to the end of the test, the work every group does:
-    ``born`` the word of each element interned, ``reflected`` the node of
-    each reflection of a weight, and ``grown`` the J of each ^J W grown,
-    which interns its identity, the one element with the empty word, first."""
-    work = SimpleNamespace(born=[], reflected=[], grown=[])
-    intern, reflect = WeylGroup._intern, WeylGroup._reflect
+    ``asked`` the J of each ``ascend`` call, grown or cached, ``born`` the
+    word of each element interned, ``reflected`` the node of each reflection
+    of a weight, and ``grown`` the J of each ^J W grown, which interns its
+    identity, the one element with the empty word, first."""
+    work = SimpleNamespace(asked=[], born=[], reflected=[], grown=[])
+    ascend, intern, reflect = WeylGroup.ascend, WeylGroup._intern, WeylGroup._reflect
+
+    def asked(group, J):
+        work.asked.append(J)
+        return ascend(group, J)
 
     def born(group, J, weight, word):
         work.born.append(word)
@@ -106,6 +111,7 @@ def engine_work(monkeypatch) -> SimpleNamespace:
         work.reflected.append(i)
         return reflect(group, weight, i)
 
+    monkeypatch.setattr(WeylGroup, "ascend", asked)
     monkeypatch.setattr(WeylGroup, "_intern", born)
     monkeypatch.setattr(WeylGroup, "_reflect", reflected)
     return work

@@ -442,11 +442,11 @@ def test_build_and_outputs_intern_the_answer_plus_at_most_3N(preset):
 
 def test_outputs_peel_words_without_interning(monkeypatch):
     # the build forms every word it writes while it grows ^J W, so the
-    # writers read them: no intern and no growth
+    # writers read them: no intern, no growth and no call of ascend
     atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
     work = engine_work(monkeypatch)
     atlas_json(atlas), emit_dot(atlas), "".join(emit_table(atlas))
-    assert work.born == [] and work.grown == []
+    assert work.asked == work.born == work.grown == []
     assert all(w.word is not None for w in left_reps(atlas.group, atlas.J))
 
 
