@@ -104,12 +104,13 @@ def _positive_int(text: str, what: str) -> int:
 
 def _write_outputs(built, out_dir: str):
     try:
-        with open(os.path.join(out_dir, "atlas.json"), "w") as out:
-            out.writelines(serialize.atlas_json_pieces(built))
+        with (
+            open(os.path.join(out_dir, "atlas.json"), "w") as json_out,
+            open(os.path.join(out_dir, "table.txt"), "w") as table_out,
+        ):
+            serialize.write_atlas(built, json_out, table_out)
         with open(os.path.join(out_dir, "hasse.dot"), "w") as out:
             out.write(serialize.emit_dot(built))
-        with open(os.path.join(out_dir, "table.txt"), "w") as out:
-            out.writelines(serialize.emit_table(built))
     except OSError as exc:
         raise InputError(f"cannot write to {out_dir}: {exc}") from exc
 

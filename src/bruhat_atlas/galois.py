@@ -16,7 +16,6 @@ module reads no element's weight or steps: it forms the orbits with
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import attrgetter
 
 from .coxeter import WeylElement, WeylGroup, lower_sets
@@ -82,21 +81,6 @@ class OrbitPoset(Record):
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.below[b] >> a & 1)
-
-    def ids_below(self, b: int) -> list[int]:
-        """The orbits a <= b, in increasing order."""
-        return _bits(self.below[b])
-
-
-# binary digits "0"/"1" as bytes 0/1, so that compress can select by them
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, increasing: one C-level scan of
-    its binary digits, least significant first."""
-    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
-    return list(compress(range(len(digits)), digits))
 
 
 def _covers(below: list[int]) -> list[tuple[int, int]]:

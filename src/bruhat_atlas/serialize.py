@@ -15,14 +15,19 @@ document re-parses to the same canonical elements.  ``atlas.json`` is exactly
 what ``json.dumps(..., indent=2)`` returns for its schema, plus a final
 newline; ``tests/reference.py`` holds that schema as a dict, and the tests
 compare the two byte for byte.
-:func:`atlas_json_pieces` forms the document, piece by piece, from the fixed
-schema: the header values and notes go through ``json.dumps`` (so escaping is
-json's own), each stratum is one f-string, and every integer list (reduced
-words, closures, poset edges) is one ``join`` over decimal labels built once
-per atlas.  The command line writes the pieces as they come.
 
-A stratum record holds only its independent data.  Each writer derives the
-rest as it writes the stratum: ``codim`` is ``moduli_dim - dim``,
+:func:`write_atlas` writes atlas.json and table.txt together, in one pass
+over the strata, from the fixed schema: the header values and notes go
+through ``json.dumps`` (so escaping is json's own), each stratum is one
+f-string and one ``write`` to each file, and every integer list (reduced
+words, poset edges) is one ``join`` over decimal labels built once per
+atlas.  A stratum's closure is formed once, for both files: the table's cell
+is the pieces ``"id,"`` that its bitmask's binary digits select, joined, less
+the last comma, and atlas.json's list is that cell with a line break after
+each comma.  So a writer holds one stratum's text at a time.
+
+A stratum record holds only its independent data.  The writers derive the
+rest as they write the stratum: ``codim`` is ``moduli_dim - dim``,
 ``single_eo`` is a fiber of one element, ``closure`` is the stratum's
 down-set in the orbit poset, read off its bitmask, and ``is_maximal`` marks
 the last stratum, since strata come in length order and one is longest.
@@ -31,7 +36,7 @@ the last stratum, since strata come in length order and one is longest.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from itertools import compress
 
 from .atlas import Atlas, PELCase
 from .errors import InputError
@@ -194,8 +199,9 @@ def _ints(labels: list[str], values, depth: int) -> str:
     return _list(map(labels.__getitem__, values), depth) if values else "[]"
 
 
-def _stratum(labels: list[str], atlas: Atlas, sid: int) -> str:
-    """One entry of the atlas.json ``strata`` list, from its line break on."""
+def _stratum(labels: list[str], atlas: Atlas, sid: int, closure: str) -> str:
+    """One entry of the atlas.json ``strata`` list, from the comma before it
+    on, given its closure as the table writes it."""
     _, _, nl2, nl3, nl4, nl5 = _LINES
     s = atlas.strata[sid]
     # an orbit holds its representative, and a fiber its representative
@@ -210,43 +216,77 @@ def _stratum(labels: list[str], atlas: Atlas, sid: int) -> str:
     single = "true" if len(s.eo_fiber) == 1 else "false"
     maximal = "true" if sid == len(atlas.strata) - 1 else "false"
     siegel_a = "null" if s.siegel_a is None else s.siegel_a
+    # labels are decimal digits, so every comma of the closure separates two
+    closure = closure.replace(",", "," + nl4)
     return (
-        f'{nl2}{{{nl3}"id": {labels[sid]},'
+        f'{"," if sid else ""}{nl2}{{{nl3}"id": {labels[sid]},'
         f'{nl3}"rep": {_ints(labels, s.rep.word, 3)},'
         f'{nl3}"orbit": {orbit},'
         f'{nl3}"dim": {s.dim},'
         f'{nl3}"codim": {atlas.moduli_dim - s.dim},'
         f'{nl3}"eo_fiber": {fiber},'
         f'{nl3}"single_eo": {single},'
-        f'{nl3}"closure": {_ints(labels, atlas.orbit_poset.ids_below(sid), 3)},'
+        f'{nl3}"closure": [{nl4}{closure}{nl3}],'
         f'{nl3}"is_maximal": {maximal},'
         f'{nl3}"siegel_a": {siegel_a}{nl2}}}'
     )
 
 
-def atlas_json_pieces(atlas: Atlas) -> Iterator[str]:
-    """The pieces of atlas.json in order, written from the schema: one
-    f-string per stratum and one ``join`` per list.  They are formed one at a
-    time, so a writer holds at most one stratum's text."""
+def _table_starts(atlas: Atlas, labels: list[str]) -> tuple[str, list[str]]:
+    """table.txt's header line, and each stratum's row up to its closure:
+    the short cells of columns 0-5, each padded to its column's width.  The
+    last column (closure) is never empty and is not padded."""
+    header = ("id", "rep", "dim", "codim", "#EO", "single-EO")
+    rows = [
+        (
+            labels[sid],
+            word_label(s.rep.word),
+            str(s.dim),
+            str(atlas.moduli_dim - s.dim),
+            str(len(s.eo_fiber)),
+            "yes" if len(s.eo_fiber) == 1 else "no",
+        )
+        for sid, s in enumerate(atlas.strata)
+    ]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return (
+        "  ".join([*map(str.ljust, header, widths), "closure\n"]),
+        ["  ".join([*map(str.ljust, row, widths), ""]) for row in rows],
+    )
+
+
+# binary digits "0"/"1" as bytes 0/1, so that compress can select by them
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def write_atlas(atlas: Atlas, json_out, table_out):
+    """Write atlas.json to ``json_out`` and table.txt to ``table_out`` in one
+    pass over the strata, one ``write`` per stratum to each.  Each stratum's
+    closure is formed once, from its bitmask, and written to both, so the
+    writer holds one stratum's text at a time."""
     _, nl1, nl2, nl3, _, _ = _LINES
     labels = _labels(atlas)
-    yield "{"
-    for key, value in _header(atlas).items():
-        yield f'{nl1}"{key}": {_dumps(value, 1)},'
-    yield f'{nl1}"strata": ['
+    header, starts = _table_starts(atlas, labels)
+    table_out.write(header)
+    entries = (f'{nl1}"{key}": {_dumps(value, 1)},' for key, value in _header(atlas).items())
+    json_out.write(f'{{{"".join(entries)}{nl1}"strata": [')
+    # a closure is the pieces "id," that the binary digits of its mask select,
+    # least significant first, less the last comma
+    pieces = [f"{label}," for label in labels[: len(starts)]]
     # an atlas has at least one stratum, the one of the identity
-    for sid in range(len(atlas.strata)):
-        if sid:
-            yield ","
-        yield _stratum(labels, atlas, sid)
-    yield f'{nl1}],{nl1}"poset_edges": '
+    for sid, mask in enumerate(atlas.orbit_poset.below):
+        digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+        closure = "".join(compress(pieces, digits))[:-1]
+        json_out.write(_stratum(labels, atlas, sid, closure))
+        table_out.write(f"{starts[sid]}{closure}\n")
     covers = atlas.orbit_poset.covers  # the pairs that hasse_edges lists
-    yield (
+    edges = (
         _list((f"[{nl3}{labels[a]},{nl3}{labels[b]}{nl2}]" for a, b in covers), 1)
         if covers
         else "[]"
     )
-    yield f',{nl1}"notes": {_dumps(atlas.notes, 1)}\n}}\n'
+    notes = _dumps(atlas.notes, 1)
+    json_out.write(f'{nl1}],{nl1}"poset_edges": {edges},{nl1}"notes": {notes}\n}}\n')
 
 
 def hasse_edges(atlas: Atlas) -> list[list[int]]:
@@ -271,29 +311,3 @@ def emit_dot(atlas: Atlas) -> str:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def emit_table(atlas: Atlas) -> Iterator[str]:
-    """Fixed-width text table of the strata, one line per piece.  A first
-    pass forms the short cells of columns 0-5 and their widths; the last
-    column (closure) is never empty and is not padded, and it is formed from
-    its bitmask only as its row is yielded, so a writer holds one closure's
-    text at a time."""
-    labels = _labels(atlas)
-    header = ("id", "rep", "dim", "codim", "#EO", "single-EO")
-    rows = [
-        (
-            labels[sid],
-            word_label(s.rep.word),
-            str(s.dim),
-            str(atlas.moduli_dim - s.dim),
-            str(len(s.eo_fiber)),
-            "yes" if len(s.eo_fiber) == 1 else "no",
-        )
-        for sid, s in enumerate(atlas.strata)
-    ]
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    yield "  ".join([*map(str.ljust, header, widths), "closure"]) + "\n"
-    for sid, row in enumerate(rows):
-        closure = ",".join(map(labels.__getitem__, atlas.orbit_poset.ids_below(sid)))
-        yield "  ".join([*map(str.ljust, row, widths), closure]) + "\n"

@@ -2,16 +2,26 @@
 
 ``atlas_to_dict`` is the atlas.json schema as a dict: ``json.dumps`` of it,
 with ``indent=2`` and a final newline, is the document that
-:func:`serialize.atlas_json_pieces` writes piece by piece, and
-``atlas_json`` joins those pieces.  ``brute_double_cosets`` and
+:func:`serialize.write_atlas` writes stratum by stratum.  ``atlas_files``
+holds the three output files as the command line writes them, and
+``atlas_json`` the first.  ``ids_below`` reads a stratum's closure off its
+bitmask.  ``brute_double_cosets`` and
 ``brute_min_left_reps`` list the oracle's closure classes of W's
 root-permutation keys, read off ``oracle._cosets``, the same classes that
 ``verify_atlas`` checks the atlas against.
 """
 
+from io import StringIO
+
 from bruhat_atlas.atlas import Atlas
+from bruhat_atlas.galois import OrbitPoset
 from bruhat_atlas.oracle import RootKeys, _cosets
-from bruhat_atlas.serialize import _header, atlas_json_pieces, hasse_edges
+from bruhat_atlas.serialize import _header, emit_dot, hasse_edges, write_atlas
+
+
+def ids_below(poset: OrbitPoset, b: int) -> list[int]:
+    """The orbits a <= b, in increasing order: the set bits of b's mask."""
+    return [a for a, digit in enumerate(bin(poset.below[b])[:1:-1]) if digit == "1"]
 
 
 def atlas_to_dict(atlas: Atlas) -> dict:
@@ -28,7 +38,7 @@ def atlas_to_dict(atlas: Atlas) -> dict:
                 "codim": atlas.moduli_dim - s.dim,
                 "eo_fiber": [{"word": w.word, "length": w.length} for w in s.eo_fiber],
                 "single_eo": len(s.eo_fiber) == 1,
-                "closure": atlas.orbit_poset.ids_below(sid),
+                "closure": ids_below(atlas.orbit_poset, sid),
                 "is_maximal": sid == top,
                 "siegel_a": s.siegel_a,
             }
@@ -41,9 +51,21 @@ def atlas_to_dict(atlas: Atlas) -> dict:
     }
 
 
+def atlas_files(atlas: Atlas) -> dict[str, str]:
+    """The text of atlas.json, hasse.dot and table.txt, by file name, from
+    the writers the command line calls."""
+    json_out, table_out = StringIO(), StringIO()
+    write_atlas(atlas, json_out, table_out)
+    return {
+        "atlas.json": json_out.getvalue(),
+        "hasse.dot": emit_dot(atlas),
+        "table.txt": table_out.getvalue(),
+    }
+
+
 def atlas_json(atlas: Atlas) -> str:
-    """The whole atlas.json text: the join of the writer's pieces."""
-    return "".join(atlas_json_pieces(atlas))
+    """The whole atlas.json text."""
+    return atlas_files(atlas)["atlas.json"]
 
 
 def brute_double_cosets(keys: RootKeys, J, K) -> list[list[bytes]]:

@@ -36,7 +36,7 @@ from conftest import (
     longest_length,
     subsets,
 )
-from reference import brute_double_cosets
+from reference import brute_double_cosets, ids_below
 
 CORPUS_PRESETS = [
     "siegel:1",
@@ -170,7 +170,7 @@ def test_criterion_5_maximal_stratum(corpus_atlases):
         ok &= len(top.orbit) == 1
         ok &= top.dim == atlas.moduli_dim
         ok &= top.dim == moduli_dimension(atlas.group, atlas.J)
-        ok &= atlas.orbit_poset.ids_below(len(rest)) == list(range(len(atlas.strata)))
+        ok &= ids_below(atlas.orbit_poset, len(rest)) == list(range(len(atlas.strata)))
     _report(5, "unique dense maximal stratum in every atlas", ok)
 
 

@@ -27,7 +27,7 @@ from bruhat_atlas.rootdata import (
     identity_automorphism,
     validate_automorphism,
 )
-from bruhat_atlas.serialize import emit_dot, emit_table, parse_case
+from bruhat_atlas.serialize import parse_case
 from conftest import (
     benchmark_workloads,
     double_reps,
@@ -37,7 +37,7 @@ from conftest import (
     interned,
     left_reps,
 )
-from reference import atlas_json, atlas_to_dict
+from reference import atlas_files, atlas_to_dict, ids_below
 
 
 def make_case(factors, perm=None, mu=None, J=None, **options):
@@ -172,7 +172,7 @@ class TestBuildAtlas:
         assert sorted(s.dim for s in a.strata) == [0, 2, 3]
         assert sorted(len(s.eo_fiber) for s in a.strata) == [1, 1, 2]
         # closure order is a chain
-        assert [a.orbit_poset.ids_below(sid) for sid in range(3)] == [[0], [0, 1], [0, 1, 2]]
+        assert [ids_below(a.orbit_poset, sid) for sid in range(3)] == [[0], [0, 1], [0, 1, 2]]
         assert a.mu_ordinary is True
         assert [s.siegel_a for s in a.strata] == [2, 1, 0]
 
@@ -226,8 +226,8 @@ class TestBuildAtlas:
 
     def test_closure_set(self):
         a = build_atlas(siegel_case(2))
-        assert a.orbit_poset.ids_below(0) == [0]
-        assert a.orbit_poset.ids_below(len(a.strata) - 1) == [0, 1, 2]
+        assert ids_below(a.orbit_poset, 0) == [0]
+        assert ids_below(a.orbit_poset, len(a.strata) - 1) == [0, 1, 2]
 
     def test_d4_triality_case(self):
         # the triality cycle moves node 0, so J takes three steps to return
@@ -410,7 +410,7 @@ def _built_with_outputs(preset: str):
     them interns nothing."""
     atlas = build_atlas(parse_case(corpus_preset(preset)))
     held = interned(atlas.group)
-    atlas_json(atlas), emit_dot(atlas), "".join(emit_table(atlas))
+    atlas_files(atlas)
     assert interned(atlas.group) == held
     return atlas
 
@@ -445,7 +445,7 @@ def test_outputs_peel_words_without_interning(monkeypatch):
     # writers read them: no intern, no growth and no call of ascend
     atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
     work = engine_work(monkeypatch)
-    atlas_json(atlas), emit_dot(atlas), "".join(emit_table(atlas))
+    atlas_files(atlas)
     assert work.asked == work.born == work.grown == []
     assert all(w.word is not None for w in left_reps(atlas.group, atlas.J))
 

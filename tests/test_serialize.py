@@ -8,15 +8,9 @@ from hypothesis import strategies as st
 
 from bruhat_atlas.atlas import build_atlas
 from bruhat_atlas.cli import corpus_preset
-from bruhat_atlas.serialize import (
-    _dumps,
-    emit_dot,
-    emit_table,
-    parse_case,
-    word_label,
-)
+from bruhat_atlas.serialize import _dumps, parse_case, word_label
 from conftest import DIGESTS, LADDER, benchmark_workloads
-from reference import atlas_json, atlas_to_dict
+from reference import atlas_files, atlas_json, atlas_to_dict
 
 
 WORKLOADS = benchmark_workloads()
@@ -153,16 +147,11 @@ class TestWriter:
     @pytest.mark.parametrize("name", CASES)
     def test_emit_table_is_the_padded_table(self, name):
         atlas = atlas_of(name)
-        assert "".join(emit_table(atlas)) == padded_table(atlas)
+        assert atlas_files(atlas)["table.txt"] == padded_table(atlas)
 
     @pytest.mark.parametrize("name", LADDER + list(SEED_0))
     def test_outputs_match_recorded_digests(self, name):
-        atlas = atlas_of(name)
-        outputs = {
-            "atlas.json": atlas_json(atlas),
-            "hasse.dot": emit_dot(atlas),
-            "table.txt": "".join(emit_table(atlas)),
-        }
+        outputs = atlas_files(atlas_of(name))
         assert {
             file: hashlib.sha256(text.encode()).hexdigest() for file, text in outputs.items()
         } == DIGESTS[digest_key(name)]
