@@ -19,7 +19,6 @@ with ``os._exit``, skipping the interpreter's teardown.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -161,7 +160,11 @@ def _say(text: str):
 def _load_doc(path: str) -> dict:
     """The JSON document in ``path``, read as bytes so that json detects
     UTF-8, UTF-16 or UTF-32.  ValueError covers undecodable bytes, malformed
-    JSON and integers past the digit limit; RecursionError, deep nesting."""
+    JSON and integers past the digit limit; RecursionError, deep nesting.
+    json is imported here, the one place a document is parsed, so a run that
+    reads no case file never loads it."""
+    import json
+
     try:
         with open(path, "rb") as file:
             data = file.read()

@@ -17,14 +17,17 @@ newline; ``tests/reference.py`` holds that schema as a dict, and the tests
 compare the two byte for byte.
 
 :func:`write_atlas` writes atlas.json and table.txt together, in one pass
-over the strata, from the fixed schema: the header values and notes go
-through ``json.dumps`` (so escaping is json's own), each stratum is one
-f-string and one ``write`` to each file, and every integer list (reduced
-words, poset edges) is one ``join`` over decimal labels built once per
-atlas.  A stratum's closure is formed once, for both files: the table's cell
-is the pieces ``"id,"`` that its bitmask's binary digits select, joined, less
-the last comma, and atlas.json's list is that cell with a line break after
-each comma.  So a writer holds one stratum's text at a time.
+over the strata, from the fixed schema.  The header values and notes are
+laid out by :func:`_dumps` as ``json.dumps(..., indent=2)`` lays them out;
+only a string that json would escape goes through ``json.dumps`` (so escaping
+is json's own), and a run with no such string never imports json.  Each
+stratum is one f-string and one ``write`` to each file, and every integer
+list (reduced words, poset edges) is one ``join`` over decimal labels built
+once per atlas.  A stratum's closure is formed once, for both files: the
+table's cell is the pieces ``"id,"`` that its bitmask's binary digits
+select, joined, less the last comma, and atlas.json's list is that cell with
+a line break after each comma.  So a writer holds one stratum's text at a
+time.
 
 A stratum record holds only its independent data.  The writers derive the
 rest as they write the stratum: ``codim`` is ``moduli_dim - dim``,
@@ -35,7 +38,6 @@ the last stratum, since strata come in length order and one is longest.
 
 from __future__ import annotations
 
-import json
 from itertools import compress
 
 from .atlas import Atlas, PELCase
@@ -182,9 +184,26 @@ def _labels(atlas: Atlas) -> list[str]:
 
 def _dumps(value, depth: int) -> str:
     """``json.dumps(value, indent=2)`` as it is written at ``depth`` inside
-    another value; json writes no raw line break inside a string, so each
-    one that it writes starts a line."""
-    return json.dumps(value, indent=2).replace("\n", _LINES[depth])
+    another value, for the header's value types: dict (of str keys), list,
+    int, bool, None and str.  A string of printable ASCII with no ``"`` or
+    ``\\``, the characters json writes as they are, is written directly;
+    any other string is escaped by ``json.dumps`` itself."""
+    if value is None or isinstance(value, int):  # bool too: True is "true"
+        return "null" if value is None else str(value).lower()
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json  # only a string that json escapes loads it
+
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        items = (f"{_dumps(k, 0)}: {_dumps(v, depth + 1)}" for k, v in value.items())
+        return f"{{{inner}{(',' + inner).join(items)}\n{'  ' * depth}}}"
+    items = (_dumps(v, depth + 1) for v in value)
+    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
 
 
 def _list(items, depth: int) -> str:

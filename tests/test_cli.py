@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -664,6 +665,7 @@ _HEAVY_IMPORTS = (
     "argparse",
     "gettext",
     "pathlib",
+    "json",
 )
 
 
@@ -671,10 +673,10 @@ def _loaded_after_main(out, *args) -> dict:
     """Which of ``_HEAVY_IMPORTS`` a fresh ``python -S`` process holds in
     ``sys.modules`` after running ``main`` on ``args``."""
     script = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]);"
+        "import sys; sys.path.insert(0, sys.argv[1]);"
         "from bruhat_atlas.cli import main;"
         "code = main(sys.argv[2:]);"
-        f"print(json.dumps({{m: m in sys.modules for m in {_HEAVY_IMPORTS!r}}}));"
+        f"print(repr({{m: m in sys.modules for m in {_HEAVY_IMPORTS!r}}}));"
         "raise SystemExit(code)"
     )
     done = subprocess.run(
@@ -684,7 +686,7 @@ def _loaded_after_main(out, *args) -> dict:
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 def test_a_build_only_process_imports_neither_dataclasses_nor_the_oracle(tmp_path):
@@ -695,6 +697,16 @@ def test_a_build_only_process_imports_neither_dataclasses_nor_the_oracle(tmp_pat
 def test_verify_loads_the_oracle(tmp_path):
     loaded = _loaded_after_main(tmp_path, "--verify", "corpus", "siegel:2")
     assert loaded["bruhat_atlas.oracle"]
+
+
+def test_only_a_run_that_reads_a_case_file_loads_json(tmp_path):
+    # atlas.json's header is laid out without json; only _load_doc parses
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(corpus_preset("siegel:2")))
+    assert not _loaded_after_main(tmp_path, "siegel", "3")["json"]
+    assert not _loaded_after_main(tmp_path, "--verify", "corpus", "siegel:2")["json"]
+    assert _loaded_after_main(tmp_path, "atlas", str(case))["json"]
+    assert _loaded_after_main(tmp_path, "verify", str(case))["json"]
 
 
 def _entry_env(unbuffered: bool = False) -> dict:

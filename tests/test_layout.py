@@ -78,3 +78,31 @@ def test_only_coxeter_and_the_test_adapter_read_the_element_format():
         or isinstance(node, ast.Constant) and node.value in FORMAT
     ]
     assert hits == []
+
+
+def _imports_json(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "json" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "json"
+
+
+def test_no_module_of_src_imports_json_when_it_is_imported():
+    # json is imported inside the one function that parses a case file and
+    # the one branch that escapes a string, so a run that needs neither
+    # never loads it; an import at module level, a class body or an if or try
+    # block there runs as the module is imported
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_functions = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+        }
+        hits += [
+            f"{path.name}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if _imports_json(node) and id(node) not in in_functions
+        ]
+    assert hits == []
