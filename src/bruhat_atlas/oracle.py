@@ -15,27 +15,35 @@ the claims under test it calls one engine routine, :func:`coxeter.eo_fibers`:
 the representative, which the atlas does not hold (ROADMAP item 2 would
 check the written document instead).
 
-One breadth-first pass by right simple steps lists W with its lengths, the
-cosets W_J w are the classes of W under left-J steps and the double cosets
-W_J w W_K their unions along right-K steps: |W|·(n + |J|) steps and |K| per
-coset.  The fiber of a stratum is the J-minimal part of its double coset,
-since for w in ^J W the minimum of w W_K is the minimum of W_J w W_K
-(Bjorner-Brenti, "Combinatorics of Coxeter Groups", section 2.4), and its top
-is Howlett's product x w0(J_x) w0(K), with J_x = {k in K : x(alpha_k) =
-alpha_j, j in J} read off the key of x.  The single-fiber criterion
-x^-1 {s_j : j in J} x = {s_k : k in K} is checked as {s_j x : j in J} ==
-{x s_k : k in K}.  The closure order is checked on the strata's own orbits
-and representatives, against the masks the writers read.  K is re-derived
-from J through the key of w0, which sends alpha_i to -alpha_i*, and each
-orbit as the cycle of its representative under phi^d, which acts on keys by
-conjugation with the permutation of root indices it makes.  They are meant
-for tests and for the --verify flag, not for speed.  Each of the ten checks
-reports its first counterexample, or passes without one.  The classes
-themselves, listed as sets of keys, are read off :func:`_cosets` in
-``tests/reference.py``, since only the tests list them.
+W is walked one coset W_J w at a time.  W_J is grown once from the identity by
+left-J steps, and the coset W_J v is v translated by each of its keys.  A
+right step maps the coset W_J u to W_J u s_i whichever u it is taken at, so
+the right simple steps from each coset's first key reach every coset:
+|W|/|W_J|·n steps taken one by one, the rest inside ``bytes.translate``.  The
+length of a key is the number of positive roots it sends to negative ones
+(Humphreys, "Reflection Groups and Coxeter Groups", section 1.7), counted on
+``key[:N]``.  The double cosets W_J w W_K are the unions of cosets along
+right-K steps from their minima, |K| steps per coset.  The fiber of a stratum
+is the J-minimal part of its double coset, since for w in ^J W the minimum of
+w W_K is the minimum of W_J w W_K (Bjorner-Brenti, "Combinatorics of Coxeter
+Groups", section 2.4), and its top is Howlett's product x w0(J_x) w0(K), with
+J_x = {k in K : x(alpha_k) = alpha_j, j in J} read off the key of x.  The
+single-fiber criterion x^-1 {s_j : j in J} x = {s_k : k in K} is checked as
+{s_j x : j in J} == {x s_k : k in K}.  The closure order is checked on the
+strata's own orbits and representatives: each stratum's mask holds the orbits
+that meet the subword interval of its representative, and is compared with the
+mask the writers read.  K is re-derived from J through the key of w0, which
+sends alpha_i to -alpha_i*, and each orbit as the cycle of its representative
+under phi^d, which acts on keys by conjugation with the permutation of root
+indices it makes.  Each of the ten checks reports its first counterexample, or
+passes without one.  The classes themselves, listed as sets of keys, are read
+off :func:`_cosets` in ``tests/reference.py``, since only the tests list them.
 """
 
 from __future__ import annotations
+
+from functools import cache, reduce
+from itertools import repeat
 
 from .atlas import Atlas
 # the one engine routine called past the claims checked (module docstring)
@@ -133,36 +141,14 @@ class RootKeys:
         return key
 
 
-def _lengths(keys: RootKeys) -> dict[bytes, int]:
-    """Every key of W with its length, breadth-first from the identity by
-    right simple steps, so a key first met from level l lies on level l + 1.
-    Checked against |W| once grown."""
-    level = [keys.identity]
-    lengths = {level[0]: 0}
-    while level and len(lengths) <= keys.order:
-        ell, nxt = lengths[level[0]] + 1, []
-        for w in level:
-            t = keys.table(w)
-            for s in keys.simple:
-                if (v := s.translate(t)) not in lengths:  # w s_i, first met
-                    lengths[v] = ell
-                    nxt.append(v)
-        level = nxt
-    if len(lengths) != keys.order:
-        raise ConsistencyError(
-            f"the oracle's pass over W found {len(lengths)} elements, "
-            f"but |W| is {keys.order}"
-        )
-    return lengths
-
-
 def _unique_by_length(keys: RootKeys, lengths: dict[bytes, int], members, pick) -> bytes:
     """The key that ``pick`` (``min`` or ``max``) selects by length, refused
     unless no other key has its length."""
-    best = pick(members, key=lengths.__getitem__)
-    if sum(1 for v in members if lengths[v] == lengths[best]) != 1:
+    ells = list(map(lengths.__getitem__, members))
+    best = members[ells.index(ell := pick(ells))]
+    if ells.count(ell) != 1:
         raise ConsistencyError(
-            f"{pick.__name__} length {lengths[best]} is attained more than once, "
+            f"{pick.__name__} length {ell} is attained more than once, "
             f"at {keys.peel(best)} and others"
         )
     return best
@@ -170,23 +156,39 @@ def _unique_by_length(keys: RootKeys, lengths: dict[bytes, int], members, pick) 
 
 def _cosets(keys: RootKeys, J, K) -> tuple[dict, dict, list, list]:
     """The length and the coset W_J w of each key, each coset's minimum, and
-    each double coset W_J w W_K as the list of the cosets it unites.  A right
-    step maps the coset W_J u to W_J u s_k whichever u it is taken at, so the
-    double cosets are the classes of cosets under right-K steps from their
-    minima."""
-    lengths = _lengths(keys)
-    left = [keys.table(keys.simple[j]) for j in J]
+    each double coset W_J w W_K as the list of the cosets it unites, walked
+    one coset at a time (module docstring); the cosets are numbered as the
+    walk meets them.  Checked against |W| once walked."""
+    sub = [keys.identity]  # W_J, breadth-first by left-J steps
+    left, seen = [keys.table(keys.simple[j]) for j in J], set(sub)
+    for u in sub:
+        if len(sub) > keys.order:
+            break
+        for t in left:
+            if (v := u.translate(t)) not in seen:
+                seen.add(v)
+                sub.append(v)
+    tables = [keys.table(u) for u in sub]
+    coset, blocks = dict.fromkeys(sub, 0), [sub]
+    for block in blocks:
+        if len(coset) > keys.order:
+            break
+        t = keys.table(block[0])
+        for s in keys.simple:
+            if (v := s.translate(t)) not in coset:  # W_J v, first met at v
+                blocks.append(new := list(map(v.translate, tables)))
+                coset.update(dict.fromkeys(new, len(blocks) - 1))
+    if len(coset) != keys.order:
+        raise ConsistencyError(
+            f"the oracle's pass over W found {len(coset)} elements, "
+            f"but |W| is {keys.order}"
+        )
+    heads = map(bytes.__getitem__, coset, repeat(slice(keys.N)))
+    negative = map(bytes.translate, heads, repeat(None), repeat(bytes(range(keys.N))))
+    lengths = coset.copy()  # the same keys, so no resize
+    lengths.update(zip(coset, map(len, negative)))
+    minima = [_unique_by_length(keys, lengths, block, min) for block in blocks]
     right = [keys.simple[k] for k in K]
-    coset, minima = dict.fromkeys(lengths), []
-    for w in lengths:
-        if coset[w] is None:
-            coset[w], block = len(minima), [w]
-            for u in block:
-                for t in left:
-                    if coset[v := u.translate(t)] is None:  # s_j u
-                        coset[v] = coset[w]
-                        block.append(v)
-            minima.append(_unique_by_length(keys, lengths, block, min))
     placed, classes = bytearray(len(minima)), []
     for c in range(len(minima)):
         if not placed[c]:
@@ -206,8 +208,16 @@ def brute_interval(keys: RootKeys, word) -> set[bytes]:
     interval), its letters taken from the right by left simple steps."""
     reachable = {keys.identity}
     for i in reversed(word):
-        reachable |= {keys.left(i, u) for u in reachable}
+        t = keys.table(keys.simple[i])
+        reachable = reachable.union(map(bytes.translate, reachable, repeat(t)))
     return reachable
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def verify_atlas(atlas: Atlas) -> VerificationReport:
@@ -220,6 +230,7 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     def word(w) -> list[int]:
         return list(w.word)
 
+    @cache  # each element's word is walked once
     def key(w) -> bytes:
         return keys.of_word(w.word)
 
@@ -284,14 +295,20 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
     )
 
     # closures from subword-oracle intervals on the strata's orbits, against
-    # the down-set masks the writers read each stratum's closure off
+    # the down-set masks the writers read each stratum's closure off; a key
+    # holds the mask of the orbits it lies in, one orbit unless the atlas is
+    # at fault
     strata, poset = atlas.strata, atlas.orbit_poset
     n = len(strata)
-    orbits = [[key(w) for w in s.orbit] for s in strata]
-    brute_leq = []  # brute_leq[b][a]: some member of orbit a is below rep b
-    for s in strata:
-        interval = brute_interval(keys, s.rep.word)
-        brute_leq.append([not interval.isdisjoint(orbit) for orbit in orbits])
+    full = (1 << n) - 1
+    holders = {}
+    for a, s in enumerate(strata):
+        for k in map(key, s.orbit):
+            holders[k] = holders.get(k, 0) | 1 << a
+    brute = [  # brute[b] bit a: some member of orbit a is below rep b
+        reduce(int.__or__, map(holders.__getitem__, holders.keys() & interval), 0)
+        for interval in (brute_interval(keys, s.rep.word) for s in strata)
+    ]
     check(
         "closure_order",
         [f"{len(poset)} down-set masks for {n} strata"]
@@ -299,14 +316,13 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
         else (
             f"orbits {a} <= {b}"
             for b in range(n)
-            for a in range(n)
-            if brute_leq[b][a] != poset.leq(a, b)
+            for a in _bits((brute[b] ^ poset.below[b]) & full)
         ),
     )
 
     # maximal stratum: the one orbit whose subword interval meets every orbit,
     # which the writers mark as the last stratum, with the full closure
-    brute_max = [b for b in range(n) if all(brute_leq[b])]
+    brute_max = [b for b in range(n) if brute[b] == full]
 
     def maximal_stratum():
         if brute_max != [n - 1]:
@@ -317,7 +333,7 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
             len(s.orbit) == 1
             and dims.get(key(s.rep)) == atlas.moduli_dim
             and len(poset) == n
-            and poset.below[-1] == (1 << n) - 1
+            and poset.below[-1] == full
         ):
             yield f"x={word(s.rep)}"
 
@@ -339,14 +355,18 @@ def verify_atlas(atlas: Atlas) -> VerificationReport:
         ),
     )
 
-    # antisymmetry of the subword-interval relation between orbits
+    # antisymmetry of the subword-interval relation between orbits: the pairs
+    # a < b with each below the other, in (b, a) order, found among the bits
+    # of each mask above its own id, which a sound atlas in length order has
+    # none of
     check(
         "orbit_order_antisymmetry",
         (
             f"orbits {a} and {b}"
-            for b in range(n)
-            for a in range(b)
-            if brute_leq[b][a] and brute_leq[a][b]
+            for b, a in sorted(
+                (b, a) for a in range(n) for b in _bits((brute[a] >> a + 1) << a + 1)
+                if brute[b] >> a & 1
+            )
         ),
     )
 

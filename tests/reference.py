@@ -8,14 +8,19 @@ holds the three output files as the command line writes them, and
 bitmask.  ``brute_double_cosets`` and
 ``brute_min_left_reps`` list the oracle's closure classes of W's
 root-permutation keys, read off ``oracle._cosets``, the same classes that
-``verify_atlas`` checks the atlas against.
+``verify_atlas`` checks the atlas against.  ``bfs_lengths`` and
+``bfs_cosets`` form the lengths and classes that ``oracle._cosets`` forms,
+element by element: W breadth-first by right simple steps, so that a key's
+length is its level, and each coset W_J w as the closure of its first key
+under left-J steps.
 """
 
 from io import StringIO
 
 from bruhat_atlas.atlas import Atlas
 from bruhat_atlas.galois import OrbitPoset
-from bruhat_atlas.oracle import RootKeys, _cosets
+from bruhat_atlas.errors import ConsistencyError
+from bruhat_atlas.oracle import RootKeys, _cosets, _unique_by_length
 from bruhat_atlas.serialize import _header, emit_dot, hasse_edges, write_atlas
 
 
@@ -83,3 +88,58 @@ def brute_min_left_reps(keys: RootKeys, J) -> set[bytes]:
     """The shortest key of each coset W_J w, a closure class of W under left
     simple steps by J, taken explicitly over its class."""
     return set(_cosets(keys, J, ())[2])
+
+
+def bfs_lengths(keys: RootKeys) -> dict[bytes, int]:
+    """Every key of W with its length, breadth-first from the identity by
+    right simple steps, so a key first met from level l lies on level l + 1.
+    Checked against |W| once grown."""
+    level = [keys.identity]
+    lengths = {level[0]: 0}
+    while level and len(lengths) <= keys.order:
+        ell, nxt = lengths[level[0]] + 1, []
+        for w in level:
+            t = keys.table(w)
+            for s in keys.simple:
+                if (v := s.translate(t)) not in lengths:  # w s_i, first met
+                    lengths[v] = ell
+                    nxt.append(v)
+        level = nxt
+    if len(lengths) != keys.order:
+        raise ConsistencyError(
+            f"the oracle's pass over W found {len(lengths)} elements, "
+            f"but |W| is {keys.order}"
+        )
+    return lengths
+
+
+def bfs_cosets(keys: RootKeys, J, K) -> tuple[dict, dict, list, list]:
+    """What ``oracle._cosets`` returns, formed key by key on the levels of
+    ``bfs_lengths``: each coset is the closure of its first key under left-J
+    steps, and each double coset the closure of a coset's minimum under
+    right-K steps."""
+    lengths = bfs_lengths(keys)
+    left = [keys.table(keys.simple[j]) for j in J]
+    right = [keys.simple[k] for k in K]
+    coset, minima = dict.fromkeys(lengths), []
+    for w in lengths:
+        if coset[w] is None:
+            coset[w], block = len(minima), [w]
+            for u in block:
+                for t in left:
+                    if coset[v := u.translate(t)] is None:  # s_j u
+                        coset[v] = coset[w]
+                        block.append(v)
+            minima.append(_unique_by_length(keys, lengths, block, min))
+    placed, classes = bytearray(len(minima)), []
+    for c in range(len(minima)):
+        if not placed[c]:
+            placed[c], cls = 1, [c]
+            for d in cls:
+                t = keys.table(minima[d])
+                for s in right:
+                    if not placed[e := coset[s.translate(t)]]:  # W_J m s_k
+                        placed[e] = 1
+                        cls.append(e)
+            classes.append(cls)
+    return lengths, coset, minima, classes

@@ -18,13 +18,12 @@ from conftest import (
     from_word,
     group_of,
     interned,
-    key_length,
     key_of,
     keys_of,
     left_reps,
     subsets,
 )
-from reference import brute_double_cosets, brute_min_left_reps
+from reference import bfs_cosets, bfs_lengths, brute_double_cosets, brute_min_left_reps
 from test_galois import _relabelled_cases
 
 
@@ -78,16 +77,35 @@ class TestBruteCosets:
         J = K = {0, 1, 3, 4, 5}
         work = engine_work(monkeypatch)
         keys = RootKeys(g)
-        lengths = oracle._lengths(keys)
+        lengths = oracle._cosets(keys, J, K)[0]
         classes = brute_double_cosets(keys, J, K)
         left = brute_min_left_reps(keys, J)
         w0 = brute_interval(keys, [0, 1, 0, 2, 1, 0, 3, 2, 1, 0])  # w0 of A4 inside A6
         assert work.born == work.reflected == work.grown == [] and interned(g) == 0
-        # the breadth-first levels are the negative images of each key
+        # each key's count of negative images is its breadth-first level and
+        # the length of the engine's reduced word for it
         assert len(lengths) == g.order == 5040
-        assert all(length == key_length(g, key) for key, length in lengths.items())
+        assert lengths == bfs_lengths(keys)
+        assert lengths == {key_of(g, w): len(w.word) for w in g.ascend(())}
         assert sorted(map(len, classes)) == [144, 576, 1728, 2592]
         assert len(left) == 5040 // 144 and len(w0) == 120
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "A1xA2", "B2xA1"])
+    def test_coset_walk_matches_the_breadth_first_reference(self, name):
+        # the same lengths, cosets with the same minima, and double cosets,
+        # whatever order each pass meets them in
+        keys = keys_of(group_of(name))
+
+        def classes(lengths, coset, minima, doubles):
+            blocks = {}
+            for w, c in coset.items():
+                blocks.setdefault(c, set()).add(w)
+            cosets = {frozenset(blocks[c]): minima[c] for c in blocks}
+            return lengths, cosets, {frozenset().union(*map(blocks.get, d)) for d in doubles}
+
+        for J, K in [((), ()), ({0}, {1}), ({0, 1}, {0, 1}), ({1, 2}, {0}), ({0, 2}, {0, 1, 2})]:
+            walked, reference = classes(*oracle._cosets(keys, J, K)), classes(*bfs_cosets(keys, J, K))
+            assert walked == reference, (J, K)
 
     def test_w_pass_is_refused_past_the_bound_before_it_starts(self, monkeypatch):
         g = WeylGroup(cartan_from_spec(DynkinSpec((("A", 6),))), element_bound=5039)
@@ -199,6 +217,22 @@ class TestVerifyAtlas:
         assert [c.name for c in failed] == ["closure_order"]
         assert failed[0].counterexample.startswith("orbits ")
 
+    @pytest.mark.parametrize("b,a", [(8, 3), (3, 8)], ids=["cleared", "set"])
+    def test_a_flipped_closure_bit_is_named(self, b, a):
+        # hilbert:6: orbit 3, rep s0 s2, lies below orbit 8, rep s0 s2 s4, and
+        # not the other way round; with either bit flipped, closure_order
+        # names the pair, and no other check reads the masks below the top
+        atlas = build_atlas(parse_case(corpus_preset("hilbert:6")))
+        assert atlas.orbit_poset.below[8] >> 3 & 1 and not atlas.orbit_poset.below[3] >> 8 & 1
+        broken = copy.copy(atlas)
+        broken.orbit_poset = copy.copy(atlas.orbit_poset)
+        broken.orbit_poset.below = list(atlas.orbit_poset.below)
+        broken.orbit_poset.below[b] ^= 1 << a
+        failed = [c for c in verify_atlas(broken).checks if not c.passed]
+        assert [(c.name, c.counterexample) for c in failed] == [
+            ("closure_order", f"orbits {a} <= {b}")
+        ]
+
     def test_a_mask_short_of_the_strata_fails_closure_order(self):
         # a counterexample, not an IndexError
         atlas = build_atlas(siegel_case(3))
@@ -273,25 +307,57 @@ class TestVerifyAtlas:
         anti = next(c for c in report.checks if c.name == "orbit_order_antisymmetry")
         assert not anti.passed and anti.counterexample == "orbits 0 and 2"
 
+    def test_antisymmetry_names_the_pair_with_the_lowest_upper_orbit_first(self):
+        # siegel:3, four singleton orbits in a chain: the identity, rep of
+        # orbit 0, joins orbit 3 and the rep of orbit 1 joins orbit 2, so the
+        # pairs (0, 3) and (1, 2) each lie below the other; (1, 2) comes first
+        atlas = build_atlas(siegel_case(3))
+        broken = copy.copy(atlas)
+        broken.strata = [copy.copy(s) for s in atlas.strata]
+        broken.strata[3].orbit = [*atlas.strata[3].orbit, atlas.strata[0].rep]
+        broken.strata[2].orbit = [*atlas.strata[2].orbit, atlas.strata[1].rep]
+        report = verify_atlas(broken)
+        anti = next(c for c in report.checks if c.name == "orbit_order_antisymmetry")
+        assert not anti.passed and anti.counterexample == "orbits 1 and 2"
+
 
 class TestGuards:
     """The oracle's own guards fire, and name an element by the reduced word
     peeled on its key."""
 
-    def test_a_wrong_count_of_w_exits_4(self, tmp_path, monkeypatch, capsys):
-        # s_0's key is swapped for the identity's, so the oracle's pass grows
-        # W(C2), of order 8, inside W(C3)
+    @staticmethod
+    def _break_generator(monkeypatch, j):
+        # every RootKeys built from now on holds the identity's key for s_j
         init = oracle.RootKeys.__init__
 
         def with_a_broken_generator(keys, group):
             init(keys, group)
-            keys.simple[0] = keys.identity
+            keys.simple[j] = keys.identity
 
         monkeypatch.setattr(oracle.RootKeys, "__init__", with_a_broken_generator)
+
+    def test_a_wrong_count_of_w_exits_4(self, tmp_path, monkeypatch, capsys):
+        # s_0's key is swapped for the identity's, so the oracle's pass grows
+        # W(C2), of order 8, inside W(C3)
+        self._break_generator(monkeypatch, 0)
         assert main(["--out", str(tmp_path), "--verify", "corpus", "siegel:3"]) == 4
         assert capsys.readouterr().err == (
             "error: internal invariant failed: "
             "the oracle's pass over W found 8 elements, but |W| is 48\n"
+        )
+
+    @pytest.mark.parametrize("j,found", [(1, 4), (2, 6)])
+    def test_a_broken_generator_is_caught_by_the_count(
+        self, j, found, tmp_path, monkeypatch, capsys
+    ):
+        # siegel:3 is C3 with J = {0, 1}.  With s_1, in J, as the identity,
+        # the walk meets <s_0, s_2>, of order 4, by cosets of <s_0>; with s_2,
+        # outside J, it meets W_J, of order 6, as one coset
+        self._break_generator(monkeypatch, j)
+        assert main(["--out", str(tmp_path), "--verify", "corpus", "siegel:3"]) == 4
+        assert capsys.readouterr().err == (
+            "error: internal invariant failed: "
+            f"the oracle's pass over W found {found} elements, but |W| is 48\n"
         )
 
     def test_a_tie_for_the_minimum_names_a_reduced_word(self, a2):
