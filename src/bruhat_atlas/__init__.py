@@ -1,13 +1,6 @@
 """Bruhat / Ekedahl-Oort stratification atlases for classical Weyl groups."""
 
-from .atlas import (
-    Atlas,
-    PELCase,
-    StratumRecord,
-    build_atlas,
-    siegel_case,
-    siegel_identify,
-)
+from .atlas import Atlas, PELCase, StratumRecord, build_atlas, siegel_case
 from .coxeter import WeylElement, WeylGroup
 from .errors import AtlasError, BoundError, ConsistencyError, InputError
 from .rootdata import (
@@ -40,6 +33,5 @@ __all__ = [
     "identity_automorphism",
     "positive_roots",
     "siegel_case",
-    "siegel_identify",
     "validate_automorphism",
 ]

@@ -12,9 +12,13 @@ This module assembles: it derives J and K, takes ^J W and the fibers from
 :mod:`coxeter` (:func:`coxeter.eo_fibers`) and the orbits and their poset
 from :mod:`galois`, and checks the dimensions against them.  It reads no
 element's weight or steps.
-"""
 
-from __future__ import annotations
+A case of the Siegel shape (C_g, or A1 for g = 1, identity Frobenius, J every
+node but the long root's) is checked once more, whether it came from a preset
+or a case file: its strata are the a-number strata (arXiv 1303.0115).
+:func:`a_numbers` reads each stratum's a-number off its dimension, and the
+writers derive ``siegel_a`` from it as they derive ``codim``.
+"""
 
 from .coxeter import WeylElement, WeylGroup, DEFAULT_BOUND, check_bound, eo_fibers
 from .errors import ConsistencyError, InputError
@@ -54,7 +58,7 @@ class PELCase(Value):
 class StratumRecord(Record):
     """One stratum's independent data; the writers derive the rest as they write."""
 
-    __slots__ = ("orbit", "dim", "eo_fiber", "siegel_a")
+    __slots__ = ("orbit", "dim", "eo_fiber")
 
     @property
     def rep(self) -> WeylElement:
@@ -121,16 +125,50 @@ def _siegel_genus(case: PELCase, J, K) -> int | None:
     """Genus when the case has the principally polarized shape, else None."""
     if len(case.spec.factors) != 1 or not case.phi.is_identity or J != K:
         return None
+    # C_g, or A1 for g = 1, with J every node but the last
     letter, rank = case.spec.factors[0]
-    if letter == "A" and rank == 1 and J == frozenset():
-        return 1
-    if letter == "C" and J == frozenset(range(rank - 1)):
+    if (letter == "C" or (letter, rank) == ("A", 1)) and J == frozenset(range(rank - 1)):
         return rank
     return None
 
 
 def siegel_dimension(g: int, i: int) -> int:
     return (g * (g + 1) - i * (i + 1)) // 2
+
+
+def a_numbers(atlas: Atlas) -> list | None:
+    """Each stratum's a-number, the i in 0..g with dim = g(g+1)/2 - i(i+1)/2,
+    when the case has the Siegel shape of genus g, else None.  A dim that no
+    such i gives reads None; :func:`build_atlas` refuses that atlas."""
+    genus = _siegel_genus(atlas.case, atlas.J, atlas.K)
+    if genus is None:
+        return None
+    a_of = {siegel_dimension(genus, i): i for i in range(genus + 1)}
+    return [a_of.get(s.dim) for s in atlas.strata]
+
+
+def _check_siegel(atlas: Atlas):
+    """On a case of Siegel shape, the Bruhat strata are the a-number strata
+    (arXiv 1303.0115): the dims map one to one onto the a-numbers 0..g, and
+    a stratum lies below another exactly when its a-number is at least as
+    big."""
+    a = a_numbers(atlas)
+    if a is None:
+        return
+    # the genus is the rank
+    if None in a or sorted(a) != list(range(atlas.group.n + 1)):
+        raise ConsistencyError(
+            "dimension does not match a unique a-number: dims "
+            f"{[s.dim for s in atlas.strata]}, genus {atlas.group.n}"
+        )
+    leq = atlas.orbit_poset.leq
+    for i, a_i in enumerate(a):
+        for j, a_j in enumerate(a):
+            if leq(i, j) != (a_i >= a_j):
+                raise ConsistencyError(
+                    "closure order does not reverse the a-number order at "
+                    f"strata {i} and {j}"
+                )
 
 
 def build_atlas(case: PELCase) -> Atlas:
@@ -161,7 +199,6 @@ def build_atlas(case: PELCase) -> Atlas:
     poset = orbit_poset(group, orbits, J)
 
     moduli_dim = moduli_dimension(group, J)
-    genus = _siegel_genus(case, J, K)
 
     Jxs = [group.induced_subset(orbit[0], J, K) for orbit in orbits]
     # |W_S| and N_S once for each distinct subset the strata read, not per
@@ -183,17 +220,9 @@ def build_atlas(case: PELCase) -> Atlas:
                 "top element, fiber and dimension formulas disagree at "
                 f"{list(rep.word)}"
             )
-        siegel_a = None
-        if genus is not None:
-            matches = [i for i in range(genus + 1) if siegel_dimension(genus, i) == dim]
-            if len(matches) != 1:
-                raise ConsistencyError("dimension does not match a unique a-number")
-            siegel_a = matches[0]
-        strata.append(StratumRecord(orbit, dim, fiber, siegel_a))
+        strata.append(StratumRecord(orbit, dim, fiber))
 
-    _assert_atlas_invariants(strata, poset.below, left_reps, moduli_dim)
-
-    return Atlas(
+    atlas = Atlas(
         case=case,
         J=J,
         K=K,
@@ -205,6 +234,9 @@ def build_atlas(case: PELCase) -> Atlas:
         group=group,
         notes=notes,
     )
+    _assert_atlas_invariants(strata, poset.below, left_reps, moduli_dim)
+    _check_siegel(atlas)
+    return atlas
 
 
 def _assert_atlas_invariants(strata, below, left_reps, moduli_dim):
@@ -239,29 +271,3 @@ def siegel_case(g: int, **options) -> PELCase:
     mu = CocharSpec(tuple([0] * (g - 1) + [1]))
     phi = DiagramAutomorphism(tuple(range(g)))
     return PELCase(spec=spec, phi=phi, mu=mu, **options)
-
-
-def siegel_identify(g: int, **options) -> Atlas:
-    """The atlas of genus g, once checked: g + 1 strata whose dimensions are
-    the closed formula's, each matched to its a-number (``siegel_a``), with a
-    closure order that reverses the a-number order.  ``options`` go to
-    :func:`siegel_case`."""
-    atlas = build_atlas(siegel_case(g, **options))
-    if len(atlas.strata) != g + 1:
-        raise ConsistencyError(
-            f"expected {g + 1} strata for genus {g}, found {len(atlas.strata)}"
-        )
-    expected = sorted(siegel_dimension(g, i) for i in range(g + 1))
-    got = sorted(s.dim for s in atlas.strata)
-    if got != expected:
-        raise ConsistencyError(f"dimension multiset {got} != {expected}")
-    # order reversal: x below x' exactly when the a-number is at least as big
-    leq = atlas.orbit_poset.leq
-    for a, s in enumerate(atlas.strata):
-        for b, t in enumerate(atlas.strata):
-            if leq(a, b) != (s.siegel_a >= t.siegel_a):
-                raise ConsistencyError(
-                    "closure order does not reverse the a-number order at "
-                    f"strata {a} and {b}"
-                )
-    return atlas

@@ -17,8 +17,6 @@ and of the ``bruhat-atlas`` script: it calls ``main`` and ends the process
 with ``os._exit``, skipping the interpreter's teardown.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 
@@ -26,6 +24,7 @@ from . import atlas as atlas_mod
 from . import serialize
 from .coxeter import DEFAULT_BOUND, check_bound
 from .errors import BoundError, ConsistencyError, InputError
+from .rootdata import CocharSpec, DiagramAutomorphism, DynkinSpec
 
 # each command and its one argument
 _ARGUMENT = {"atlas": "CASEFILE", "verify": "CASEFILE", "corpus": "PRESET", "siegel": "G"}
@@ -35,28 +34,28 @@ commands: atlas CASEFILE | verify CASEFILE | corpus PRESET | siegel G
 presets: siegel:<g> | hilbert:<d> | gu:<r>,<s>:inert|split"""
 
 
-def corpus_preset(name: str, element_bound: int = DEFAULT_BOUND) -> dict:
-    """Expand a named preset into a case document; a rank past
-    ``element_bound`` is refused before any list of that size is built."""
+def corpus_preset(name: str, **options) -> atlas_mod.PELCase:
+    """The case of a named preset; ``options`` are the case's
+    ``minuscule_check`` and ``element_bound``.  A rank past the element
+    bound is refused before any tuple of that size is built."""
     parts = name.split(":")
     kind = parts[0]
+    bound = options.get("element_bound", DEFAULT_BOUND)
     if kind == "siegel":
         if len(parts) != 2:
             raise InputError("expected siegel:<g>")
-        g = _positive_int(parts[1], "genus")
-        case = atlas_mod.siegel_case(g, element_bound=element_bound)
-        return serialize.case_to_dict(case)
+        return atlas_mod.siegel_case(_positive_int(parts[1], "genus"), **options)
     if kind == "hilbert":
         if len(parts) != 2:
             raise InputError("expected hilbert:<d>")
         d = _positive_int(parts[1], "degree")
-        check_bound(element_bound, d)
-        perm = list(range(1, d)) + [0]  # cyclic Frobenius over the factors
-        return {
-            "group": {"factors": [{"type": "A", "rank": 1} for _ in range(d)]},
-            "frobenius": {"permutation": perm},
-            "mu": {"pairings": [1] * d},
-        }
+        check_bound(bound, d)
+        return atlas_mod.PELCase(
+            DynkinSpec((("A", 1),) * d),
+            DiagramAutomorphism((*range(1, d), 0)),  # cyclic over the factors
+            CocharSpec((1,) * d),
+            **options,
+        )
     if kind == "gu":
         if len(parts) != 3 or parts[2] not in ("inert", "split"):
             raise InputError("expected gu:<r>,<s>:inert|split")
@@ -67,18 +66,19 @@ def corpus_preset(name: str, element_bound: int = DEFAULT_BOUND) -> dict:
         if r < 0 or s < 0 or r + s < 2:
             raise InputError("signature needs r + s >= 2")
         n = r + s - 1  # diagram rank of the unitary case
-        check_bound(element_bound, n)
+        check_bound(bound, n)
         pairings = [0] * n
         if r and s:  # otherwise the signature is trivial: central cocharacter
             pairings[s - 1] = 1
-        perm = list(range(n))
+        perm = range(n)
         if parts[2] == "inert":
-            perm = list(reversed(perm))
-        return {
-            "group": {"factors": [{"type": "A", "rank": n}]},
-            "frobenius": {"permutation": perm},
-            "mu": {"pairings": pairings},
-        }
+            perm = reversed(perm)
+        return atlas_mod.PELCase(
+            DynkinSpec((("A", n),)),
+            DiagramAutomorphism(tuple(perm)),
+            CocharSpec(tuple(pairings)),
+            **options,
+        )
     raise InputError(f"unknown preset {name!r}")
 
 
@@ -114,8 +114,7 @@ def _write_outputs(built, out_dir: str):
         raise InputError(f"cannot write to {out_dir}: {exc}") from exc
 
 
-def _run_case(doc: dict, out_dir: str, verify: bool, **overrides) -> int:
-    case = serialize.parse_case(doc, **overrides)
+def _run_case(case, out_dir: str, verify: bool) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -226,20 +225,19 @@ def main(argv=None) -> int:
             return 0
         command, arg, out_dir, verify, overrides = parsed
         if command in ("atlas", "verify"):
-            doc = _load_doc(arg)
-            return _run_case(doc, out_dir, verify or command == "verify", **overrides)
+            case = serialize.parse_case(_load_doc(arg), **overrides)
+            return _run_case(case, out_dir, verify or command == "verify")
         if command == "corpus":
-            bound = overrides.get("element_bound", DEFAULT_BOUND)
-            doc = corpus_preset(arg, bound)
-            return _run_case(doc, out_dir, verify, **overrides)
+            return _run_case(corpus_preset(arg, **overrides), out_dir, verify)
         # siegel: the parser admits no other command
         genus = _decimal(arg, "genus")
-        built = atlas_mod.siegel_identify(genus, **overrides)
+        built = atlas_mod.build_atlas(atlas_mod.siegel_case(genus, **overrides))
         _say(f"genus {genus}: {len(built.strata)} strata")
         _say(f"{'a':>3}  {'dim':>4}  rep")
-        for s in sorted(built.strata, key=lambda s: s.siegel_a):
-            _say(f"{s.siegel_a:>3}  {s.dim:>4}  {serialize.word_label(s.rep.word)}")
-        # siegel_identify raises unless the order is reversed
+        by_a = sorted(zip(atlas_mod.a_numbers(built), built.strata), key=lambda p: p[0])
+        for a, s in by_a:
+            _say(f"{a:>3}  {s.dim:>4}  {serialize.word_label(s.rep.word)}")
+        # build_atlas raises unless the order is reversed
         _say("total order reversed by a-number: True")
         return _verify(built) if verify else 0
     except InputError as exc:

@@ -51,8 +51,6 @@ caller's label: an orbit id for the closure order, an element's index for
 element-wide intervals.
 """
 
-from __future__ import annotations
-
 from .errors import BoundError, ConsistencyError, InputError
 from .rootdata import CartanMatrix, DiagramAutomorphism, positive_roots
 

@@ -14,8 +14,6 @@ module reads no element's weight or steps: it forms the orbits with
 :meth:`WeylGroup.apply_automorphism` and reads elements by word and length.
 """
 
-from __future__ import annotations
-
 from operator import attrgetter
 
 from .coxeter import WeylElement, WeylGroup, lower_sets

@@ -40,8 +40,6 @@ passes without one.  The classes themselves, listed as sets of keys, are read
 off :func:`_cosets` in ``tests/reference.py``, since only the tests list them.
 """
 
-from __future__ import annotations
-
 from functools import cache, reduce
 from itertools import repeat
 

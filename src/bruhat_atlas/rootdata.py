@@ -8,8 +8,6 @@ symmetry is held as its node permutation and nothing else; a power is formed
 by composing it.
 """
 
-from __future__ import annotations
-
 from .errors import BoundError, InputError
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}

@@ -31,16 +31,16 @@ time.
 
 A stratum record holds only its independent data.  The writers derive the
 rest as they write the stratum: ``codim`` is ``moduli_dim - dim``,
+``siegel_a`` is the a-number that :func:`atlas.a_numbers` reads off the
+dim (null unless the case has the Siegel shape),
 ``single_eo`` is a fiber of one element, ``closure`` is the stratum's
 down-set in the orbit poset, read off its bitmask, and ``is_maximal`` marks
 the last stratum, since strata come in length order and one is longest.
 """
 
-from __future__ import annotations
-
 from itertools import compress
 
-from .atlas import Atlas, PELCase
+from .atlas import Atlas, PELCase, a_numbers
 from .errors import InputError
 from .rootdata import (
     CocharSpec,
@@ -60,8 +60,9 @@ def _int_list(value, what: str) -> list[int]:
 
 
 def parse_case(doc: dict, **overrides) -> PELCase:
-    """Validate a case document and apply defaults; ``overrides`` replace
-    entries of its options."""
+    """Validate a case file's document and apply defaults; ``overrides``
+    replace entries of its options.  A preset is built as its case directly
+    (``cli.corpus_preset``) and never passes through here."""
     if not isinstance(doc, dict):
         raise InputError("case document must be a JSON object")
     group = doc.get("group")
@@ -218,9 +219,10 @@ def _ints(labels: list[str], values, depth: int) -> str:
     return _list(map(labels.__getitem__, values), depth) if values else "[]"
 
 
-def _stratum(labels: list[str], atlas: Atlas, sid: int, closure: str) -> str:
+def _stratum(labels: list[str], atlas: Atlas, sid: int, closure: str, siegel_a: str) -> str:
     """One entry of the atlas.json ``strata`` list, from the comma before it
-    on, given its closure as the table writes it."""
+    on, given its closure as the table writes it and its a-number as
+    atlas.json writes it."""
     _, _, nl2, nl3, nl4, nl5 = _LINES
     s = atlas.strata[sid]
     # an orbit holds its representative, and a fiber its representative
@@ -234,7 +236,6 @@ def _stratum(labels: list[str], atlas: Atlas, sid: int, closure: str) -> str:
     )
     single = "true" if len(s.eo_fiber) == 1 else "false"
     maximal = "true" if sid == len(atlas.strata) - 1 else "false"
-    siegel_a = "null" if s.siegel_a is None else s.siegel_a
     # labels are decimal digits, so every comma of the closure separates two
     closure = closure.replace(",", "," + nl4)
     return (
@@ -292,11 +293,13 @@ def write_atlas(atlas: Atlas, json_out, table_out):
     # a closure is the pieces "id," that the binary digits of its mask select,
     # least significant first, less the last comma
     pieces = [f"{label}," for label in labels[: len(starts)]]
+    a = a_numbers(atlas)
+    siegel_a = ["null"] * len(starts) if a is None else list(map(str, a))
     # an atlas has at least one stratum, the one of the identity
     for sid, mask in enumerate(atlas.orbit_poset.below):
         digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
         closure = "".join(compress(pieces, digits))[:-1]
-        json_out.write(_stratum(labels, atlas, sid, closure))
+        json_out.write(_stratum(labels, atlas, sid, closure, siegel_a[sid]))
         table_out.write(f"{starts[sid]}{closure}\n")
     covers = atlas.orbit_poset.covers  # the pairs that hasse_edges lists
     edges = (

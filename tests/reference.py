@@ -17,7 +17,7 @@ under left-J steps.
 
 from io import StringIO
 
-from bruhat_atlas.atlas import Atlas
+from bruhat_atlas.atlas import Atlas, a_numbers
 from bruhat_atlas.galois import OrbitPoset
 from bruhat_atlas.errors import ConsistencyError
 from bruhat_atlas.oracle import RootKeys, _cosets, _unique_by_length
@@ -33,6 +33,7 @@ def atlas_to_dict(atlas: Atlas) -> dict:
     """The atlas.json document as a dict."""
     strata = []
     top = len(atlas.strata) - 1
+    a = a_numbers(atlas) or [None] * len(atlas.strata)
     for sid, s in enumerate(atlas.strata):
         strata.append(
             {
@@ -45,7 +46,7 @@ def atlas_to_dict(atlas: Atlas) -> dict:
                 "single_eo": len(s.eo_fiber) == 1,
                 "closure": ids_below(atlas.orbit_poset, sid),
                 "is_maximal": sid == top,
-                "siegel_a": s.siegel_a,
+                "siegel_a": a[sid],
             }
         )
     return {

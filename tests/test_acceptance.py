@@ -14,15 +14,14 @@ from bruhat_atlas.atlas import (
     build_atlas,
     derive_K,
     moduli_dimension,
+    siegel_case,
     siegel_dimension,
-    siegel_identify,
     stratum_dimension,
 )
 from bruhat_atlas.cli import corpus_preset
 from bruhat_atlas.coxeter import eo_fibers, lower_sets
 from bruhat_atlas.oracle import brute_interval, verify_atlas
 from bruhat_atlas.rootdata import validate_automorphism
-from bruhat_atlas.serialize import parse_case
 from conftest import (
     MATRIX_GROUPS,
     SMALL_GROUPS,
@@ -86,14 +85,14 @@ def _matrix_pairs():
 
 @pytest.fixture(scope="module")
 def corpus_atlases():
-    return {p: build_atlas(parse_case(corpus_preset(p))) for p in CORPUS_PRESETS}
+    return {p: build_atlas(corpus_preset(p)) for p in CORPUS_PRESETS}
 
 
 def test_criterion_1_siegel_dimensions():
     start = time.perf_counter()
     ok = True
     for g in range(1, 6):
-        strata = siegel_identify(g).strata
+        strata = build_atlas(siegel_case(g)).strata
         expected = sorted(siegel_dimension(g, i) for i in range(g + 1))
         dims = sorted(s.dim for s in strata)
         ok &= len(strata) == g + 1

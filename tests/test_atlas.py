@@ -8,15 +8,15 @@ from bruhat_atlas import atlas as atlas_mod, galois
 from bruhat_atlas.atlas import (
     PELCase,
     StratumRecord,
+    a_numbers,
     build_atlas,
     derive_J,
     derive_K,
     moduli_dimension,
     siegel_case,
     siegel_dimension,
-    siegel_identify,
 )
-from bruhat_atlas.cli import corpus_preset
+from bruhat_atlas.cli import corpus_preset, main
 from bruhat_atlas.coxeter import DEFAULT_BOUND, WeylGroup, eo_fibers
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.oracle import verify_atlas
@@ -174,12 +174,12 @@ class TestBuildAtlas:
         # closure order is a chain
         assert [ids_below(a.orbit_poset, sid) for sid in range(3)] == [[0], [0, 1], [0, 1, 2]]
         assert a.mu_ordinary is True
-        assert [s.siegel_a for s in a.strata] == [2, 1, 0]
+        assert a_numbers(a) == [2, 1, 0]
 
     @pytest.mark.parametrize("preset", ["siegel:3", "gu:4,3:inert", "hilbert:6"])
     def test_rep_is_read_off_the_orbit_and_the_fiber(self, preset):
-        assert StratumRecord.__slots__ == ("orbit", "dim", "eo_fiber", "siegel_a")
-        a = build_atlas(parse_case(corpus_preset(preset)))
+        assert StratumRecord.__slots__ == ("orbit", "dim", "eo_fiber")
+        a = build_atlas(corpus_preset(preset))
         assert all(s.rep is s.orbit[0] is s.eo_fiber[0] for s in a.strata)
         with pytest.raises(AttributeError):
             a.strata[0].rep = a.strata[-1].orbit[0]
@@ -293,7 +293,7 @@ class TestBuildGuards:
         # only; degree 1 makes phi^d move J
         monkeypatch.setattr(atlas_mod, "definition_degree", lambda J, phi: 1)
         with pytest.raises(ConsistencyError, match="not fixed by phi\\^d"):
-            build_atlas(parse_case(corpus_preset("gu:4,3:inert")))
+            build_atlas(corpus_preset("gu:4,3:inert"))
 
     def test_siegel_a_number_guard(self, monkeypatch):
         monkeypatch.setattr(atlas_mod, "siegel_dimension", lambda g, i: -1)
@@ -316,7 +316,7 @@ def _stratum(dim, length, size=1):
     """A stratum whose representative, the first member of its orbit of
     ``size`` members, has only a length."""
     orbit = [SimpleNamespace(length=length)] + ["x"] * (size - 1)
-    return StratumRecord(orbit=orbit, dim=dim, eo_fiber=["y"], siegel_a=None)
+    return StratumRecord(orbit=orbit, dim=dim, eo_fiber=["y"])
 
 
 class TestAtlasInvariants:
@@ -353,33 +353,80 @@ class TestAtlasInvariants:
 class TestSiegel:
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_identify(self, g):
-        strata = sorted(siegel_identify(g).strata, key=lambda s: s.siegel_a)
-        assert [s.siegel_a for s in strata] == list(range(g + 1))
-        assert [s.dim for s in strata] == [
+        a = build_atlas(siegel_case(g))
+        by_a = sorted(zip(a_numbers(a), a.strata), key=lambda pair: pair[0])
+        assert [i for i, _ in by_a] == list(range(g + 1))
+        assert [s.dim for _, s in by_a] == [
             siegel_dimension(g, i) for i in range(g + 1)
         ]
 
+    @staticmethod
+    def _break_order(monkeypatch):
+        """Clear one closure bit inside the build, below the top stratum,
+        whose full mask the atlas-wide guards check first: on genus 3 the
+        a = 2 stratum (id 1) is no longer below the a = 1 one (id 2)."""
+        poset_of = atlas_mod.orbit_poset
+
+        def poset_broken(group, orbits, J):
+            poset = poset_of(group, orbits, J)
+            below = list(poset.below)
+            below[2] &= ~(1 << 1)
+            poset.below = tuple(below)
+            return poset
+
+        monkeypatch.setattr(atlas_mod, "orbit_poset", poset_broken)
+
     def test_order_not_reversed_is_refused(self, monkeypatch):
-        build = atlas_mod.build_atlas
-
-        def build_broken(case):
-            built = build(case)
-            below = list(built.orbit_poset.below)
-            below[-1] &= ~(1 << 1)  # the a = 1 stratum no longer below the top
-            built.orbit_poset.below = tuple(below)
-            return built
-
-        monkeypatch.setattr(atlas_mod, "build_atlas", build_broken)
+        self._break_order(monkeypatch)
         with pytest.raises(ConsistencyError, match="at strata 1 and 2"):
-            siegel_identify(2)
+            build_atlas(siegel_case(3))
+
+    @pytest.mark.parametrize("given", ["preset", "J"])
+    def test_every_siegel_shaped_build_checks_the_order(
+        self, given, tmp_path, capsys, monkeypatch
+    ):
+        # the corpus preset, and a case file that gives C3's J directly with
+        # no mu: both are of Siegel shape, so the build checks the order
+        if given == "preset":
+            command = ["corpus", "siegel:3"]
+        else:
+            casefile = tmp_path / "case.json"
+            casefile.write_text('{"group": {"factors": [{"type": "C", "rank": 3}]}, "J": [0, 1]}')
+            command = ["atlas", str(casefile)]
+        assert main(["--out", str(tmp_path / "o"), *command]) == 0
+        capsys.readouterr()
+        self._break_order(monkeypatch)
+        assert main(["--out", str(tmp_path / "o"), *command]) == 4
+        assert capsys.readouterr().err == (
+            "error: internal invariant failed: closure order does not reverse "
+            "the a-number order at strata 1 and 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "factors, J, expected",
+        [
+            ([("A", 1)], set(), [1, 0]),
+            ([("C", 2)], {0}, [2, 1, 0]),
+            ([("C", 3)], {0, 1}, [3, 2, 1, 0]),
+            ([("A", 1)], {0}, None),
+            ([("A", 2)], {0}, None),
+            ([("C", 3)], {0}, None),
+            ([("C", 3)], {1, 2}, None),
+            ([("B", 2)], {0}, None),
+            ([("C", 2), ("A", 1)], {0}, None),
+        ],
+    )
+    def test_a_numbers_only_on_the_siegel_shape(self, factors, J, expected):
+        assert a_numbers(build_atlas(make_case(factors, J=J))) == expected
 
     def test_options_reach_the_case(self):
         with pytest.raises(BoundError, match="16 elements exceeds element bound 5$"):
-            siegel_identify(4, element_bound=5)
-        assert siegel_identify(2, minuscule_check=False).case.minuscule_check is False
+            build_atlas(siegel_case(4, element_bound=5))
+        built = build_atlas(siegel_case(2, minuscule_check=False))
+        assert built.case.minuscule_check is False
 
     def test_g3_chain(self):
-        a = siegel_identify(3)
+        a = build_atlas(siegel_case(3))
         n = len(a.strata)
         chains = sum(
             a.orbit_poset.leq(i, j) for i in range(n) for j in range(n) if i != j
@@ -390,8 +437,9 @@ class TestSiegel:
         # |W(C8)| = 10,321,920 is past the default bound, but building the
         # atlas never enumerates W; what it does intern is counted by
         # test_build_and_outputs_intern_the_answer_plus_at_most_3N
-        a = siegel_identify(8)
-        assert [s.dim for s in sorted(a.strata, key=lambda s: s.siegel_a)] == [
+        a = build_atlas(siegel_case(8))
+        by_a = sorted(zip(a_numbers(a), a.strata), key=lambda pair: pair[0])
+        assert [s.dim for _, s in by_a] == [
             (8 * 9 - i * (i + 1)) // 2 for i in range(9)
         ]
         assert a.group.order > DEFAULT_BOUND
@@ -408,7 +456,7 @@ class TestSiegel:
 def _built_with_outputs(preset: str):
     """The atlas of ``preset`` once its three outputs are formed; forming
     them interns nothing."""
-    atlas = build_atlas(parse_case(corpus_preset(preset)))
+    atlas = build_atlas(corpus_preset(preset))
     held = interned(atlas.group)
     atlas_files(atlas)
     assert interned(atlas.group) == held
@@ -443,7 +491,7 @@ def test_build_and_outputs_intern_the_answer_plus_at_most_3N(preset):
 def test_outputs_peel_words_without_interning(monkeypatch):
     # the build forms every word it writes while it grows ^J W, so the
     # writers read them: no intern, no growth and no call of ascend
-    atlas = build_atlas(parse_case(corpus_preset("gu:5,4:split")))
+    atlas = build_atlas(corpus_preset("gu:5,4:split"))
     work = engine_work(monkeypatch)
     atlas_files(atlas)
     assert work.asked == work.born == work.grown == []
@@ -454,7 +502,7 @@ def test_outputs_peel_words_without_interning(monkeypatch):
 def test_orbits_relabel_words_without_interning_or_composing(preset, monkeypatch):
     # Frobenius permutes the coordinates of a member of ^J W^K, an element
     # the build has grown; hilbert:6 has a Frobenius of order 6
-    atlas = build_atlas(parse_case(corpus_preset(preset)))
+    atlas = build_atlas(corpus_preset(preset))
     g = atlas.group
     generator = atlas.case.phi.power(atlas.degree)
     held, work = interned(g), engine_work(monkeypatch)
@@ -466,7 +514,7 @@ def test_orbits_relabel_words_without_interning_or_composing(preset, monkeypatch
 
 def test_fibers_are_not_cached_and_start_less_ascents_are(monkeypatch):
     work = engine_work(monkeypatch)
-    atlas = build_atlas(parse_case(corpus_preset("gu:4,3:inert")))
+    atlas = build_atlas(corpus_preset("gu:4,3:inert"))
     g = atlas.group
     assert verify_atlas(atlas).passed
     # only ^J W, whose growth the fibers are read off; the oracle enumerates
@@ -480,7 +528,7 @@ def test_a_build_grows_jw_once_and_reads_the_fibers_off_it(preset, monkeypatch):
     # gu:4,3:inert and hilbert:6 have orbits of several members, whose
     # fibers the oracle reads from the same pass
     work = engine_work(monkeypatch)
-    atlas = build_atlas(parse_case(corpus_preset(preset)))
+    atlas = build_atlas(corpus_preset(preset))
     g = atlas.group
     # one growth, and each element of ^J W is interned once
     assert work.grown == [atlas.J]
@@ -494,7 +542,7 @@ def test_a_build_grows_jw_once_and_reads_the_fibers_off_it(preset, monkeypatch):
 def _case(name):
     """A ladder preset or a many-strata shape of the benchmark (seed 0)."""
     if ":" in name:
-        return parse_case(corpus_preset(name))
+        return corpus_preset(name)
     return parse_case(dict(benchmark_workloads().many_strata_docs(0))[name])
 
 

@@ -24,32 +24,48 @@ A2 = {"group": {"factors": [{"type": "A", "rank": 2}]}}
 
 class TestPresets:
     def test_siegel(self):
-        doc = corpus_preset("siegel:3")
-        assert doc["group"]["factors"] == [{"type": "C", "rank": 3}]
-        assert doc["mu"]["pairings"] == [0, 0, 1]
+        case = corpus_preset("siegel:3")
+        assert case.spec.factors == (("C", 3),)
+        assert case.mu.pairings == (0, 0, 1)
 
     def test_siegel_genus_one_uses_a1(self):
-        doc = corpus_preset("siegel:1")
-        assert doc["group"]["factors"] == [{"type": "A", "rank": 1}]
-        assert doc["mu"]["pairings"] == [1]
+        case = corpus_preset("siegel:1")
+        assert case.spec.factors == (("A", 1),)
+        assert case.mu.pairings == (1,)
 
     def test_hilbert(self):
-        doc = corpus_preset("hilbert:3")
-        assert doc["group"]["factors"] == [{"type": "A", "rank": 1}] * 3
-        assert doc["frobenius"]["permutation"] == [1, 2, 0]
-        assert doc["mu"]["pairings"] == [1, 1, 1]
+        case = corpus_preset("hilbert:3")
+        assert case.spec.factors == (("A", 1),) * 3
+        assert case.phi.perm == (1, 2, 0)
+        assert case.mu.pairings == (1, 1, 1)
 
     def test_gu_inert(self):
-        doc = corpus_preset("gu:2,1:inert")
-        assert doc["group"]["factors"] == [{"type": "A", "rank": 2}]
-        assert doc["frobenius"]["permutation"] == [1, 0]
-        assert doc["mu"]["pairings"] == [1, 0]
+        case = corpus_preset("gu:2,1:inert")
+        assert case.spec.factors == (("A", 2),)
+        assert case.phi.perm == (1, 0)
+        assert case.mu.pairings == (1, 0)
 
     def test_gu_split(self):
-        doc = corpus_preset("gu:3,1:split")
-        assert doc["group"]["factors"] == [{"type": "A", "rank": 3}]
-        assert doc["frobenius"]["permutation"] == [0, 1, 2]
-        assert doc["mu"]["pairings"] == [1, 0, 0]
+        case = corpus_preset("gu:3,1:split")
+        assert case.spec.factors == (("A", 3),)
+        assert case.phi.perm == (0, 1, 2)
+        assert case.mu.pairings == (1, 0, 0)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"element_bound": 100}, {"minuscule_check": False},
+         {"element_bound": 100, "minuscule_check": False}],
+        ids=["defaults", "bound", "no-minuscule-check", "both"],
+    )
+    def test_siegel_preset_is_siegel_case(self, g, options):
+        assert corpus_preset(f"siegel:{g}", **options) == siegel_case(g, **options)
+
+    @pytest.mark.parametrize("preset", LADDER)
+    def test_preset_round_trips_through_its_case_echo(self, preset):
+        # atlas.json echoes the case as case_to_dict writes it
+        case = corpus_preset(preset)
+        assert parse_case(case_to_dict(case)) == case
 
     @pytest.mark.parametrize(
         "bad",
@@ -70,7 +86,7 @@ class TestPresets:
 
 class TestCaseRoundTrip:
     def test_mu_case(self):
-        case = parse_case(corpus_preset("siegel:2"))
+        case = corpus_preset("siegel:2")
         assert parse_case(case_to_dict(case)) == case
 
     def test_j_case(self):
@@ -137,7 +153,7 @@ class TestSerialization:
 
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
         assert main(["--out", str(tmp_path), "corpus", preset]) == 0
-        atlas = build_atlas(parse_case(corpus_preset(preset)))
+        atlas = build_atlas(corpus_preset(preset))
         files = atlas_files(atlas)
         for name in ("atlas.json", "table.txt"):
             assert (tmp_path / name).read_text() == "".join(writes[name]) == files[name]
@@ -173,7 +189,7 @@ class TestMain:
 
     def test_atlas_from_casefile(self, tmp_path, capsys):
         casefile = tmp_path / "case.json"
-        casefile.write_text(json.dumps(corpus_preset("gu:2,1:inert")))
+        casefile.write_text(json.dumps(case_to_dict(corpus_preset("gu:2,1:inert"))))
         rc = main(["--out", str(tmp_path / "o"), "verify", str(casefile)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -222,7 +238,7 @@ class TestMain:
     @pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
     def test_case_file_in_utf16_or_utf32(self, tmp_path, capsys, encoding):
         casefile = tmp_path / "case.json"
-        casefile.write_bytes(json.dumps(corpus_preset("siegel:2")).encode(encoding))
+        casefile.write_bytes(json.dumps(case_to_dict(corpus_preset("siegel:2"))).encode(encoding))
         assert main(["--out", str(tmp_path / "o"), "atlas", str(casefile)]) == 0
         assert "3 strata" in capsys.readouterr().out
 
@@ -300,7 +316,7 @@ class TestMain:
 
     @pytest.mark.parametrize("bound", ["abc", True, 0])
     def test_bad_element_bound_exits_2(self, tmp_path, bound):
-        doc = {**corpus_preset("siegel:2"), "options": {"element_bound": bound}}
+        doc = {**case_to_dict(corpus_preset("siegel:2")), "options": {"element_bound": bound}}
         with pytest.raises(InputError, match="element_bound"):
             parse_case(doc)
         casefile = tmp_path / "case.json"
@@ -361,7 +377,7 @@ class TestMain:
             "compress",
             lambda data, digits: calls.append(len(digits) - 1) or compress(data, digits),
         )
-        n = len(build_atlas(parse_case(corpus_preset(preset))).strata)
+        n = len(build_atlas(corpus_preset(preset)).strata)
         assert calls == []
         assert main(["--out", str(tmp_path), "corpus", preset]) == 0
         assert calls == list(range(n))
@@ -384,7 +400,7 @@ class TestMain:
             "frobenius": {"permutation": [0, 1, 2, 4, 3]},
             "J": [],
         }
-        assert cli._run_case(doc, tmp_path, verify=True) == 1
+        assert cli._run_case(parse_case(doc), tmp_path, verify=True) == 1
         out = capsys.readouterr().out
         assert "192 strata" in out
         # the top's down-set is the closure written for it, so the maximal
@@ -489,17 +505,17 @@ class TestMain:
         assert all(line.startswith("[PASS] ") for line in lines[7:])
 
     def test_siegel_verify_catches_broken_closure_order(self, monkeypatch, capsys):
-        # the order is broken after the identification has accepted it
-        identify = cli.atlas_mod.siegel_identify
+        # the order is broken after the build's Siegel check has accepted it
+        build = cli.atlas_mod.build_atlas
 
-        def identify_broken(g, **options):
-            built = identify(g, **options)
+        def build_broken(case):
+            built = build(case)
             below = list(built.orbit_poset.below)
             below[-1] &= ~(1 << 1)  # orbit 1 no longer below the top
             built.orbit_poset.below = tuple(below)
             return built
 
-        monkeypatch.setattr(cli.atlas_mod, "siegel_identify", identify_broken)
+        monkeypatch.setattr(cli.atlas_mod, "build_atlas", build_broken)
         assert main(["--verify", "siegel", "3"]) == 1
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if "[FAIL]" in line] == [
@@ -702,7 +718,7 @@ def test_verify_loads_the_oracle(tmp_path):
 def test_only_a_run_that_reads_a_case_file_loads_json(tmp_path):
     # atlas.json's header is laid out without json; only _load_doc parses
     case = tmp_path / "case.json"
-    case.write_text(json.dumps(corpus_preset("siegel:2")))
+    case.write_text(json.dumps(case_to_dict(corpus_preset("siegel:2"))))
     assert not _loaded_after_main(tmp_path, "siegel", "3")["json"]
     assert not _loaded_after_main(tmp_path, "--verify", "corpus", "siegel:2")["json"]
     assert _loaded_after_main(tmp_path, "atlas", str(case))["json"]
@@ -821,7 +837,7 @@ def test_main_leaves_no_resource_open(tmp_path):
     # reported; here a process runs main, collects and exits as usual, so a
     # ResourceWarning still shows on its stderr
     casefile = tmp_path / "case.json"
-    casefile.write_text(json.dumps(corpus_preset("gu:2,1:inert")))
+    casefile.write_text(json.dumps(case_to_dict(corpus_preset("gu:2,1:inert"))))
     script = (
         "import gc, sys; sys.path.insert(0, sys.argv[1]);"
         "from bruhat_atlas.cli import main;"

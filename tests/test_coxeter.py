@@ -12,7 +12,6 @@ from bruhat_atlas.coxeter import WeylGroup, lower_sets
 from bruhat_atlas.errors import BoundError, ConsistencyError, InputError
 from bruhat_atlas.oracle import RootKeys, brute_interval
 from bruhat_atlas.rootdata import CartanMatrix, positive_roots, reflect
-from bruhat_atlas.serialize import parse_case
 from conftest import (
     SMALL_GROUPS,
     engine_leq,
@@ -257,7 +256,7 @@ class TestWords:
     def test_wide_key_words_are_the_peeled_words(self, order):
         # A16: 2N = 272 roots, past the oracle's byte keys; ^J W and each
         # fiber against the peel read off walked weights in W
-        atlas = build_atlas(parse_case(corpus_preset("gu:16,1:inert")))
+        atlas = build_atlas(corpus_preset("gu:16,1:inert"))
         g = atlas.group
         fibers = [s.eo_fiber for s in atlas.strata]
         for elements in [g.ascend(atlas.J), *fibers]:
@@ -756,7 +755,7 @@ class TestStepMemo:
     def test_a_build_keeps_only_longer_steps(self, preset):
         # a build keeps each step on both elements: one longer exactly where
         # the coordinate is positive, one shorter where it is negative
-        g = build_atlas(parse_case(corpus_preset(preset))).group
+        g = build_atlas(corpus_preset(preset)).group
         kept = [
             (w, i, v)
             for jw in g._ascend_cache.values()

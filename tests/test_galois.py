@@ -18,7 +18,7 @@ from bruhat_atlas.rootdata import (
     identity_automorphism,
     validate_automorphism,
 )
-from bruhat_atlas.serialize import parse_case
+from bruhat_atlas.serialize import case_to_dict, parse_case
 from conftest import (
     SMALL_GROUPS,
     double_reps,
@@ -280,7 +280,9 @@ class TestStructuralGuards:
         assert interned(g) == before
 
     @pytest.mark.parametrize(
-        "doc", [A4_A2_REVERSED, corpus_preset("gu:16,1:inert")], ids=["A4xA2", "gu:16,1"]
+        "doc",
+        [A4_A2_REVERSED, case_to_dict(corpus_preset("gu:16,1:inert"))],
+        ids=["A4xA2", "gu:16,1"],
     )
     def test_lower_sets_step_without_composing_or_interning(self, doc, monkeypatch):
         # gu:16,1:inert is A16, 2N = 272 roots

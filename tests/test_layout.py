@@ -106,3 +106,16 @@ def test_no_module_of_src_imports_json_when_it_is_imported():
             if _imports_json(node) and id(node) not in in_functions
         ]
     assert hits == []
+
+
+def test_no_module_of_src_imports_future():
+    # requires-python is >= 3.10, so annotations such as ``X | None``
+    # evaluate as written, and a run need not load __future__ for them
+    hits = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        or isinstance(node, ast.Import) and any(a.name == "__future__" for a in node.names)
+    ]
+    assert hits == []

@@ -118,7 +118,7 @@ def _corpus_atlases():
     from bruhat_atlas.cli import corpus_preset
 
     for preset in ["siegel:2", "siegel:3", "hilbert:2", "gu:2,1:inert", "gu:2,1:split"]:
-        yield preset, build_atlas(parse_case(corpus_preset(preset)))
+        yield preset, build_atlas(corpus_preset(preset))
 
 
 class TestVerifyAtlas:
@@ -126,7 +126,7 @@ class TestVerifyAtlas:
     def test_verify_interns_nothing(self, preset):
         # an oracle on interned elements would grow what the group holds from
         # ^J W, 32 and 35 elements, to all of W, 3,840 and 5,040
-        atlas = build_atlas(parse_case(corpus_preset(preset)))
+        atlas = build_atlas(corpus_preset(preset))
         held = interned(atlas.group)
         assert verify_atlas(atlas).passed
         assert interned(atlas.group) == held
@@ -207,7 +207,7 @@ class TestVerifyAtlas:
     def test_swapped_strata_of_equal_length_are_caught(self):
         # hilbert:6 strata 2 and 3 have equal length but different closures:
         # swapped, each is written with the other's closure list
-        atlas = build_atlas(parse_case(corpus_preset("hilbert:6")))
+        atlas = build_atlas(corpus_preset("hilbert:6"))
         assert atlas.strata[2].rep.length == atlas.strata[3].rep.length
         assert atlas.orbit_poset.below[2] != atlas.orbit_poset.below[3]
         broken = copy.copy(atlas)
@@ -222,7 +222,7 @@ class TestVerifyAtlas:
         # hilbert:6: orbit 3, rep s0 s2, lies below orbit 8, rep s0 s2 s4, and
         # not the other way round; with either bit flipped, closure_order
         # names the pair, and no other check reads the masks below the top
-        atlas = build_atlas(parse_case(corpus_preset("hilbert:6")))
+        atlas = build_atlas(corpus_preset("hilbert:6"))
         assert atlas.orbit_poset.below[8] >> 3 & 1 and not atlas.orbit_poset.below[3] >> 8 & 1
         broken = copy.copy(atlas)
         broken.orbit_poset = copy.copy(atlas.orbit_poset)
@@ -248,7 +248,7 @@ class TestVerifyAtlas:
         # gu:3,2:split, whose phi is the identity; every other check reads the
         # atlas's own K, and passes
         monkeypatch.setattr(atlas_mod, "derive_K", lambda group, J, phi: phi.apply_subset(J))
-        atlas = build_atlas(parse_case(corpus_preset("gu:3,2:split")))
+        atlas = build_atlas(corpus_preset("gu:3,2:split"))
         assert atlas.K == atlas.J == frozenset({0, 2, 3})
         failed = [c for c in verify_atlas(atlas).checks if not c.passed]
         assert [(c.name, c.counterexample) for c in failed] == [
@@ -261,7 +261,7 @@ class TestVerifyAtlas:
         monkeypatch.setattr(
             atlas_mod, "galois_orbits", lambda group, elements, phi: [[w] for w in elements]
         )
-        atlas = build_atlas(parse_case(corpus_preset("hilbert:6")))
+        atlas = build_atlas(corpus_preset("hilbert:6"))
         assert len(atlas.strata) == 64
         failed = [c for c in verify_atlas(atlas).checks if not c.passed]
         assert [(c.name, c.counterexample) for c in failed] == [("frobenius_orbits", "x=[0]")]

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhat_atlas.atlas import build_atlas
+from bruhat_atlas.atlas import a_numbers, build_atlas
 from bruhat_atlas.cli import corpus_preset
-from bruhat_atlas.serialize import _dumps, parse_case, word_label
+from bruhat_atlas.serialize import _dumps, case_to_dict, parse_case, word_label
 from conftest import DIGESTS, LADDER, benchmark_workloads
 from reference import atlas_files, atlas_json, atlas_to_dict
 
@@ -26,7 +26,7 @@ SEED_0 = _many_strata(0)
 # a-numbers), the many-strata documents of seeds 0 and 1, a case with a note
 # and a case with one stratum and no poset edges
 CASES = {
-    **{p: corpus_preset(p) for p in LADDER},
+    **{p: case_to_dict(corpus_preset(p)) for p in LADDER},
     **SEED_0,
     **_many_strata(1),
     "note": {
@@ -117,7 +117,7 @@ def test_cases_reach_every_kind_of_value():
     atlases = [atlas_of(name) for name in CASES]
     assert len(CASES) == len(LADDER) + 12 + 12 + 2
     assert any(a.notes for a in atlases)
-    assert any(s.siegel_a is not None for a in atlases for s in a.strata)
+    assert any(a_numbers(a) is not None for a in atlases)
     assert any(not a.orbit_poset.covers for a in atlases)
     assert any(len(s.orbit) > 1 for a in atlases for s in a.strata)
 
